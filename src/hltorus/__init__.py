@@ -20,10 +20,8 @@ from .tcomb import TComb
 from .hall_littlewood import (
     Mono,
     const_arg,
-    degenerate_check,
     hl_full,
     hl_q,
-    hl_term,
     pm_args,
     var_arg,
 )
@@ -79,12 +77,10 @@ __all__ = [
     "classify_shape",
     "const_arg",
     "ct_integrate",
-    "degenerate_check",
     "determinant",
     "gustafson_rhs",
     "hl_full",
     "hl_q",
-    "hl_term",
     "koornwinder_density",
     "pf_closed_form",
     "pfaffian",

@@ -73,7 +73,10 @@ def build_parser():
 def _parse_weight(defn, text):
     if text is None:
         return None
-    entries = tuple(int(x) for x in text.split(",")) if text.strip() else ()
+    try:
+        entries = tuple(int(x) for x in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise DomainError("weight %r is not a comma-separated list of integers" % text) from None
     if not defn.allows_negative and any(e < 0 for e in entries):
         raise DomainError(
             "identity %r takes a partition; negative entries are only "

@@ -1,25 +1,30 @@
 """Hall-Littlewood polynomials evaluated at lists of signed monomials.
 
-P_lambda is computed by common-denominator symmetrization: the full
-permutation sum of x^lambda prod (x_i - t x_j) is assembled first (shared
-prefixes collapse into a dynamic program over argument subsets), then the
-result is divided exactly by the Vandermonde product and by v_lambda(t).
-Individual permutation terms have spurious poles; only the full sum is a
-Laurent polynomial, and the exact division doubles as a loud correctness
-check.
+P_lambda is built by Macdonald's branching rule (Symmetric Functions and
+Hall Polynomials, III (5.11')), which needs no division:
+
+    P_lambda(y_1..y_N) = sum_mu psi_{lambda/mu}(t) y_N^{|lambda|-|mu|} P_mu(y_1..y_{N-1})
+
+over the mu with lambda/mu a horizontal strip, where
+psi_{lambda/mu}(t) = prod_{j in J} (1 - t^{m_j(mu)}) and J is the set of
+j >= 1 with theta'_j = 0 and theta'_{j+1} = 1 for theta = lambda - mu.
+The recursion is memoized on mu (whose length is the number of slots it
+uses) within one call.  A weight whose last part is nonzero is first
+shifted to end in 0 by the factor (y_1 ... y_N)^{lambda_N}.
 
 Argument slots are signed torus monomials optionally scaled by a power of
 s, which covers x_i, x_i^{-1}, +-1 and t^{+-1/2} z_i (after the caller
-rescales the torus variable so that no negative s-powers appear).
+rescales the torus variable so that no negative s-powers appear).  Every
+term then has nonnegative s-degree, so truncating at the working order
+along the way is exact, and the coefficients stay integers.
 """
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from itertools import product
+from typing import NamedTuple, Tuple
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 from .laurent import LaurentPoly
 from .series import ParamSeries, SeriesRing
 from .tcomb import TComb
@@ -58,245 +63,67 @@ def _mono_pow(m: Mono, k: int) -> Mono:
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers: dict[exps tuple] -> dict[s exponent] -> coefficient
+# raw polynomials: dict[exps tuple] -> dict[s exponent] -> coefficient
 # ---------------------------------------------------------------------------
 
 
-def _sd_scaled(sd, sign, shift, cap):
-    if sign > 0 and shift == 0:
-        return {e: c for e, c in sd.items() if e <= cap}
-    out = {}
-    for e, c in sd.items():
-        e2 = e + shift
-        if e2 <= cap:
-            out[e2] = c if sign > 0 else -c
-    return out
+def _psi(lam, mu, tbase, cap):
+    """psi_{lam/mu}(t) as an s-polynomial, for a horizontal strip lam/mu."""
+    cols = [0] * (lam[0] + 2)
+    for hi, lo in zip(lam, mu + (0,)):
+        for j in range(lo + 1, hi + 1):
+            cols[j] += 1
+    psi = {0: 1}
+    for j in range(1, lam[0]):
+        if cols[j] == 0 and cols[j + 1] == 1:
+            # m_j(mu) >= 1 here: the strip row that starts at column j+1
+            # has mu_i = j
+            step = tbase * mu.count(j)
+            out = dict(psi)
+            for e, c in psi.items():
+                if e + step <= cap:
+                    out[e + step] = out.get(e + step, 0) - c
+            psi = {e: c for e, c in out.items() if c}
+    return psi
 
 
-def _sd_add_into(dst, src, sign=1, shift=0, cap=None):
-    for e, c in src.items():
-        e2 = e + shift
-        if cap is not None and e2 > cap:
-            continue
-        v = dst.get(e2, 0) + (c if sign > 0 else -c)
-        if v:
-            dst[e2] = v
-        elif e2 in dst:
-            del dst[e2]
+def _branching(lam, args, nvars, cap, tbase):
+    """P_lam(args) as a raw polynomial, for a partition lam padded to len(args)."""
+    memo = {(): {(0,) * nvars: {0: 1}}}
 
-
-def _poly_add_into(dst, src, sign=1):
-    for e, sd in src.items():
-        cur = dst.get(e)
-        if cur is None:
-            dst[e] = _sd_scaled(sd, sign, 0, 1 << 62)
-        else:
-            _sd_add_into(cur, sd, sign)
-            if not cur:
-                del dst[e]
-
-
-def _poly_mul_mono(poly, m: Mono, cap):
-    out = {}
-    for e, sd in poly.items():
-        sd2 = _sd_scaled(sd, m.sign, m.spow, cap)
-        if sd2:
-            out[tuple(a + b for a, b in zip(e, m.exps))] = sd2
-    return out
-
-
-def _poly_mul_binom(poly, u: Mono, v: Mono, cap):
-    """poly * (u + v) where u, v carry their own signs."""
-    out = {}
-    for e, sd in poly.items():
-        for m in (u, v):
-            e2 = tuple(a + b for a, b in zip(e, m.exps))
-            cur = out.get(e2)
-            if cur is None:
-                sd2 = _sd_scaled(sd, m.sign, m.spow, cap)
-                if sd2:
-                    out[e2] = sd2
-            else:
-                _sd_add_into(cur, sd, m.sign, m.spow, cap)
-                if not cur:
-                    del out[e2]
-    return out
-
-
-def _sd_mul(a, b, cap):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e > cap:
-                continue
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _sd_unit_inverse(sd, cap):
-    """Inverse of an s-polynomial with nonzero constant term."""
-    c0 = sd.get(0, 0)
-    if c0 == 0:
-        raise DomainError("cannot invert: zero constant term")
-    scale = Fraction(1, 1) / c0
-    tail = {e: -c * scale for e, c in sd.items() if e != 0}
-    acc = {0: 1}
-    powr = {0: 1}
-    while tail:
-        powr = _sd_mul(powr, tail, cap)
-        if not powr:
-            break
-        _sd_add_into(acc, powr)
-    if scale != 1:
-        acc = {e: c * scale for e, c in acc.items()}
-    return {e: c for e, c in acc.items() if c}
-
-
-def _poly_scale_sd(poly, sd, cap):
-    out = {}
-    for e, old in poly.items():
-        sd2 = _sd_mul(old, sd, cap)
-        if sd2:
-            out[e] = sd2
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exact division by differences of signed monomials
-# ---------------------------------------------------------------------------
-
-
-def _divide_geometric(poly, unit: Mono, other: Mono, cap):
-    """poly / (unit - other) with other carrying positive s-degree.
-
-    1/(u - v) = u^{-1} (1 + v/u + (v/u)^2 + ...), a finite sum at the
-    working truncation order, so this division is exact by construction.
-    """
-    inv_u = Mono(unit.sign, 0, tuple(-e for e in unit.exps))
-    acc = _poly_mul_mono(poly, inv_u, cap)
-    ratio = Mono(other.sign * unit.sign, other.spow, tuple(a - b for a, b in zip(other.exps, unit.exps)))
-    cur = acc
-    total = {e: dict(sd) for e, sd in acc.items()}
-    while True:
-        cur = _poly_mul_mono(cur, ratio, cap)
-        if not cur:
-            break
-        _poly_add_into(total, cur)
-    return total
-
-
-def _divide_lex(poly, u: Mono, v: Mono, max_steps):
-    """poly / (u - v) for unit-coefficient monomials, leading side u.
-
-    Plain binomial division with respect to the lexicographic group order;
-    failure to terminate means the input was not divisible, which is an
-    internal-consistency violation for the full symmetrized sum.
-    """
-    negate = False
-    if v.exps > u.exps:
-        u, v = v, u
-        negate = True
-    work = {e: dict(sd) for e, sd in poly.items()}
-    heap = [tuple(-x for x in e) for e in work]
-    heapq.heapify(heap)
-    quotient = {}
-    steps = 0
-    while heap:
-        negkey = heapq.heappop(heap)
-        e = tuple(-x for x in negkey)
-        sd = work.get(e)
-        if not sd:
-            work.pop(e, None)
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise InternalConsistencyError(
-                "division by monomial difference did not terminate"
-            )
-        del work[e]
-        qe = tuple(a - b for a, b in zip(e, u.exps))
-        qsd = sd if u.sign > 0 else {k: -c for k, c in sd.items()}
-        quotient[qe] = qsd
-        ve = tuple(a + b for a, b in zip(qe, v.exps))
-        cur = work.get(ve)
-        fresh = cur is None
-        if fresh:
-            cur = work[ve] = {}
-        _sd_add_into(cur, qsd, v.sign)
-        if not cur:
-            del work[ve]
-        elif fresh:
-            heapq.heappush(heap, tuple(-x for x in ve))
-    if work:
-        raise InternalConsistencyError("nonzero remainder in exact division")
-    if negate:
-        quotient = {e: {k: -c for k, c in sd.items()} for e, sd in quotient.items()}
-    return quotient
-
-
-def _divide_arg_difference(poly, a: Mono, b: Mono, cap, max_steps):
-    """Divide by (a - b); returns (quotient, s_shift_extracted)."""
-    shift = min(a.spow, b.spow)
-    u = Mono(a.sign, a.spow - shift, a.exps)
-    v = Mono(b.sign, b.spow - shift, b.exps)
-    if u.exps == v.exps:
-        # coefficient (sign_u s^p - sign_v s^q) times a single monomial
-        csd = {}
-        _sd_add_into(csd, {u.spow: u.sign})
-        _sd_add_into(csd, {v.spow: v.sign}, sign=-1)
-        if not csd:
-            raise DomainError("argument list contains a repeated monomial")
-        inv = _sd_unit_inverse(csd, cap)
-        inv_m = Mono(1, 0, tuple(-e for e in u.exps))
-        return _poly_scale_sd(_poly_mul_mono(poly, inv_m, cap), inv, cap), shift
-    if u.spow == 0 and v.spow == 0:
-        return _divide_lex(poly, u, v, max_steps), shift
-    if u.spow == 0:
-        return _divide_geometric(poly, u, v, cap), shift
-    # u carries the s-power: (u - v) = -(v - u) with v the unit side
-    q = _divide_geometric(poly, v, u, cap)
-    return {e: {k: -c for k, c in sd.items()} for e, sd in q.items()}, shift
-
-
-# ---------------------------------------------------------------------------
-# the symmetrized numerator, as a subset dynamic program
-# ---------------------------------------------------------------------------
-
-
-def _sym_numerator(weight, vals: Sequence[Mono], nvars, cap, tbase):
-    n = len(vals)
-    zero_exps = (0,) * nvars
-    f = [None] * (1 << n)
-    f[0] = {zero_exps: {0: 1}}
-    for mask in range(1, 1 << n):
-        depth = bin(mask).count("1")
-        lam = weight[depth - 1]
+    def build(lam):
+        hit = memo.get(lam)
+        if hit is not None:
+            return hit
+        k = len(lam)
+        size = sum(lam)
         acc = {}
-        for a in range(n):
-            bit = 1 << a
-            if not mask & bit:
+        for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
+            y = _mono_pow(args[k - 1], size - sum(mu))
+            factor = {
+                e + y.spow: y.sign * c
+                for e, c in _psi(lam, mu, tbase, cap).items()
+                if e + y.spow <= cap
+            }
+            if not factor:
                 continue
-            rem = mask ^ bit
-            prev = f[rem]
-            if not prev:
-                continue
-            inversions = bin(rem >> (a + 1)).count("1")
-            val_a = vals[a]
-            term = _poly_mul_mono(prev, _mono_pow(val_a, lam), cap)
-            tail = Mono(-val_a.sign, val_a.spow + tbase, val_a.exps)
-            for v in range(n):
-                if rem & (1 << v):
-                    term = _poly_mul_binom(term, vals[v], tail, cap)
-                    if not term:
-                        break
-            _poly_add_into(acc, term, -1 if inversions & 1 else 1)
-        f[mask] = acc
-    return f[(1 << n) - 1]
+            for exps, sd in build(mu).items():
+                key = tuple(a + b for a, b in zip(exps, y.exps))
+                dst = acc.setdefault(key, {})
+                for ea, ca in sd.items():
+                    for eb, cb in factor.items():
+                        e = ea + eb
+                        if e <= cap:
+                            dst[e] = dst.get(e, 0) + ca * cb
+        out = {}
+        for exps, sd in acc.items():
+            sd = {e: c for e, c in sd.items() if c}
+            if sd:
+                out[exps] = sd
+        memo[lam] = out
+        return out
+
+    return build(lam)
 
 
 def _raw_to_laurent(poly, var_names, order):
@@ -342,43 +169,22 @@ def hl_full(weight, args, var_names, order, tbase=2):
         return hit
 
     nvars = len(var_names)
-    n = len(args)
-    total_shift = sum(
-        min(args[i].spow, args[j].spow) for i in range(n) for j in range(i + 1, n)
-    )
-    cap = order + total_shift
-    max_steps = 200000
-
-    numerator = _sym_numerator(weight, args, nvars, cap, tbase)
-    poly = numerator
-    extracted = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not poly:
-                break
-            poly, sh = _divide_arg_difference(poly, args[i], args[j], cap, max_steps)
-            extracted += sh
-    if poly and extracted != total_shift:
-        raise InternalConsistencyError("inconsistent Vandermonde s-power bookkeeping")
-    # divide by v_lambda(t), a unit in the truncated ring
-    tc = TComb(SeriesRing(cap), base=tbase)
-    v = tc.v_of(weight)
-    if v != 1:
-        vsd = {k[0]: c for k, c in v.coeffs.items()}
-        poly = _poly_scale_sd(poly, _sd_unit_inverse(vsd, cap), cap)
-    # pull out the s-power extracted from the Vandermonde
-    if extracted and poly:
-        shifted = {}
-        for e, sd in poly.items():
-            out = {}
-            for es, c in sd.items():
-                if es < extracted:
-                    raise InternalConsistencyError(
-                        "symmetrized sum not divisible by s^%d" % extracted
-                    )
-                out[es - extracted] = c
-            shifted[e] = out
-        poly = shifted
+    shift = weight[-1] if weight else 0
+    poly = _branching(tuple(w - shift for w in weight), args, nvars, order, tbase)
+    if shift:
+        sign = 1
+        for m in args:
+            sign *= m.sign
+        y = _mono_pow(
+            Mono(sign, sum(m.spow for m in args),
+                 tuple(sum(col) for col in zip(*(m.exps for m in args)))),
+            shift,
+        )
+        poly = {
+            tuple(a + b for a, b in zip(exps, y.exps)):
+                {e + y.spow: y.sign * c for e, c in sd.items()}
+            for exps, sd in poly.items()
+        }
     result = _raw_to_laurent(poly, var_names, order)
     _CACHE[key] = result
     return result
@@ -389,158 +195,3 @@ def hl_q(weight, args, var_names, order, tbase=2):
     p = hl_full(weight, args, var_names, order, tbase)
     b = TComb(SeriesRing(order), base=tbase).b_of(weight)
     return p * b
-
-
-def hl_term(weight, perm, args, var_names, order, tbase=2):
-    """The single permutation term of R_lambda, when it is a polynomial.
-
-    ``perm`` assigns argument indices to slots (slot i holds
-    args[perm[i]]).  A term whose numerator vanishes gives zero; a term with
-    a genuinely non-cancelling pole is rejected, because single terms are
-    rational functions in general and only the full sum is polynomial.
-    """
-    weight = tuple(weight)
-    args = tuple(args)
-    perm = tuple(perm)
-    if sorted(perm) != list(range(len(args))):
-        raise DomainError("perm must be a permutation of the argument indices")
-    if len(weight) != len(args):
-        raise DomainError("weight and argument lengths differ")
-    if weight and weight[-1] < 0 and any(m.spow for m in args):
-        raise DomainError("negative weight parts with s-scaled slots")
-    nvars = len(var_names)
-    n = len(args)
-    vals = [args[perm[i]] for i in range(n)]
-    total_shift = sum(
-        min(vals[i].spow, vals[j].spow) for i in range(n) for j in range(i + 1, n)
-    )
-    cap = order + total_shift
-    poly = {(0,) * nvars: {0: 1}}
-    for i in range(n):
-        poly = _poly_mul_mono(poly, _mono_pow(vals[i], weight[i]), cap)
-    for j in range(n):
-        # slot pairs (i < j) contribute factors (z_i - t z_j)
-        tail = Mono(-vals[j].sign, vals[j].spow + tbase, vals[j].exps)
-        for i in range(j):
-            poly = _poly_mul_binom(poly, vals[i], tail, cap)
-    if not poly:
-        return LaurentPoly.zero(var_names, order)
-    extracted = 0
-    try:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not poly:
-                    break
-                poly, sh = _divide_arg_difference(
-                    poly, vals[i], vals[j], cap, max_steps=4000
-                )
-                extracted += sh
-    except InternalConsistencyError:
-        raise DomainError("permutation term has a non-cancelling pole")
-    if extracted and poly:
-        shifted = {}
-        for e, sd in poly.items():
-            out = {}
-            for es, c in sd.items():
-                if es < extracted:
-                    raise DomainError("permutation term has a non-cancelling pole")
-                out[es - extracted] = c
-            shifted[e] = out
-        poly = shifted
-    return _raw_to_laurent(poly, var_names, order)
-
-
-# ---------------------------------------------------------------------------
-# degenerations and their independent oracles
-# ---------------------------------------------------------------------------
-
-
-def schur_by_tableaux(parts, nvars):
-    """Schur polynomial as a weight-count over semistandard tableaux.
-
-    Returns a mapping from exponent vectors to integer multiplicities; this
-    is deliberately independent of the symmetrization route above.
-    """
-    shape = [p for p in parts if p > 0]
-    if any(p < 0 for p in parts):
-        raise DomainError("tableau oracle needs a partition")
-    if len(shape) > nvars:
-        return {}
-    counts = {}
-    if not shape:
-        counts[(0,) * nvars] = 1
-        return counts
-    weight = [0] * nvars
-
-    def fill_row(row_idx, prev_row):
-        if row_idx == len(shape):
-            key = tuple(weight)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        length = shape[row_idx]
-        row = [0] * length
-
-        def fill_cell(col, minval):
-            if col == length:
-                fill_row(row_idx + 1, row)
-                return
-            lo = minval
-            if row_idx > 0 and col < len(prev_row):
-                lo = max(lo, prev_row[col] + 1)
-            else:
-                lo = max(lo, row_idx + 1)
-            for val in range(lo, nvars + 1):
-                row[col] = val
-                weight[val - 1] += 1
-                fill_cell(col + 1, val)
-                weight[val - 1] -= 1
-
-        fill_cell(0, 1)
-
-    fill_row(0, [])
-    return counts
-
-
-def monomial_sym(parts, nvars):
-    """Monomial symmetric polynomial as an exponent-multiset indicator."""
-    padded = tuple(parts) + (0,) * (nvars - len(tuple(parts)))
-    if len(padded) != nvars:
-        raise DomainError("too many parts for the variable count")
-    from itertools import permutations
-
-    return {e: 1 for e in set(permutations(padded))}
-
-
-def degenerate_check(parts, nvars, order=24):
-    """Check P at t=0 against the tableau Schur oracle and at t=1 against m.
-
-    The t=1 evaluation sums all s-coefficients, which is only meaningful
-    when the polynomial is certified untruncated (top s-degree strictly
-    below the working order); the report says whether that held.
-    """
-    parts = tuple(parts)
-    padded = parts + (0,) * (nvars - len(parts))
-    args = tuple(var_arg(nvars, i) for i in range(nvars))
-    names = tuple("x%d" % (i + 1) for i in range(nvars))
-    p = hl_full(padded, args, names, order)
-    top = 0
-    for c in p.terms.values():
-        d = c.max_total_degree()
-        if d is not None and d > top:
-            top = d
-    certified = top < order
-    at_zero = {e: c.constant() for e, c in p.terms.items() if c.constant()}
-    schur = schur_by_tableaux(parts, nvars)
-    schur_ok = at_zero == schur
-    at_one = {}
-    for e, c in p.terms.items():
-        total = sum(c.coeffs.values())
-        if total:
-            at_one[e] = total
-    mono_ok = at_one == monomial_sym(parts, nvars)
-    return {
-        "certified_untruncated": certified,
-        "schur_ok": schur_ok,
-        "monomial_ok": mono_ok,
-        "top_degree": top,
-    }

@@ -878,6 +878,8 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
     if name not in REGISTRY:
         raise KeyError("unknown identity %r" % (name,))
     defn = REGISTRY[name]
+    if n is None or n < defn.min_n:
+        raise DomainError("identity %r needs n >= %d" % (name, defn.min_n))
     if order < 1:
         raise DomainError("order must be at least 1")
     if defn.needs_weight:

@@ -2,12 +2,19 @@
 
 These deliberately avoid the library's evaluation paths: the Pfaffian is a
 signed sum over perfect matchings, the inversion generating function is a
-direct enumeration, and series arithmetic goes through the public ring.
-They stay in the tree permanently as ground truth.
+direct enumeration, Hall-Littlewood polynomials are evaluated at rational
+points from their defining permutation sum, Schur polynomials are counted
+over tableaux, and series arithmetic goes through the public ring.  They
+stay in the tree permanently as ground truth.  ``degenerate_check`` holds
+``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
 """
 
+from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
+from hltorus.errors import DomainError
+from hltorus.hall_littlewood import hl_full, var_arg
 from hltorus.series import SeriesRing
 
 
@@ -50,3 +57,135 @@ def multiset_inversion_sum(zeros, ones, order):
         )
         total = total + ring.t(inv)
     return total
+
+
+def slot_value(slot, point, s):
+    """The rational sign * s^spow * prod point_j^e_j of a Mono slot."""
+    value = Fraction(slot.sign) * Fraction(s) ** slot.spow
+    for x, e in zip(point, slot.exps):
+        value *= Fraction(x) ** e
+    return value
+
+
+def hl_by_point_evaluation(weight, args, point, s, tbase=2):
+    """P_weight(args; t) at a rational point, from the defining sum.
+
+    With slot values y_i (see ``slot_value``) and t = s^tbase this is
+    (1/v_lambda(t)) sum over w in S_N of
+    w(y^lambda prod_{i<j} (y_i - t y_j)/(y_i - y_j)), which needs the slot
+    values pairwise distinct.  Negative weight parts are allowed.  The
+    permutations that put the same set of slots in the first k positions
+    share the factors among those positions, so their partial sums are
+    added up per set: ``part[S]`` is the sum over orderings of the slots in
+    S placed first.
+    """
+    t = Fraction(s) ** tbase
+    ys = [slot_value(m, point, s) for m in args]
+    if len(set(ys)) != len(ys):
+        raise ValueError("slot values must be pairwise distinct")
+    n = len(ys)
+    part = [Fraction(0)] * (1 << n)
+    part[0] = Fraction(1)
+    for placed in range(1 << n):
+        k = bin(placed).count("1")
+        for a in range(n):
+            if k == n or placed >> a & 1:
+                continue
+            term = part[placed] * ys[a] ** weight[k]
+            for b in range(n):
+                if placed >> b & 1:
+                    term *= (ys[b] - t * ys[a]) / (ys[b] - ys[a])
+            part[placed | 1 << a] += term
+    v = Fraction(1)
+    for mult in Counter(weight).values():
+        for j in range(1, mult + 1):
+            v *= (1 - t ** j) / (1 - t)
+    return part[-1] / v
+
+
+def schur_by_tableaux(parts, nvars):
+    """Schur polynomial as a weight-count over semistandard tableaux.
+
+    Returns a mapping from exponent vectors to integer multiplicities.
+    """
+    shape = [p for p in parts if p > 0]
+    if any(p < 0 for p in parts):
+        raise DomainError("tableau oracle needs a partition")
+    if len(shape) > nvars:
+        return {}
+    counts = {}
+    if not shape:
+        counts[(0,) * nvars] = 1
+        return counts
+    weight = [0] * nvars
+
+    def fill_row(row_idx, prev_row):
+        if row_idx == len(shape):
+            key = tuple(weight)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        length = shape[row_idx]
+        row = [0] * length
+
+        def fill_cell(col, minval):
+            if col == length:
+                fill_row(row_idx + 1, row)
+                return
+            lo = minval
+            if row_idx > 0 and col < len(prev_row):
+                lo = max(lo, prev_row[col] + 1)
+            else:
+                lo = max(lo, row_idx + 1)
+            for val in range(lo, nvars + 1):
+                row[col] = val
+                weight[val - 1] += 1
+                fill_cell(col + 1, val)
+                weight[val - 1] -= 1
+
+        fill_cell(0, 1)
+
+    fill_row(0, [])
+    return counts
+
+
+def monomial_sym(parts, nvars):
+    """Monomial symmetric polynomial as an exponent-multiset indicator."""
+    padded = tuple(parts) + (0,) * (nvars - len(tuple(parts)))
+    if len(padded) != nvars:
+        raise DomainError("too many parts for the variable count")
+    return {e: 1 for e in set(permutations(padded))}
+
+
+def degenerate_check(parts, nvars, order=24):
+    """Check P at t=0 against the tableau Schur oracle and at t=1 against m.
+
+    The t=1 evaluation sums all s-coefficients, which is only meaningful
+    when the polynomial is certified untruncated (top s-degree strictly
+    below the working order); the report says whether that held.
+    """
+    parts = tuple(parts)
+    padded = parts + (0,) * (nvars - len(parts))
+    args = tuple(var_arg(nvars, i) for i in range(nvars))
+    names = tuple("x%d" % (i + 1) for i in range(nvars))
+    p = hl_full(padded, args, names, order)
+    top = 0
+    for c in p.terms.values():
+        d = c.max_total_degree()
+        if d is not None and d > top:
+            top = d
+    certified = top < order
+    at_zero = {e: c.constant() for e, c in p.terms.items() if c.constant()}
+    schur = schur_by_tableaux(parts, nvars)
+    schur_ok = at_zero == schur
+    at_one = {}
+    for e, c in p.terms.items():
+        total = sum(c.coeffs.values())
+        if total:
+            at_one[e] = total
+    mono_ok = at_one == monomial_sym(parts, nvars)
+    return {
+        "certified_untruncated": certified,
+        "schur_ok": schur_ok,
+        "monomial_ok": mono_ok,
+        "top_degree": top,
+    }

@@ -11,14 +11,13 @@ import random
 import time
 
 from hltorus import cli
-from hltorus.hall_littlewood import degenerate_check
 from hltorus.identities import pfaffian_bridge, sweep_weights, verify
 from hltorus.partitions import Partition, bounded_partitions, partitions_up_to
 from hltorus.pfaffian import AntisymMatrix, build_a_matrix, determinant, pf_closed_form, pfaffian
 from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
-from oracles import pfaffian_by_matchings, multiset_inversion_sum
+from oracles import degenerate_check, multiset_inversion_sum, pfaffian_by_matchings
 
 
 def _ok(rep):

@@ -56,6 +56,26 @@ def test_missing_m_is_usage_error():
     assert code == 2
 
 
+def test_n_below_minimum_is_usage_error(capsys):
+    code, text = run([
+        "verify", "--identity", "normalization_iii", "--n", "0", "--order", "4",
+    ])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "n >= 1" in err
+
+
+def test_malformed_weight_is_usage_error(capsys):
+    code, text = run([
+        "verify", "--identity", "o_plus_even", "--n", "1", "--lambda", "a",
+    ])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'a'" in err
+
+
 def test_list_catalog():
     code, text = run(["list"])
     assert code == 0

@@ -1,21 +1,28 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import (
     Mono,
     const_arg,
-    degenerate_check,
     hl_full,
     hl_q,
-    hl_term,
-    monomial_sym,
     pm_args,
-    schur_by_tableaux,
     var_arg,
 )
 from hltorus.laurent import LaurentPoly
 from hltorus.partitions import partitions_up_to
 from hltorus.series import ParamSeries, SeriesRing
+
+from oracles import (
+    degenerate_check,
+    hl_by_point_evaluation,
+    monomial_sym,
+    schur_by_tableaux,
+    slot_value,
+)
 
 D = 12
 
@@ -129,23 +136,6 @@ def test_negative_weight_with_scaled_slots_rejected():
         hl_full((0, -1), (Mono(1, 2, (1,)), Mono(1, 0, (1,))), ("z1",), D)
 
 
-def test_term_vanishes_when_scaled_slot_leads():
-    # slot order (t z, z) makes the deformation factor vanish identically
-    args = (Mono(1, 2, (1,)), Mono(1, 0, (1,)))
-    zero = hl_term((0, 0), (0, 1), args, ("z1",), D)
-    assert zero.is_zero()
-    r = SeriesRing(D)
-    other = hl_term((0, 0), (1, 0), args, ("z1",), D)
-    assert other.coefficient((0,)) == r.one() + r.t()
-
-
-def test_term_with_genuine_pole_rejected():
-    with pytest.raises(DomainError):
-        hl_term((0, 0), (0, 1), plain(2), names(2), D)
-    with pytest.raises(DomainError):
-        hl_term((1, 0), (0, 1), plain(2), names(2), D)
-
-
 def test_degenerations_schur_and_monomial():
     for lam in partitions_up_to(4, 3):
         for n in (1, 2, 3):
@@ -162,3 +152,71 @@ def test_tableau_oracle_values():
     assert schur_by_tableaux((2, 1), 2) == {(2, 1): 1, (1, 2): 1}
     assert monomial_sym((1,), 3) == {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
     assert schur_by_tableaux((0, 0), 2) == {(0, 0): 1}
+
+
+def _at_point(poly, point, s):
+    return sum(
+        v * slot_value(Mono(1, k[0], exps), point, s)
+        for exps, c in poly.terms.items()
+        for k, v in c.coeffs.items()
+    )
+
+
+def _certifying_order(weight, args, tbase):
+    # P_lambda v_lambda(t) is the permutation sum, whose t-degree is at most
+    # N(N-1)/2; the slots add at most max(spow) * |lambda| (negative parts
+    # only come with spow 0).  One above that bound nothing is truncated.
+    n = len(args)
+    top = tbase * n * (n - 1) // 2 + max((m.spow for m in args), default=0) * sum(weight)
+    return top + 1
+
+
+def _assert_matches_oracle(weight, args, point, s, tbase=2):
+    order = _certifying_order(weight, args, tbase)
+    names = tuple("x%d" % (i + 1) for i in range(len(point)))
+    p = hl_full(weight, args, names, order, tbase)
+    assert _at_point(p, point, s) == hl_by_point_evaluation(weight, args, point, s, tbase)
+
+
+NV = 3
+POINTS = (Fraction(2), Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4), Fraction(3))
+S_VALUES = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
+
+
+@st.composite
+def hl_cases(draw):
+    """Up to six slots from x^{+-1} pairs, +-1 and (t z, z) pairs."""
+    tbase = draw(st.sampled_from((2, 4)))
+    pairs = draw(st.lists(st.sampled_from(("pm", "scaled")), max_size=NV))
+    signs = draw(st.sets(st.sampled_from((1, -1))))
+    assume(1 <= 2 * len(pairs) + len(signs) <= 6)
+    args = [const_arg(NV, sign) for sign in sorted(signs)]
+    for i, kind in enumerate(pairs):
+        if kind == "pm":
+            args += [var_arg(NV, i, 1), var_arg(NV, i, -1)]
+        else:
+            args += [Mono(1, tbase, var_arg(NV, i).exps), var_arg(NV, i)]
+    low = 0 if "scaled" in pairs else -2
+    weight = draw(st.lists(st.integers(low, 3), min_size=len(args), max_size=len(args)))
+    point = tuple(draw(st.permutations(POINTS))[:NV])
+    s = draw(st.sampled_from(S_VALUES))
+    return tuple(sorted(weight, reverse=True)), tuple(args), point, s, tbase
+
+
+@settings(max_examples=60, deadline=None)
+@given(hl_cases())
+def test_matches_point_evaluation_oracle(case):
+    weight, args, point, s, tbase = case
+    assume(len({slot_value(m, point, s) for m in args}) == len(args))
+    _assert_matches_oracle(weight, args, point, s, tbase)
+
+
+def test_u2n_frontier_weight_builds():
+    # eight pm slots with a dominant weight of both signs, the weight of
+    # u2n_vanishing at n=4
+    weight = (1, 1, 0, 0, 0, 0, -1, -1)
+    point = (Fraction(2), Fraction(3), Fraction(-5, 2), Fraction(7, 3))
+    p = hl_full(weight, pm_args(4), names(4), 8)
+    _assert_matches_oracle(weight, pm_args(4), point, Fraction(1, 2))
+    full = hl_full(weight, pm_args(4), names(4), _certifying_order(weight, pm_args(4), 2))
+    assert p == LaurentPoly(names(4), {e: c.truncated(8) for e, c in full.terms.items()}, 8)
