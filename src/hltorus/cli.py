@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every instance matched or vanished as predicted, 1 when
 a mismatch was found, 2 for usage errors, 3 when a resource ceiling was
-hit.  JSON output is one record per line with sorted keys; identical
+hit, 4 for an internal error (a failed exactness check or incompatible
+objects combined inside the package), which says nothing about the
+identity.  JSON output is one record per line with sorted keys; identical
 inputs produce byte-identical output regardless of the job count (timing
 is only included on request).
 """
@@ -15,11 +17,17 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import DomainError, ResourceLimitError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    InternalConsistencyError,
+    ResourceLimitError,
+)
 from .identities import REGISTRY, sweep_weights, verify
 
 USAGE_EXIT = 2
 RESOURCE_EXIT = 3
+INTERNAL_EXIT = 4
 
 
 def _apply_memory_ceiling():
@@ -200,6 +208,9 @@ def main(argv=None, out=None):
     except MemoryError:
         sys.stderr.write("memory ceiling exceeded\n")
         return RESOURCE_EXIT
+    except (InternalConsistencyError, ConfigurationError) as exc:
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return INTERNAL_EXIT
     return _emit(reports, args.json, args.timings, out)
 
 

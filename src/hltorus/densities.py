@@ -7,6 +7,18 @@ the expandability certificate: every such factor expands as a finite
 geometric sum at the working truncation order, so the constant-term
 integrator never meets an on-contour pole.
 
+Type-A densities are stored over the positive roots only.  The q=0 Selberg
+density of a block of n variables is prod_{i != j} (1-x_i/x_j)/(1-t x_i/x_j);
+only its factors with i < j are kept, and the block is recorded in
+``DensityProduct.blocks``.  For f symmetric in the block,
+CT[f * prod_{i != j}] = (n!/[n]_t!) CT[f * prod_{i < j}], which follows from
+Macdonald, Symmetric Functions and Hall Polynomials, III (1.4):
+sum_{w in S_n} w(prod_{i<j} (x_i - t x_j)/(x_i - x_j)) = [n]_t!.  The
+integrator multiplies by that Weyl factor per block, so a density still
+means the full product times its prefactor, and it refuses a multiplier
+that is not symmetric within each block.  The Koornwinder (BC) densities
+are kept whole.
+
 Integration is the extraction of the torus-degree-zero coefficient.  The
 density is expanded once into a table of torus exponents (pruned to the
 window the multiplier can reach), then convolved with the multiplier.
@@ -16,6 +28,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 from math import factorial
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
@@ -39,11 +53,18 @@ class DensityProduct:
     binomial (1 - sign * x^exps).  ``geo_factors`` is a tuple of
     ((e_s, e_alpha, e_beta), sign, exps) triples, each meaning the factor
     1/(1 - sign * s^e_s a^e_a b^e_b * x^exps).
+
+    ``blocks`` lists the symmetric blocks as (first variable, size, tpow)
+    triples.  Within a block only the positive-root factors (i < j) of the
+    q=0 Selberg density in t = s^tpow are stored, or of its numerator alone
+    when tpow is None (t = 0); the density meant is the full product over
+    i != j, which ``ct_integrate`` recovers through the factor n!/[n]_t!.
     """
 
-    __slots__ = ("vars", "num_factors", "geo_factors", "prefactor", "label")
+    __slots__ = ("vars", "num_factors", "geo_factors", "prefactor", "blocks", "label")
 
-    def __init__(self, vars, num_factors, geo_factors, prefactor=Fraction(1), label=""):
+    def __init__(self, vars, num_factors, geo_factors, prefactor=Fraction(1), label="",
+                 blocks=()):
         self.vars = tuple(vars)
         self.num_factors = tuple((s, tuple(e)) for s, e in num_factors)
         geo = []
@@ -56,6 +77,7 @@ class DensityProduct:
             geo.append((ckey, sign, tuple(exps)))
         self.geo_factors = tuple(geo)
         self.prefactor = Fraction(prefactor)
+        self.blocks = tuple(tuple(b) for b in blocks)
         self.label = label
 
     def key(self):
@@ -64,10 +86,11 @@ class DensityProduct:
             tuple(sorted(self.num_factors)),
             tuple(sorted(self.geo_factors)),
             self.prefactor,
+            self.blocks,
         )
 
     def numerator(self, order) -> LaurentPoly:
-        """The numerator product, expanded (mostly useful in tests)."""
+        """The stored numerator product, expanded (mostly useful in tests)."""
         acc = LaurentPoly.unit(self.vars, order)
         one = SeriesRing(order).one()
         for sign, exps in self.num_factors:
@@ -88,27 +111,33 @@ class DensityProduct:
         )
 
 
+def positive_roots(nvars, first, size):
+    """Exponent vectors of x_i/x_j for i < j within one block of variables."""
+    out = []
+    for i in range(first, first + size):
+        for j in range(i + 1, first + size):
+            exps = [0] * nvars
+            exps[i] = 1
+            exps[j] = -1
+            out.append(tuple(exps))
+    return out
+
+
 def selberg_density(n, tpow=2, prefix="x", prefactor=Fraction(1)) -> DensityProduct:
     """The q=0 Selberg density prod_{i != j} (1-x_i/x_j)/(1-t x_i/x_j).
 
     ``tpow`` is the s-exponent of the deformation parameter (2 for t,
-    4 for t^2).
+    4 for t^2).  Only the factors with i < j are stored, as one block; see
+    the module docstring for the Weyl factor that restores the rest.
     """
     if n < 1:
         raise DomainError("need at least one variable")
     vars = tuple("%s%d" % (prefix, i + 1) for i in range(n))
-    num = []
-    geo = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            exps = tuple(
-                (1 if k == i else 0) - (1 if k == j else 0) for k in range(n)
-            )
-            num.append((1, exps))
-            geo.append(((tpow, 0, 0), 1, exps))
-    return DensityProduct(vars, num, geo, prefactor, label="selberg(%d)" % n)
+    roots = positive_roots(n, 0, n)
+    num = [(1, exps) for exps in roots]
+    geo = [((tpow, 0, 0), 1, exps) for exps in roots]
+    return DensityProduct(vars, num, geo, prefactor, label="selberg(%d)" % n,
+                          blocks=((0, n, tpow),))
 
 
 def koornwinder_density(n, params, prefix="x") -> DensityProduct:
@@ -187,6 +216,7 @@ _EXPANSION_CACHE = {}
 
 def clear_caches():
     _EXPANSION_CACHE.clear()
+    _weyl_factor.cache_clear()
 
 
 def _factor_sequence(dens):
@@ -251,6 +281,7 @@ def _expansion(dens, order, bounds):
     factors = _factor_sequence(dens)
     nv = len(dens.vars)
     ups, downs = _movement(factors, order, nv)
+    limit = _max_terms()
     zero = (0,) * nv
     acc = {zero: {(0, 0, 0): 1}}
 
@@ -299,8 +330,9 @@ def _expansion(dens, order, bounds):
                         break
                     cur_cd = nxt
                     cur_e = tuple(a + b for a, b in zip(cur_e, exps))
+                if len(new) > limit:
+                    break
         acc = new
-        limit = _max_terms()
         if len(acc) > limit:
             raise ResourceLimitError(
                 "density expansion exceeded %d terms" % limit,
@@ -325,6 +357,11 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
         )
     if multiplier.trunc != order:
         raise ConfigurationError("multiplier truncation differs from the order")
+    if dens.blocks and not _block_symmetric(dens.blocks, multiplier.terms):
+        # the Weyl factor is exact only for block-symmetric multipliers
+        raise ConfigurationError(
+            "multiplier is not symmetric within the blocks of %r" % (dens,)
+        )
     table = _expansion(dens, order, multiplier.var_bounds())
     out = {}
     for e, coeff in multiplier.terms.items():
@@ -343,9 +380,61 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
                 elif k in out:
                     del out[k]
     result = ParamSeries(out, order, clean=False)
+    if dens.blocks:
+        result = result * _weyl_factor(dens.blocks, order)
     if dens.prefactor != 1:
         result = result * dens.prefactor
     return result
+
+
+@lru_cache(maxsize=64)
+def _weyl_factor(blocks, order):
+    """prod over blocks of n!/[n]_t! = n! (1-t)^n prod_{i<=n} 1/(1-t^i).
+
+    A block with tpow None has t = 0, where [n]_0! = 1.
+    """
+    ring = SeriesRing(order)
+    acc = ring.one()
+    for _, size, tpow in blocks:
+        acc = acc * factorial(size)
+        if tpow is not None:
+            acc = acc * (ring.one() - ring.monomial(es=tpow)) ** size
+            for i in range(1, size + 1):
+                acc = acc * ring.geometric(es=tpow * i)
+    return acc
+
+
+def _block_symmetric(blocks, terms):
+    """Whether each adjacent transposition within a block fixes the terms.
+
+    Coefficients are compared, not just the exponent support.  The
+    transposition of x_i and x_j pairs the terms with e_i > e_j with those
+    with e_i < e_j: each of the former must find an equal partner, and then
+    equal counts on the two sides mean no term is left unpaired.
+    """
+    if not terms:
+        return True
+    nv = len(next(iter(terms)))
+    pairs = []
+    for first, size, _ in blocks:
+        for i in range(first, first + size - 1):
+            perm = list(range(nv))
+            perm[i], perm[i + 1] = i + 1, i
+            pairs.append((i, i + 1, itemgetter(*perm)))
+    unpaired = 0
+    for e, c in terms.items():
+        if not c.coeffs:
+            continue
+        for i, j, swap in pairs:
+            a, b = e[i], e[j]
+            if a < b:
+                unpaired += 1
+            elif a > b:
+                other = terms.get(swap(e))
+                if other is None or other.coeffs != c.coeffs:
+                    return False
+                unpaired -= 1
+    return unpaired == 0
 
 
 # ---------------------------------------------------------------------------

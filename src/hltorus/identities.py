@@ -21,6 +21,7 @@ from .densities import (
     ct_integrate,
     gustafson_rhs,
     koornwinder_density,
+    positive_roots,
     selberg_density,
 )
 from .errors import DomainError, ResourceLimitError
@@ -343,58 +344,52 @@ def pfaffian_bridge_plus_odd(n, lam: Partition, order):
 # ---------------------------------------------------------------------------
 
 
-def two_block_density(m, n, order=None) -> DensityProduct:
-    """Selberg density on an x-block of size m times one on a y-block."""
+def two_block_density(m, n) -> DensityProduct:
+    """The U(n) x U(m) density: a t-Selberg density on each of two blocks.
+
+    The full density is prod over each block of prod_{i != j}
+    (1-x_i/x_j)/(1-t x_i/x_j), with prefactor 1/(n! m!); only the i < j
+    factors are stored, and the two blocks are recorded for the Weyl factor
+    (see ``hltorus.densities``).
+    """
     vars_ = _var_names("x", m) + _var_names("y", n)
-    total = m + n
-    num = []
-    geo = []
-
-    def add_block(offset, size):
-        for i in range(size):
-            for j in range(size):
-                if i == j:
-                    continue
-                exps = [0] * total
-                exps[offset + i] += 1
-                exps[offset + j] -= 1
-                num.append((1, tuple(exps)))
-                geo.append(((2, 0, 0), 1, tuple(exps)))
-
-    add_block(0, m)
-    add_block(m, n)
+    roots = positive_roots(m + n, 0, m) + positive_roots(m + n, m, n)
+    num = [(1, exps) for exps in roots]
+    geo = [((2, 0, 0), 1, exps) for exps in roots]
     pref = Fraction(1, factorial(n) * factorial(m))
-    return DensityProduct(vars_, num, geo, pref, label="two_block(%d,%d)" % (m, n))
+    return DensityProduct(vars_, num, geo, pref, label="two_block(%d,%d)" % (m, n),
+                          blocks=((0, m, 2), (m, n, 2)))
 
 
 def cross_block_density(n) -> DensityProduct:
-    """The U(2n) density: cross-block geometric factors only."""
+    """The U(2n) density: cross-block geometric factors only.
+
+    The full density is prod over each block of prod_{i != j} (1-x_i/x_j)
+    times prod_{i,j} 1/((1-t x_i/y_j)(1-t y_i/x_j)), with prefactor
+    1/(n!)^2.  Each block's numerator keeps only its i < j factors; that is
+    the t=0 case of the Weyl factor, where [n]_0! = 1.
+    """
     vars_ = _var_names("x", n) + _var_names("y", n)
     total = 2 * n
-    num = []
+    num = [(1, exps) for exps in positive_roots(total, 0, n) + positive_roots(total, n, n)]
     geo = []
     for i in range(n):
         for j in range(n):
-            if i != j:
-                for off in (0, n):
-                    exps = [0] * total
-                    exps[off + i] += 1
-                    exps[off + j] -= 1
-                    num.append((1, tuple(exps)))
             exps = [0] * total
             exps[i] += 1
             exps[n + j] -= 1
             geo.append(((2, 0, 0), 1, tuple(exps)))
-            exps = [0] * total
-            exps[n + i] += 1
-            exps[j] -= 1
-            geo.append(((2, 0, 0), 1, tuple(exps)))
+            geo.append(((2, 0, 0), 1, tuple(-e for e in exps)))
     pref = Fraction(1, factorial(n) ** 2)
-    return DensityProduct(vars_, num, geo, pref, label="cross_block(%d)" % n)
+    return DensityProduct(vars_, num, geo, pref, label="cross_block(%d)" % n,
+                          blocks=((0, n, None), (n, n, None)))
 
 
 def halved_density(n) -> DensityProduct:
-    """Selberg density in t^2 with the 1/n! prefactor (double-cover case)."""
+    """The t^2 Selberg density with the 1/n! prefactor (double-cover case).
+
+    Stored over the positive roots, as ``selberg_density`` with tpow 4.
+    """
     return selberg_density(n, tpow=4, prefix="z", prefactor=Fraction(1, factorial(n)))
 
 

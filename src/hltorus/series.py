@@ -201,15 +201,6 @@ class ParamSeries:
             clean=False,
         )
 
-    def shift_s(self, k):
-        """Multiply by s**k (k >= 0), truncating as usual."""
-        out = {}
-        D = self.trunc
-        for (es, ea, eb), c in self.coeffs.items():
-            if es + k + ea + eb <= D:
-                out[(es + k, ea, eb)] = c
-        return ParamSeries(out, D, clean=False)
-
     def divide_by_s_power(self, k):
         """Exact division by s**k; every stored term must carry s**k."""
         if k == 0:

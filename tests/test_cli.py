@@ -1,7 +1,10 @@
 import io
 import json
 
+import pytest
+
 from hltorus import cli
+from hltorus.errors import ConfigurationError, InternalConsistencyError
 from hltorus.identities import REGISTRY, IdentityDef
 from hltorus.series import SeriesRing
 
@@ -147,3 +150,19 @@ def test_resource_exit_code(monkeypatch):
     assert "resource" in text
     monkeypatch.delenv("HLTORUS_MAX_TERMS")
     dmod.clear_caches()
+
+
+@pytest.mark.parametrize("error", [InternalConsistencyError, ConfigurationError])
+def test_internal_error_exit_code(monkeypatch, capsys, error):
+    def broken_verify(**kw):
+        raise error("exactness check failed")
+
+    monkeypatch.setattr(cli, "verify", broken_verify)
+    code, text = run([
+        "verify", "--identity", "orthogonality", "--n", "2",
+        "--lambda", "1,0", "--mu", "1,0", "--order", "4",
+    ])
+    assert code == cli.INTERNAL_EXIT == 4
+    assert text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "exactness check failed" in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,8 @@ from hltorus.densities import (
     selberg_density,
 )
 from hltorus.errors import ConfigurationError, DomainError, ResourceLimitError
+from hltorus.hall_littlewood import hl_full, pm_args, var_arg
+from hltorus.identities import cross_block_density, two_block_density
 from hltorus.laurent import LaurentPoly
 from hltorus.series import SeriesRing
 
@@ -19,10 +22,16 @@ D = 12
 def test_selberg_structure():
     d1 = selberg_density(1)
     assert d1.num_factors == () and d1.geo_factors == ()
-    d2 = selberg_density(2)
-    assert sorted(e for _, e in d2.num_factors) == [(-1, 1), (1, -1)]
-    assert sorted(m for _, _, m in d2.geo_factors) == [(-1, 1), (1, -1)]
-    assert all(c == (2, 0, 0) for c, _, _ in d2.geo_factors)
+    assert d1.blocks == ((0, 1, 2),)
+    # only the positive roots x_i/x_j, i < j, are stored
+    d3 = selberg_density(3, tpow=4)
+    roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
+    assert sorted(d3.num_factors) == sorted((1, e) for e in roots)
+    assert sorted(d3.geo_factors) == sorted(((4, 0, 0), 1, e) for e in roots)
+    assert d3.blocks == ((0, 3, 4),)
+    # the integral depends on the blocks, so the cache keys must too
+    bare = DensityProduct(d3.vars, d3.num_factors, d3.geo_factors)
+    assert bare.key() != d3.key()
 
 
 def test_selberg_normalization_value():
@@ -130,11 +139,19 @@ def test_known_series_coefficients():
     assert val2.coefficient((1, 0, 0)) == 1
 
 
-def _ct_bruteforce(dens, multiplier, order):
-    """Expand everything as LaurentPoly products, no pruning; then project."""
+def _ct_bruteforce(vars_, num_factors, geo_factors, prefactor, multiplier, order):
+    """CT of multiplier times a factored density, given factor by factor.
+
+    Every factor is expanded as a LaurentPoly and multiplied out, with no
+    pruning; then the constant term is projected out.
+    """
     ring = SeriesRing(order)
-    acc = dens.numerator(order)
-    for ckey, sign, exps in dens.geo_factors:
+    nv = len(vars_)
+    acc = LaurentPoly.unit(vars_, order)
+    for sign, exps in num_factors:
+        acc = acc * LaurentPoly(vars_, {(0,) * nv: ring.one(), exps: ring.const(-sign)},
+                                order)
+    for ckey, sign, exps in geo_factors:
         cdeg = sum(ckey)
         terms = {}
         k = 0
@@ -145,26 +162,120 @@ def _ct_bruteforce(dens, multiplier, order):
             )
             terms[tuple(k * e for e in exps)] = coeff
             k += 1
-        acc = acc * LaurentPoly(dens.vars, terms, order)
+        acc = acc * LaurentPoly(vars_, terms, order)
     if multiplier is not None:
         acc = acc * multiplier
-    return acc.constant_term(dens.vars).scalar() * dens.prefactor
+    return acc.constant_term(vars_).scalar() * prefactor
+
+
+def _root(nv, i, j):
+    e = [0] * nv
+    e[i] += 1
+    e[j] -= 1
+    return tuple(e)
+
+
+def _full_block(nv, first, size, tpow):
+    """All i != j factors of one Selberg block; tpow None means t = 0."""
+    num, geo = [], []
+    for i in range(first, first + size):
+        for j in range(first, first + size):
+            if i != j:
+                num.append((1, _root(nv, i, j)))
+                if tpow is not None:
+                    geo.append(((tpow, 0, 0), 1, _root(nv, i, j)))
+    return num, geo
+
+
+def _full_two_block(m, n):
+    num1, geo1 = _full_block(m + n, 0, m, 2)
+    num2, geo2 = _full_block(m + n, m, n, 2)
+    return num1 + num2, geo1 + geo2
+
+
+def _full_cross_block(n):
+    num1, _ = _full_block(2 * n, 0, n, None)
+    num2, _ = _full_block(2 * n, n, n, None)
+    geo = []
+    for i in range(n):
+        for j in range(n):
+            geo.append(((2, 0, 0), 1, _root(2 * n, i, n + j)))
+            geo.append(((2, 0, 0), 1, _root(2 * n, n + j, i)))
+    return num1 + num2, geo
 
 
 def test_ct_matches_bruteforce_oracle():
     order = 8
-    from hltorus.hall_littlewood import hl_full, pm_args, var_arg
-
+    # the Koornwinder densities are stored whole
     dens = koornwinder_density(2, (1, -1, (1, 1), (-1, 1)))
     p = hl_full((2, 1, 1, 0), pm_args(2), dens.vars, order)
-    assert ct_integrate(dens, p, order) == _ct_bruteforce(dens, p, order)
+    assert ct_integrate(dens, p, order) == _ct_bruteforce(
+        dens.vars, dens.num_factors, dens.geo_factors, dens.prefactor, p, order)
 
     dens = selberg_density(2)
     names = dens.vars
     p = hl_full((2, 0), (var_arg(2, 0), var_arg(2, 1)), names, order)
     q = hl_full((2, 0), (var_arg(2, 0, -1), var_arg(2, 1, -1)), names, order)
-    assert ct_integrate(dens, p * q, order) == _ct_bruteforce(dens, p * q, order)
-    assert ct_integrate(dens, None, order) == _ct_bruteforce(dens, None, order)
+    num, geo = _full_block(2, 0, 2, 2)
+    assert ct_integrate(dens, p * q, order) == _ct_bruteforce(
+        names, num, geo, 1, p * q, order)
+    assert ct_integrate(dens, None, order) == _ct_bruteforce(
+        names, num, geo, 1, None, order)
+
+
+def _multipliers(names, weight, order):
+    """None, P * Pbar and P for one weight, over all the variables."""
+    nv = len(names)
+    p = hl_full(weight, tuple(var_arg(nv, i) for i in range(nv)), names, order)
+    pbar = hl_full(weight, tuple(var_arg(nv, i, -1) for i in range(nv)), names, order)
+    return (None, p * pbar, p)
+
+
+def _assert_halved_matches_full(dens, full, prefactor, weights, order):
+    num, geo = full
+    for weight in weights:
+        for mult in _multipliers(dens.vars, weight, order):
+            got = ct_integrate(dens, mult, order)
+            want = _ct_bruteforce(dens.vars, num, geo, prefactor, mult, order)
+            assert got == want, (dens.label, weight, mult is None)
+
+
+def test_positive_root_densities_match_full_density():
+    """Each halved type-A density against the full i != j density."""
+    order = 8
+    for n in (1, 2, 3):
+        for tpow in (2, 4):
+            for pref in (Fraction(1), Fraction(1, factorial(n))):
+                dens = selberg_density(n, tpow=tpow, prefactor=pref)
+                weights = [(1,) + (0,) * (n - 1), (2,) + (1,) * (n - 1)]
+                _assert_halved_matches_full(
+                    dens, _full_block(n, 0, n, tpow), pref, weights, order)
+    for m, n in ((1, 1), (1, 2), (2, 3)):
+        dens = two_block_density(m, n)
+        pref = Fraction(1, factorial(m) * factorial(n))
+        weights = [(1,) + (0,) * (m + n - 2) + (-1,), (2, 1) + (0,) * (m + n - 2)]
+        _assert_halved_matches_full(dens, _full_two_block(m, n), pref, weights, order)
+    for n in (1, 2):
+        dens = cross_block_density(n)
+        pref = Fraction(1, factorial(n) ** 2)
+        weights = [(1,) + (0,) * (2 * n - 2) + (-1,), (1, 1) + (0,) * (2 * n - 2)]
+        _assert_halved_matches_full(dens, _full_cross_block(n), pref, weights, order)
+
+
+def test_non_symmetric_multiplier_rejected():
+    dens = selberg_density(2)
+    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
+    x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
+    for mult in (x1, x2, x1 + x2 * 2):  # the last has x1 + x2's support
+        with pytest.raises(ConfigurationError):
+            ct_integrate(dens, mult, D)
+    assert ct_integrate(dens, x1 + x2, D) == SeriesRing(D).zero()
+    # symmetric within each block is enough for two blocks
+    dens = two_block_density(1, 2)
+    x = LaurentPoly.monomial(dens.vars, (1, 0, 0), 1, D)
+    assert ct_integrate(dens, x, D) == SeriesRing(D).zero()
+    with pytest.raises(ConfigurationError):
+        ct_integrate(dens, LaurentPoly.monomial(dens.vars, (0, 1, 0), 1, D), D)
 
 
 def test_ct_requires_matching_variables_and_order():
@@ -180,7 +291,10 @@ def test_term_ceiling_trips(monkeypatch):
     from hltorus import densities as dmod
 
     dmod.clear_caches()
+    # the bare positive-root expansion has one state, so give it a window
+    dens = selberg_density(3)
+    e1e1bar = _multipliers(dens.vars, (1, 0, 0), D)[1]
     with pytest.raises(ResourceLimitError):
-        ct_integrate(selberg_density(2), None, D)
+        ct_integrate(dens, e1e1bar, D)
     monkeypatch.delenv("HLTORUS_MAX_TERMS")
     dmod.clear_caches()
