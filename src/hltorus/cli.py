@@ -5,8 +5,7 @@ a mismatch was found, 2 for usage errors, 3 when a resource ceiling was
 hit, 4 for an internal error (a failed exactness check or incompatible
 objects combined inside the package), which says nothing about the
 identity.  JSON output is one record per line with sorted keys; identical
-inputs produce byte-identical output regardless of the job count (timing
-is only included on request).
+inputs produce byte-identical output (timing is only included on request).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     ConfigurationError,
@@ -58,7 +56,6 @@ def build_parser():
         p.add_argument("--m", type=int, default=None, help="second rank parameter")
         p.add_argument("--order", type=int, default=12, help="truncation order D")
         p.add_argument("--json", action="store_true", help="one JSON record per line")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
         p.add_argument(
             "--timings", action="store_true", help="include wall time in JSON records"
         )
@@ -91,14 +88,6 @@ def _parse_weight(defn, text):
             "accepted by the dominant-weight identities" % defn.name
         )
     return entries
-
-
-def _run_instances(instances, jobs):
-    if jobs <= 1 or len(instances) <= 1:
-        return [verify(**kw) for kw in instances]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(verify, **kw) for kw in instances]
-        return [f.result() for f in futures]
 
 
 def _emit(reports, as_json, timings, out):
@@ -198,7 +187,7 @@ def main(argv=None, out=None):
                         instances.append(dict(name=args.identity, n=args.n, m=args.m,
                                               order=args.order, weight=w.parts,
                                               mu=mu.parts))
-        reports = _run_instances(instances, args.jobs)
+        reports = [verify(**kw) for kw in instances]
     except (DomainError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT

@@ -20,8 +20,17 @@ that is not symmetric within each block.  The Koornwinder (BC) densities
 are kept whole.
 
 Integration is the extraction of the torus-degree-zero coefficient.  The
-density is expanded once into a table of torus exponents (pruned to the
-window the multiplier can reach), then convolved with the multiplier.
+density is expanded once, factor by factor, into a table over the window
+of torus exponents the multiplier can cancel, then convolved with the
+multiplier.  Each intermediate term is pruned by its s-degree budget: a
+lower bound on the s-degree the remaining factors must add to bring its
+exponent back into the window.  Per variable, the numerator factors move it
+for free (each at most once), and what is left costs at least the cheapest
+cdeg per unit of move among the remaining geometric factors that move it
+the right way; one step can move several variables, so the bound is the
+max over the variables.  No factor lowers the s-degree, so a term whose
+degree plus budget exceeds the order cannot reach the window at degree <=
+the order, and the table is exact there.
 """
 
 from __future__ import annotations
@@ -88,19 +97,6 @@ class DensityProduct:
             self.prefactor,
             self.blocks,
         )
-
-    def numerator(self, order) -> LaurentPoly:
-        """The stored numerator product, expanded (mostly useful in tests)."""
-        acc = LaurentPoly.unit(self.vars, order)
-        one = SeriesRing(order).one()
-        for sign, exps in self.num_factors:
-            binom = LaurentPoly(
-                self.vars,
-                {(0,) * len(self.vars): one, exps: SeriesRing(order).const(-sign)},
-                order,
-            )
-            acc = acc * binom
-        return acc
 
     def __repr__(self):
         return "DensityProduct(%s: %d numerator, %d geometric, prefactor %s)" % (
@@ -227,24 +223,61 @@ def _factor_sequence(dens):
     return factors
 
 
-def _movement(factors, order, nv):
-    """Suffix movement capacity per variable (up, down), loose but sound."""
-    ups = [(0,) * nv]
-    downs = [(0,) * nv]
-    up = [0] * nv
-    down = [0] * nv
-    for kind, sign, exps, ckey in reversed(factors):
-        reps = 1 if kind == "num" else max(0, order // sum(ckey))
+def _movement(factors, nv):
+    """What the factors from each position on can do to each variable.
+
+    Entry ``pos`` holds, per variable, (free up, free down, rate up, rate
+    down).  The free moves are how far the numerator factors can move the
+    variable each way, each factor used at most once and at no s-degree.
+    A rate is the pair (cdeg, step) of the geometric factor with the least
+    cdeg/step among those that move the variable that way, ``step`` per use
+    at s-degree ``cdeg``; it is None when no such factor remains.
+    """
+    free = [[0, 0] for _ in range(nv)]
+    rate = [[None, None] for _ in range(nv)]
+    out = [None] * len(factors)
+    out.append(((0, 0, None, None),) * nv)
+    for pos in range(len(factors) - 1, -1, -1):
+        kind, _, exps, ckey = factors[pos]
         for v, e in enumerate(exps):
-            if e > 0:
-                up[v] += e * reps
-            elif e < 0:
-                down[v] -= e * reps
-        ups.append(tuple(up))
-        downs.append(tuple(down))
-    ups.reverse()
-    downs.reverse()
-    return ups, downs
+            if not e:
+                continue
+            way = 0 if e > 0 else 1
+            if kind == "num":
+                free[v][way] += abs(e)
+                continue
+            cdeg, best = sum(ckey), rate[v][way]
+            if best is None or cdeg * best[1] < best[0] * abs(e):
+                rate[v][way] = (cdeg, abs(e))
+        out[pos] = tuple((f[0], f[1], r[0], r[1]) for f, r in zip(free, rate))
+    return out
+
+
+def _budget(exps, bounds, moves, order):
+    """``order`` less the least s-degree that brings ``exps`` into the window.
+
+    ``moves`` is one entry of ``_movement``.  Per variable outside the
+    window, the distance left after the free moves is priced at the cheapest
+    rate, rounded up to a whole s-degree; one geometric step can move
+    several variables at once, so the bound is the max over the variables,
+    not the sum.  Negative when no degree <= ``order`` can get back.
+    """
+    need = 0
+    for x, b, (fup, fdown, rup, rdown) in zip(exps, bounds, moves):
+        if x > b:
+            dist, rate = x - b - fdown, rdown
+        elif x < -b:
+            dist, rate = -b - x - fup, rup
+        else:
+            continue
+        if dist <= 0:
+            continue
+        if rate is None:
+            return -1
+        cost = -(-dist * rate[0] // rate[1])
+        if cost > need:
+            need = cost
+    return order - need
 
 
 def _p3_add_into(dst, src, cap, sign=1, shift=(0, 0, 0)):
@@ -266,10 +299,14 @@ def _p3_add_into(dst, src, cap, sign=1, shift=(0, 0, 0)):
 def _expansion(dens, order, bounds):
     """Expand the density into {torus exponent: coefficient dict}.
 
-    The table is exact for every exponent within the requested per-variable
-    window; terms that cannot re-enter the window given the remaining
-    factors' movement capacity are pruned.  Cached per density and order,
-    and reused whenever a cached window covers the request.
+    The table is exact, through s-degree ``order``, for every exponent
+    within the requested per-variable window.  After each factor, a state
+    (torus exponent, coefficient dict) keeps only the terms that can still
+    end inside the window at degree <= ``order``: ``_budget`` is a lower
+    bound on the s-degree the remaining factors must add to bring the
+    exponent back, and a state whose budget exceeds ``order`` is dropped.
+    Cached per density and order, and reused whenever a cached window
+    covers the request.
     """
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
@@ -280,56 +317,47 @@ def _expansion(dens, order, bounds):
         bounds = tuple(max(b, cb) for b, cb in zip(bounds, cached_bounds))
     factors = _factor_sequence(dens)
     nv = len(dens.vars)
-    ups, downs = _movement(factors, order, nv)
+    moves = _movement(factors, nv)
     limit = _max_terms()
     zero = (0,) * nv
     acc = {zero: {(0, 0, 0): 1}}
 
-    def prune(exps, pos):
-        up = ups[pos]
-        down = downs[pos]
-        for v in range(nv):
-            e = exps[v]
-            if e - down[v] > bounds[v] or e + up[v] < -bounds[v]:
-                return True
-        return False
+    def add(new, e, cd, cap, sign=1):
+        cur = new.setdefault(e, {})
+        _p3_add_into(cur, cd, cap, sign=sign)
+        if not cur:
+            del new[e]
 
     for pos, (kind, sign, exps, ckey) in enumerate(factors):
+        here, after = moves[pos], moves[pos + 1]
         new = {}
         if kind == "num":
             for e, cd in acc.items():
-                if not prune(e, pos + 1):
-                    cur = new.setdefault(e, {})
-                    _p3_add_into(cur, cd, order)
-                    if not cur:
-                        del new[e]
+                cap = _budget(e, bounds, after, order)
+                if cap >= 0:
+                    add(new, e, cd, cap)
                 e2 = tuple(a + b for a, b in zip(e, exps))
-                if not prune(e2, pos + 1):
-                    cur = new.setdefault(e2, {})
-                    _p3_add_into(cur, cd, order, sign=-sign)
-                    if not cur:
-                        del new[e2]
+                cap = _budget(e2, bounds, after, order)
+                if cap >= 0:
+                    add(new, e2, cd, cap, sign=-sign)
         else:
             cdeg = sum(ckey)
             for e, cd in acc.items():
-                k = 0
-                cur_cd = cd
-                cur_e = e
                 while True:
-                    if not prune(cur_e, pos + 1):
-                        cur = new.setdefault(cur_e, {})
-                        _p3_add_into(cur, cur_cd, order)
-                        if not cur:
-                            del new[cur_e]
-                    k += 1
-                    if k * cdeg > order:
+                    cap = _budget(e, bounds, after, order)
+                    if cap >= 0:
+                        add(new, e, cd, cap)
+                    # the budget falls by at most cdeg per step, so once a
+                    # step keeps no term no later step of the chain can
+                    e = tuple(a + b for a, b in zip(e, exps))
+                    cap = _budget(e, bounds, here, order)
+                    if cap < cdeg:
                         break
                     nxt = {}
-                    _p3_add_into(nxt, cur_cd, order, sign=sign, shift=ckey)
+                    _p3_add_into(nxt, cd, cap, sign=sign, shift=ckey)
                     if not nxt:
                         break
-                    cur_cd = nxt
-                    cur_e = tuple(a + b for a, b in zip(cur_e, exps))
+                    cd = nxt
                 if len(new) > limit:
                     break
         acc = new

@@ -105,13 +105,15 @@ def test_sweep_all_pass():
     assert all(r["status"] in ("match", "vanished-as-predicted") for r in recs)
 
 
-def test_sweep_deterministic_across_job_counts():
+def test_sweep_deterministic_across_runs(clear_caches):
     base = [
         "sweep", "--identity", "symplectic", "--n", "1",
         "--max-weight", "3", "--order", "8", "--json",
     ]
-    _, first = run(base + ["--jobs", "1"])
-    _, second = run(base + ["--jobs", "2"])
+    clear_caches()
+    _, first = run(base)
+    clear_caches()
+    _, second = run(base)
     assert first == second
 
 

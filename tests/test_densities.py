@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from hltorus import densities
 from hltorus.densities import (
     DensityProduct,
     ct_integrate,
@@ -12,7 +13,16 @@ from hltorus.densities import (
 )
 from hltorus.errors import ConfigurationError, DomainError, ResourceLimitError
 from hltorus.hall_littlewood import hl_full, pm_args, var_arg
-from hltorus.identities import cross_block_density, two_block_density
+from hltorus.identities import (
+    K_KAWANAKA,
+    K_MINUS_EVEN,
+    K_MINUS_ODD,
+    K_PLUS_EVEN,
+    K_PLUS_ODD,
+    K_SYMPLECTIC,
+    cross_block_density,
+    two_block_density,
+)
 from hltorus.laurent import LaurentPoly
 from hltorus.series import SeriesRing
 
@@ -68,7 +78,7 @@ def test_koornwinder_cancellation_reproduces_full_product():
                    (1, (-1, 2), (1, 1), (-1, 1))):
         for n in (1, 2):
             dens = koornwinder_density(n, params)
-            got = dens.numerator(D)
+            got = _numerator(dens, D)
             for p in params:
                 if p in (1, -1):
                     vals = [SeriesRing(D).const(p)]
@@ -84,7 +94,7 @@ def test_koornwinder_cancellation_reproduces_full_product():
                             )
                             got = got * binom
             full = koornwinder_density(n, ((1, 1), (-1, 1), (1, 2), (-1, 2)))
-            assert got == full.numerator(D), (params, n)
+            assert got == _numerator(full, D), (params, n)
 
 
 def test_koornwinder_rejections():
@@ -139,12 +149,8 @@ def test_known_series_coefficients():
     assert val2.coefficient((1, 0, 0)) == 1
 
 
-def _ct_bruteforce(vars_, num_factors, geo_factors, prefactor, multiplier, order):
-    """CT of multiplier times a factored density, given factor by factor.
-
-    Every factor is expanded as a LaurentPoly and multiplied out, with no
-    pruning; then the constant term is projected out.
-    """
+def _full_product(vars_, num_factors, geo_factors, order):
+    """Every factor expanded as a LaurentPoly and multiplied out, unpruned."""
     ring = SeriesRing(order)
     nv = len(vars_)
     acc = LaurentPoly.unit(vars_, order)
@@ -163,6 +169,21 @@ def _ct_bruteforce(vars_, num_factors, geo_factors, prefactor, multiplier, order
             terms[tuple(k * e for e in exps)] = coeff
             k += 1
         acc = acc * LaurentPoly(vars_, terms, order)
+    return acc
+
+
+def _numerator(dens, order):
+    """The stored numerator factors of a density, multiplied out."""
+    return _full_product(dens.vars, dens.num_factors, (), order)
+
+
+def _ct_bruteforce(vars_, num_factors, geo_factors, prefactor, multiplier, order):
+    """CT of multiplier times a factored density, given factor by factor.
+
+    Every factor is expanded as a LaurentPoly and multiplied out, with no
+    pruning; then the constant term is projected out.
+    """
+    acc = _full_product(vars_, num_factors, geo_factors, order)
     if multiplier is not None:
         acc = acc * multiplier
     return acc.constant_term(vars_).scalar() * prefactor
@@ -260,6 +281,71 @@ def test_positive_root_densities_match_full_density():
         pref = Fraction(1, factorial(n) ** 2)
         weights = [(1,) + (0,) * (2 * n - 2) + (-1,), (1, 1) + (0,) * (2 * n - 2)]
         _assert_halved_matches_full(dens, _full_cross_block(n), pref, weights, order)
+
+
+def _expansion_cases():
+    for params in (K_PLUS_EVEN, K_MINUS_EVEN, K_PLUS_ODD, K_MINUS_ODD,
+                   K_SYMPLECTIC, K_KAWANAKA):
+        for n in (1, 2):
+            yield koornwinder_density(n, params)
+    for n in (2, 3):
+        for tpow in (2, 4):
+            yield selberg_density(n, tpow=tpow)
+    yield two_block_density(1, 2)
+
+
+@pytest.mark.parametrize("dens", list(_expansion_cases()), ids=lambda d: d.label)
+def test_pruned_expansion_matches_full_product(dens):
+    """The budget-pruned table against the unpruned, window-free product.
+
+    Inside the window every exponent must be present with every
+    coefficient term through the order; outside it nothing is kept.
+    """
+    top = 8
+    full = _full_product(dens.vars, dens.num_factors, dens.geo_factors, top)
+    nv = len(dens.vars)
+    windows = [(b,) * nv for b in (0, 1, 2)] + [tuple(range(nv))[::-1]]
+    for order in range(4, top + 1):
+        for bounds in windows:
+            want = {}
+            for e, c in full.terms.items():
+                if all(abs(x) <= b for x, b in zip(e, bounds)):
+                    kept = {k: v for k, v in c.coeffs.items() if sum(k) <= order}
+                    if kept:
+                        want[e] = kept
+            densities.clear_caches()
+            got = densities._expansion(dens, order, bounds)
+            assert got == want, (order, bounds)
+    densities.clear_caches()
+
+
+def test_budget_is_tight_on_hand_cases():
+    """Exact budgets, so a weaker (still sound) bound shows up too."""
+    def budget(num, geo, exps, bounds, order=10):
+        vars_ = tuple("x%d" % (i + 1) for i in range(len(exps)))
+        dens = DensityProduct(vars_, num, geo)
+        moves = densities._movement(densities._factor_sequence(dens), len(vars_))
+        assert densities._budget(exps, bounds, moves[-1], order) == (
+            order if all(abs(x) <= b for x, b in zip(exps, bounds)) else -1)
+        return densities._budget(exps, bounds, moves[0], order)
+
+    step3 = (((2, 0, 0), 1, (3,)),)
+    assert budget((), step3, (-4,), (0,)) == 10 - 3  # ceil(4 * 2/3)
+    assert budget((), step3, (-4,), (1,)) == 10 - 2
+    assert budget((), step3, (4,), (0,)) == -1  # nothing moves x1 down
+    assert budget((), step3, (-4,), (0,), order=2) < 0
+    # a numerator factor moves x1 up by one for free, once
+    assert budget(((1, (1,)),), step3, (-4,), (0,)) == 10 - 2
+    assert budget(((1, (1,)),), step3, (-1,), (0,)) == 10
+    # the cheapest rate per unit of move prices the distance
+    geo = (((2, 0, 0), 1, (1,)), ((3, 0, 0), -1, (2,)), ((1, 1, 0), 1, (-1,)))
+    assert budget((), geo, (-4,), (0,)) == 10 - 6
+    assert budget((), geo, (3,), (0,)) == 10 - 6
+    # one step moves both variables, so the needs are not added up
+    both = (((2, 0, 0), 1, (1, 1)),)
+    assert budget((), both, (-1, -1), (0, 0)) == 10 - 2
+    assert budget((), both, (-1, -2), (0, 1)) == 10 - 2
+    assert budget((), both, (-3, 0), (1, 0)) == 10 - 4
 
 
 def test_non_symmetric_multiplier_rejected():
