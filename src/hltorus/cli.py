@@ -2,10 +2,11 @@
 
 Exit codes: 0 when every instance matched or vanished as predicted, 1 when
 a mismatch was found, 2 for usage errors, 3 when a resource ceiling was
-hit, 4 for an internal error (a failed exactness check or incompatible
-objects combined inside the package), which says nothing about the
-identity.  JSON output is one record per line with sorted keys; identical
-inputs produce byte-identical output (timing is only included on request).
+hit, 4 for an internal error (a failed exactness check, incompatible
+objects combined inside the package, or any other unexpected exception),
+which says nothing about the identity.  JSON output is one record per line
+with sorted keys; identical inputs produce byte-identical output (timing is
+only included on request).
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import json
 import os
 import sys
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InternalConsistencyError,
-    ResourceLimitError,
-)
+from .errors import DomainError, ResourceLimitError
 from .identities import REGISTRY, sweep_weights, verify
 
 USAGE_EXIT = 2
@@ -188,7 +184,7 @@ def main(argv=None, out=None):
                                               order=args.order, weight=w.parts,
                                               mu=mu.parts))
         reports = [verify(**kw) for kw in instances]
-    except (DomainError, KeyError) as exc:
+    except DomainError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT
     except ResourceLimitError as exc:
@@ -197,7 +193,9 @@ def main(argv=None, out=None):
     except MemoryError:
         sys.stderr.write("memory ceiling exceeded\n")
         return RESOURCE_EXIT
-    except (InternalConsistencyError, ConfigurationError) as exc:
+    except Exception as exc:
+        # a crash says nothing about the identity, so it must not read as
+        # exit 1 ("mismatch found")
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return INTERNAL_EXIT
     return _emit(reports, args.json, args.timings, out)

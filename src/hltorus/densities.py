@@ -43,7 +43,7 @@ from math import factorial
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
-from .series import ParamSeries, SeriesRing
+from .series import ParamSeries, SeriesRing, mul_into
 
 def _max_terms():
     return int(os.environ.get("HLTORUS_MAX_TERMS", "4000000"))
@@ -394,19 +394,8 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
     out = {}
     for e, coeff in multiplier.terms.items():
         dcoef = table.get(tuple(-x for x in e))
-        if not dcoef:
-            continue
-        for (s1, a1, b1), c1 in coeff.coeffs.items():
-            room = order - s1 - a1 - b1
-            for (s2, a2, b2), c2 in dcoef.items():
-                if s2 + a2 + b2 > room:
-                    continue
-                k = (s1 + s2, a1 + a2, b1 + b2)
-                v = out.get(k, 0) + c1 * c2
-                if v:
-                    out[k] = v
-                elif k in out:
-                    del out[k]
+        if dcoef:
+            mul_into(out, coeff.coeffs, dcoef, order)
     result = ParamSeries(out, order, clean=False)
     if dens.blocks:
         result = result * _weyl_factor(dens.blocks, order)

@@ -9,11 +9,10 @@ integrands in this package actually look.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import ConfigurationError, DomainError
-from .series import ParamSeries, SeriesRing
-
-_ZERO3 = (0, 0, 0)
+from .series import ParamSeries, SeriesRing, mul_into
 
 
 class LaurentPoly:
@@ -104,6 +103,14 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product with a polynomial, a series or a rational scalar.
+
+        For two polynomials, the coefficient dicts of every term pair are
+        accumulated in place, one raw dict per torus exponent, through
+        :func:`~hltorus.series.mul_into`; exponents whose coefficients
+        cancel are dropped and each surviving dict is wrapped in a
+        ``ParamSeries`` once.
+        """
         if isinstance(other, (int, Fraction, ParamSeries)):
             if isinstance(other, ParamSeries) and other.trunc != self.trunc:
                 raise ConfigurationError("truncation orders differ")
@@ -117,36 +124,21 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        bitems = list(b.items())
-        out = {}
-        for ea_, ca in a.items():
-            for eb_, cb in bitems:
-                p = ca * cb
-                if p.is_zero():
-                    continue
-                key = tuple(x + y for x, y in zip(ea_, eb_))
-                cur = out.get(key)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LaurentPoly(self.vars, out, self.trunc, clean=False)
+        bitems = [(e, c.coeffs) for e, c in b.items()]
+        D = self.trunc
+        raw = {}
+        for ea, ca in a.items():
+            ca = ca.coeffs
+            for eb, cb in bitems:
+                key = tuple(map(add, ea, eb))
+                dst = raw.get(key)
+                if dst is None:
+                    dst = raw[key] = {}
+                mul_into(dst, ca, cb, D)
+        out = {e: ParamSeries(c, D, clean=False) for e, c in raw.items() if c}
+        return LaurentPoly(self.vars, out, D, clean=False)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise DomainError("powers must be nonnegative integers")
-        result = LaurentPoly.unit(self.vars, self.trunc)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -188,67 +180,6 @@ class LaurentPoly:
             else:
                 out[key] = s
         return LaurentPoly(out_vars, out, self.trunc, clean=False)
-
-    def specialize(self, assignment):
-        """Substitute variables by +-1 or by a signed (inverse) variable.
-
-        ``assignment`` maps a variable name to either an integer +-1 or a
-        triple (sign, name, power) with sign in {1, -1} and power in
-        {1, -1}.  Anything else is rejected: substitutions must keep the
-        result a Laurent polynomial over the same parameter ring.
-        """
-        plan = {}
-        for v, target in assignment.items():
-            if v not in self.vars:
-                raise ConfigurationError("unknown variable %r" % (v,))
-            if isinstance(target, int):
-                if target not in (1, -1):
-                    raise DomainError("constant substitution must be +-1")
-                plan[self.vars.index(v)] = (target, None, 0)
-            else:
-                try:
-                    sign, name, power = target
-                except (TypeError, ValueError):
-                    raise DomainError("substitution target %r not allowed" % (target,))
-                if sign not in (1, -1) or power not in (1, -1) or name not in self.vars:
-                    raise DomainError("substitution target %r not allowed" % (target,))
-                plan[self.vars.index(v)] = (sign, self.vars.index(name), power)
-        out = {}
-        nv = len(self.vars)
-        for e, c in self.terms.items():
-            newe = list(e)
-            sign = 1
-            for i, (sgn, j, power) in plan.items():
-                k = e[i]
-                if k == 0:
-                    continue
-                newe[i] = 0
-                if sgn < 0 and (k & 1):
-                    sign = -sign
-                if j is not None:
-                    newe[j] += power * k
-            key = tuple(newe)
-            add = c if sign > 0 else -c
-            cur = out.get(key)
-            s = add if cur is None else cur + add
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(self.vars, out, self.trunc, clean=False)
-
-    def rename_vars(self, new_vars):
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise ConfigurationError("variable count mismatch")
-        return LaurentPoly(new_vars, dict(self.terms), self.trunc, clean=False)
-
-    def permute_vars(self, perm):
-        """Relabel variable slots: slot i takes the old slot perm[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(e[perm[i]] for i in range(len(e)))] = c
-        return LaurentPoly(self.vars, out, self.trunc, clean=False)
 
     # -- display ------------------------------------------------------------------
 

@@ -8,20 +8,50 @@ never represented.
 
 Coefficients are Python ints wherever possible and ``fractions.Fraction``
 otherwise; arithmetic never rounds.
+
+Every product of coefficient dicts goes through :func:`mul_into`, which
+accumulates into a plain dict in place.  Callers that sum many products,
+such as the torus products of ``LaurentPoly`` and the constant-term
+convolution, keep one raw dict per result and wrap it in a ``ParamSeries``
+once, instead of building and adding a series per term pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError, InternalConsistencyError
-
-# exponent-slot indices into the (e_s, e_alpha, e_beta) keys
-S_IDX, ALPHA_IDX, BETA_IDX = 0, 1, 2
+from .errors import ConfigurationError, DomainError
 
 ZERO_KEY = (0, 0, 0)
 
 _PARAM_NAMES = ("s", "a", "b")
+
+
+def mul_into(dst, a, b, cap):
+    """Add the product of the coefficient dicts ``a`` and ``b`` into ``dst``.
+
+    The dicts map (e_s, e_alpha, e_beta) to nonzero coefficients.  Terms of
+    total degree above ``cap`` are skipped, and an entry of ``dst`` that
+    cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
+    is the one product loop of the package: series products, the torus
+    products of ``LaurentPoly`` and the constant-term convolution all
+    accumulate through it.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    bitems = list(b.items())
+    get = dst.get
+    for (s1, a1, b1), c1 in a.items():
+        room = cap - s1 - a1 - b1
+        for (s2, a2, b2), c2 in bitems:
+            if s2 + a2 + b2 > room:
+                continue
+            k = (s1 + s2, a1 + a2, b1 + b2)
+            v = get(k, 0) + c1 * c2
+            if v:
+                dst[k] = v
+            elif k in dst:
+                del dst[k]
 
 
 def _cleaned(coeffs, trunc):
@@ -125,28 +155,9 @@ class ParamSeries:
                 clean=False,
             )
         self._check(other)
-        D = self.trunc
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        bitems = list(b.items())
         out = {}
-        for (s1, a1, b1), c1 in a.items():
-            room = D - s1 - a1 - b1
-            for (s2, a2, b2), c2 in bitems:
-                if s2 + a2 + b2 > room:
-                    continue
-                k = (s1 + s2, a1 + a2, b1 + b2)
-                v = out.get(k)
-                if v is None:
-                    out[k] = c1 * c2
-                else:
-                    v = v + c1 * c2
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
-        return ParamSeries(out, D, clean=False)
+        mul_into(out, self.coeffs, other.coeffs, self.trunc)
+        return ParamSeries(out, self.trunc, clean=False)
 
     __rmul__ = __mul__
 
@@ -184,61 +195,6 @@ class ParamSeries:
         if new_trunc >= self.trunc:
             return ParamSeries(dict(self.coeffs), new_trunc, clean=False)
         return ParamSeries(self.coeffs, new_trunc)
-
-    def drop_param(self, idx):
-        """Set the parameter in slot ``idx`` to zero."""
-        return ParamSeries(
-            {k: c for k, c in self.coeffs.items() if k[idx] == 0},
-            self.trunc,
-            clean=False,
-        )
-
-    def negate_param(self, idx):
-        """Substitute parameter -> minus itself in slot ``idx``."""
-        return ParamSeries(
-            {k: (-c if k[idx] & 1 else c) for k, c in self.coeffs.items()},
-            self.trunc,
-            clean=False,
-        )
-
-    def divide_by_s_power(self, k):
-        """Exact division by s**k; every stored term must carry s**k."""
-        if k == 0:
-            return self
-        out = {}
-        for (es, ea, eb), c in self.coeffs.items():
-            if es < k:
-                raise InternalConsistencyError(
-                    "series not divisible by s^%d (term s^%d a^%d b^%d)"
-                    % (k, es, ea, eb)
-                )
-            out[(es - k, ea, eb)] = c
-        return ParamSeries(out, self.trunc, clean=False)
-
-    def unit_inverse(self):
-        """Inverse of a series whose constant term is nonzero.
-
-        Computed by geometric expansion of the degree >= 1 tail, which is
-        exact in the truncated ring; series with zero constant term are not
-        invertible here and are rejected.
-        """
-        c0 = self.constant()
-        if c0 == 0:
-            raise DomainError("series with zero constant term has no inverse")
-        scale = Fraction(1, 1) / c0
-        tail = ParamSeries(
-            {k: -c * scale for k, c in self.coeffs.items() if k != ZERO_KEY},
-            self.trunc,
-            clean=False,
-        )
-        acc = _const(1, self.trunc)
-        power = _const(1, self.trunc)
-        for _ in range(self.trunc):
-            power = power * tail
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * scale
 
     # -- display -----------------------------------------------------------
 

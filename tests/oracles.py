@@ -4,7 +4,8 @@ These deliberately avoid the library's evaluation paths: the Pfaffian is a
 signed sum over perfect matchings, the inversion generating function is a
 direct enumeration, Hall-Littlewood polynomials are evaluated at rational
 points from their defining permutation sum, Schur polynomials are counted
-over tableaux, and series arithmetic goes through the public ring.  They
+over tableaux, series arithmetic goes through the public ring, and
+``product_by_nested_loops`` multiplies plain coefficient dicts.  They
 stay in the tree permanently as ground truth.  ``degenerate_check`` holds
 ``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
 """
@@ -101,6 +102,31 @@ def hl_by_point_evaluation(weight, args, point, s, tbase=2):
         for j in range(1, mult + 1):
             v *= (1 - t ** j) / (1 - t)
     return part[-1] / v
+
+
+def product_by_nested_loops(a, b, trunc):
+    """Product of two {torus exponents: {(e_s, e_a, e_b): coeff}} dicts.
+
+    Every term pair is multiplied over Fractions, the full product is
+    formed first, and only then are terms of total degree above ``trunc``,
+    zero values and empty coefficients dropped.  The inputs may hold zeros
+    and keys of any degree.
+    """
+    full = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            inner = full.setdefault(e, {})
+            for ka, va in ca.items():
+                for kb, vb in cb.items():
+                    k = tuple(x + y for x, y in zip(ka, kb))
+                    inner[k] = inner.get(k, Fraction(0)) + Fraction(va) * Fraction(vb)
+    out = {}
+    for e, inner in full.items():
+        kept = {k: v for k, v in inner.items() if v != 0 and sum(k) <= trunc}
+        if kept:
+            out[e] = kept
+    return out
 
 
 def schur_by_tableaux(parts, nvars):

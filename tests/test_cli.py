@@ -154,7 +154,10 @@ def test_resource_exit_code(monkeypatch):
     dmod.clear_caches()
 
 
-@pytest.mark.parametrize("error", [InternalConsistencyError, ConfigurationError])
+@pytest.mark.parametrize(
+    "error",
+    [InternalConsistencyError, ConfigurationError, KeyError, TypeError, ZeroDivisionError],
+)
 def test_internal_error_exit_code(monkeypatch, capsys, error):
     def broken_verify(**kw):
         raise error("exactness check failed")

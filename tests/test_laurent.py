@@ -5,6 +5,9 @@ from hltorus.errors import ConfigurationError, DomainError
 from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
+from helpers import rename_vars, specialize
+from oracles import product_by_nested_loops
+
 
 D = 8
 V = ("x1", "x2")
@@ -56,21 +59,21 @@ def test_constant_term_unknown_variable():
 
 def test_specialize_to_minus_one():
     p = mono((1, 0)) + mono((-1, 0))
-    out = p.specialize({"x1": -1})
+    out = specialize(p, {"x1": -1})
     assert out.coefficient((0, 0)) == -2
 
 
 def test_specialize_to_inverse_variable():
     p = mono((1, 1))
-    out = p.specialize({"x2": (1, "x1", -1)})
+    out = specialize(p, {"x2": (1, "x1", -1)})
     assert out == LaurentPoly.unit(V, D)
 
 
 def test_specialize_rejects_scaled_targets():
     with pytest.raises(DomainError):
-        mono((2, 0)).specialize({"x1": (1, "x1", 2)})
+        specialize(mono((2, 0)), {"x1": (1, "x1", 2)})
     with pytest.raises(DomainError):
-        mono((2, 0)).specialize({"x1": 2})
+        specialize(mono((2, 0)), {"x1": 2})
 
 
 def test_variable_mismatch_rejected():
@@ -82,7 +85,7 @@ def test_variable_mismatch_rejected():
 def test_var_bounds_and_rename():
     p = mono((3, -2)) + mono((-1, 0))
     assert p.var_bounds() == (3, 2)
-    assert p.rename_vars(("a", "b")).vars == ("a", "b")
+    assert rename_vars(p, ("a", "b")).vars == ("a", "b")
 
 
 def _poly_strategy(trunc=6):
@@ -113,3 +116,71 @@ def test_constant_term_is_linear_and_degrees_stay_truncated(a, b):
     for coeff in prod.terms.values():
         d = coeff.max_total_degree()
         assert d is None or d <= prod.trunc
+
+
+TRUNC = 5
+
+
+def _raw_sum(a, b, sign):
+    out = {e: dict(c) for e, c in a.items()}
+    for e, c in b.items():
+        inner = out.setdefault(e, {})
+        for k, v in c.items():
+            inner[k] = inner.get(k, 0) + sign * v
+    return out
+
+
+@st.composite
+def _raw_factor_pairs(draw):
+    """Two raw {exps: {key: coeff}} dicts in 2 or 3 torus variables.
+
+    Keys reach past ``TRUNC`` and carry alpha and beta, values mix int and
+    Fraction and may be 0.  Half the pairs are (u + v, u - v), whose cross
+    terms u(-v) and vu cancel inside the product.
+    """
+    nv = draw(st.sampled_from((2, 3)))
+    value = st.one_of(
+        st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)
+    )
+    key = st.tuples(st.integers(0, TRUNC), st.integers(0, 2), st.integers(0, 2))
+    poly = st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * nv),
+        st.dictionaries(key, value, max_size=4),
+        max_size=4,
+    )
+    u, v = draw(poly), draw(poly)
+    if draw(st.booleans()):
+        return nv, _raw_sum(u, v, 1), _raw_sum(u, v, -1)
+    return nv, u, v
+
+
+def _assert_clean(coeffs):
+    assert coeffs, "empty coefficient kept"
+    for k, c in coeffs.items():
+        assert c != 0 and sum(k) <= TRUNC, (k, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_factor_pairs())
+def test_products_match_nested_loop_oracle(case):
+    nv, a, b = case
+    names = ("x1", "x2", "x3")[:nv]
+
+    def poly(raw):
+        return LaurentPoly(
+            names, {e: ParamSeries(c, TRUNC) for e, c in raw.items()}, TRUNC
+        )
+
+    expected = product_by_nested_loops(a, b, TRUNC)
+    for prod in (poly(a) * poly(b), poly(b) * poly(a)):
+        got = {e: c.coeffs for e, c in prod.terms.items()}
+        assert got == expected
+        for coeffs in got.values():
+            _assert_clean(coeffs)
+    for ca in a.values():
+        for cb in b.values():
+            prod = ParamSeries(ca, TRUNC) * ParamSeries(cb, TRUNC)
+            want = product_by_nested_loops({(): ca}, {(): cb}, TRUNC)
+            assert prod.coeffs == want.get((), {})
+            if prod.coeffs:
+                _assert_clean(prod.coeffs)
