@@ -21,7 +21,6 @@ from .hall_littlewood import (
     Mono,
     const_arg,
     hl_full,
-    hl_q,
     pm_args,
     var_arg,
 )
@@ -37,18 +36,11 @@ from .pfaffian import (
     build_a_matrix,
     build_m_minus,
     build_m_plus,
-    determinant,
-    pf_closed_form,
     pfaffian,
 )
 from .identities import (
     REGISTRY,
     VerificationReport,
-    pfaffian_bridge,
-    pfaffian_bridge_minus,
-    pfaffian_bridge_plus_odd,
-    rhs_section8,
-    rhs_special,
     verify,
 )
 
@@ -77,19 +69,11 @@ __all__ = [
     "classify_shape",
     "const_arg",
     "ct_integrate",
-    "determinant",
     "gustafson_rhs",
     "hl_full",
-    "hl_q",
     "koornwinder_density",
-    "pf_closed_form",
     "pfaffian",
-    "pfaffian_bridge",
-    "pfaffian_bridge_minus",
-    "pfaffian_bridge_plus_odd",
     "pm_args",
-    "rhs_section8",
-    "rhs_special",
     "selberg_density",
     "var_arg",
     "verify",

@@ -1,7 +1,8 @@
 """Command line front end: verify single instances, sweep grids, list.
 
 Exit codes: 0 when every instance matched or vanished as predicted, 1 when
-a mismatch was found, 2 for usage errors, 3 when a resource ceiling was
+a mismatch was found, 2 for usage errors (among them an --m, --lambda or
+--mu that the identity does not take), 3 when a resource ceiling was
 hit, 4 for an internal error (a failed exactness check, incompatible
 objects combined inside the package, or any other unexpected exception),
 which says nothing about the identity.  JSON output is one record per line
@@ -158,32 +159,19 @@ def main(argv=None, out=None):
 
     try:
         if args.command == "verify":
-            kw = dict(name=args.identity, n=args.n, m=args.m, order=args.order)
-            if defn.needs_weight:
-                kw["weight"] = _parse_weight(defn, args.weight)
-            if defn.needs_mu:
-                kw["mu"] = _parse_weight(defn, args.mu)
-            instances = [kw]
+            instances = [dict(weight=_parse_weight(defn, args.weight),
+                              mu=_parse_weight(defn, args.mu))]
         else:
             grid = sweep_weights(args.identity, args.n, args.m,
                                  max_weight=args.max_weight,
                                  max_parts=args.max_parts)
-            instances = []
-            for w in grid:
-                kw = dict(name=args.identity, n=args.n, m=args.m, order=args.order)
-                if defn.needs_weight:
-                    kw["weight"] = w.parts
-                if defn.needs_mu:
-                    # pair sweeps run over both entries of the grid
-                    continue
-                instances.append(kw)
             if defn.needs_mu:
-                for w in grid:
-                    for mu in grid:
-                        instances.append(dict(name=args.identity, n=args.n, m=args.m,
-                                              order=args.order, weight=w.parts,
-                                              mu=mu.parts))
-        reports = [verify(**kw) for kw in instances]
+                # pair sweeps run over both entries of the grid
+                instances = [dict(weight=w.parts, mu=mu.parts) for w in grid for mu in grid]
+            else:
+                instances = [dict(weight=None if w is None else w.parts) for w in grid]
+        reports = [verify(name=args.identity, n=args.n, m=args.m, order=args.order, **kw)
+                   for kw in instances]
     except DomainError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT

@@ -26,8 +26,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .series import ParamSeries, SeriesRing
-from .tcomb import TComb
+from .series import ParamSeries
 
 
 class Mono(NamedTuple):
@@ -188,10 +187,3 @@ def hl_full(weight, args, var_names, order, tbase=2):
     result = _raw_to_laurent(poly, var_names, order)
     _CACHE[key] = result
     return result
-
-
-def hl_q(weight, args, var_names, order, tbase=2):
-    """Q_lambda = b_lambda(t) P_lambda."""
-    p = hl_full(weight, args, var_names, order, tbase)
-    b = TComb(SeriesRing(order), base=tbase).b_of(weight)
-    return p * b

@@ -1,18 +1,42 @@
-"""The registry of verifiable torus-integral identities.
+"""The registry of verifiable torus-integral identities, as data.
 
-Each identity is stored as a recipe: assemble the integrand (polynomial
-times density), integrate by constant-term extraction, build the closed
-form, and compare.  All normalized statements are checked by
-cross-multiplication (integral times the closed form's denominator against
-the closed form's numerator times the normalization integral), so nothing
-is ever divided in the truncated ring.
+Each identity integrates P_lambda at a list of slots, times linear factors,
+against a density and compares the result with a closed form.  It is one
+row of ``REGISTRY`` (an ``IdentityDef``), which names
+
+* its integrands, keys of ``INTEGRANDS``: each maps (n, m) to a density,
+  the slot list of P and P's t-base (2 for t, 4 for t^2);
+* its linear-factor values, signed monomials (coefficient, alpha-power,
+  beta-power) such as alpha, beta, -1 or -alpha;
+* whether it is normalized, and a closed form: a function of the instance
+  returning (num, den);
+* its weight rank ("n", "2n", "2n+1", "n+m", or None for no weight), from
+  which, with the values, follow whether it takes m and its parameters.
+
+The slot rule: the linear factor is prod_v prod_y (1 - v y) over the values
+v and every slot y of P.  A torus slot x_i^{+-1} gives the Laurent factor
+(1 - v x_i^{+-1}); a constant slot +-1 gives the scalar (1 -+ v), which
+multiplies the integral: the component prefactors, such as (1 - alpha^2)
+for the even minus component, are these scalars.
+
+With I_k the integral of the k-th integrand and Z_k its bare density
+integral, the one builder ``_build`` checks
+
+    den * sum_k I_k prod_{j != k} Z_j  ==  num * prod_j Z_j,
+
+with Z_j = 1 for an unnormalized row, so nothing is divided in the
+truncated ring.  A row that takes mu multiplies P_lambda by P_mu at the
+inverted slots.  ``double_cover`` keeps its own builder: it shifts the
+weight, raises the inner order and adds notes.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable, Optional, Tuple
 
@@ -29,7 +53,7 @@ from .hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
 from .laurent import LaurentPoly
 from .partitions import DominantWeight, Partition, classify_shape
 from .pfaffian import build_a_matrix, build_m_minus, build_m_plus, pfaffian
-from .series import ParamSeries, SeriesRing
+from .series import ZERO_KEY, ParamSeries, SeriesRing, mul_into
 from .tcomb import TComb
 
 # Koornwinder parameter quadruples for the orthogonal components.
@@ -39,6 +63,12 @@ K_PLUS_ODD = ((1, 2), -1, (1, 1), (-1, 1))
 K_MINUS_ODD = (1, (-1, 2), (1, 1), (-1, 1))
 K_SYMPLECTIC = ((1, 1), (-1, 1), 0, 0)
 K_KAWANAKA = (1, (1, 1), 0, 0)
+
+# Linear-factor values as (coefficient, alpha-power, beta-power).
+ALPHA = (1, 1, 0)
+BETA = (1, 0, 1)
+MINUS_ONE = (-1, 0, 0)
+MINUS_ALPHA = (-1, 1, 0)
 
 _Z_CACHE = {}
 
@@ -64,28 +94,13 @@ def _plain_args(nvars):
     return tuple(var_arg(nvars, i) for i in range(nvars))
 
 
-def _inverse_args(nvars):
-    return tuple(var_arg(nvars, i, power=-1) for i in range(nvars))
-
-
-def _linear_factors(vars_, order, values):
-    """prod over variables and both powers of (1 - value * x_i^{+-1})."""
-    ring = SeriesRing(order)
-    nv = len(vars_)
-    acc = LaurentPoly.unit(vars_, order)
-    for value in values:
-        for i in range(nv):
-            for power in (1, -1):
-                exps = [0] * nv
-                exps[i] = power
-                acc = acc * LaurentPoly(
-                    vars_, {(0,) * nv: ring.one(), tuple(exps): -value}, order
-                )
-    return acc
+def _times(x: ParamSeries, c: ParamSeries) -> ParamSeries:
+    """x * c, skipping the product when c is one."""
+    return x if c == 1 else x * c
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
+# closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -96,17 +111,21 @@ def t_multinomial_of(parts, order, base=2) -> ParamSeries:
     return tc.t_multinomial(len(tuple(parts)), mults)
 
 
+def _zero_pair(order):
+    ring = SeriesRing(order)
+    return ring.zero(), ring.one()
+
+
 def _minus_alpha_power(ring, e):
     return ring.monomial(ea=e, coeff=-1 if e % 2 else 1)
 
 
 def rhs_orthogonality(lam: Partition, mu: Partition, n, order):
     """(numerator, denominator) of delta_{lambda mu} n! / v_mu(t)."""
-    ring = SeriesRing(order)
     if lam.parts != mu.parts:
-        return ring.zero(), ring.one()
-    tc = TComb(ring)
-    return ring.const(factorial(n)), tc.v_of(lam.parts)
+        return _zero_pair(order)
+    ring = SeriesRing(order)
+    return ring.const(factorial(n)), TComb(ring).v_of(lam.parts)
 
 
 def rhs_orthogonal_alpha(component, lam: Partition, order) -> ParamSeries:
@@ -132,10 +151,7 @@ def _rs_brackets(lam: Partition, order):
     ring = SeriesRing(order)
     tc = TComb(ring)
     z_ab = ring.monomial(ea=1, eb=1)
-    even_h = ring.one()
-    odd_h = ring.one()
-    even_g = ring.one()
-    odd_g = ring.one()
+    even_h = odd_h = even_g = odd_g = ring.one()
     for value, mult in lam.multiplicities().items():
         if value % 2 == 0:
             even_h = even_h * tc.rogers_szego(mult, z_ab)
@@ -203,144 +219,86 @@ def rhs_kawanaka(lam: Partition, n, order) -> ParamSeries:
 def _c_ratio_pair(mu: Partition, args, order):
     """(C0 numerator, C- denominator) for the mu = nu values."""
     tc = TComb(SeriesRing(order))
-    num = tc.c_symbol("0", mu.parts, args)
-    den = tc.c_symbol("-", mu.parts)
+    return tc.c_symbol("0", mu.parts, args), tc.c_symbol("-", mu.parts)
+
+
+def rhs_unm(weight: DominantWeight, n, m, order):
+    """(C0, C-) for mu = nu with l(mu) <= m, zero otherwise."""
+    mu, nu = weight.positive_part(), weight.negative_part()
+    if mu.parts != nu.parts or mu.length_nonzero() > m:
+        return _zero_pair(order)
+    return _c_ratio_pair(mu, ((1, 2 * n), (1, 2 * m)), order)
+
+
+def rhs_u2n(weight: DominantWeight, n, order):
+    """(C0, C-) for mu = nu, zero otherwise."""
+    mu, nu = weight.positive_part(), weight.negative_part()
+    if mu.parts != nu.parts:
+        return _zero_pair(order)
+    return _c_ratio_pair(mu, ((1, 2 * n), (-1, 2 * n)), order)
+
+
+def rhs_double_cover(weight: DominantWeight, n, order):
+    """(C0, t^{|mu|} C-) for a palindrome mu mu-bar, zero otherwise.
+
+    The pair encodes the verified value t^{-|mu|} C0/C- (see the notes of
+    ``_build_double_cover``).
+    """
+    shape = classify_shape(weight.parts)
+    if shape.palindrome is None:
+        return _zero_pair(order)
+    num, den = _c_ratio_pair(shape.palindrome, ((1, 2 * n), (-1, 2 * n)), order)
+    return num, den * SeriesRing(order).t(shape.palindrome.weight())
+
+
+def rhs_t2_branching(weight: DominantWeight, n, order):
+    """The branching coefficient for a palindrome mu mu-bar, zero otherwise."""
+    shape = classify_shape(weight.parts)
+    if shape.palindrome is None:
+        return _zero_pair(order)
+    ring = SeriesRing(order)
+    mu = shape.palindrome
+    ell = mu.length_nonzero()
+    tc2 = TComb(ring, base=2)
+    tc4 = TComb(ring, base=4)
+    num = ring.t(mu.weight())
+    for j in range(n - 2 * ell + 1, n + 1):
+        num = num * tc2.one_minus_t_power(j)
+    den = tc4.one_minus_t_pow(ell) * tc4.v_of(mu.parts, include_zeros=False)
     return num, den
 
 
-def rhs_special(case, lam: Partition, n, order) -> ParamSeries:
-    """Closed forms of the parameter specializations, by case name."""
-    if case == "symplectic":
-        return rhs_symplectic(lam, n, order)
-    if case == "kawanaka":
-        return rhs_kawanaka(lam, n, order)
-    if case == "alpha_minus_one":
-        return rhs_alpha_minus_one(lam.padded(2 * n), order)
-    if case == "alpha_eq_minus_beta":
-        return rhs_alpha_eq_minus_beta(lam.padded(2 * n), order)
-    raise DomainError("unknown special case %r" % (case,))
+def _bridge_den(lam: Partition, n, k, order):
+    """v_lambda(t) (1-t)^k 2^n."""
+    tc = TComb(SeriesRing(order))
+    return tc.v_of(lam.parts) * tc.one_minus_t_pow(k) * (2 ** n)
 
 
-def rhs_section8(case, weight, n, m=None, order=12):
-    """(numerator, denominator) of the cross-block closed forms.
+def rhs_bridge_plus_even(lam: Partition, n, order):
+    """(Pf A, v_lambda (1-t)^n 2^n) for the plus-even term integral."""
+    return pfaffian(build_a_matrix(lam.parts, order)), _bridge_den(lam, n, n, order)
 
-    Returns the zero series with denominator one when the weight fails the
-    shape predicate.  For ``double_cover`` the pair encodes the verified
-    value t^{-|mu|} C0/C- (see the registry notes).
+
+def rhs_bridge_minus_even(lam: Partition, n, order):
+    """((1+t)(1-alpha^2) Pf M-, v_lambda (1-t)^(n-1) 2^n).
+
+    1 - alpha^2 is the scalar of the slots +1 and -1; it multiplies both sides.
     """
     ring = SeriesRing(order)
-    weight = weight if isinstance(weight, DominantWeight) else DominantWeight(tuple(weight))
-    if case == "unm":
-        mu, nu = weight.positive_part(), weight.negative_part()
-        if mu.parts != nu.parts or mu.length_nonzero() > m:
-            return ring.zero(), ring.one()
-        return _c_ratio_pair(mu, ((1, 2 * n), (1, 2 * m)), order)
-    if case == "u2n":
-        mu, nu = weight.positive_part(), weight.negative_part()
-        if mu.parts != nu.parts:
-            return ring.zero(), ring.one()
-        return _c_ratio_pair(mu, ((1, 2 * n), (-1, 2 * n)), order)
-    if case == "double_cover":
-        shape = classify_shape(weight.parts)
-        if shape.palindrome is None:
-            return ring.zero(), ring.one()
-        num, den = _c_ratio_pair(shape.palindrome, ((1, 2 * n), (-1, 2 * n)), order)
-        return num, den * ring.t(shape.palindrome.weight())
-    if case == "t2_branching":
-        shape = classify_shape(weight.parts)
-        if shape.palindrome is None:
-            return ring.zero(), ring.one()
-        mu = shape.palindrome
-        ell = mu.length_nonzero()
-        tc2 = TComb(ring, base=2)
-        tc4 = TComb(ring, base=4)
-        num = ring.t(mu.weight())
-        for j in range(n - 2 * ell + 1, n + 1):
-            num = num * tc2.one_minus_t_power(j)
-        den = tc4.one_minus_t_pow(ell) * tc4.v_of(mu.parts, include_zeros=False)
-        return num, den
-    raise DomainError("unknown cross-block case %r" % (case,))
+    pf = pfaffian(build_m_minus(lam.parts, order))
+    num = pf * (ring.one() + ring.t()) * (ring.one() - ring.alpha(2))
+    return num, _bridge_den(lam, n, n - 1, order)
+
+
+def rhs_bridge_plus_odd(lam: Partition, n, order):
+    """((1-alpha) Pf M+, v_lambda (1-t)^n 2^n); 1 - alpha is the slot +1's scalar."""
+    ring = SeriesRing(order)
+    num = pfaffian(build_m_plus(lam.parts, order)) * (ring.one() - ring.alpha())
+    return num, _bridge_den(lam, n, n, order)
 
 
 # ---------------------------------------------------------------------------
-# left-hand sides for the orthogonal components
-# ---------------------------------------------------------------------------
-
-
-def _component_setup(component, n):
-    if component == "plus_even":
-        nv = n
-        args = pm_args(n)
-        dens = koornwinder_density(n, K_PLUS_EVEN)
-    elif component == "minus_even":
-        nv = n - 1
-        args = pm_args(nv) + (const_arg(nv, 1), const_arg(nv, -1))
-        dens = koornwinder_density(nv, K_MINUS_EVEN)
-    elif component == "plus_odd":
-        nv = n
-        args = pm_args(n) + (const_arg(n, 1),)
-        dens = koornwinder_density(n, K_PLUS_ODD)
-    elif component == "minus_odd":
-        nv = n
-        args = pm_args(n) + (const_arg(n, -1),)
-        dens = koornwinder_density(n, K_MINUS_ODD)
-    else:
-        raise DomainError("unknown component %r" % (component,))
-    return nv, args, dens
-
-
-def component_integral(component, n, lam: Partition, order, factor_values):
-    """(integral, normalization) for one orthogonal component.
-
-    ``factor_values`` are the series multiplying x_i^{+-1} inside the
-    deformation factors prod (1 - value x_i^{+-1}).
-    """
-    nv, args, dens = _component_setup(component, n)
-    names = _var_names("x", nv)
-    p = hl_full(lam.parts, args, names, order)
-    mult = p * _linear_factors(names, order, factor_values)
-    return ct_integrate(dens, mult, order), _znorm(dens, order)
-
-
-def pfaffian_bridge(n, lam: Partition, order):
-    """(unnormalized integral * 2^n (1-t)^n * v_lambda, Pfaffian) pair."""
-    ring = SeriesRing(order)
-    lam = lam.padded(2 * n)
-    integral, _ = component_integral("plus_even", n, lam, order, [ring.alpha()])
-    tc = TComb(ring)
-    lhs = integral * tc.v_of(lam.parts) * tc.one_minus_t_pow(n) * (2 ** n)
-    rhs = pfaffian(build_a_matrix(lam.parts, order))
-    return lhs, rhs
-
-
-def pfaffian_bridge_minus(n, lam: Partition, order):
-    """The bordered-matrix bridge for the even minus component.
-
-    The unnormalized integral times 2^n (1-t)^(n-1) equals
-    (1+t) Pf[M] with M the bordered matrix; both sides are returned.
-    """
-    ring = SeriesRing(order)
-    lam = lam.padded(2 * n)
-    integral, _ = component_integral("minus_even", n, lam, order, [ring.alpha()])
-    tc = TComb(ring)
-    lhs = integral * tc.v_of(lam.parts) * tc.one_minus_t_pow(n - 1) * (2 ** n)
-    rhs = pfaffian(build_m_minus(lam.parts, order)) * (ring.one() + ring.t())
-    return lhs, rhs
-
-
-def pfaffian_bridge_plus_odd(n, lam: Partition, order):
-    """The bordered-matrix bridge for the odd plus component."""
-    ring = SeriesRing(order)
-    lam = lam.padded(2 * n + 1)
-    integral, _ = component_integral("plus_odd", n, lam, order, [ring.alpha()])
-    tc = TComb(ring)
-    lhs = integral * tc.v_of(lam.parts) * tc.one_minus_t_pow(n) * (2 ** n)
-    rhs = pfaffian(build_m_plus(lam.parts, order))
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# section-8 style densities
+# integrands and the generic builder
 # ---------------------------------------------------------------------------
 
 
@@ -386,11 +344,144 @@ def cross_block_density(n) -> DensityProduct:
 
 
 def halved_density(n) -> DensityProduct:
-    """The t^2 Selberg density with the 1/n! prefactor (double-cover case).
-
-    Stored over the positive roots, as ``selberg_density`` with tpow 4.
-    """
+    """The t^2 Selberg density with the 1/n! prefactor (double-cover case)."""
     return selberg_density(n, tpow=4, prefix="z", prefactor=Fraction(1, factorial(n)))
+
+
+def _koornwinder(params, drop=0, consts=()):
+    """The Koornwinder density on n - drop variables; P at x_i^{+-1} and ``consts``."""
+    def integrand(n, m):
+        nv = n - drop
+        slots = pm_args(nv) + tuple(const_arg(nv, c) for c in consts)
+        return koornwinder_density(nv, params), slots, 2
+    return integrand
+
+
+# key -> function of (n, m) giving (density, slots of P, t-base of P)
+INTEGRANDS = {
+    "selberg": lambda n, m: (selberg_density(n), _plain_args(n), 2),
+    "symplectic": _koornwinder(K_SYMPLECTIC),
+    "kawanaka": _koornwinder(K_KAWANAKA),
+    "plus_even": _koornwinder(K_PLUS_EVEN),
+    "minus_even": _koornwinder(K_MINUS_EVEN, drop=1, consts=(1, -1)),
+    "plus_odd": _koornwinder(K_PLUS_ODD, consts=(1,)),
+    "minus_odd": _koornwinder(K_MINUS_ODD, consts=(-1,)),
+    "two_block": lambda n, m: (two_block_density(m, n), _plain_args(m + n), 2),
+    "cross_block": lambda n, m: (cross_block_density(n), _plain_args(2 * n), 2),
+    "t2_selberg": lambda n, m: (
+        selberg_density(n, prefactor=Fraction(1, factorial(n))), _plain_args(n), 4
+    ),
+}
+
+
+def _inverted(slots):
+    return tuple(Mono(y.sign, y.spow, tuple(-e for e in y.exps)) for y in slots)
+
+
+def _linear_factors(slots, values, names, order):
+    """The slot rule: prod over the values v and slots y of (1 - v y).
+
+    Returns the product over the torus slots as a LaurentPoly (None when
+    there are no values) and the product over the constant slots as a
+    series, accumulated binomial by binomial on its coefficient dict.
+    """
+    ring = SeriesRing(order)
+    torus = LaurentPoly.unit(names, order) if values else None
+    scalar = {ZERO_KEY: 1}
+    for coeff, ea, eb in values:
+        for y in slots:
+            key, c = (y.spow, ea, eb), -coeff * y.sign
+            if any(y.exps):
+                binomial = {(0,) * len(names): ring.one(), y.exps: ring.monomial(*key, coeff=c)}
+                torus = torus * LaurentPoly(names, binomial, order)
+            else:
+                out = {}
+                mul_into(out, scalar, (ring.one() + ring.monomial(*key, coeff=c)).coeffs, order)
+                scalar = out
+    return torus, ParamSeries(scalar, order, clean=False)
+
+
+def _integral(key, inst, values=(), normalized=False):
+    """(I, Z) for the integrand ``key`` of one instance.
+
+    I integrates P_lambda at the integrand's slots (times P_mu at the
+    inverted slots when the instance has mu) and the slot rule's linear
+    factors against the density, or the bare density without a weight.
+    Z is the bare integral when ``normalized``, else one.
+    """
+    dens, slots, tbase = INTEGRANDS[key](inst.n, inst.m)
+    order = inst.order
+    if inst.weight is None:
+        integral = _znorm(dens, order)
+    else:
+        mult = hl_full(inst.weight.parts, slots, dens.vars, order, tbase)
+        if inst.mu is not None:
+            mult = mult * hl_full(inst.mu.parts, _inverted(slots), dens.vars, order, tbase)
+        torus, scalar = _linear_factors(slots, values, dens.vars, order)
+        if torus is not None:
+            mult = mult * torus
+        integral = _times(ct_integrate(dens, mult, order), scalar)
+    z = _znorm(dens, order) if normalized else SeriesRing(order).one()
+    return integral, z
+
+
+def _build(defn, inst):
+    """(lhs, rhs, notes) of a table row; see the module docstring."""
+    parts = [_integral(key, inst, defn.values, defn.normalized) for key in defn.integrands]
+    num, den = defn.closed(inst)
+    lhs = SeriesRing(inst.order).zero()
+    for k, (integral, _) in enumerate(parts):
+        for j, (_, z) in enumerate(parts):
+            if j != k:
+                integral = _times(integral, z)
+        lhs = lhs + integral
+    rhs = num
+    for _, z in parts:
+        rhs = _times(rhs, z)
+    return _times(lhs, den), rhs, ()
+
+
+def _build_double_cover(inst):
+    n, order = inst.n, inst.order
+    weight = inst.weight
+    # slots t^{1/2} z_i and t^{-1/2} z_i, rescaled by z -> sqrt(t) z so that
+    # the slots become (t z_i, z_i); the constant term is unchanged, and the
+    # weight is shifted by k = -min part so no negative s-powers appear.
+    # The computed series is then t^{nk} times the true integral; that power
+    # is moved to the closed-form side, never divided out, because the true
+    # value carries a genuine pole of order |mu| in t.
+    k = max(0, -weight.parts[-1]) if len(weight.parts) else 0
+    shifted = tuple(p + k for p in weight.parts)
+    inner = order + 2 * n * k
+    names = _var_names("z", n)
+    args = tuple(y for i in range(n) for y in (Mono(1, 2, var_arg(n, i).exps), var_arg(n, i)))
+    p = hl_full(shifted, args, names, inner)
+    if k:
+        back = LaurentPoly.monomial(names, (-2 * k,) * n, 1, inner)
+        p = p * back
+    dens = halved_density(n)
+    raw = ct_integrate(dens, p, inner)
+    ring = SeriesRing(inner)
+    shape = classify_shape(weight.parts)
+    if shape.palindrome is None:
+        return raw, ring.zero(), ()
+    mu = shape.palindrome
+    notes = []
+    num, den = rhs_double_cover(weight, n, inner)
+    z = _znorm(dens, inner)
+    if mu.weight():
+        notes.append(
+            "value differs from the stated closed form by t^|mu|: the "
+            "verified statement is t^|mu| * integral = C-ratio"
+        )
+    if n - mu.length_nonzero() >= 2:
+        notes.append(
+            "padding-sensitive value: v is taken over mu padded to rank n"
+        )
+    # den already carries t^{|mu|}; the computed series carries t^{nk}
+    lhs = raw * den
+    rhs = num * z * ring.t(n * k)
+    return lhs, rhs, tuple(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -450,422 +541,162 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class IdentityDef:
+    """One registry row (see the module docstring).  ``build``, if set, maps
+    an instance to (lhs, rhs, notes) in place of the generic builder."""
+
     name: str
     description: str
     weight_shape: str
-    build: Callable
-    rank_of: Optional[Callable] = None
-    params: Tuple[str, ...] = ()
-    needs_weight: bool = True
+    integrands: Tuple[str, ...] = ()
+    values: Tuple[Tuple[int, int, int], ...] = ()
+    normalized: bool = False
+    closed: Optional[Callable] = None
+    rank: Optional[str] = None
     needs_mu: bool = False
-    needs_m: bool = False
     allows_negative: bool = False
     min_n: int = 1
+    build: Optional[Callable] = None
 
-    def rank(self, n, m=None):
-        return self.rank_of(n, m) if self.rank_of else None
+    @property
+    def params(self):
+        return tuple(p for p, i in (("alpha", 1), ("beta", 2)) if any(v[i] for v in self.values))
+
+    @property
+    def needs_weight(self):
+        return self.rank is not None
+
+    @property
+    def needs_m(self):
+        return self.rank is not None and "m" in self.rank
+
+    def rank_of(self, n, m=None):
+        """The number of parts of the weight, or None without a weight."""
+        if self.rank == "n+m":
+            return n + m
+        return {"n": n, "2n": 2 * n, "2n+1": 2 * n + 1}.get(self.rank)
 
 
 def _pad_weight(defn: IdentityDef, weight, n, m):
-    rank = defn.rank(n, m)
-    if defn.allows_negative:
-        w = weight if isinstance(weight, DominantWeight) else DominantWeight(tuple(weight))
-        return w.padded(rank)
-    w = weight if isinstance(weight, Partition) else Partition(tuple(weight))
-    return w.padded(rank)
+    kind = DominantWeight if defn.allows_negative else Partition
+    w = weight if isinstance(weight, kind) else kind(tuple(weight))
+    return w.padded(defn.rank_of(n, m))
 
 
-# -- builders; each returns (lhs, rhs, notes) as comparable series ----------
+def _value(closed):
+    """A closed form with denominator one."""
+    return lambda inst: (closed(inst), SeriesRing(inst.order).one())
 
 
-def _build_orthogonality(inst):
-    n, order = inst.n, inst.order
-    lam = inst.weight
-    mu = inst.mu
-    names = _var_names("x", n)
-    p = hl_full(lam.parts, _plain_args(n), names, order)
-    pinv = hl_full(mu.parts, _inverse_args(n), names, order)
-    integral = ct_integrate(selberg_density(n), p * pinv, order)
-    num, den = rhs_orthogonality(lam, mu, n, order)
-    return integral * den, num, ()
+_COMPONENTS = (
+    ("plus_even", "2n"), ("minus_even", "2n"), ("plus_odd", "2n+1"), ("minus_odd", "2n+1")
+)
+_NORMALIZATIONS = (
+    ("i", "symplectic", "symplectic-type"),
+    ("ii", "kawanaka", "Kawanaka-type"),
+    ("iii", "plus_even", "even orthogonal plus-component"),
+    ("iv", "minus_even", "even orthogonal minus-component"),
+    ("v", "plus_odd", "odd orthogonal plus-component"),
+    ("vi", "minus_odd", "odd orthogonal minus-component"),
+)
 
 
-def _build_normalization(item):
-    def build(inst):
-        n, order = inst.n, inst.order
-        if item == "i":
-            dens = koornwinder_density(n, K_SYMPLECTIC)
-        elif item == "ii":
-            dens = koornwinder_density(n, K_KAWANAKA)
-        elif item == "iii":
-            dens = koornwinder_density(n, K_PLUS_EVEN)
-        elif item == "iv":
-            dens = koornwinder_density(n - 1, K_MINUS_EVEN)
-        elif item == "v":
-            dens = koornwinder_density(n, K_PLUS_ODD)
-        else:
-            dens = koornwinder_density(n, K_MINUS_ODD)
-        return _znorm(dens, order), gustafson_rhs(item, n, order), ()
-
-    return build
-
-
-def _alpha_prefactor(component, ring):
-    alpha = ring.alpha()
-    one = ring.one()
-    if component == "plus_even":
-        return one
-    if component == "minus_even":
-        return one - alpha * alpha
-    if component == "plus_odd":
-        return one - alpha
-    return one + alpha
-
-
-def _ab_prefactor(component, ring):
-    alpha, beta, one = ring.alpha(), ring.beta(), ring.one()
-    if component == "plus_even":
-        return one
-    if component == "minus_even":
-        return (one - alpha * alpha) * (one - beta * beta)
-    if component == "plus_odd":
-        return (one - alpha) * (one - beta)
-    return (one + alpha) * (one + beta)
-
-
-def _build_alpha_component(component):
-    def build(inst):
-        ring = SeriesRing(inst.order)
-        integral, z = component_integral(
-            component, inst.n, inst.weight, inst.order, [ring.alpha()]
-        )
-        lhs = _alpha_prefactor(component, ring) * integral
-        rhs = rhs_orthogonal_alpha(component, inst.weight, inst.order) * z
-        return lhs, rhs, ()
-
-    return build
-
-
-def _build_ab_component(component):
-    def build(inst):
-        ring = SeriesRing(inst.order)
-        integral, z = component_integral(
-            component, inst.n, inst.weight, inst.order, [ring.alpha(), ring.beta()]
-        )
-        lhs = _ab_prefactor(component, ring) * integral
-        rhs = rhs_ab(component, inst.weight, inst.order) * z
-        return lhs, rhs, ()
-
-    return build
-
-
-def _build_ab_sum(parity):
-    def build(inst):
-        ring = SeriesRing(inst.order)
-        values = [ring.alpha(), ring.beta()]
-        if parity == "even":
-            c1, c2 = "plus_even", "minus_even"
-        else:
-            c1, c2 = "plus_odd", "minus_odd"
-        i1, z1 = component_integral(c1, inst.n, inst.weight, inst.order, values)
-        i2, z2 = component_integral(c2, inst.n, inst.weight, inst.order, values)
-        lhs = _ab_prefactor(c1, ring) * i1 * z2 + _ab_prefactor(c2, ring) * i2 * z1
-        rhs = rhs_ab_sum(inst.weight, inst.order) * z1 * z2
-        return lhs, rhs, ()
-
-    return build
-
-
-def _build_alpha_minus_one(inst):
-    ring = SeriesRing(inst.order)
-    integral, z = component_integral(
-        "plus_even", inst.n, inst.weight, inst.order, [ring.const(-1), ring.beta()]
+def _rows():
+    yield IdentityDef(
+        "orthogonality", "Hall-Littlewood orthogonality under the Selberg density",
+        "pair of partitions, at most n parts each", ("selberg",), rank="n", needs_mu=True,
+        closed=lambda i: rhs_orthogonality(i.weight, i.mu, i.n, i.order),
     )
-    return integral, rhs_alpha_minus_one(inst.weight, inst.order) * z, ()
-
-
-def _build_alpha_eq_minus_beta(inst):
-    ring = SeriesRing(inst.order)
-    alpha = ring.alpha()
-    nv, args, dens = _component_setup("plus_even", inst.n)
-    names = _var_names("x", nv)
-    p = hl_full(inst.weight.parts, args, names, inst.order)
-    mult = p * _linear_factors(names, inst.order, [alpha, -alpha])
-    integral = ct_integrate(dens, mult, inst.order)
-    z = _znorm(dens, inst.order)
-    return integral, rhs_alpha_eq_minus_beta(inst.weight, inst.order) * z, ()
-
-
-def _build_symplectic(inst):
-    n, order = inst.n, inst.order
-    dens = koornwinder_density(n, K_SYMPLECTIC)
-    names = _var_names("x", n)
-    p = hl_full(inst.weight.parts, pm_args(n), names, order)
-    integral = ct_integrate(dens, p, order)
-    z = _znorm(dens, order)
-    return integral, rhs_symplectic(inst.weight, n, order) * z, ()
-
-
-def _build_kawanaka(inst):
-    n, order = inst.n, inst.order
-    dens = koornwinder_density(n, K_KAWANAKA)
-    names = _var_names("x", n)
-    p = hl_full(inst.weight.parts, pm_args(n), names, order)
-    integral = ct_integrate(dens, p, order)
-    z = _znorm(dens, order)
-    return integral, rhs_kawanaka(inst.weight, n, order) * z, ()
-
-
-def _build_unm(inst):
-    n, m, order = inst.n, inst.m, inst.order
-    if m is None or not 0 <= m <= n:
-        raise DomainError("need 0 <= m <= n")
-    weight = inst.weight
-    dens = two_block_density(m, n)
-    total = m + n
-    p = hl_full(weight.parts, _plain_args(total), dens.vars, order)
-    integral = ct_integrate(dens, p, order)
-    z = _znorm(dens, order)
-    num, den = rhs_section8("unm", weight, n, m, order)
-    return integral * den, num * z, ()
-
-
-def _build_u2n(inst):
-    n, order = inst.n, inst.order
-    weight = inst.weight
-    dens = cross_block_density(n)
-    p = hl_full(weight.parts, _plain_args(2 * n), dens.vars, order)
-    integral = ct_integrate(dens, p, order)
-    z = _znorm(dens, order)
-    num, den = rhs_section8("u2n", weight, n, order=order)
-    return integral * den, num * z, ()
-
-
-def _build_double_cover(inst):
-    n, order = inst.n, inst.order
-    weight = inst.weight
-    # slots t^{1/2} z_i and t^{-1/2} z_i, rescaled by z -> sqrt(t) z so that
-    # the slots become (t z_i, z_i); the constant term is unchanged, and the
-    # weight is shifted by k = -min part so no negative s-powers appear.
-    # The computed series is then t^{nk} times the true integral; that power
-    # is moved to the closed-form side, never divided out, because the true
-    # value carries a genuine pole of order |mu| in t.
-    k = max(0, -weight.parts[-1]) if len(weight.parts) else 0
-    shifted = tuple(p + k for p in weight.parts)
-    inner = order + 2 * n * k
-    names = _var_names("z", n)
-    args = []
-    for i in range(n):
-        args.append(Mono(1, 2, var_arg(n, i).exps))
-        args.append(var_arg(n, i))
-    p = hl_full(shifted, tuple(args), names, inner)
-    if k:
-        back = LaurentPoly.monomial(names, (-2 * k,) * n, 1, inner)
-        p = p * back
-    dens = halved_density(n)
-    raw = ct_integrate(dens, p, inner)
-    ring = SeriesRing(inner)
-    shape = classify_shape(weight.parts)
-    if shape.palindrome is None:
-        return raw, ring.zero(), ()
-    mu = shape.palindrome
-    notes = []
-    num, den = rhs_section8("double_cover", weight, n, order=inner)
-    z = _znorm(dens, inner)
-    if mu.weight():
-        notes.append(
-            "value differs from the stated closed form by t^|mu|: the "
-            "verified statement is t^|mu| * integral = C-ratio"
+    for item, key, kind in _NORMALIZATIONS:
+        yield IdentityDef(
+            "normalization_" + item, "normalization of the %s density" % kind, "no weight",
+            (key,), closed=_value(lambda i, item=item: gustafson_rhs(item, i.n, i.order)),
         )
-    if n - mu.length_nonzero() >= 2:
-        notes.append(
-            "padding-sensitive value: v is taken over mu padded to rank n"
+    for comp, rank in _COMPONENTS:
+        sign, parity = comp.split("_")
+        shape = "partition padded to %s parts" % rank
+        yield IdentityDef(
+            "o_" + comp, "%s component, %s rank: one-parameter average" % (sign, parity), shape,
+            (comp,), (ALPHA,), True, rank=rank,
+            closed=_value(lambda i, c=comp: rhs_orthogonal_alpha(c, i.weight, i.order)),
         )
-    # den already carries t^{|mu|}; the computed series carries t^{nk}
-    lhs = raw * den
-    rhs = num * z * ring.t(n * k)
-    return lhs, rhs, tuple(notes)
+        yield IdentityDef(
+            "ab_o" + comp, "two-parameter average with Rogers-Szego value (%s %s)" % (sign, parity),
+            shape, (comp,), (ALPHA, BETA), True, rank=rank,
+            closed=_value(lambda i, c=comp: rhs_ab(c, i.weight, i.order)),
+        )
+    for parity, rank in (("even", "2n"), ("odd", "2n+1")):
+        yield IdentityDef(
+            "ab_sum_" + parity, "two-parameter sum over both %s-rank components" % parity,
+            "partition padded to %s parts" % rank, ("plus_" + parity, "minus_" + parity),
+            (ALPHA, BETA), True, rank=rank, closed=_value(lambda i: rhs_ab_sum(i.weight, i.order)),
+        )
+    yield IdentityDef(
+        "alpha_minus_one", "alpha = -1 specialization: single Rogers-Szego product",
+        "partition padded to 2n parts", ("plus_even",), (MINUS_ONE, BETA), True, rank="2n",
+        closed=_value(lambda i: rhs_alpha_minus_one(i.weight, i.order)),
+    )
+    yield IdentityDef(
+        "alpha_eq_minus_beta", "alpha = -beta specialization: even-multiplicity structure",
+        "partition padded to 2n parts", ("plus_even",), (ALPHA, MINUS_ALPHA), True, rank="2n",
+        closed=_value(lambda i: rhs_alpha_eq_minus_beta(i.weight, i.order)),
+    )
+    yield IdentityDef(
+        "symplectic", "symplectic average: vanishes unless lambda = mu^2",
+        "partition padded to 2n parts; nonzero only for lambda = mu^2", ("symplectic",),
+        normalized=True, rank="2n", closed=_value(lambda i: rhs_symplectic(i.weight, i.n, i.order)),
+    )
+    yield IdentityDef(
+        "kawanaka", "Kawanaka-type average: sqrt(t)-multinomial value",
+        "partition padded to 2n parts", ("kawanaka",), normalized=True, rank="2n",
+        closed=_value(lambda i: rhs_kawanaka(i.weight, i.n, i.order)),
+    )
+    yield IdentityDef(
+        "unm_vanishing", "two-block unitary average: nonzero only for mu = nu, l(mu) <= m",
+        "dominant weight mu nu-bar with n+m parts", ("two_block",), normalized=True,
+        rank="n+m", allows_negative=True,
+        closed=lambda i: rhs_unm(i.weight, i.n, i.m, i.order),
+    )
+    yield IdentityDef(
+        "u2n_vanishing", "cross-block unitary average: nonzero only for mu = nu",
+        "dominant weight mu nu-bar with 2n parts", ("cross_block",), normalized=True,
+        rank="2n", allows_negative=True, closed=lambda i: rhs_u2n(i.weight, i.n, i.order),
+    )
+    yield IdentityDef(
+        "double_cover", "t^{1/2}-shifted slots against the t^2 Selberg density",
+        "dominant weight with 2n parts; nonzero only for mu mu-bar",
+        rank="2n", allows_negative=True, build=_build_double_cover,
+    )
+    yield IdentityDef(
+        "t2_branching", "t^2 polynomial against the t density: branching coefficient",
+        "dominant weight with n parts; nonzero only for mu mu-bar", ("t2_selberg",),
+        normalized=True, rank="n", allows_negative=True,
+        closed=lambda i: rhs_t2_branching(i.weight, i.n, i.order),
+    )
+    # the Pfaffian bridges: unnormalized term integrals at value alpha
+    yield IdentityDef(
+        "pfaffian_plus_even", "Pfaffian bridge, plus component, even rank: "
+        "v_lambda (1-t)^n 2^n I = Pf A", "partition padded to 2n parts",
+        ("plus_even",), (ALPHA,), rank="2n",
+        closed=lambda i: rhs_bridge_plus_even(i.weight, i.n, i.order),
+    )
+    yield IdentityDef(
+        "pfaffian_minus_even", "Pfaffian bridge, minus component, even rank: "
+        "v_lambda (1-t)^(n-1) 2^n I = (1+t) Pf M-", "partition padded to 2n parts",
+        ("minus_even",), (ALPHA,), rank="2n",
+        closed=lambda i: rhs_bridge_minus_even(i.weight, i.n, i.order),
+    )
+    yield IdentityDef(
+        "pfaffian_plus_odd", "Pfaffian bridge, plus component, odd rank: "
+        "v_lambda (1-t)^n 2^n I = Pf M+", "partition padded to 2n+1 parts",
+        ("plus_odd",), (ALPHA,), rank="2n+1", min_n=0,
+        closed=lambda i: rhs_bridge_plus_odd(i.weight, i.n, i.order),
+    )
 
 
-def _build_t2_branching(inst):
-    n, order = inst.n, inst.order
-    weight = inst.weight
-    names = _var_names("x", n)
-    p = hl_full(weight.parts, _plain_args(n), names, order, tbase=4)
-    dens = selberg_density(n, prefactor=Fraction(1, factorial(n)))
-    integral = ct_integrate(dens, p, order)
-    z = _znorm(dens, order)
-    num, den = rhs_section8("t2_branching", weight, n, order=order)
-    return integral * den, num * z, ()
+REGISTRY = {row.name: row for row in _rows()}
 
 
-# ---------------------------------------------------------------------------
-# the registry
-# ---------------------------------------------------------------------------
-
-
-def _partition_rank(expr):
-    return {
-        "n": lambda n, m: n,
-        "2n": lambda n, m: 2 * n,
-        "2n+1": lambda n, m: 2 * n + 1,
-        "n+m": lambda n, m: n + m,
-    }[expr]
-
-
-REGISTRY = {}
-
-
-def _register(defn: IdentityDef):
-    REGISTRY[defn.name] = defn
-
-
-_register(IdentityDef(
-    name="orthogonality",
-    description="Hall-Littlewood orthogonality under the Selberg density",
-    weight_shape="pair of partitions, at most n parts each",
-    build=_build_orthogonality,
-    rank_of=_partition_rank("n"),
-    needs_mu=True,
-))
-
-_NORMALIZATION_DESCRIPTIONS = {
-    "i": "normalization of the symplectic-type density",
-    "ii": "normalization of the Kawanaka-type density",
-    "iii": "normalization of the even orthogonal plus-component density",
-    "iv": "normalization of the even orthogonal minus-component density",
-    "v": "normalization of the odd orthogonal plus-component density",
-    "vi": "normalization of the odd orthogonal minus-component density",
-}
-for _item in ("i", "ii", "iii", "iv", "v", "vi"):
-    _register(IdentityDef(
-        name="normalization_%s" % _item,
-        description=_NORMALIZATION_DESCRIPTIONS[_item],
-        weight_shape="no weight",
-        build=_build_normalization(_item),
-        needs_weight=False,
-    ))
-
-for _comp, _nm, _desc, _rk in (
-    ("plus_even", "o_plus_even", "plus component, even rank: one-parameter average", "2n"),
-    ("minus_even", "o_minus_even", "minus component, even rank: one-parameter average", "2n"),
-    ("plus_odd", "o_plus_odd", "plus component, odd rank: one-parameter average", "2n+1"),
-    ("minus_odd", "o_minus_odd", "minus component, odd rank: one-parameter average", "2n+1"),
-):
-    _register(IdentityDef(
-        name=_nm,
-        description=_desc,
-        weight_shape="partition padded to %s parts" % _rk,
-        build=_build_alpha_component(_comp),
-        rank_of=_partition_rank(_rk),
-        params=("alpha",),
-    ))
-
-for _comp, _nm, _rk in (
-    ("plus_even", "ab_oplus_even", "2n"),
-    ("minus_even", "ab_ominus_even", "2n"),
-    ("plus_odd", "ab_oplus_odd", "2n+1"),
-    ("minus_odd", "ab_ominus_odd", "2n+1"),
-):
-    _register(IdentityDef(
-        name=_nm,
-        description="two-parameter average with Rogers-Szego value (%s)" % _comp.replace("_", " "),
-        weight_shape="partition padded to %s parts" % _rk,
-        build=_build_ab_component(_comp),
-        rank_of=_partition_rank(_rk),
-        params=("alpha", "beta"),
-    ))
-
-_register(IdentityDef(
-    name="ab_sum_even",
-    description="two-parameter sum over both even-rank components",
-    weight_shape="partition padded to 2n parts",
-    build=_build_ab_sum("even"),
-    rank_of=_partition_rank("2n"),
-    params=("alpha", "beta"),
-))
-_register(IdentityDef(
-    name="ab_sum_odd",
-    description="two-parameter sum over both odd-rank components",
-    weight_shape="partition padded to 2n+1 parts",
-    build=_build_ab_sum("odd"),
-    rank_of=_partition_rank("2n+1"),
-    params=("alpha", "beta"),
-))
-_register(IdentityDef(
-    name="alpha_minus_one",
-    description="alpha = -1 specialization: single Rogers-Szego product",
-    weight_shape="partition padded to 2n parts",
-    build=_build_alpha_minus_one,
-    rank_of=_partition_rank("2n"),
-    params=("beta",),
-))
-_register(IdentityDef(
-    name="alpha_eq_minus_beta",
-    description="alpha = -beta specialization: even-multiplicity structure",
-    weight_shape="partition padded to 2n parts",
-    build=_build_alpha_eq_minus_beta,
-    rank_of=_partition_rank("2n"),
-    params=("alpha",),
-))
-_register(IdentityDef(
-    name="symplectic",
-    description="symplectic average: vanishes unless lambda = mu^2",
-    weight_shape="partition padded to 2n parts; nonzero only for lambda = mu^2",
-    build=_build_symplectic,
-    rank_of=_partition_rank("2n"),
-))
-_register(IdentityDef(
-    name="kawanaka",
-    description="Kawanaka-type average: sqrt(t)-multinomial value",
-    weight_shape="partition padded to 2n parts",
-    build=_build_kawanaka,
-    rank_of=_partition_rank("2n"),
-))
-_register(IdentityDef(
-    name="unm_vanishing",
-    description="two-block unitary average: nonzero only for mu = nu, l(mu) <= m",
-    weight_shape="dominant weight mu nu-bar with n+m parts",
-    build=_build_unm,
-    rank_of=_partition_rank("n+m"),
-    needs_m=True,
-    allows_negative=True,
-))
-_register(IdentityDef(
-    name="u2n_vanishing",
-    description="cross-block unitary average: nonzero only for mu = nu",
-    weight_shape="dominant weight mu nu-bar with 2n parts",
-    build=_build_u2n,
-    rank_of=_partition_rank("2n"),
-    allows_negative=True,
-))
-_register(IdentityDef(
-    name="double_cover",
-    description="t^{1/2}-shifted slots against the t^2 Selberg density",
-    weight_shape="dominant weight with 2n parts; nonzero only for mu mu-bar",
-    build=_build_double_cover,
-    rank_of=_partition_rank("2n"),
-    allows_negative=True,
-))
-_register(IdentityDef(
-    name="t2_branching",
-    description="t^2 polynomial against the t density: branching coefficient",
-    weight_shape="dominant weight with n parts; nonzero only for mu mu-bar",
-    build=_build_t2_branching,
-    rank_of=_partition_rank("n"),
-    allows_negative=True,
-))
-
-
-class _Instance:
-    __slots__ = ("n", "m", "weight", "mu", "order")
-
-    def __init__(self, n, m, weight, mu, order):
-        self.n = n
-        self.m = m
-        self.weight = weight
-        self.mu = mu
-        self.order = order
+_Instance = namedtuple("_Instance", "n m weight mu order")
 
 
 def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> VerificationReport:
@@ -877,22 +708,21 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
         raise DomainError("identity %r needs n >= %d" % (name, defn.min_n))
     if order < 1:
         raise DomainError("order must be at least 1")
+    for arg, value, used in (("m", m, defn.needs_m), ("weight", weight, defn.needs_weight),
+                             ("mu", mu, defn.needs_mu)):
+        if value is not None and not used:
+            raise DomainError("identity %r takes no %s" % (name, arg))
+    if defn.needs_m and (m is None or not 0 <= m <= n):
+        raise DomainError("identity %r needs 0 <= m <= n" % (name,))
     if defn.needs_weight:
-        if weight is None:
-            weight = ()
-        weight = _pad_weight(defn, weight, n, m)
-    else:
-        weight = None
+        weight = _pad_weight(defn, weight if weight is not None else (), n, m)
     if defn.needs_mu:
         mu = _pad_weight(defn, mu if mu is not None else (), n, m)
-    else:
-        mu = None
-    inst = _Instance(n, m, weight, mu, order)
+    build = defn.build or partial(_build, defn)
     start = time.perf_counter()
-    notes = ()
     achieved = order
     try:
-        lhs, rhs, notes = defn.build(inst)
+        lhs, rhs, notes = build(_Instance(n, m, weight, mu, order))
         status, first_disc = _compare(lhs, rhs)
     except ResourceLimitError as exc:
         # partial report: descend until an order fits within the ceiling
@@ -902,7 +732,7 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
         notes = (str(exc),)
         for lower in range(order - 2, 0, -2):
             try:
-                lhs, rhs, inner_notes = defn.build(_Instance(n, m, weight, mu, lower))
+                lhs, rhs, inner_notes = build(_Instance(n, m, weight, mu, lower))
             except ResourceLimitError:
                 continue
             status, first_disc = _compare(lhs, rhs)
@@ -944,22 +774,14 @@ def sweep_weights(name, n, m=None, max_weight=4, max_parts=None):
     defn = REGISTRY[name]
     if not defn.needs_weight:
         return [None]
-    rank = defn.rank(n, m)
-    if defn.allows_negative:
-        pairs = partitions_up_to(max_weight, rank, max_part=max_parts)
-        out = []
-        for mu_ in pairs:
-            for nu_ in pairs:
-                if mu_.length_nonzero() + nu_.length_nonzero() <= rank:
-                    out.append(DominantWeight.from_pair(mu_, nu_, rank))
-        seen = set()
-        uniq = []
-        for w in out:
-            if w.parts not in seen:
-                seen.add(w.parts)
-                uniq.append(w)
-        return uniq
-    return [
-        p
-        for p in partitions_up_to(max_weight, rank, max_part=max_parts)
-    ]
+    rank = defn.rank_of(n, m)
+    parts = partitions_up_to(max_weight, rank, max_part=max_parts)
+    if not defn.allows_negative:
+        return list(parts)
+    grid = {}
+    for mu_ in parts:
+        for nu_ in parts:
+            if mu_.length_nonzero() + nu_.length_nonzero() <= rank:
+                w = DominantWeight.from_pair(mu_, nu_, rank)
+                grid.setdefault(w.parts, w)
+    return list(grid.values())

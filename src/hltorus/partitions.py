@@ -214,37 +214,3 @@ def partitions_up_to(max_total, max_len, max_part=None) -> Tuple[Partition, ...]
     rec([], max_total, max_part)
     uniq = sorted(set(out), key=lambda t: (sum(t), t))
     return tuple(Partition(t) for t in uniq)
-
-
-def bounded_partitions(length, max_part) -> Tuple[Partition, ...]:
-    """All weakly decreasing tuples of the given length with parts <= max_part."""
-    out = []
-
-    def rec(prefix, bound):
-        if len(prefix) == length:
-            out.append(Partition(tuple(prefix)))
-            return
-        for p in range(bound, -1, -1):
-            prefix.append(p)
-            rec(prefix, p)
-            prefix.pop()
-
-    rec([], max_part)
-    return tuple(out)
-
-
-def dominant_weights(rank, max_entry) -> Tuple[DominantWeight, ...]:
-    """All dominant integer weights of the rank with |entries| <= max_entry."""
-    out = []
-
-    def rec(prefix, bound):
-        if len(prefix) == rank:
-            out.append(DominantWeight(tuple(prefix)))
-            return
-        for p in range(bound, -max_entry - 1, -1):
-            prefix.append(p)
-            rec(prefix, p)
-            prefix.pop()
-
-    rec([], max_entry)
-    return tuple(out)

@@ -1,10 +1,9 @@
 """Antisymmetric matrices over the parameter ring and their Pfaffians.
 
-Includes the two bordered matrix constructors whose Pfaffians enumerate the
-orthogonal-component term integrals, together with their closed-form
-evaluations.  The closed forms involve division by (1 - alpha) or
-(1 - alpha^2); those quotients are expanded explicitly as polynomials (the
-brackets are always divisible), never by series division.
+Includes the a-matrix and the two bordered matrix constructors whose
+Pfaffians enumerate the orthogonal-component term integrals.  The registry
+rows ``pfaffian_plus_even``, ``pfaffian_minus_even`` and ``pfaffian_plus_odd``
+(``hltorus.identities``) check those Pfaffians against the integrals.
 """
 
 from __future__ import annotations
@@ -68,31 +67,6 @@ def pfaffian(a: AntisymMatrix) -> ParamSeries:
         return total
 
     return rec(tuple(range(a.size)))
-
-
-def determinant(rows, trunc) -> ParamSeries:
-    """Determinant of a square matrix of series, via memoized cofactors."""
-    n = len(rows)
-    ring = SeriesRing(trunc)
-    memo = {}
-
-    def rec(r, cols):
-        if r == n:
-            return ring.one()
-        hit = memo.get(cols)
-        if hit is not None:
-            return hit
-        total = ring.zero()
-        for pos, c in enumerate(cols):
-            e = rows[r][c]
-            if e.is_zero():
-                continue
-            term = e * rec(r + 1, cols[:pos] + cols[pos + 1:])
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[cols] = total
-        return total
-
-    return rec(0, tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,59 +135,3 @@ def build_m_plus(lam, trunc) -> AntisymMatrix:
             diff = (lam[j - 1] - j) - (lam[k - 1] - k)
             upper[(j, k)] = odd_entry if diff % 2 else even_entry
     return AntisymMatrix(size, upper, trunc)
-
-
-def _power_of_minus_alpha(ring, e):
-    return ring.monomial(ea=e, coeff=-1 if e % 2 else 1)
-
-
-def pf_closed_form(kind, lam, trunc) -> ParamSeries:
-    """Closed-form Pfaffian values for the three matrix families.
-
-    For "a": 2^(n-1) [(-alpha)^odd + (-alpha)^even].  For "m_minus" and
-    "m_plus" the bracketed combination divided by (1 - alpha^2) resp.
-    (1 - alpha) is always a polynomial; it is written out directly.
-    """
-    lam = tuple(lam)
-    ring = SeriesRing(trunc)
-    odd = sum(1 for p in lam if p % 2)
-    even = len(lam) - odd
-    if kind == "a":
-        if len(lam) % 2:
-            raise DomainError("even length required")
-        n = len(lam) // 2
-        bracket = _power_of_minus_alpha(ring, odd) + _power_of_minus_alpha(ring, even)
-        return ring.const(2 ** (n - 1)) * bracket
-    if kind == "m_minus":
-        if len(lam) % 2:
-            raise DomainError("even length required")
-        n = len(lam) // 2
-        # ((-a)^odd - (-a)^even) / (1 - a^2); exponents share parity
-        if odd == even:
-            return ring.zero()
-        p, q = (odd, even) if odd < even else (even, odd)
-        quotient = ring.zero()
-        for j in range((q - p) // 2):
-            quotient = quotient + ring.alpha(p + 2 * j) * (
-                (-1) ** (p % 2)
-            )
-        if odd > even:
-            quotient = -quotient
-        return ring.const(2 ** n) * quotient
-    if kind == "m_plus":
-        if len(lam) % 2 == 0:
-            raise DomainError("odd length required")
-        n = len(lam) // 2
-        # ((-a)^odd + (-a)^even) / (1 - a): opposite parities, so this is
-        # (a^e - a^o)/(1 - a) with e the even exponent and o the odd one
-        e = odd if odd % 2 == 0 else even
-        o = even if odd % 2 == 0 else odd
-        quotient = ring.zero()
-        if e < o:
-            for j in range(e, o):
-                quotient = quotient + ring.alpha(j)
-        else:
-            for j in range(o, e):
-                quotient = quotient - ring.alpha(j)
-        return ring.const(2 ** n) * quotient
-    raise DomainError("unknown closed form %r" % (kind,))

@@ -141,34 +141,7 @@ class TComb:
                 zp = zp * z
         return acc
 
-    # -- q-symbols at q = 0 -----------------------------------------------------
-
-    def q_pochhammer(self, a, q, n=None):
-        """(a;q)_n with a, q signed s-monomials given as (sign, s-exponent).
-
-        ``n=None`` means the infinite product, which stabilizes at the
-        truncation order provided q carries positive s-degree.
-        """
-        asign, apow = a
-        qsign, qpow = q
-        if apow < 0 or qpow < 0:
-            raise DomainError("q-symbol arguments must be nonnegative s-powers")
-        one = self.ring.one()
-        if n is None:
-            if qpow == 0:
-                raise DomainError("infinite q-symbol needs |q| < 1 (positive s-degree)")
-            acc = one
-            j = 0
-            while apow + j * qpow <= self.ring.trunc:
-                sign = asign * (qsign ** (j % 2) if qsign < 0 else 1)
-                acc = acc * (one - self.ring.monomial(es=apow + j * qpow, coeff=sign))
-                j += 1
-            return acc
-        acc = one
-        for j in range(n):
-            sign = asign * (-1 if (qsign < 0 and j % 2) else 1)
-            acc = acc * (one - self.ring.monomial(es=apow + j * qpow, coeff=sign))
-        return acc
+    # -- C-symbols at q = 0 -----------------------------------------------------
 
     def c_symbol(self, kind, mu, args=()):
         """The q=0 specializations of the C-symbols.

@@ -1,15 +1,20 @@
-"""Substitutions and exact divisions that only the tests need.
+"""Substitutions, exact divisions and other API that only the tests need.
 
 The package never divides series and never substitutes torus variables;
 these helpers state closed forms and symmetries in the tests.  They read
 and build ``ParamSeries`` and ``LaurentPoly`` through their public fields.
+Q_lambda, the q-Pochhammer symbol and the two grid enumerators below are
+used by the tests alone as well.
 """
 
 from fractions import Fraction
 
 from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
+from hltorus.hall_littlewood import hl_full
 from hltorus.laurent import LaurentPoly
+from hltorus.partitions import DominantWeight, Partition
 from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
+from hltorus.tcomb import TComb
 
 
 def drop_param(series, idx):
@@ -118,3 +123,72 @@ def permute_vars(poly, perm):
         {tuple(e[p] for p in perm): c for e, c in poly.terms.items()},
         poly.trunc,
     )
+
+
+def hl_q(weight, args, var_names, order, tbase=2):
+    """Q_lambda = b_lambda(t) P_lambda."""
+    p = hl_full(weight, args, var_names, order, tbase)
+    b = TComb(SeriesRing(order), base=tbase).b_of(weight)
+    return p * b
+
+
+def q_pochhammer(ring, a, q, n=None):
+    """(a;q)_n with a, q signed s-monomials given as (sign, s-exponent).
+
+    ``n=None`` means the infinite product, which stabilizes at the
+    truncation order provided q carries positive s-degree.
+    """
+    asign, apow = a
+    qsign, qpow = q
+    if apow < 0 or qpow < 0:
+        raise DomainError("q-symbol arguments must be nonnegative s-powers")
+    one = ring.one()
+    if n is None:
+        if qpow == 0:
+            raise DomainError("infinite q-symbol needs |q| < 1 (positive s-degree)")
+        acc = one
+        j = 0
+        while apow + j * qpow <= ring.trunc:
+            sign = asign * (qsign ** (j % 2) if qsign < 0 else 1)
+            acc = acc * (one - ring.monomial(es=apow + j * qpow, coeff=sign))
+            j += 1
+        return acc
+    acc = one
+    for j in range(n):
+        sign = asign * (-1 if (qsign < 0 and j % 2) else 1)
+        acc = acc * (one - ring.monomial(es=apow + j * qpow, coeff=sign))
+    return acc
+
+
+def bounded_partitions(length, max_part):
+    """All weakly decreasing tuples of the given length with parts <= max_part."""
+    out = []
+
+    def rec(prefix, bound):
+        if len(prefix) == length:
+            out.append(Partition(tuple(prefix)))
+            return
+        for p in range(bound, -1, -1):
+            prefix.append(p)
+            rec(prefix, p)
+            prefix.pop()
+
+    rec([], max_part)
+    return tuple(out)
+
+
+def dominant_weights(rank, max_entry):
+    """All dominant integer weights of the rank with |entries| <= max_entry."""
+    out = []
+
+    def rec(prefix, bound):
+        if len(prefix) == rank:
+            out.append(DominantWeight(tuple(prefix)))
+            return
+        for p in range(bound, -max_entry - 1, -1):
+            prefix.append(p)
+            rec(prefix, p)
+            prefix.pop()
+
+    rec([], max_entry)
+    return tuple(out)

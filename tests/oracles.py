@@ -4,8 +4,10 @@ These deliberately avoid the library's evaluation paths: the Pfaffian is a
 signed sum over perfect matchings, the inversion generating function is a
 direct enumeration, Hall-Littlewood polynomials are evaluated at rational
 points from their defining permutation sum, Schur polynomials are counted
-over tableaux, series arithmetic goes through the public ring, and
-``product_by_nested_loops`` multiplies plain coefficient dicts.  They
+over tableaux, series arithmetic goes through the public ring,
+``product_by_nested_loops`` multiplies plain coefficient dicts, the
+determinant is a cofactor expansion, and ``pf_closed_form`` writes the
+Pfaffians of the term-integral matrices out as polynomials.  They
 stay in the tree permanently as ground truth.  ``degenerate_check`` holds
 ``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
 """
@@ -215,3 +217,85 @@ def degenerate_check(parts, nvars, order=24):
         "monomial_ok": mono_ok,
         "top_degree": top,
     }
+
+
+def determinant(rows, trunc):
+    """Determinant of a square matrix of series, via memoized cofactors."""
+    n = len(rows)
+    ring = SeriesRing(trunc)
+    memo = {}
+
+    def rec(r, cols):
+        if r == n:
+            return ring.one()
+        hit = memo.get(cols)
+        if hit is not None:
+            return hit
+        total = ring.zero()
+        for pos, c in enumerate(cols):
+            e = rows[r][c]
+            if e.is_zero():
+                continue
+            term = e * rec(r + 1, cols[:pos] + cols[pos + 1:])
+            total = total + (term if pos % 2 == 0 else -term)
+        memo[cols] = total
+        return total
+
+    return rec(0, tuple(range(n)))
+
+
+
+def _power_of_minus_alpha(ring, e):
+    return ring.monomial(ea=e, coeff=-1 if e % 2 else 1)
+
+
+def pf_closed_form(kind, lam, trunc):
+    """Closed-form Pfaffian values for the three matrix families.
+
+    For "a": 2^(n-1) [(-alpha)^odd + (-alpha)^even].  For "m_minus" and
+    "m_plus" the bracketed combination divided by (1 - alpha^2) resp.
+    (1 - alpha) is always a polynomial; it is written out directly.
+    """
+    lam = tuple(lam)
+    ring = SeriesRing(trunc)
+    odd = sum(1 for p in lam if p % 2)
+    even = len(lam) - odd
+    if kind == "a":
+        if len(lam) % 2:
+            raise DomainError("even length required")
+        n = len(lam) // 2
+        bracket = _power_of_minus_alpha(ring, odd) + _power_of_minus_alpha(ring, even)
+        return ring.const(2 ** (n - 1)) * bracket
+    if kind == "m_minus":
+        if len(lam) % 2:
+            raise DomainError("even length required")
+        n = len(lam) // 2
+        # ((-a)^odd - (-a)^even) / (1 - a^2); exponents share parity
+        if odd == even:
+            return ring.zero()
+        p, q = (odd, even) if odd < even else (even, odd)
+        quotient = ring.zero()
+        for j in range((q - p) // 2):
+            quotient = quotient + ring.alpha(p + 2 * j) * (
+                (-1) ** (p % 2)
+            )
+        if odd > even:
+            quotient = -quotient
+        return ring.const(2 ** n) * quotient
+    if kind == "m_plus":
+        if len(lam) % 2 == 0:
+            raise DomainError("odd length required")
+        n = len(lam) // 2
+        # ((-a)^odd + (-a)^even) / (1 - a): opposite parities, so this is
+        # (a^e - a^o)/(1 - a) with e the even exponent and o the odd one
+        e = odd if odd % 2 == 0 else even
+        o = even if odd % 2 == 0 else odd
+        quotient = ring.zero()
+        if e < o:
+            for j in range(e, o):
+                quotient = quotient + ring.alpha(j)
+        else:
+            for j in range(o, e):
+                quotient = quotient - ring.alpha(j)
+        return ring.const(2 ** n) * quotient
+    raise DomainError("unknown closed form %r" % (kind,))

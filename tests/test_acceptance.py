@@ -11,13 +11,15 @@ import random
 import time
 
 from hltorus import cli
-from hltorus.identities import pfaffian_bridge, sweep_weights, verify
-from hltorus.partitions import Partition, bounded_partitions, partitions_up_to
-from hltorus.pfaffian import AntisymMatrix, build_a_matrix, determinant, pf_closed_form, pfaffian
+from hltorus.identities import sweep_weights, verify
+from hltorus.partitions import Partition, partitions_up_to
+from hltorus.pfaffian import AntisymMatrix, build_a_matrix, pfaffian
 from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
-from oracles import degenerate_check, multiset_inversion_sum, pfaffian_by_matchings
+from helpers import bounded_partitions, q_pochhammer
+from oracles import (degenerate_check, determinant, multiset_inversion_sum,
+                     pf_closed_form, pfaffian_by_matchings)
 
 
 def _ok(rep):
@@ -108,8 +110,8 @@ def test_criterion_4_pfaffian_bridge():
              (3, bounded_partitions(6, 2))]
     for n, grid in plans:
         for lam in _desc_partitions(list(grid)):
-            lhs, rhs = pfaffian_bridge(n, lam, D)
-            assert lhs == rhs, (n, lam)
+            rep = verify("pfaffian_plus_even", n=n, weight=lam.parts, order=D)
+            assert rep.status == "match", rep.text_line()
             integral_checks += 1
     print("[acceptance] criterion 4 pfaffian bridge: PASS "
           "(%d matrix + %d integral checks, D=%d, %.1fs)"
@@ -260,7 +262,7 @@ def test_criterion_8_property_suites():
         if m % 2:
             assert val.is_zero()
         else:
-            assert val == tc.q_pochhammer((1, 2), (1, 4), m // 2)
+            assert val == q_pochhammer(ring, (1, 2), (1, 4), m // 2)
     for m in range(9):
         prod = ring.one()
         for j in range(1, m + 1):

@@ -5,7 +5,6 @@ import pytest
 
 from hltorus import cli
 from hltorus.errors import ConfigurationError, InternalConsistencyError
-from hltorus.identities import REGISTRY, IdentityDef
 from hltorus.series import SeriesRing
 
 
@@ -79,6 +78,49 @@ def test_malformed_weight_is_usage_error(capsys):
     assert len(err.splitlines()) == 1 and "'a'" in err
 
 
+def _usage_error(capsys, argv, fragment):
+    code, text = run(argv)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and fragment in err
+
+
+def test_m_not_taken_is_usage_error(capsys):
+    _usage_error(capsys, [
+        "verify", "--identity", "orthogonality", "--n", "2", "--m", "5",
+        "--lambda", "1", "--mu", "1",
+    ], "takes no m")
+
+
+def test_weight_not_taken_is_usage_error(capsys):
+    _usage_error(capsys, [
+        "verify", "--identity", "normalization_i", "--n", "1", "--lambda", "3,1",
+    ], "takes no weight")
+
+
+def test_mu_not_taken_is_usage_error(capsys):
+    _usage_error(capsys, [
+        "verify", "--identity", "o_plus_even", "--n", "1", "--mu", "7,7",
+    ], "takes no mu")
+
+
+def test_m_out_of_range_is_usage_error(capsys):
+    _usage_error(capsys, [
+        "verify", "--identity", "unm_vanishing", "--n", "1", "--m", "2",
+    ], "0 <= m <= n")
+
+
+def test_verify_pfaffian_bridge_json():
+    code, text = run([
+        "verify", "--identity", "pfaffian_minus_even", "--n", "2",
+        "--lambda", "2,1", "--order", "8", "--json",
+    ])
+    assert code == 0
+    rec = json.loads(text)
+    assert rec["status"] == "match" and rec["weight"] == "2,1,0,0"
+
+
 def test_list_catalog():
     code, text = run(["list"])
     assert code == 0
@@ -117,26 +159,16 @@ def test_sweep_deterministic_across_runs(clear_caches):
     assert first == second
 
 
-def test_mismatch_exit_code():
+def test_mismatch_exit_code(register_identity):
     ring = SeriesRing(4)
 
     def bad_build(inst):
         return ring.one(), ring.zero(), ()
 
-    fake = IdentityDef(
-        name="always_wrong",
-        description="test-only",
-        weight_shape="none",
-        build=bad_build,
-        needs_weight=False,
-    )
-    REGISTRY[fake.name] = fake
-    try:
-        code, text = run(["verify", "--identity", "always_wrong", "--n", "1"])
-        assert code == 1
-        assert "mismatch" in text
-    finally:
-        del REGISTRY[fake.name]
+    register_identity("always_wrong", bad_build)
+    code, text = run(["verify", "--identity", "always_wrong", "--n", "1"])
+    assert code == 1
+    assert "mismatch" in text
 
 
 def test_resource_exit_code(monkeypatch):

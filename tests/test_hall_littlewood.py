@@ -8,7 +8,6 @@ from hltorus.hall_littlewood import (
     Mono,
     const_arg,
     hl_full,
-    hl_q,
     pm_args,
     var_arg,
 )
@@ -16,7 +15,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.partitions import partitions_up_to
 from hltorus.series import ParamSeries, SeriesRing
 
-from helpers import permute_vars
+from helpers import hl_q, permute_vars
 from oracles import (
     degenerate_check,
     hl_by_point_evaluation,

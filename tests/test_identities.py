@@ -2,11 +2,14 @@ import pytest
 
 from hltorus.densities import ct_integrate, selberg_density
 from hltorus.errors import DomainError
-from hltorus.hall_littlewood import hl_full, var_arg
+from hltorus.hall_littlewood import const_arg, hl_full, pm_args, var_arg
 from hltorus.identities import (
+    ALPHA,
+    BETA,
     REGISTRY,
-    component_integral,
-    pfaffian_bridge,
+    _integral,
+    _Instance,
+    _linear_factors,
     rhs_ab,
     rhs_ab_sum,
     rhs_alpha_minus_one,
@@ -14,15 +17,19 @@ from hltorus.identities import (
     rhs_orthogonal_alpha,
     rhs_orthogonality,
     rhs_symplectic,
+    rhs_t2_branching,
+    rhs_u2n,
+    rhs_double_cover,
+    rhs_unm,
     sweep_weights,
     t_multinomial_of,
     verify,
 )
-from hltorus.partitions import Partition, bounded_partitions, partitions_up_to
+from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import drop_param, negate_param
+from helpers import bounded_partitions, drop_param, negate_param
 
 D = 10
 
@@ -39,6 +46,43 @@ def test_registry_catalog():
         assert name in REGISTRY
         assert REGISTRY[name].description
         assert REGISTRY[name].weight_shape
+
+
+def test_every_registry_row_verifies_at_small_rank():
+    # each row at n = max(min_n, 1), order 6: once with the empty weight and
+    # once with one nonzero weight (rows without a weight run once)
+    for name, defn in sorted(REGISTRY.items()):
+        n = max(defn.min_n, 1)
+        m = 1 if defn.needs_m else None
+        weights = [None]
+        if defn.needs_weight:
+            nonzero = (1, -1) if defn.allows_negative and defn.rank_of(n, m) >= 2 else (1,)
+            weights = [(), nonzero]
+        for w in weights:
+            mu = w if defn.needs_mu else None
+            rep = verify(name, n=n, m=m, weight=w, mu=mu, order=6)
+            assert ok(rep), rep.text_line()
+
+
+def test_arguments_a_row_does_not_take_are_rejected():
+    with pytest.raises(DomainError, match="takes no m"):
+        verify("orthogonality", n=2, m=5, weight=(1,), mu=(1,), order=6)
+    with pytest.raises(DomainError, match="takes no weight"):
+        verify("normalization_i", n=1, weight=(3, 1), order=6)
+    with pytest.raises(DomainError, match="takes no mu"):
+        verify("o_plus_even", n=1, weight=(), mu=(7, 7), order=6)
+    for m in (None, -1, 3):
+        with pytest.raises(DomainError, match="0 <= m <= n"):
+            verify("unm_vanishing", n=2, m=m, weight=(), order=6)
+
+
+def test_derived_row_attributes():
+    assert REGISTRY["alpha_minus_one"].params == ("beta",)
+    assert REGISTRY["ab_sum_odd"].params == ("alpha", "beta")
+    assert REGISTRY["symplectic"].params == ()
+    assert REGISTRY["unm_vanishing"].needs_m and not REGISTRY["u2n_vanishing"].needs_m
+    assert not REGISTRY["normalization_iv"].needs_weight
+    assert REGISTRY["pfaffian_plus_odd"].rank_of(0) == 1
 
 
 def test_verify_report_fields():
@@ -96,26 +140,19 @@ def test_ab_rhs_frozen_zero_weight():
     assert rhs_ab("minus_even", Partition((0, 0)), D) == h2 - g2
 
 
-def test_rhs_dispatchers():
-    from hltorus.identities import rhs_section8, rhs_special
-    from hltorus.partitions import DominantWeight
-
+def test_split_closed_forms():
     r = SeriesRing(D)
-    assert rhs_special("symplectic", Partition((1, 1)), 1, D) == r.one()
-    assert rhs_special("kawanaka", Partition(()), 2, D) == r.one()
-    num, den = rhs_section8("unm", DominantWeight((1, -1)), 1, 1, D)
+    assert rhs_symplectic(Partition((1, 1)), 1, D) == r.one()
+    assert rhs_kawanaka(Partition(()), 2, D) == r.one()
+    num, den = rhs_unm(DominantWeight((1, -1)), 1, 1, D)
     assert num == (r.one() - r.t()) * den  # value 1 - t at m = n = 1
-    num, den = rhs_section8("u2n", DominantWeight((1, -1)), 1, order=D)
+    num, den = rhs_u2n(DominantWeight((1, -1)), 1, D)
     assert num == (r.one() + r.t()) * den
-    num, den = rhs_section8("double_cover", DominantWeight((1, -1)), 1, order=D)
+    num, den = rhs_double_cover(DominantWeight((1, -1)), 1, D)
     # the verified value is t^{-1}(1+t): numerator (1-t^2), denominator t(1-t)
     assert num * r.t(0) == (r.one() + r.t()) * (r.one() - r.t()) and den == r.t() * (r.one() - r.t())
-    num, den = rhs_section8("t2_branching", DominantWeight((2, 0)), 2, order=D)
+    num, den = rhs_t2_branching(DominantWeight((2, 0)), 2, D)
     assert num.is_zero() and den == r.one()
-    with pytest.raises(DomainError):
-        rhs_special("nope", Partition(()), 1, D)
-    with pytest.raises(DomainError):
-        rhs_section8("nope", DominantWeight(()), 1, order=D)
 
 
 def test_special_values_frozen():
@@ -185,24 +222,57 @@ def test_alpha_minus_one_consistent_with_ab():
         assert merged == rhs_alpha_minus_one(lam, D).truncated(cut), lam
 
 
+def test_slot_rule_scalars():
+    # the constant slots +-1 give the component prefactors; plus_even has none
+    from hltorus.identities import INTEGRANDS, MINUS_ALPHA, MINUS_ONE
+
+    r = SeriesRing(D)
+    one, a, b = r.one(), r.alpha(), r.beta()
+    expected = {
+        ("plus_even", (ALPHA,)): one,
+        ("minus_even", (ALPHA,)): one - a * a,
+        ("plus_odd", (ALPHA,)): one - a,
+        ("minus_odd", (ALPHA,)): one + a,
+        ("minus_even", (ALPHA, BETA)): (one - a * a) * (one - b * b),
+        ("plus_odd", (ALPHA, BETA)): (one - a) * (one - b),
+        ("minus_odd", (ALPHA, BETA)): (one + a) * (one + b),
+        ("plus_even", (MINUS_ONE, BETA)): one,
+        ("plus_even", (ALPHA, MINUS_ALPHA)): one,
+        # a constant value on a constant slot: (1 - (-1)(+1)) (1 - (-1)(-1)) = 0
+        ("minus_even", (MINUS_ONE,)): r.zero(),
+        ("plus_odd", (MINUS_ONE,)): r.const(2),
+    }
+    for (key, values), scalar in expected.items():
+        dens, slots, _ = INTEGRANDS[key](2, None)
+        torus, got = _linear_factors(slots, values, dens.vars, D)
+        assert got == scalar, (key, values)
+        assert len(torus.terms) > 1  # the torus slots x_i^{+-1} give the Laurent factor
+
+
 def test_sum_identity_components():
     # the even sum value is twice the first bracket summand
     lam = Partition((1, 1, 0, 0))
     r = SeriesRing(D)
-    i1, z1 = component_integral("plus_even", 2, lam, D, [r.alpha(), r.beta()])
-    i2, z2 = component_integral("minus_even", 2, lam, D, [r.alpha(), r.beta()])
+    inst = _Instance(2, None, lam, None, D)
+    i1, z1 = _integral("plus_even", inst, (ALPHA, BETA), normalized=True)
+    i2, z2 = _integral("minus_even", inst, (ALPHA, BETA), normalized=True)
+    # the slot rule gives the minus component's prefactor from its slots +-1,
+    # and _integral applies it to i2
     pref = (r.one() - r.alpha(2)) * (r.one() - r.beta(2))
-    lhs = i1 * z2 + pref * i2 * z1
+    slots = pm_args(1) + (const_arg(1, 1), const_arg(1, -1))
+    _, scalar = _linear_factors(slots, (ALPHA, BETA), ("x1",), D)
+    assert scalar == pref
+    lhs = i1 * z2 + i2 * z1
     assert lhs == rhs_ab_sum(lam, D) * z1 * z2
 
 
 def test_component_lhs_symmetry_minus_odd():
     # LHS-level check that the odd minus component is the signed reflection
     # of the plus component under alpha -> -alpha, beta -> -beta
-    r = SeriesRing(D)
     lam = Partition((2, 1, 0))
-    ip, zp = component_integral("plus_odd", 1, lam, D, [r.alpha(), r.beta()])
-    im, zm = component_integral("minus_odd", 1, lam, D, [r.alpha(), r.beta()])
+    inst = _Instance(1, None, lam, None, D)
+    ip, zp = _integral("plus_odd", inst, (ALPHA, BETA), normalized=True)
+    im, zm = _integral("minus_odd", inst, (ALPHA, BETA), normalized=True)
     assert zp == zm
     flipped = negate_param(negate_param(ip, 1), 2)
     if lam.weight() % 2:
@@ -213,21 +283,21 @@ def test_component_lhs_symmetry_minus_odd():
 def test_pfaffian_bridge_small_ranks():
     for n in (1, 2):
         for lam in bounded_partitions(2 * n, 2):
-            lhs, rhs = pfaffian_bridge(n, lam, 8)
-            assert lhs == rhs, (n, lam)
+            rep = verify("pfaffian_plus_even", n=n, weight=lam.parts, order=8)
+            assert rep.status == "match", rep.text_line()
 
 
 def test_bordered_pfaffian_bridges():
-    from hltorus.identities import pfaffian_bridge_minus, pfaffian_bridge_plus_odd
-
+    # the minus-component Pfaffian vanishes when lambda has as many odd
+    # parts as even ones
     for n in (1, 2):
         for lam in bounded_partitions(2 * n, 2):
-            lhs, rhs = pfaffian_bridge_minus(n, lam, 8)
-            assert lhs == rhs, ("minus", n, lam)
+            rep = verify("pfaffian_minus_even", n=n, weight=lam.parts, order=8)
+            assert ok(rep), rep.text_line()
     for n in (0, 1):
         for lam in bounded_partitions(2 * n + 1, 2):
-            lhs, rhs = pfaffian_bridge_plus_odd(n, lam, 8)
-            assert lhs == rhs, ("plus_odd", n, lam)
+            rep = verify("pfaffian_plus_odd", n=n, weight=lam.parts, order=8)
+            assert rep.status == "match", rep.text_line()
 
 
 def test_symplectic_c_symbol_equivalence():
@@ -268,8 +338,7 @@ def test_double_cover_displayed_form_differs_by_t_power():
     assert rep.status == "match"
     assert any("t^|mu|" in note for note in rep.notes)
 
-    from hltorus.identities import _build_double_cover, _Instance
-    from hltorus.partitions import DominantWeight
+    from hltorus.identities import _build_double_cover
 
     inst = _Instance(2, None, DominantWeight((1, 0, 0, -1)), None, 10)
     lhs, rhs, _ = _build_double_cover(inst)
@@ -337,11 +406,8 @@ def test_resource_limit_reported(monkeypatch):
     dmod.clear_caches()
 
 
-def test_resource_ladder_produces_partial_report():
+def test_resource_ladder_produces_partial_report(register_identity):
     from hltorus.errors import ResourceLimitError
-    from hltorus.identities import IdentityDef
-
-    ring = SeriesRing(4)
 
     def flaky_build(inst):
         if inst.order > 4:
@@ -349,18 +415,8 @@ def test_resource_ladder_produces_partial_report():
         r = SeriesRing(inst.order)
         return r.one(), r.one(), ()
 
-    fake = IdentityDef(
-        name="_ladder_probe",
-        description="test-only",
-        weight_shape="none",
-        build=flaky_build,
-        needs_weight=False,
-    )
-    REGISTRY[fake.name] = fake
-    try:
-        rep = verify("_ladder_probe", n=1, order=10)
-        assert rep.status == "match"
-        assert rep.achieved_order == 4
-        assert any("resource ceiling" in note for note in rep.notes)
-    finally:
-        del REGISTRY[fake.name]
+    register_identity("_ladder_probe", flaky_build)
+    rep = verify("_ladder_probe", n=1, order=10)
+    assert rep.status == "match"
+    assert rep.achieved_order == 4
+    assert any("resource ceiling" in note for note in rep.notes)

@@ -4,11 +4,11 @@ from hltorus.errors import DomainError
 from hltorus.partitions import (
     DominantWeight,
     Partition,
-    bounded_partitions,
     classify_shape,
-    dominant_weights,
     partitions_up_to,
 )
+
+from helpers import bounded_partitions, dominant_weights
 
 
 def test_multiplicity_examples():

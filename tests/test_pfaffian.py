@@ -3,19 +3,17 @@ import random
 import pytest
 
 from hltorus.errors import DomainError
-from hltorus.partitions import bounded_partitions
 from hltorus.pfaffian import (
     AntisymMatrix,
     build_a_matrix,
     build_m_minus,
     build_m_plus,
-    determinant,
-    pf_closed_form,
     pfaffian,
 )
 from hltorus.series import SeriesRing
 
-from oracles import pfaffian_by_matchings
+from helpers import bounded_partitions
+from oracles import determinant, pf_closed_form, pfaffian_by_matchings
 
 D = 8
 
