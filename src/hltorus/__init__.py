@@ -27,7 +27,6 @@ from .hall_littlewood import (
 from .densities import (
     DensityProduct,
     ct_integrate,
-    gustafson_rhs,
     koornwinder_density,
     selberg_density,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "classify_shape",
     "const_arg",
     "ct_integrate",
-    "gustafson_rhs",
     "hl_full",
     "koornwinder_density",
     "pfaffian",

@@ -17,7 +17,9 @@ sum_{w in S_n} w(prod_{i<j} (x_i - t x_j)/(x_i - x_j)) = [n]_t!.  The
 integrator multiplies by that Weyl factor per block, so a density still
 means the full product times its prefactor, and it refuses a multiplier
 that is not symmetric within each block.  The Koornwinder (BC) densities
-are kept whole.
+are kept whole.  ``koornwinder_normalization`` states the bare Koornwinder
+integral in closed form, Gustafson's product at q = 0, parsing the same
+parameter quadruple as ``koornwinder_density``.
 
 Integration is the extraction of the torus-degree-zero coefficient.  The
 density is expanded once, factor by factor, into a table over the window
@@ -38,8 +40,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
-from math import factorial
+from math import factorial, prod
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
@@ -136,16 +139,12 @@ def selberg_density(n, tpow=2, prefix="x", prefactor=Fraction(1)) -> DensityProd
                           blocks=((0, n, tpow),))
 
 
-def koornwinder_density(n, params, prefix="x") -> DensityProduct:
-    """The symmetric q=0 Koornwinder density with parameters (a,b,c,d).
+def _koornwinder_params(params):
+    """The nonzero parameters as (sign, s-exponent): +-1 as (+-1, 0).
 
-    Each parameter is 0, +1, -1 or a signed s-monomial (sign, s-exponent)
-    of positive degree.  Parameters equal to +-1 are cancelled symbolically
-    against a matching numerator factor; any other parameter of modulus >= 1
-    is rejected since there is no cancellation recipe for it.
+    Rejects a parameter that is not 0, +-1 or a signed s-monomial of
+    positive degree, and +1 or -1 given twice.
     """
-    if n < 0:
-        raise DomainError("negative variable count")
     norm = []
     for p in params:
         if p == 0 or p is None:
@@ -165,6 +164,20 @@ def koornwinder_density(n, params, prefix="x") -> DensityProduct:
         raise DomainError("parameter +1 may appear at most once")
     if sum(1 for s, k in norm if k == 0 and s == -1) > 1:
         raise DomainError("parameter -1 may appear at most once")
+    return norm
+
+
+def koornwinder_density(n, params, prefix="x") -> DensityProduct:
+    """The symmetric q=0 Koornwinder density with parameters (a,b,c,d).
+
+    Each parameter is 0, +1, -1 or a signed s-monomial (sign, s-exponent)
+    of positive degree.  Parameters equal to +-1 are cancelled symbolically
+    against a matching numerator factor; any other parameter of modulus >= 1
+    is rejected since there is no cancellation recipe for it.
+    """
+    if n < 0:
+        raise DomainError("negative variable count")
+    norm = _koornwinder_params(params)
     vars = tuple("%s%d" % (prefix, i + 1) for i in range(n))
     has_plus = any(k == 0 and s == 1 for s, k in norm)
     has_minus = any(k == 0 and s == -1 for s, k in norm)
@@ -201,6 +214,35 @@ def koornwinder_density(n, params, prefix="x") -> DensityProduct:
     pref = Fraction(1, (2 ** n) * factorial(n))
     label = "koornwinder(%d;%s)" % (n, ",".join(repr(p) for p in params))
     return DensityProduct(vars, num, geo, pref, label=label)
+
+
+def koornwinder_normalization(n, params, order) -> ParamSeries:
+    """The q=0 Gustafson value of the bare Koornwinder integral on n variables.
+
+    With the parameters (a, b, c, d) of ``koornwinder_density`` it is
+
+        prod_{j<n} (1-t)(1 - t^(2n-j-2) abcd) / ((1 - t^(j+1)) prod_{e<f} (1 - t^j ef)),
+
+    where abcd is 0 unless all four parameters are nonzero and a pair with
+    ef = 0 contributes 1 (Gustafson, Bull. AMS 22 (1990), at q = 0).  The
+    only parameter-free denominator is 1 - (+1)(-1) = 2; every other one has
+    positive s-degree and expands as an exact geometric series.
+    """
+    norm = _koornwinder_params(params)
+    ring = SeriesRing(order)
+    one = ring.one()
+    pairs = list(combinations(norm, 2))
+    acc = one
+    for j in range(n):
+        acc = acc * (one - ring.t()) * ring.geometric(es=2 * (j + 1))
+        if len(norm) == 4:
+            es = 2 * (2 * n - j - 2) + sum(k for _, k in norm)
+            acc = acc * (one - ring.monomial(es=es, coeff=prod(s for s, _ in norm)))
+        for (s1, k1), (s2, k2) in pairs:
+            es = 2 * j + k1 + k2
+            # es is 0 only for the pair +1, -1, where the factor is 1/2
+            acc = acc * (ring.geometric(es=es, sign=s1 * s2) if es else Fraction(1, 2))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -452,49 +494,3 @@ def _block_symmetric(blocks, terms):
                     return False
                 unpaired -= 1
     return unpaired == 0
-
-
-# ---------------------------------------------------------------------------
-# closed-form normalizations
-# ---------------------------------------------------------------------------
-
-
-def gustafson_rhs(item, n, order) -> ParamSeries:
-    """The closed-form value of the six normalization integrals.
-
-    ``item`` is one of "i".."vi"; the products are expanded as exact
-    truncated series (every denominator factor is a unit with positive
-    s-degree, so geometric expansion is exact).
-    """
-    ring = SeriesRing(order)
-    one_minus_t = ring.one() - ring.t()
-
-    def geom_t_pow(k):
-        return ring.geometric(es=k)
-
-    if item == "i":
-        acc = one_minus_t ** n
-        for j in range(1, n + 1):
-            acc = acc * geom_t_pow(4 * j)
-        return acc
-    if item == "ii":
-        acc = one_minus_t ** n
-        for j in range(1, 2 * n + 1):
-            acc = acc * geom_t_pow(j)
-        return acc
-    if item == "iii":
-        acc = one_minus_t ** n * Fraction(1, 2)
-        for j in range(1, 2 * n + 1):
-            acc = acc * geom_t_pow(2 * j)
-        return acc
-    if item == "iv":
-        acc = one_minus_t ** (n - 1)
-        for j in range(2 * n - 2):
-            acc = acc * geom_t_pow(2 * (3 + j))
-        return acc
-    if item in ("v", "vi"):
-        acc = one_minus_t ** (n + 1)
-        for j in range(1, 2 * n + 2):
-            acc = acc * geom_t_pow(2 * j)
-        return acc
-    raise DomainError("unknown normalization item %r" % (item,))

@@ -9,7 +9,7 @@ row of ``REGISTRY`` (an ``IdentityDef``), which names
 * its linear-factor values, signed monomials (coefficient, alpha-power,
   beta-power) such as alpha, beta, -1 or -alpha;
 * whether it is normalized, and a closed form: a function of the instance
-  returning (num, den);
+  returning (num, den), built from the row's own data where it can be;
 * its weight rank ("n", "2n", "2n+1", "n+m", or None for no weight), from
   which, with the values, follow whether it takes m and its parameters.
 
@@ -28,6 +28,13 @@ with Z_j = 1 for an unnormalized row, so nothing is divided in the
 truncated ring.  A row that takes mu multiplies P_lambda by P_mu at the
 inverted slots.  ``double_cover`` keeps its own builder: it shifts the
 weight, raises the inner order and adds notes.
+
+Two general closed forms serve eighteen rows.  The twelve orthogonal-
+component rows (o_*, ab_o*, ab_sum_*, alpha_minus_one, alpha_eq_minus_beta)
+take ``rogers_szego_value`` at their values (a, b), summed over their
+integrands with the sign of each component; the six normalization rows take
+``koornwinder_normalization`` (``hltorus.densities``) at their integrand's
+parameter quadruple and variable count.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ from typing import Callable, Optional, Tuple
 from .densities import (
     DensityProduct,
     ct_integrate,
-    gustafson_rhs,
     koornwinder_density,
+    koornwinder_normalization,
     positive_roots,
     selberg_density,
 )
@@ -105,7 +112,7 @@ def _times(x: ParamSeries, c: ParamSeries) -> ParamSeries:
 
 
 def t_multinomial_of(parts, order, base=2) -> ParamSeries:
-    """[N]!/prod [m_i]! over all stored parts (the phi/v/(1-t) quotient)."""
+    """[N]!/prod [m_i]! over all stored parts."""
     tc = TComb(SeriesRing(order), base=base)
     mults = list(Partition(tuple(sorted(parts, reverse=True))).multiplicities().values())
     return tc.t_multinomial(len(tuple(parts)), mults)
@@ -116,10 +123,6 @@ def _zero_pair(order):
     return ring.zero(), ring.one()
 
 
-def _minus_alpha_power(ring, e):
-    return ring.monomial(ea=e, coeff=-1 if e % 2 else 1)
-
-
 def rhs_orthogonality(lam: Partition, mu: Partition, n, order):
     """(numerator, denominator) of delta_{lambda mu} n! / v_mu(t)."""
     if lam.parts != mu.parts:
@@ -128,79 +131,41 @@ def rhs_orthogonality(lam: Partition, mu: Partition, n, order):
     return ring.const(factorial(n)), TComb(ring).v_of(lam.parts)
 
 
-def rhs_orthogonal_alpha(component, lam: Partition, order) -> ParamSeries:
-    """The one-parameter closed forms for the four orthogonal components."""
-    ring = SeriesRing(order)
-    odd, even = lam.parity_counts()
-    sign = 1 if component in ("plus_even", "plus_odd") else -1
-    bracket = _minus_alpha_power(ring, odd) + _minus_alpha_power(ring, even) * sign
-    return t_multinomial_of(lam.parts, order) * bracket
+def rogers_szego_value(sign, lam: Partition, a: ParamSeries, b: ParamSeries, order) -> ParamSeries:
+    """The Rogers-Szego value of one orthogonal component at the values a, b.
 
+    With the parts of lambda grouped by value i with multiplicity m_i (zeros
+    count as even), H_m(z) the Rogers-Szego polynomial and
+    G_m(a, b) = sum_j [m j] (-a)^(m-j) (-b)^j, it is
 
-def _alpha_shifted_rs(tc, ring, m) -> ParamSeries:
-    """(-alpha)^m H_m(beta/alpha; t), assembled directly as a polynomial."""
-    acc = ring.zero()
-    neg = -1 if m % 2 else 1
-    for j in range(m + 1):
-        acc = acc + tc.t_binomial(m, j) * ring.monomial(ea=m - j, eb=j, coeff=neg)
-    return acc
+        [N]!/prod [m_i]! (prod_{i even} H_{m_i}(ab) prod_{i odd} G_{m_i}(a, b)
+                          + sign prod_{i odd} H_{m_i}(ab) prod_{i even} G_{m_i}(a, b)),
 
-
-def _rs_brackets(lam: Partition, order):
-    """The two Rogers-Szego bracket summands of the two-parameter values."""
+    with sign +1 for a plus and -1 for a minus component, and b = 0 for a
+    row with one value.
+    """
     ring = SeriesRing(order)
     tc = TComb(ring)
-    z_ab = ring.monomial(ea=1, eb=1)
-    even_h = odd_h = even_g = odd_g = ring.one()
+    ab = a * b
+    h, g = [ring.one(), ring.one()], [ring.one(), ring.one()]  # by parity of the value
     for value, mult in lam.multiplicities().items():
-        if value % 2 == 0:
-            even_h = even_h * tc.rogers_szego(mult, z_ab)
-            even_g = even_g * _alpha_shifted_rs(tc, ring, mult)
-        else:
-            odd_h = odd_h * tc.rogers_szego(mult, z_ab)
-            odd_g = odd_g * _alpha_shifted_rs(tc, ring, mult)
-    # (-alpha)^{# odd parts} is absorbed into the shifted factors
-    return even_h * odd_g, odd_h * even_g
+        h[value % 2] *= tc.rogers_szego(mult, ab)
+        g[value % 2] *= sum((tc.t_binomial(mult, j) * (-a) ** (mult - j) * (-b) ** j
+                             for j in range(mult + 1)), ring.zero())
+    return t_multinomial_of(lam.parts, order) * (h[0] * g[1] + h[1] * g[0] * sign)
 
 
-def rhs_ab(component, lam: Partition, order) -> ParamSeries:
-    """Two-parameter closed forms; polynomial in (s, alpha, beta) by design."""
-    b1, b2 = _rs_brackets(lam, order)
-    sign = 1 if component in ("plus_even", "plus_odd") else -1
-    return t_multinomial_of(lam.parts, order) * (b1 + b2 * sign)
+def rhs_rogers_szego(integrands, values, inst):
+    """(sum of rogers_szego_value over the row's components, 1).
 
-
-def rhs_ab_sum(lam: Partition, order) -> ParamSeries:
-    b1, _ = _rs_brackets(lam, order)
-    return t_multinomial_of(lam.parts, order) * b1 * 2
-
-
-def rhs_alpha_minus_one(lam: Partition, order) -> ParamSeries:
-    ring = SeriesRing(order)
-    tc = TComb(ring)
-    minus_beta = ring.monomial(eb=1, coeff=-1)
-    acc = t_multinomial_of(lam.parts, order) * 2
-    for mult in lam.multiplicities().values():
-        acc = acc * tc.rogers_szego(mult, minus_beta)
-    return acc
-
-
-def rhs_alpha_eq_minus_beta(lam: Partition, order) -> ParamSeries:
-    ring = SeriesRing(order)
-    tc = TComb(ring)
-    z_sq = ring.monomial(ea=2, coeff=-1)
-    minus_one = ring.const(-1)
-    e_sq = o_sq = e_m1 = o_m1 = ring.one()
-    for value, mult in lam.multiplicities().items():
-        if value % 2 == 0:
-            e_sq = e_sq * tc.rogers_szego(mult, z_sq)
-            e_m1 = e_m1 * tc.rogers_szego(mult, minus_one)
-        else:
-            o_sq = o_sq * tc.rogers_szego(mult, z_sq)
-            o_m1 = o_m1 * tc.rogers_szego(mult, minus_one)
-    odd, even = lam.parity_counts()
-    bracket = e_sq * o_m1 * _minus_alpha_power(ring, odd) + o_sq * e_m1 * _minus_alpha_power(ring, even)
-    return t_multinomial_of(lam.parts, order) * bracket
+    A component's sign is read from its integrand key (plus_* or minus_*);
+    a and b are the row's values, b = 0 when it has one.
+    """
+    ring = SeriesRing(inst.order)
+    a, b = ([ring.monomial(ea=ea, eb=eb, coeff=c) for c, ea, eb in values] + [ring.zero()])[:2]
+    signs = (1 if key.startswith("plus_") else -1 for key in integrands)
+    return sum((rogers_szego_value(sign, inst.weight, a, b, inst.order) for sign in signs),
+               ring.zero()), ring.one()
 
 
 def rhs_symplectic(lam: Partition, n, order) -> ParamSeries:
@@ -348,24 +313,27 @@ def halved_density(n) -> DensityProduct:
     return selberg_density(n, tpow=4, prefix="z", prefactor=Fraction(1, factorial(n)))
 
 
-def _koornwinder(params, drop=0, consts=()):
+class _Koornwinder:
     """The Koornwinder density on n - drop variables; P at x_i^{+-1} and ``consts``."""
-    def integrand(n, m):
-        nv = n - drop
-        slots = pm_args(nv) + tuple(const_arg(nv, c) for c in consts)
-        return koornwinder_density(nv, params), slots, 2
-    return integrand
+
+    def __init__(self, params, drop=0, consts=()):
+        self.params, self.drop, self.consts = params, drop, consts
+
+    def __call__(self, n, m):
+        nv = n - self.drop
+        slots = pm_args(nv) + tuple(const_arg(nv, c) for c in self.consts)
+        return koornwinder_density(nv, self.params), slots, 2
 
 
 # key -> function of (n, m) giving (density, slots of P, t-base of P)
 INTEGRANDS = {
     "selberg": lambda n, m: (selberg_density(n), _plain_args(n), 2),
-    "symplectic": _koornwinder(K_SYMPLECTIC),
-    "kawanaka": _koornwinder(K_KAWANAKA),
-    "plus_even": _koornwinder(K_PLUS_EVEN),
-    "minus_even": _koornwinder(K_MINUS_EVEN, drop=1, consts=(1, -1)),
-    "plus_odd": _koornwinder(K_PLUS_ODD, consts=(1,)),
-    "minus_odd": _koornwinder(K_MINUS_ODD, consts=(-1,)),
+    "symplectic": _Koornwinder(K_SYMPLECTIC),
+    "kawanaka": _Koornwinder(K_KAWANAKA),
+    "plus_even": _Koornwinder(K_PLUS_EVEN),
+    "minus_even": _Koornwinder(K_MINUS_EVEN, drop=1, consts=(1, -1)),
+    "plus_odd": _Koornwinder(K_PLUS_ODD, consts=(1,)),
+    "minus_odd": _Koornwinder(K_MINUS_ODD, consts=(-1,)),
     "two_block": lambda n, m: (two_block_density(m, n), _plain_args(m + n), 2),
     "cross_block": lambda n, m: (cross_block_density(n), _plain_args(2 * n), 2),
     "t2_selberg": lambda n, m: (
@@ -572,6 +540,8 @@ class IdentityDef:
     def rank_of(self, n, m=None):
         """The number of parts of the weight, or None without a weight."""
         if self.rank == "n+m":
+            if m is None:
+                raise DomainError("identity %r needs 0 <= m <= n" % (self.name,))
             return n + m
         return {"n": n, "2n": 2 * n, "2n+1": 2 * n + 1}.get(self.rank)
 
@@ -609,36 +579,38 @@ def _rows():
     for item, key, kind in _NORMALIZATIONS:
         yield IdentityDef(
             "normalization_" + item, "normalization of the %s density" % kind, "no weight",
-            (key,), closed=_value(lambda i, item=item: gustafson_rhs(item, i.n, i.order)),
+            (key,), closed=_value(lambda i, k=INTEGRANDS[key]: koornwinder_normalization(
+                i.n - k.drop, k.params, i.order)),
         )
+
+    def rogers_szego_row(name, description, integrands, values, rank):
+        return IdentityDef(
+            name, description, "partition padded to %s parts" % rank, integrands, values, True,
+            rank=rank, closed=partial(rhs_rogers_szego, integrands, values),
+        )
+
     for comp, rank in _COMPONENTS:
         sign, parity = comp.split("_")
-        shape = "partition padded to %s parts" % rank
-        yield IdentityDef(
-            "o_" + comp, "%s component, %s rank: one-parameter average" % (sign, parity), shape,
-            (comp,), (ALPHA,), True, rank=rank,
-            closed=_value(lambda i, c=comp: rhs_orthogonal_alpha(c, i.weight, i.order)),
+        yield rogers_szego_row(
+            "o_" + comp, "%s component, %s rank: one-parameter average" % (sign, parity),
+            (comp,), (ALPHA,), rank,
         )
-        yield IdentityDef(
+        yield rogers_szego_row(
             "ab_o" + comp, "two-parameter average with Rogers-Szego value (%s %s)" % (sign, parity),
-            shape, (comp,), (ALPHA, BETA), True, rank=rank,
-            closed=_value(lambda i, c=comp: rhs_ab(c, i.weight, i.order)),
+            (comp,), (ALPHA, BETA), rank,
         )
     for parity, rank in (("even", "2n"), ("odd", "2n+1")):
-        yield IdentityDef(
+        yield rogers_szego_row(
             "ab_sum_" + parity, "two-parameter sum over both %s-rank components" % parity,
-            "partition padded to %s parts" % rank, ("plus_" + parity, "minus_" + parity),
-            (ALPHA, BETA), True, rank=rank, closed=_value(lambda i: rhs_ab_sum(i.weight, i.order)),
+            ("plus_" + parity, "minus_" + parity), (ALPHA, BETA), rank,
         )
-    yield IdentityDef(
+    yield rogers_szego_row(
         "alpha_minus_one", "alpha = -1 specialization: single Rogers-Szego product",
-        "partition padded to 2n parts", ("plus_even",), (MINUS_ONE, BETA), True, rank="2n",
-        closed=_value(lambda i: rhs_alpha_minus_one(i.weight, i.order)),
+        ("plus_even",), (MINUS_ONE, BETA), "2n",
     )
-    yield IdentityDef(
+    yield rogers_szego_row(
         "alpha_eq_minus_beta", "alpha = -beta specialization: even-multiplicity structure",
-        "partition padded to 2n parts", ("plus_even",), (ALPHA, MINUS_ALPHA), True, rank="2n",
-        closed=_value(lambda i: rhs_alpha_eq_minus_beta(i.weight, i.order)),
+        ("plus_even",), (ALPHA, MINUS_ALPHA), "2n",
     )
     yield IdentityDef(
         "symplectic", "symplectic average: vanishes unless lambda = mu^2",

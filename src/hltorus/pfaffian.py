@@ -74,24 +74,29 @@ def pfaffian(a: AntisymMatrix) -> ParamSeries:
 # ---------------------------------------------------------------------------
 
 
-def build_a_matrix(lam, trunc) -> AntisymMatrix:
-    """Entries depend only on the parities of lambda_j - j.
+def _a_entries(lam, trunc, offset):
+    """The a-matrix entries of lam, with rows and columns shifted by offset.
 
-    a[j][k] is 1 + alpha^2 when (lambda_j - j) - (lambda_k - k) is odd and
-    -2 alpha when it is even, for an even number of parts.
+    Entry (j, k) is 1 + alpha^2 when (lambda_j - j) - (lambda_k - k) is odd
+    and -2 alpha when it is even.
     """
-    lam = tuple(lam)
-    if len(lam) % 2:
-        raise DomainError("the a-matrix needs an even number of parts")
     ring = SeriesRing(trunc)
     odd_entry = ring.one() + ring.alpha(2)
     even_entry = ring.alpha() * (-2)
     upper = {}
     for j in range(len(lam)):
         for k in range(j + 1, len(lam)):
-            diff = (lam[j] - (j + 1)) - (lam[k] - (k + 1))
-            upper[(j, k)] = odd_entry if diff % 2 else even_entry
-    return AntisymMatrix(len(lam), upper, trunc)
+            diff = (lam[j] - j) - (lam[k] - k)
+            upper[(j + offset, k + offset)] = odd_entry if diff % 2 else even_entry
+    return upper
+
+
+def build_a_matrix(lam, trunc) -> AntisymMatrix:
+    """The a-matrix of lambda (see ``_a_entries``), for an even number of parts."""
+    lam = tuple(lam)
+    if len(lam) % 2:
+        raise DomainError("the a-matrix needs an even number of parts")
+    return AntisymMatrix(len(lam), _a_entries(lam, trunc, 0), trunc)
 
 
 def build_m_minus(lam, trunc) -> AntisymMatrix:
@@ -104,17 +109,13 @@ def build_m_minus(lam, trunc) -> AntisymMatrix:
     if len(lam) % 2:
         raise DomainError("expected an even number of parts")
     ring = SeriesRing(trunc)
-    inner = build_a_matrix(lam, trunc)
     size = len(lam) + 2
-    upper = {}
+    upper = _a_entries(lam, trunc, 2)
     for k in range(2, size):
         sign = -1 if (lam[k - 2] - (k - 2 + 1)) % 2 else 1
         # exponent lambda_{k-2} - (k-2) with 1-based indexing of parts
         upper[(0, k)] = ring.const(sign)
         upper[(1, k)] = ring.one()
-    for j in range(2, size):
-        for k in range(j + 1, size):
-            upper[(j, k)] = inner.entry(j - 2, k - 2)
     return AntisymMatrix(size, upper, trunc)
 
 
@@ -124,14 +125,7 @@ def build_m_plus(lam, trunc) -> AntisymMatrix:
     if len(lam) % 2 == 0:
         raise DomainError("expected an odd number of parts")
     ring = SeriesRing(trunc)
-    size = len(lam) + 1
-    upper = {}
-    odd_entry = ring.one() + ring.alpha(2)
-    even_entry = ring.alpha() * (-2)
-    for k in range(1, size):
+    upper = _a_entries(lam, trunc, 1)
+    for k in range(1, len(lam) + 1):
         upper[(0, k)] = ring.one()
-    for j in range(1, size):
-        for k in range(j + 1, size):
-            diff = (lam[j - 1] - j) - (lam[k - 1] - k)
-            upper[(j, k)] = odd_entry if diff % 2 else even_entry
-    return AntisymMatrix(size, upper, trunc)
+    return AntisymMatrix(len(lam) + 1, upper, trunc)

@@ -57,15 +57,6 @@ class TComb:
             acc = acc * self.t_integer(i)
         return acc
 
-    def phi(self, r):
-        """(1-t)(1-t^2)...(1-t^r); phi(0) = 1."""
-        if r < 0:
-            raise DomainError("phi needs r >= 0")
-        acc = self.ring.one()
-        for i in range(1, r + 1):
-            acc = acc * self.one_minus_t_power(i)
-        return acc
-
     def one_minus_t_pow(self, n):
         """(1-t)**n."""
         return self.one_minus_t_power(1) ** n
@@ -87,17 +78,6 @@ class TComb:
         acc = self.ring.one()
         for m in mults.values():
             acc = acc * self.t_factorial(m)
-        return acc
-
-    def b_of(self, parts):
-        """b_lambda = prod over nonzero values of phi(m_i)."""
-        mults = {}
-        for p in parts:
-            if p != 0:
-                mults[p] = mults.get(p, 0) + 1
-        acc = self.ring.one()
-        for m in mults.values():
-            acc = acc * self.phi(m)
         return acc
 
     # -- binomials and friends -------------------------------------------------
@@ -146,18 +126,15 @@ class TComb:
     def c_symbol(self, kind, mu, args=()):
         """The q=0 specializations of the C-symbols.
 
-        ``kind`` is one of "0", "-", "+".  For kind "0" the arguments are
-        signed s-monomials (sign, s-exponent) and the value is the product
-        over the nonzero parts of mu of (1 - t^(1-i) x); exponents must stay
+        ``kind`` is "0" or "-".  For kind "0" the arguments are signed
+        s-monomials (sign, s-exponent) and the value is the product over the
+        nonzero parts of mu of (1 - t^(1-i) x); exponents must stay
         nonnegative or the product is not polynomial in s.  Kind "-" is the
         principal specialization at x = t, which collapses to
-        (1-t)^l(mu) v_{mu+}(t); kind "+" is identically 1 at the arguments
-        used here.
+        (1-t)^l(mu) v_{mu+}(t) = b_mu(t).
         """
         mu = tuple(mu)
         ell = sum(1 for p in mu if p)
-        if kind == "+":
-            return self.ring.one()
         if kind == "-":
             return self.one_minus_t_pow(ell) * self.v_of(mu, include_zeros=False)
         if kind != "0":

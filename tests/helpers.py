@@ -3,14 +3,15 @@
 The package never divides series and never substitutes torus variables;
 these helpers state closed forms and symmetries in the tests.  They read
 and build ``ParamSeries`` and ``LaurentPoly`` through their public fields.
-Q_lambda, the q-Pochhammer symbol and the two grid enumerators below are
-used by the tests alone as well.
+Q_lambda, the q-Pochhammer symbol, the two grid enumerators and
+``row_closed_form`` below are used by the tests alone as well.
 """
 
 from fractions import Fraction
 
 from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
 from hltorus.hall_littlewood import hl_full
+from hltorus.identities import REGISTRY, _Instance
 from hltorus.laurent import LaurentPoly
 from hltorus.partitions import DominantWeight, Partition
 from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
@@ -128,7 +129,7 @@ def permute_vars(poly, perm):
 def hl_q(weight, args, var_names, order, tbase=2):
     """Q_lambda = b_lambda(t) P_lambda."""
     p = hl_full(weight, args, var_names, order, tbase)
-    b = TComb(SeriesRing(order), base=tbase).b_of(weight)
+    b = TComb(SeriesRing(order), base=tbase).c_symbol("-", weight)
     return p * b
 
 
@@ -192,3 +193,14 @@ def dominant_weights(rank, max_entry):
 
     rec([], max_entry)
     return tuple(out)
+
+
+def row_closed_form(name, lam, order):
+    """The closed form of the registry row ``name`` at the weight lam.
+
+    For the rows whose closed form has denominator one and reads no n or m.
+    """
+    num, den = REGISTRY[name].closed(_Instance(None, None, Partition(tuple(lam)), None, order))
+    if den != 1:
+        raise ValueError("row %r has a denominator" % (name,))
+    return num

@@ -7,7 +7,12 @@ points from their defining permutation sum, Schur polynomials are counted
 over tableaux, series arithmetic goes through the public ring,
 ``product_by_nested_loops`` multiplies plain coefficient dicts, the
 determinant is a cofactor expansion, and ``pf_closed_form`` writes the
-Pfaffians of the term-integral matrices out as polynomials.  They
+Pfaffians of the term-integral matrices out as polynomials.  The
+hand-specialized closed forms of the orthogonal-component rows
+(``rhs_orthogonal_alpha`` .. ``rhs_alpha_eq_minus_beta``) and of the six
+normalizations (``gustafson_rhs``) are the package's earlier, one-formula-
+per-row statements; they are kept as references for the general
+``rogers_szego_value`` and ``koornwinder_normalization``.  They
 stay in the tree permanently as ground truth.  ``degenerate_check`` holds
 ``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
 """
@@ -18,7 +23,9 @@ from itertools import permutations
 
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import hl_full, var_arg
+from hltorus.identities import t_multinomial_of
 from hltorus.series import SeriesRing
+from hltorus.tcomb import TComb
 
 
 def pfaffian_by_matchings(matrix):
@@ -299,3 +306,124 @@ def pf_closed_form(kind, lam, trunc):
                 quotient = quotient - ring.alpha(j)
         return ring.const(2 ** n) * quotient
     raise DomainError("unknown closed form %r" % (kind,))
+
+
+# ---------------------------------------------------------------------------
+# hand-specialized closed forms, one per row kind
+# ---------------------------------------------------------------------------
+
+
+def rhs_orthogonal_alpha(component, lam, order):
+    """The one-parameter closed forms for the four orthogonal components."""
+    ring = SeriesRing(order)
+    odd, even = lam.parity_counts()
+    sign = 1 if component in ("plus_even", "plus_odd") else -1
+    bracket = _power_of_minus_alpha(ring, odd) + _power_of_minus_alpha(ring, even) * sign
+    return t_multinomial_of(lam.parts, order) * bracket
+
+
+def _alpha_shifted_rs(tc, ring, m):
+    """(-alpha)^m H_m(beta/alpha; t), assembled directly as a polynomial."""
+    acc = ring.zero()
+    neg = -1 if m % 2 else 1
+    for j in range(m + 1):
+        acc = acc + tc.t_binomial(m, j) * ring.monomial(ea=m - j, eb=j, coeff=neg)
+    return acc
+
+
+def _rs_brackets(lam, order):
+    """The two Rogers-Szego bracket summands of the two-parameter values."""
+    ring = SeriesRing(order)
+    tc = TComb(ring)
+    z_ab = ring.monomial(ea=1, eb=1)
+    even_h = odd_h = even_g = odd_g = ring.one()
+    for value, mult in lam.multiplicities().items():
+        if value % 2 == 0:
+            even_h = even_h * tc.rogers_szego(mult, z_ab)
+            even_g = even_g * _alpha_shifted_rs(tc, ring, mult)
+        else:
+            odd_h = odd_h * tc.rogers_szego(mult, z_ab)
+            odd_g = odd_g * _alpha_shifted_rs(tc, ring, mult)
+    # (-alpha)^{# odd parts} is absorbed into the shifted factors
+    return even_h * odd_g, odd_h * even_g
+
+
+def rhs_ab(component, lam, order):
+    """Two-parameter closed forms; polynomial in (s, alpha, beta) by design."""
+    b1, b2 = _rs_brackets(lam, order)
+    sign = 1 if component in ("plus_even", "plus_odd") else -1
+    return t_multinomial_of(lam.parts, order) * (b1 + b2 * sign)
+
+
+def rhs_ab_sum(lam, order):
+    b1, _ = _rs_brackets(lam, order)
+    return t_multinomial_of(lam.parts, order) * b1 * 2
+
+
+def rhs_alpha_minus_one(lam, order):
+    ring = SeriesRing(order)
+    tc = TComb(ring)
+    minus_beta = ring.monomial(eb=1, coeff=-1)
+    acc = t_multinomial_of(lam.parts, order) * 2
+    for mult in lam.multiplicities().values():
+        acc = acc * tc.rogers_szego(mult, minus_beta)
+    return acc
+
+
+def rhs_alpha_eq_minus_beta(lam, order):
+    ring = SeriesRing(order)
+    tc = TComb(ring)
+    z_sq = ring.monomial(ea=2, coeff=-1)
+    minus_one = ring.const(-1)
+    e_sq = o_sq = e_m1 = o_m1 = ring.one()
+    for value, mult in lam.multiplicities().items():
+        if value % 2 == 0:
+            e_sq = e_sq * tc.rogers_szego(mult, z_sq)
+            e_m1 = e_m1 * tc.rogers_szego(mult, minus_one)
+        else:
+            o_sq = o_sq * tc.rogers_szego(mult, z_sq)
+            o_m1 = o_m1 * tc.rogers_szego(mult, minus_one)
+    odd, even = lam.parity_counts()
+    bracket = e_sq * o_m1 * _power_of_minus_alpha(ring, odd) + o_sq * e_m1 * _power_of_minus_alpha(ring, even)
+    return t_multinomial_of(lam.parts, order) * bracket
+
+
+def gustafson_rhs(item, n, order):
+    """The closed-form value of the six normalization integrals.
+
+    ``item`` is one of "i".."vi"; the products are expanded as exact
+    truncated series (every denominator factor is a unit with positive
+    s-degree, so geometric expansion is exact).
+    """
+    ring = SeriesRing(order)
+    one_minus_t = ring.one() - ring.t()
+
+    def geom_t_pow(k):
+        return ring.geometric(es=k)
+
+    if item == "i":
+        acc = one_minus_t ** n
+        for j in range(1, n + 1):
+            acc = acc * geom_t_pow(4 * j)
+        return acc
+    if item == "ii":
+        acc = one_minus_t ** n
+        for j in range(1, 2 * n + 1):
+            acc = acc * geom_t_pow(j)
+        return acc
+    if item == "iii":
+        acc = one_minus_t ** n * Fraction(1, 2)
+        for j in range(1, 2 * n + 1):
+            acc = acc * geom_t_pow(2 * j)
+        return acc
+    if item == "iv":
+        acc = one_minus_t ** (n - 1)
+        for j in range(2 * n - 2):
+            acc = acc * geom_t_pow(2 * (3 + j))
+        return acc
+    if item in ("v", "vi"):
+        acc = one_minus_t ** (n + 1)
+        for j in range(1, 2 * n + 2):
+            acc = acc * geom_t_pow(2 * j)
+        return acc
+    raise DomainError("unknown normalization item %r" % (item,))

@@ -17,7 +17,7 @@ from hltorus.pfaffian import AntisymMatrix, build_a_matrix, pfaffian
 from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import bounded_partitions, q_pochhammer
+from helpers import bounded_partitions, q_pochhammer, row_closed_form
 from oracles import (degenerate_check, determinant, multiset_inversion_sum,
                      pf_closed_form, pfaffian_by_matchings)
 
@@ -175,8 +175,7 @@ def test_criterion_6_special_cases():
 
     # closed-form cross-checks: the multinomial values against the C-symbol
     # ratios, and the substitution consistency of the alpha = -1 case
-    from hltorus.identities import (rhs_ab, rhs_alpha_minus_one, rhs_kawanaka,
-                                    rhs_symplectic)
+    from hltorus.identities import rhs_kawanaka, rhs_symplectic
 
     ring = SeriesRing(D)
     tc4 = TComb(ring, base=4)
@@ -195,11 +194,11 @@ def test_criterion_6_special_cases():
             ), (n, lam)
     for lam in bounded_partitions(2, 3):
         folded = {}
-        for (es, ea, eb), c in rhs_ab("plus_even", lam, D).coeffs.items():
+        for (es, ea, eb), c in row_closed_form("ab_oplus_even", lam, D).coeffs.items():
             key = (es, 0, eb)
             folded[key] = folded.get(key, 0) + (-c if ea % 2 else c)
         merged = ring.from_coeffs(folded).truncated(D - 2)
-        assert merged == rhs_alpha_minus_one(lam, D).truncated(D - 2), lam
+        assert merged == row_closed_form("alpha_minus_one", lam, D).truncated(D - 2), lam
     print("[acceptance] criterion 6 special cases: PASS "
           "(%d integral instances + closed-form cross-checks, D=%d, %.1fs)"
           % (count, D, time.time() - start))

@@ -7,8 +7,8 @@ from hltorus import densities
 from hltorus.densities import (
     DensityProduct,
     ct_integrate,
-    gustafson_rhs,
     koornwinder_density,
+    koornwinder_normalization,
     selberg_density,
 )
 from hltorus.errors import ConfigurationError, DomainError, ResourceLimitError
@@ -20,6 +20,9 @@ from hltorus.identities import (
     K_PLUS_EVEN,
     K_PLUS_ODD,
     K_SYMPLECTIC,
+    INTEGRANDS,
+    REGISTRY,
+    _Instance,
     cross_block_density,
     two_block_density,
 )
@@ -27,6 +30,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import SeriesRing
 
 from helpers import unit_inverse
+from oracles import gustafson_rhs
 
 D = 12
 
@@ -120,33 +124,40 @@ def test_single_geometric_factor_integral():
     assert ct_integrate(dens, mult, D) == r.t()
 
 
+NORMALIZATION_ROWS = sorted(name for name in REGISTRY if name.startswith("normalization_"))
+
+
 def test_gustafson_normalizations_match():
-    for item, nmax in (("i", 3), ("ii", 2), ("iii", 2), ("iv", 2), ("v", 2), ("vi", 2)):
-        for n in range(1, nmax + 1):
-            if item == "i":
-                dens = koornwinder_density(n, ((1, 1), (-1, 1), 0, 0))
-            elif item == "ii":
-                dens = koornwinder_density(n, (1, (1, 1), 0, 0))
-            elif item == "iii":
-                dens = koornwinder_density(n, (1, -1, (1, 1), (-1, 1)))
-            elif item == "iv":
-                dens = koornwinder_density(n - 1, ((1, 2), (-1, 2), (1, 1), (-1, 1)))
-            elif item == "v":
-                dens = koornwinder_density(n, ((1, 2), -1, (1, 1), (-1, 1)))
-            else:
-                dens = koornwinder_density(n, (1, (-1, 2), (1, 1), (-1, 1)))
-            assert ct_integrate(dens, None, D) == gustafson_rhs(item, n, D), (item, n)
+    # each row's closed form against the integral of its own density
+    assert len(NORMALIZATION_ROWS) == 6
+    for name in NORMALIZATION_ROWS:
+        defn = REGISTRY[name]
+        for n in range(1, (3 if name == "normalization_i" else 2) + 1):
+            dens = INTEGRANDS[defn.integrands[0]](n, None)[0]
+            num, den = defn.closed(_Instance(n, None, None, None, D))
+            assert ct_integrate(dens, None, D) * den == num, (name, n)
+
+
+def test_koornwinder_normalization_matches_specialized_oracle():
+    # the general product at each row's quadruple and variable count against
+    # the row's hand-specialized product, n = 1..5 at order 12
+    for name in NORMALIZATION_ROWS:
+        integrand = INTEGRANDS[REGISTRY[name].integrands[0]]
+        item = name[len("normalization_"):]
+        for n in range(1, 6):
+            got = koornwinder_normalization(n - integrand.drop, integrand.params, 12)
+            assert got == gustafson_rhs(item, n, 12), (name, n)
 
 
 def test_known_series_coefficients():
     # (1-t)/(t^2;t^2)_1 = (1-t)/(1-t^2) = 1 - s^2 + s^4 - ...
     r = SeriesRing(8)
-    val = gustafson_rhs("i", 1, 8)
+    val = koornwinder_normalization(1, K_SYMPLECTIC, 8)
     expected = r.from_coeffs({(0, 0, 0): 1, (2, 0, 0): -1, (4, 0, 0): 1,
                               (6, 0, 0): -1, (8, 0, 0): 1})
     assert val == expected
     # (1-t)/(s;s)_2 = (1-s^2)/(1-s^2)(1-s)(1-s^2)... spot-check low degrees
-    val2 = gustafson_rhs("ii", 1, 6)
+    val2 = koornwinder_normalization(1, K_KAWANAKA, 6)
     assert val2.coefficient((0, 0, 0)) == 1
     assert val2.coefficient((1, 0, 0)) == 1
 

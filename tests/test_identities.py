@@ -10,12 +10,9 @@ from hltorus.identities import (
     _integral,
     _Instance,
     _linear_factors,
-    rhs_ab,
-    rhs_ab_sum,
-    rhs_alpha_minus_one,
     rhs_kawanaka,
-    rhs_orthogonal_alpha,
     rhs_orthogonality,
+    rhs_rogers_szego,
     rhs_symplectic,
     rhs_t2_branching,
     rhs_u2n,
@@ -29,7 +26,9 @@ from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import bounded_partitions, drop_param, negate_param
+from helpers import bounded_partitions, drop_param, negate_param, row_closed_form
+from oracles import (rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta, rhs_alpha_minus_one,
+                     rhs_orthogonal_alpha)
 
 D = 10
 
@@ -76,6 +75,11 @@ def test_arguments_a_row_does_not_take_are_rejected():
             verify("unm_vanishing", n=2, m=m, weight=(), order=6)
 
 
+def test_sweep_weights_without_m_is_a_domain_error():
+    with pytest.raises(DomainError, match="0 <= m <= n"):
+        sweep_weights("unm_vanishing", 2)
+
+
 def test_derived_row_attributes():
     assert REGISTRY["alpha_minus_one"].params == ("beta",)
     assert REGISTRY["ab_sum_odd"].params == ("alpha", "beta")
@@ -120,11 +124,11 @@ def test_unknown_identity_and_bad_weights():
 
 def test_alpha_rhs_closed_forms():
     r = SeriesRing(D)
-    val = rhs_orthogonal_alpha("plus_even", Partition((0, 0)), D)
+    val = row_closed_form("o_plus_even", (0, 0), D)
     assert val == r.one() + r.alpha(2)
-    val = rhs_orthogonal_alpha("plus_odd", Partition((0,)), D)
+    val = row_closed_form("o_plus_odd", (0,), D)
     assert val == r.one() - r.alpha()
-    val = rhs_orthogonal_alpha("minus_even", Partition((0, 0)), D)
+    val = row_closed_form("o_minus_even", (0, 0), D)
     assert val == r.one() - r.alpha(2)
 
 
@@ -136,8 +140,8 @@ def test_ab_rhs_frozen_zero_weight():
     one_plus_t = r.one() + r.t()
     h2 = r.one() + one_plus_t * r.monomial(ea=1, eb=1) + r.monomial(ea=2, eb=2)
     g2 = r.alpha(2) + one_plus_t * r.monomial(ea=1, eb=1) + r.beta(2)
-    assert rhs_ab("plus_even", Partition((0, 0)), D) == h2 + g2
-    assert rhs_ab("minus_even", Partition((0, 0)), D) == h2 - g2
+    assert row_closed_form("ab_oplus_even", (0, 0), D) == h2 + g2
+    assert row_closed_form("ab_ominus_even", (0, 0), D) == h2 - g2
 
 
 def test_split_closed_forms():
@@ -175,8 +179,41 @@ def test_ab_rhs_reduces_to_alpha_at_beta_zero():
         comps = ("plus_even", "minus_even") if rank % 2 == 0 else ("plus_odd", "minus_odd")
         for lam in bounded_partitions(rank, 3):
             for comp in comps:
-                full = rhs_ab(comp, lam, D)
-                assert drop_param(full, 2) == rhs_orthogonal_alpha(comp, lam, D), (comp, lam)
+                full = row_closed_form("ab_o" + comp, lam, D)
+                assert drop_param(full, 2) == row_closed_form("o_" + comp, lam, D), (comp, lam)
+
+
+def _specialized_oracle(name, lam, order):
+    """The hand-specialized closed form of a Rogers-Szego row (tests/oracles.py)."""
+    if name.startswith("o_"):
+        return rhs_orthogonal_alpha(name[len("o_"):], lam, order)
+    if name.startswith("ab_sum_"):
+        return rhs_ab_sum(lam, order)
+    if name.startswith("ab_o"):
+        return rhs_ab(name[len("ab_o"):], lam, order)
+    oracle = {"alpha_minus_one": rhs_alpha_minus_one,
+              "alpha_eq_minus_beta": rhs_alpha_eq_minus_beta}[name]
+    return oracle(lam, order)
+
+
+def test_rogers_szego_rows_match_specialized_oracles():
+    # every row served by rhs_rogers_szego, at each rank 1..6 of its parity,
+    # every |lambda| <= 6, order 12: 806 cases
+    rows = sorted(name for name, defn in REGISTRY.items()
+                  if getattr(defn.closed, "func", None) is rhs_rogers_szego)
+    assert len(rows) == 12
+    count = 0
+    for name in rows:
+        for n in range(4):
+            rank = REGISTRY[name].rank_of(n)
+            if not 1 <= rank <= 6:
+                continue
+            for lam in partitions_up_to(6, rank):
+                lam = lam.padded(rank)
+                assert row_closed_form(name, lam, 12) == _specialized_oracle(name, lam, 12), \
+                    (name, lam)
+                count += 1
+    assert count == 806
 
 
 def test_alpha_rhs_vanishing_at_alpha_zero():
@@ -184,7 +221,7 @@ def test_alpha_rhs_vanishing_at_alpha_zero():
         comp = "plus_even" if rank % 2 == 0 else "plus_odd"
         for lam in bounded_partitions(rank, 3):
             odd, even = lam.parity_counts()
-            at_zero = drop_param(rhs_orthogonal_alpha(comp, lam, D), 1)
+            at_zero = drop_param(row_closed_form("o_" + comp, lam, D), 1)
             if odd == 0 or even == 0:
                 assert not at_zero.is_zero(), lam
             else:
@@ -195,8 +232,8 @@ def test_minus_odd_is_signed_plus_odd():
     # the odd minus-component closed form equals (-1)^|lambda| times the
     # plus-component value at negated parameters
     for lam in bounded_partitions(3, 3):
-        plus = rhs_ab("plus_odd", lam, D)
-        minus = rhs_ab("minus_odd", lam, D)
+        plus = row_closed_form("ab_oplus_odd", lam, D)
+        minus = row_closed_form("ab_ominus_odd", lam, D)
         flipped = negate_param(negate_param(plus, 1), 2)
         if lam.weight() % 2:
             flipped = -flipped
@@ -218,8 +255,8 @@ def test_alpha_minus_one_consistent_with_ab():
     # accurate through D minus the rank
     for lam in bounded_partitions(4, 2):
         cut = D - 4
-        merged = _eval_alpha_minus_one(rhs_ab("plus_even", lam, D)).truncated(cut)
-        assert merged == rhs_alpha_minus_one(lam, D).truncated(cut), lam
+        merged = _eval_alpha_minus_one(row_closed_form("ab_oplus_even", lam, D)).truncated(cut)
+        assert merged == row_closed_form("alpha_minus_one", lam, D).truncated(cut), lam
 
 
 def test_slot_rule_scalars():
@@ -263,7 +300,7 @@ def test_sum_identity_components():
     _, scalar = _linear_factors(slots, (ALPHA, BETA), ("x1",), D)
     assert scalar == pref
     lhs = i1 * z2 + i2 * z1
-    assert lhs == rhs_ab_sum(lam, D) * z1 * z2
+    assert lhs == row_closed_form("ab_sum_even", lam, D) * z1 * z2
 
 
 def test_component_lhs_symmetry_minus_odd():
