@@ -2,10 +2,11 @@
 
 Exit codes: 0 when every instance matched or vanished as predicted, 1 when
 a mismatch was found, 2 for usage errors (among them an --m, --lambda or
---mu that the identity does not take), 3 when a resource ceiling was
-hit, 4 for an internal error (a failed exactness check, incompatible
-objects combined inside the package, or any other unexpected exception),
-which says nothing about the identity.  JSON output is one record per line
+--mu that the identity does not take, and an HLTORUS_MAX_MIB or
+HLTORUS_MAX_TERMS that is set but not a positive integer), 3 when a
+resource ceiling was hit, 4 for an internal error (a failed exactness
+check, incompatible objects combined inside the package, or any other
+unexpected exception), which says nothing about the identity.  JSON output is one record per line
 with sorted keys; identical inputs produce byte-identical output (timing is
 only included on request).
 """
@@ -35,6 +36,24 @@ def _apply_memory_ceiling():
         return
     limit = int(mib) * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _invalid_limit():
+    """The first ceiling variable set to something other than a positive integer.
+
+    Unset or empty leaves the default: no memory ceiling, 4000000 terms.
+    """
+    for name in ("HLTORUS_MAX_MIB", "HLTORUS_MAX_TERMS"):
+        text = os.environ.get(name)
+        if not text:
+            continue
+        try:
+            if int(text) > 0:
+                continue
+        except ValueError:
+            pass
+        return name, text
+    return None
 
 
 def build_parser():
@@ -142,6 +161,10 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else 0
+    invalid = _invalid_limit()
+    if invalid is not None:
+        sys.stderr.write("error: %s=%r is not a positive integer\n" % invalid)
+        return USAGE_EXIT
     _apply_memory_ceiling()
     if args.command == "list":
         return _cmd_list(args, out)

@@ -7,19 +7,27 @@ the expandability certificate: every such factor expands as a finite
 geometric sum at the working truncation order, so the constant-term
 integrator never meets an on-contour pole.
 
-Type-A densities are stored over the positive roots only.  The q=0 Selberg
-density of a block of n variables is prod_{i != j} (1-x_i/x_j)/(1-t x_i/x_j);
-only its factors with i < j are kept, and the block is recorded in
-``DensityProduct.blocks``.  For f symmetric in the block,
-CT[f * prod_{i != j}] = (n!/[n]_t!) CT[f * prod_{i < j}], which follows from
-Macdonald, Symmetric Functions and Hall Polynomials, III (1.4):
-sum_{w in S_n} w(prod_{i<j} (x_i - t x_j)/(x_i - x_j)) = [n]_t!.  The
-integrator multiplies by that Weyl factor per block, so a density still
-means the full product times its prefactor, and it refuses a multiplier
-that is not symmetric within each block.  The Koornwinder (BC) densities
-are kept whole.  ``koornwinder_normalization`` states the bare Koornwinder
-integral in closed form, Gustafson's product at q = 0, parsing the same
-parameter quadruple as ``koornwinder_density``.
+Every density with a Weyl-group symmetry is stored over the positive roots
+only, and its symmetric blocks are recorded in ``DensityProduct.blocks``.
+A type-A block of n variables carries the q=0 Selberg density
+prod_{i != j} (1-x_i/x_j)/(1-t x_i/x_j), of which only the factors with
+i < j are kept.  A type-D block carries the pair factors of the q=0
+Koornwinder density, the product over the roots +-e_i+-e_j (i != j) of
+(1-x^a)/(1-t x^a), of which only the positive roots x_i/x_j and x_i x_j
+(i < j) are kept; the single-variable factors are invariant under
+x_i -> 1/x_i and stay whole.  For f invariant under the block's Weyl group
+W, CT[f * prod over all roots] = (|W|/W(t)) CT[f * prod over positive
+roots], where W(t) = prod_d (1-t^d)/(1-t) over the degrees d of W:
+1, 2, ..., n for S_n (so the factor is n!/[n]_t!) and 2, 4, ..., 2n-2 and
+n for W(D_n), of order 2^(n-1) n!.  This is Macdonald's Poincare-series
+identity sum_{w in W} w(prod_{a > 0} (1 - t x^-a)/(1 - x^-a)) = W(t)
+("The Poincare series of a Coxeter group", Math. Ann. 199 (1972); for S_n,
+Symmetric Functions and Hall Polynomials, III (1.4)).  The integrator
+multiplies by that Weyl factor per block, so a density still means the full
+product times its prefactor, and it refuses a multiplier that is not
+invariant under each block's Weyl group.  ``koornwinder_normalization``
+states the bare Koornwinder integral in closed form, Gustafson's product at
+q = 0, parsing the same parameter quadruple as ``koornwinder_density``.
 
 Integration is the extraction of the torus-degree-zero coefficient.  The
 density is expanded once, factor by factor, into a table over the window
@@ -49,7 +57,7 @@ from .laurent import LaurentPoly
 from .series import ParamSeries, SeriesRing, mul_into
 
 def _max_terms():
-    return int(os.environ.get("HLTORUS_MAX_TERMS", "4000000"))
+    return int(os.environ.get("HLTORUS_MAX_TERMS") or 4000000)
 
 
 def _unit_exps(n, i, power=1):
@@ -66,11 +74,15 @@ class DensityProduct:
     ((e_s, e_alpha, e_beta), sign, exps) triples, each meaning the factor
     1/(1 - sign * s^e_s a^e_a b^e_b * x^exps).
 
-    ``blocks`` lists the symmetric blocks as (first variable, size, tpow)
-    triples.  Within a block only the positive-root factors (i < j) of the
-    q=0 Selberg density in t = s^tpow are stored, or of its numerator alone
-    when tpow is None (t = 0); the density meant is the full product over
-    i != j, which ``ct_integrate`` recovers through the factor n!/[n]_t!.
+    ``blocks`` lists the symmetric blocks as (kind, first variable, size,
+    tpow) tuples.  Within an "A" block only the positive-root factors
+    (i < j) of the q=0 Selberg density in t = s^tpow are stored, or of its
+    numerator alone when tpow is None (t = 0); the density meant is the
+    full product over i != j, which ``ct_integrate`` recovers through the
+    factor n!/[n]_t!.  Within a "D" block only the pair factors at the
+    positive roots x_i/x_j and x_i x_j (i < j) of the D_n root system are
+    stored; the density meant is the product over all the roots
+    +-e_i+-e_j, recovered through the factor 2^(n-1) n!/W_D(t).
     """
 
     __slots__ = ("vars", "num_factors", "geo_factors", "prefactor", "blocks", "label")
@@ -136,7 +148,7 @@ def selberg_density(n, tpow=2, prefix="x", prefactor=Fraction(1)) -> DensityProd
     num = [(1, exps) for exps in roots]
     geo = [((tpow, 0, 0), 1, exps) for exps in roots]
     return DensityProduct(vars, num, geo, prefactor, label="selberg(%d)" % n,
-                          blocks=((0, n, tpow),))
+                          blocks=(("A", 0, n, tpow),))
 
 
 def _koornwinder_params(params):
@@ -174,6 +186,11 @@ def koornwinder_density(n, params, prefix="x") -> DensityProduct:
     of positive degree.  Parameters equal to +-1 are cancelled symbolically
     against a matching numerator factor; any other parameter of modulus >= 1
     is rejected since there is no cancellation recipe for it.
+
+    The single-variable factors are stored whole; of the pair factors
+    (1-x^a)/(1-t x^a) over the roots a = +-e_i+-e_j only those at the
+    positive roots x_i/x_j and x_i x_j (i < j) are stored, as one "D" block
+    when n >= 2.  The prefactor 1/(2^n n!) still refers to the full density.
     """
     if n < 0:
         raise DomainError("negative variable count")
@@ -201,19 +218,15 @@ def koornwinder_density(n, params, prefix="x") -> DensityProduct:
             if spow >= 1:
                 geo.append(((spow, 0, 0), sign, ei))
                 geo.append(((spow, 0, 0), sign, ei_inv))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for pi in (1, -1):
-                for pj in (1, -1):
-                    exps = tuple(
-                        (pi if k == i else 0) + (pj if k == j else 0)
-                        for k in range(n)
-                    )
-                    num.append((1, exps))
-                    geo.append(((2, 0, 0), 1, exps))
+    for i, j in combinations(range(n), 2):
+        for pj in (-1, 1):
+            exps = tuple((k == i) + pj * (k == j) for k in range(n))
+            num.append((1, exps))
+            geo.append(((2, 0, 0), 1, exps))
     pref = Fraction(1, (2 ** n) * factorial(n))
     label = "koornwinder(%d;%s)" % (n, ",".join(repr(p) for p in params))
-    return DensityProduct(vars, num, geo, pref, label=label)
+    blocks = (("D", 0, n, 2),) if n >= 2 else ()
+    return DensityProduct(vars, num, geo, pref, label=label, blocks=blocks)
 
 
 def koornwinder_normalization(n, params, order) -> ParamSeries:
@@ -428,9 +441,9 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
     if multiplier.trunc != order:
         raise ConfigurationError("multiplier truncation differs from the order")
     if dens.blocks and not _block_symmetric(dens.blocks, multiplier.terms):
-        # the Weyl factor is exact only for block-symmetric multipliers
+        # the Weyl factor is exact only for Weyl-invariant multipliers
         raise ConfigurationError(
-            "multiplier is not symmetric within the blocks of %r" % (dens,)
+            "multiplier is not invariant under the blocks' Weyl groups in %r" % (dens,)
         )
     table = _expansion(dens, order, multiplier.var_bounds())
     out = {}
@@ -446,50 +459,65 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
     return result
 
 
+def _weyl_group(kind, size):
+    """|W| and the degrees of the Weyl group of one block: S_n or W(D_n)."""
+    if kind == "A":
+        return factorial(size), range(1, size + 1)
+    return 2 ** (size - 1) * factorial(size), [*range(2, 2 * size - 1, 2), size]
+
+
 @lru_cache(maxsize=64)
 def _weyl_factor(blocks, order):
-    """prod over blocks of n!/[n]_t! = n! (1-t)^n prod_{i<=n} 1/(1-t^i).
+    """prod over blocks of |W|/W(t) = |W| prod_d (1-t)/(1-t^d), d the degrees.
 
-    A block with tpow None has t = 0, where [n]_0! = 1.
+    A block with tpow None has t = 0, where W(0) = 1.
     """
     ring = SeriesRing(order)
     acc = ring.one()
-    for _, size, tpow in blocks:
-        acc = acc * factorial(size)
+    for kind, _, size, tpow in blocks:
+        count, degrees = _weyl_group(kind, size)
+        acc = acc * count
         if tpow is not None:
-            acc = acc * (ring.one() - ring.monomial(es=tpow)) ** size
-            for i in range(1, size + 1):
-                acc = acc * ring.geometric(es=tpow * i)
+            one_minus_t = ring.one() - ring.monomial(es=tpow)
+            for d in degrees:
+                acc = acc * one_minus_t * ring.geometric(es=tpow * d)
     return acc
 
 
 def _block_symmetric(blocks, terms):
-    """Whether each adjacent transposition within a block fixes the terms.
+    """Whether each simple reflection of each block's Weyl group fixes the terms.
 
-    Coefficients are compared, not just the exponent support.  The
-    transposition of x_i and x_j pairs the terms with e_i > e_j with those
-    with e_i < e_j: each of the former must find an equal partner, and then
-    equal counts on the two sides mean no term is left unpaired.
+    The reflections are the adjacent transpositions x_i <-> x_{i+1} within
+    a block and, for a "D" block ending at x_n, also
+    (x_{n-1}, x_n) -> (1/x_n, 1/x_{n-1}).  Each is the map
+    (e_i, e_{i+1}) -> (s e_{i+1}, s e_i) with s = 1 or -1, and it pairs the
+    terms with e_i > s e_{i+1} with those with e_i < s e_{i+1}.  Coefficients are
+    compared, not just the exponent support: each term of the former kind
+    must find an equal partner, and then equal counts on the two sides mean
+    no term is left unpaired.
     """
     if not terms:
         return True
     nv = len(next(iter(terms)))
-    pairs = []
-    for first, size, _ in blocks:
+    reflections = []
+    for kind, first, size, _ in blocks:
         for i in range(first, first + size - 1):
             perm = list(range(nv))
             perm[i], perm[i + 1] = i + 1, i
-            pairs.append((i, i + 1, itemgetter(*perm)))
+            reflections.append((i, 1, itemgetter(*perm)))
+        if kind == "D":
+            i = first + size - 2
+            reflections.append((i, -1, lambda e, i=i: e[:i] + (-e[i + 1], -e[i]) + e[i + 2:]))
     unpaired = 0
     for e, c in terms.items():
         if not c.coeffs:
             continue
-        for i, j, swap in pairs:
-            a, b = e[i], e[j]
+        for i, s, image in reflections:
+            a, b = e[i], s * e[i + 1]
             if a < b:
                 unpaired += 1
             elif a > b:
-                other = terms.get(swap(e))
+                other = terms.get(image(e))
                 if other is None or other.coeffs != c.coeffs:
                     return False
                 unpaired -= 1

@@ -281,7 +281,7 @@ def two_block_density(m, n) -> DensityProduct:
     geo = [((2, 0, 0), 1, exps) for exps in roots]
     pref = Fraction(1, factorial(n) * factorial(m))
     return DensityProduct(vars_, num, geo, pref, label="two_block(%d,%d)" % (m, n),
-                          blocks=((0, m, 2), (m, n, 2)))
+                          blocks=(("A", 0, m, 2), ("A", m, n, 2)))
 
 
 def cross_block_density(n) -> DensityProduct:
@@ -305,7 +305,7 @@ def cross_block_density(n) -> DensityProduct:
             geo.append(((2, 0, 0), 1, tuple(-e for e in exps)))
     pref = Fraction(1, factorial(n) ** 2)
     return DensityProduct(vars_, num, geo, pref, label="cross_block(%d)" % n,
-                          blocks=((0, n, None), (n, n, None)))
+                          blocks=(("A", 0, n, None), ("A", n, n, None)))
 
 
 def halved_density(n) -> DensityProduct:

@@ -186,6 +186,22 @@ def test_resource_exit_code(monkeypatch):
     dmod.clear_caches()
 
 
+@pytest.mark.parametrize("name", ["HLTORUS_MAX_MIB", "HLTORUS_MAX_TERMS"])
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-4"])
+def test_invalid_limit_variable_is_usage_error(monkeypatch, capsys, name, value):
+    # each value is rejected before any ceiling is applied
+    monkeypatch.setenv(name, value)
+    code, text = run([
+        "verify", "--identity", "orthogonality", "--n", "2",
+        "--lambda", "1,0", "--mu", "1,0", "--order", "4",
+    ])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert name in err and "positive integer" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "error",
     [InternalConsistencyError, ConfigurationError, KeyError, TypeError, ZeroDivisionError],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -33,18 +34,19 @@ from helpers import unit_inverse
 from oracles import gustafson_rhs
 
 D = 12
+K_QUADRUPLES = (K_PLUS_EVEN, K_MINUS_EVEN, K_PLUS_ODD, K_MINUS_ODD, K_SYMPLECTIC, K_KAWANAKA)
 
 
 def test_selberg_structure():
     d1 = selberg_density(1)
     assert d1.num_factors == () and d1.geo_factors == ()
-    assert d1.blocks == ((0, 1, 2),)
+    assert d1.blocks == (("A", 0, 1, 2),)
     # only the positive roots x_i/x_j, i < j, are stored
     d3 = selberg_density(3, tpow=4)
     roots = [(1, -1, 0), (1, 0, -1), (0, 1, -1)]
     assert sorted(d3.num_factors) == sorted((1, e) for e in roots)
     assert sorted(d3.geo_factors) == sorted(((4, 0, 0), 1, e) for e in roots)
-    assert d3.blocks == ((0, 3, 4),)
+    assert d3.blocks == (("A", 0, 3, 4),)
     # the integral depends on the blocks, so the cache keys must too
     bare = DensityProduct(d3.vars, d3.num_factors, d3.geo_factors)
     assert bare.key() != d3.key()
@@ -75,6 +77,12 @@ def test_koornwinder_structures():
     # (t, -1, +-sqrt t): only the -1 parameter cancels, leaving (1-x)(1-1/x)
     d = koornwinder_density(1, ((1, 2), -1, (1, 1), (-1, 1)))
     assert sorted(d.num_factors) == [(1, (-1,)), (1, (1,))]
+    assert d.blocks == ()
+    # of the pair factors only the positive roots x1/x2 and x1 x2 are stored
+    d = koornwinder_density(2, (1, -1, (1, 1), (-1, 1)))
+    assert sorted(d.num_factors) == [(1, (1, -1)), (1, (1, 1))]
+    assert sorted(d.geo_factors)[-2:] == [((2, 0, 0), 1, (1, -1)), ((2, 0, 0), 1, (1, 1))]
+    assert d.blocks == (("D", 0, 2, 2),)
 
 
 def test_koornwinder_cancellation_reproduces_full_product():
@@ -163,13 +171,17 @@ def test_known_series_coefficients():
 
 
 def _full_product(vars_, num_factors, geo_factors, order):
-    """Every factor expanded as a LaurentPoly and multiplied out, unpruned."""
+    """Every factor expanded as a LaurentPoly and multiplied out, unpruned.
+
+    Factors at complementary monomials are multiplied next to each other,
+    which keeps the intermediate products small.
+    """
     ring = SeriesRing(order)
     nv = len(vars_)
-    acc = LaurentPoly.unit(vars_, order)
+    factors = []
     for sign, exps in num_factors:
-        acc = acc * LaurentPoly(vars_, {(0,) * nv: ring.one(), exps: ring.const(-sign)},
-                                order)
+        factors.append((exps, LaurentPoly(
+            vars_, {(0,) * nv: ring.one(), exps: ring.const(-sign)}, order)))
     for ckey, sign, exps in geo_factors:
         cdeg = sum(ckey)
         terms = {}
@@ -181,7 +193,11 @@ def _full_product(vars_, num_factors, geo_factors, order):
             )
             terms[tuple(k * e for e in exps)] = coeff
             k += 1
-        acc = acc * LaurentPoly(vars_, terms, order)
+        factors.append((exps, LaurentPoly(vars_, terms, order)))
+    factors.sort(key=lambda f: (tuple(abs(e) for e in f[0]), f[0]))
+    acc = LaurentPoly.unit(vars_, order)
+    for _, factor in factors:
+        acc = acc * factor
     return acc
 
 
@@ -190,16 +206,21 @@ def _numerator(dens, order):
     return _full_product(dens.vars, dens.num_factors, (), order)
 
 
-def _ct_bruteforce(vars_, num_factors, geo_factors, prefactor, multiplier, order):
-    """CT of multiplier times a factored density, given factor by factor.
+def _ct_bruteforce(full, prefactor, multiplier):
+    """CT of multiplier times a density multiplied out by ``_full_product``.
 
-    Every factor is expanded as a LaurentPoly and multiplied out, with no
-    pruning; then the constant term is projected out.
+    The constant term of the product is read off term by term: the sum of
+    each multiplier coefficient times the density's at the opposite exponent.
     """
-    acc = _full_product(vars_, num_factors, geo_factors, order)
-    if multiplier is not None:
-        acc = acc * multiplier
-    return acc.constant_term(vars_).scalar() * prefactor
+    ring = SeriesRing(full.trunc)
+    if multiplier is None:
+        multiplier = LaurentPoly.unit(full.vars, full.trunc)
+    acc = ring.zero()
+    for e, c in multiplier.terms.items():
+        d = full.terms.get(tuple(-x for x in e))
+        if d is not None:
+            acc = acc + c * d
+    return acc * prefactor
 
 
 def _root(nv, i, j):
@@ -238,23 +259,41 @@ def _full_cross_block(n):
     return num1 + num2, geo
 
 
+def _full_koornwinder(dens):
+    """A Koornwinder density's single-variable factors and every pair factor.
+
+    The pair factors (1-x^a)/(1-t x^a) are built here at all four roots
+    a = +-e_i+-e_j of each i < j, not read from the density.
+    """
+    nv = len(dens.vars)
+    num = [(s, e) for s, e in dens.num_factors if sum(map(bool, e)) == 1]
+    geo = [(c, s, e) for c, s, e in dens.geo_factors if sum(map(bool, e)) == 1]
+    for i, j in combinations(range(nv), 2):
+        for pi in (1, -1):
+            for pj in (1, -1):
+                e = [0] * nv
+                e[i], e[j] = pi, pj
+                num.append((1, tuple(e)))
+                geo.append(((2, 0, 0), 1, tuple(e)))
+    return num, geo
+
+
 def test_ct_matches_bruteforce_oracle():
     order = 8
-    # the Koornwinder densities are stored whole
-    dens = koornwinder_density(2, (1, -1, (1, 1), (-1, 1)))
-    p = hl_full((2, 1, 1, 0), pm_args(2), dens.vars, order)
-    assert ct_integrate(dens, p, order) == _ct_bruteforce(
-        dens.vars, dens.num_factors, dens.geo_factors, dens.prefactor, p, order)
+    dens = koornwinder_density(2, K_PLUS_EVEN)
+    full = _full_product(dens.vars, *_full_koornwinder(dens), order)
+    p = hl_full((2, 2, 0, 0), pm_args(2), dens.vars, order)
+    got = ct_integrate(dens, p, order)
+    assert not got.is_zero()
+    assert got == _ct_bruteforce(full, dens.prefactor, p)
 
     dens = selberg_density(2)
     names = dens.vars
     p = hl_full((2, 0), (var_arg(2, 0), var_arg(2, 1)), names, order)
     q = hl_full((2, 0), (var_arg(2, 0, -1), var_arg(2, 1, -1)), names, order)
-    num, geo = _full_block(2, 0, 2, 2)
-    assert ct_integrate(dens, p * q, order) == _ct_bruteforce(
-        names, num, geo, 1, p * q, order)
-    assert ct_integrate(dens, None, order) == _ct_bruteforce(
-        names, num, geo, 1, None, order)
+    full = _full_product(names, *_full_block(2, 0, 2, 2), order)
+    assert ct_integrate(dens, p * q, order) == _ct_bruteforce(full, 1, p * q)
+    assert ct_integrate(dens, None, order) == _ct_bruteforce(full, 1, None)
 
 
 def _multipliers(names, weight, order):
@@ -266,16 +305,16 @@ def _multipliers(names, weight, order):
 
 
 def _assert_halved_matches_full(dens, full, prefactor, weights, order):
-    num, geo = full
+    full = _full_product(dens.vars, *full, order)
     for weight in weights:
         for mult in _multipliers(dens.vars, weight, order):
             got = ct_integrate(dens, mult, order)
-            want = _ct_bruteforce(dens.vars, num, geo, prefactor, mult, order)
+            want = _ct_bruteforce(full, prefactor, mult)
             assert got == want, (dens.label, weight, mult is None)
 
 
 def test_positive_root_densities_match_full_density():
-    """Each halved type-A density against the full i != j density."""
+    """Each halved density against its full density over all the roots."""
     order = 8
     for n in (1, 2, 3):
         for tpow in (2, 4):
@@ -294,11 +333,24 @@ def test_positive_root_densities_match_full_density():
         pref = Fraction(1, factorial(n) ** 2)
         weights = [(1,) + (0,) * (2 * n - 2) + (-1,), (1, 1) + (0,) * (2 * n - 2)]
         _assert_halved_matches_full(dens, _full_cross_block(n), pref, weights, order)
+    # Koornwinder: P_lambda at x_i^{+-1}, the multiplier of every BC identity
+    for params in K_QUADRUPLES:
+        for n in (1, 2, 3):
+            order = 8 if n < 3 else 6
+            dens = koornwinder_density(n, params)
+            full = _full_product(dens.vars, *_full_koornwinder(dens), order)
+            pad = (0,) * (2 * n - 2)
+            for weight in (None, (2, 2) + pad, (1, 1) + pad):
+                mult = None if weight is None else hl_full(weight, pm_args(n), dens.vars,
+                                                           order)
+                got = ct_integrate(dens, mult, order)
+                assert got == _ct_bruteforce(full, dens.prefactor, mult), (dens.label, weight)
+                # (1, 1) vanishes against K_PLUS_EVEN for n >= 2
+                assert weight == (1, 1) + pad or not got.is_zero(), (dens.label, weight)
 
 
 def _expansion_cases():
-    for params in (K_PLUS_EVEN, K_MINUS_EVEN, K_PLUS_ODD, K_MINUS_ODD,
-                   K_SYMPLECTIC, K_KAWANAKA):
+    for params in K_QUADRUPLES:
         for n in (1, 2):
             yield koornwinder_density(n, params)
     for n in (2, 3):
@@ -375,6 +427,45 @@ def test_non_symmetric_multiplier_rejected():
     assert ct_integrate(dens, x, D) == SeriesRing(D).zero()
     with pytest.raises(ConfigurationError):
         ct_integrate(dens, LaurentPoly.monomial(dens.vars, (0, 1, 0), 1, D), D)
+
+
+def test_d_block_guard():
+    """A D block needs W(D_n) invariance: S_n symmetry is not enough, and
+    x_i -> 1/x_i symmetry of a single variable is not needed."""
+    dens = koornwinder_density(3, K_PLUS_ODD)
+    x = [LaurentPoly.monomial(dens.vars, e, 1, D) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    with pytest.raises(ConfigurationError):
+        ct_integrate(dens, x[0] + x[1] + x[2], D)
+    # D_2 = A_1 x A_1: invariance under x1 <-> x2 and (x1, x2) -> (1/x2, 1/x1)
+    order = 8
+    for params in (K_PLUS_ODD, K_SYMPLECTIC):
+        dens = koornwinder_density(2, params)
+        full = _full_product(dens.vars, *_full_koornwinder(dens), order)
+
+        def poly(*exps):
+            return LaurentPoly(dens.vars, {e: SeriesRing(order).one() for e in exps}, order)
+
+        for mult in (poly((1, 0), (0, 1)), poly((1, 0)), poly((1, 1), (-1, 1))):
+            with pytest.raises(ConfigurationError):
+                ct_integrate(dens, mult, order)
+        # D-invariant but not BC-invariant, then BC-invariant
+        for mult in (poly((1, 1), (-1, -1)), poly((1, -1), (-1, 1)),
+                     poly((2, 0), (-2, 0), (0, 2), (0, -2))):
+            got = ct_integrate(dens, mult, order)
+            assert got == _ct_bruteforce(full, dens.prefactor, mult), (params, mult)
+            assert not got.is_zero()
+
+
+def test_weyl_factor_of_small_blocks():
+    # D_2 = A_1 x A_1 with degrees (2, 2): the factor is 4/(1+t)^2
+    r = SeriesRing(D)
+    d2 = densities._weyl_factor((("D", 0, 2, 2),), D)
+    assert d2 * (r.one() + r.t()) ** 2 == r.const(4)
+    assert d2 == densities._weyl_factor((("A", 0, 2, 2), ("A", 2, 2, 2)), D)
+    # D_3 = A_3: degrees (2, 4, 3) against (1, 2, 3, 4), and |W| = 24 both ways
+    assert densities._weyl_factor((("D", 0, 3, 4),), D) == densities._weyl_factor(
+        (("A", 0, 4, 4),), D)
+    assert densities._weyl_factor((("D", 0, 1, 2),), D) == r.one()
 
 
 def test_ct_requires_matching_variables_and_order():
