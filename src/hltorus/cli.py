@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
+from .densities import env_ceiling
 from .errors import DomainError, ResourceLimitError
 from .identities import REGISTRY, sweep_weights, verify
 
@@ -27,32 +27,27 @@ INTERNAL_EXIT = 4
 
 
 def _apply_memory_ceiling():
-    mib = os.environ.get("HLTORUS_MAX_MIB")
-    if not mib:
+    mib = env_ceiling("HLTORUS_MAX_MIB")
+    if mib is None:
         return
     try:
         import resource
     except ImportError:  # non-POSIX platform
         return
-    limit = int(mib) * 1024 * 1024
+    limit = mib * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def _invalid_limit():
-    """The first ceiling variable set to something other than a positive integer.
+    """The error for the first ceiling variable that is not a positive integer.
 
     Unset or empty leaves the default: no memory ceiling, 4000000 terms.
     """
     for name in ("HLTORUS_MAX_MIB", "HLTORUS_MAX_TERMS"):
-        text = os.environ.get(name)
-        if not text:
-            continue
         try:
-            if int(text) > 0:
-                continue
-        except ValueError:
-            pass
-        return name, text
+            env_ceiling(name)
+        except DomainError as exc:
+            return exc
     return None
 
 
@@ -163,7 +158,7 @@ def main(argv=None, out=None):
         return USAGE_EXIT if exc.code else 0
     invalid = _invalid_limit()
     if invalid is not None:
-        sys.stderr.write("error: %s=%r is not a positive integer\n" % invalid)
+        sys.stderr.write("error: %s\n" % invalid)
         return USAGE_EXIT
     _apply_memory_ceiling()
     if args.command == "list":

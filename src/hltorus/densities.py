@@ -56,8 +56,26 @@ from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
 from .series import ParamSeries, SeriesRing, mul_into
 
+
+def env_ceiling(name):
+    """The positive integer the ceiling variable ``name`` is set to.
+
+    None when it is unset or empty; any other value is a usage error.
+    """
+    text = os.environ.get(name)
+    if not text:
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise DomainError("%s=%r is not a positive integer" % (name, text))
+    return value
+
+
 def _max_terms():
-    return int(os.environ.get("HLTORUS_MAX_TERMS") or 4000000)
+    return env_ceiling("HLTORUS_MAX_TERMS") or 4000000
 
 
 def _unit_exps(n, i, power=1):
@@ -363,6 +381,7 @@ def _expansion(dens, order, bounds):
     Cached per density and order, and reused whenever a cached window
     covers the request.
     """
+    limit = _max_terms()
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
     if cached is not None:
@@ -373,7 +392,6 @@ def _expansion(dens, order, bounds):
     factors = _factor_sequence(dens)
     nv = len(dens.vars)
     moves = _movement(factors, nv)
-    limit = _max_terms()
     zero = (0,) * nv
     acc = {zero: {(0, 0, 0): 1}}
 
@@ -417,10 +435,7 @@ def _expansion(dens, order, bounds):
                     break
         acc = new
         if len(acc) > limit:
-            raise ResourceLimitError(
-                "density expansion exceeded %d terms" % limit,
-                factor_count=len(factors),
-            )
+            raise ResourceLimitError("density expansion exceeded %d terms" % limit)
     _EXPANSION_CACHE[cache_key] = (tuple(bounds), acc)
     return acc
 

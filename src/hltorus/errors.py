@@ -19,8 +19,3 @@ class InternalConsistencyError(HLTorusError):
 
 class ResourceLimitError(HLTorusError):
     """A configured memory or size ceiling was exceeded."""
-
-    def __init__(self, message, achieved_order=None, factor_count=None):
-        super().__init__(message)
-        self.achieved_order = achieved_order
-        self.factor_count = factor_count

@@ -9,8 +9,11 @@ over the mu with lambda/mu a horizontal strip, where
 psi_{lambda/mu}(t) = prod_{j in J} (1 - t^{m_j(mu)}) and J is the set of
 j >= 1 with theta'_j = 0 and theta'_{j+1} = 1 for theta = lambda - mu.
 The recursion is memoized on mu (whose length is the number of slots it
-uses) within one call.  A weight whose last part is nonzero is first
-shifted to end in 0 by the factor (y_1 ... y_N)^{lambda_N}.
+uses) within one call.  A weight whose last part is nonzero is shifted to
+end in 0: P_lambda = (y_1 ... y_N)^{lambda_N} P_{lambda - lambda_N}, and the
+recursion starts from that monomial in place of P_() = 1.  Coefficients are
+the package's (e_s, e_alpha, e_beta)-keyed dicts, with e_alpha = e_beta = 0,
+and every product of them goes through ``series.mul_into``.
 
 Argument slots are signed torus monomials optionally scaled by a power of
 s, which covers x_i, x_i^{-1}, +-1 and t^{+-1/2} z_i (after the caller
@@ -22,11 +25,12 @@ along the way is exact, and the coefficients stay integers.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import NamedTuple, Tuple
 
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .series import ParamSeries
+from .series import ZERO_KEY, ParamSeries, mul_into
 
 
 class Mono(NamedTuple):
@@ -61,34 +65,34 @@ def _mono_pow(m: Mono, k: int) -> Mono:
     return Mono(sign, m.spow * k, tuple(e * k for e in m.exps))
 
 
-# ---------------------------------------------------------------------------
-# raw polynomials: dict[exps tuple] -> dict[s exponent] -> coefficient
-# ---------------------------------------------------------------------------
+def _psi(lam, mu, tbase, cap, y):
+    """psi_{lam/mu}(t) times the scalar y.sign * s**y.spow of the slot power y.
 
-
-def _psi(lam, mu, tbase, cap):
-    """psi_{lam/mu}(t) as an s-polynomial, for a horizontal strip lam/mu."""
+    lam/mu is a horizontal strip; the result is an (e_s, 0, 0)-keyed dict
+    truncated at ``cap``.
+    """
     cols = [0] * (lam[0] + 2)
     for hi, lo in zip(lam, mu + (0,)):
         for j in range(lo + 1, hi + 1):
             cols[j] += 1
-    psi = {0: 1}
+    psi = {(y.spow, 0, 0): y.sign} if y.spow <= cap else {}
     for j in range(1, lam[0]):
         if cols[j] == 0 and cols[j + 1] == 1:
             # m_j(mu) >= 1 here: the strip row that starts at column j+1
             # has mu_i = j
-            step = tbase * mu.count(j)
-            out = dict(psi)
-            for e, c in psi.items():
-                if e + step <= cap:
-                    out[e + step] = out.get(e + step, 0) - c
-            psi = {e: c for e, c in out.items() if c}
+            out = {}
+            mul_into(out, psi, {ZERO_KEY: 1, (tbase * mu.count(j), 0, 0): -1}, cap)
+            psi = out
     return psi
 
 
-def _branching(lam, args, nvars, cap, tbase):
-    """P_lam(args) as a raw polynomial, for a partition lam padded to len(args)."""
-    memo = {(): {(0,) * nvars: {0: 1}}}
+def _branching(lam, args, seed, cap, tbase):
+    """P_lam(args) times the seed term, for a partition lam padded to len(args).
+
+    Polynomials map exponent tuples to (e_s, 0, 0)-keyed coefficient dicts;
+    ``seed`` is the one-term polynomial that P_() stands for.
+    """
+    memo = {(): seed}
 
     def build(lam):
         hit = memo.get(lam)
@@ -99,39 +103,16 @@ def _branching(lam, args, nvars, cap, tbase):
         acc = {}
         for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
             y = _mono_pow(args[k - 1], size - sum(mu))
-            factor = {
-                e + y.spow: y.sign * c
-                for e, c in _psi(lam, mu, tbase, cap).items()
-                if e + y.spow <= cap
-            }
+            factor = _psi(lam, mu, tbase, cap, y)
             if not factor:
                 continue
-            for exps, sd in build(mu).items():
+            for exps, cd in build(mu).items():
                 key = tuple(a + b for a, b in zip(exps, y.exps))
-                dst = acc.setdefault(key, {})
-                for ea, ca in sd.items():
-                    for eb, cb in factor.items():
-                        e = ea + eb
-                        if e <= cap:
-                            dst[e] = dst.get(e, 0) + ca * cb
-        out = {}
-        for exps, sd in acc.items():
-            sd = {e: c for e, c in sd.items() if c}
-            if sd:
-                out[exps] = sd
-        memo[lam] = out
-        return out
+                mul_into(acc.setdefault(key, {}), cd, factor, cap)
+        memo[lam] = acc
+        return acc
 
     return build(lam)
-
-
-def _raw_to_laurent(poly, var_names, order):
-    terms = {}
-    for e, sd in poly.items():
-        coeffs = {(es, 0, 0): c for es, c in sd.items() if es <= order}
-        if coeffs:
-            terms[e] = ParamSeries(coeffs, order, clean=False)
-    return LaurentPoly(var_names, terms, order, clean=False)
 
 
 _CACHE = {}
@@ -168,22 +149,18 @@ def hl_full(weight, args, var_names, order, tbase=2):
         return hit
 
     nvars = len(var_names)
+    # the recursion is linear, so the shift by (y_1 ... y_N)^{lambda_N}
+    # enters once, as the seed term
     shift = weight[-1] if weight else 0
-    poly = _branching(tuple(w - shift for w in weight), args, nvars, order, tbase)
-    if shift:
-        sign = 1
-        for m in args:
-            sign *= m.sign
-        y = _mono_pow(
-            Mono(sign, sum(m.spow for m in args),
-                 tuple(sum(col) for col in zip(*(m.exps for m in args)))),
-            shift,
-        )
-        poly = {
-            tuple(a + b for a, b in zip(exps, y.exps)):
-                {e + y.spow: y.sign * c for e, c in sd.items()}
-            for exps, sd in poly.items()
-        }
-    result = _raw_to_laurent(poly, var_names, order)
+    y = _mono_pow(
+        Mono(prod(m.sign for m in args), sum(m.spow for m in args),
+             tuple(sum(m.exps[i] for m in args) for i in range(nvars))),
+        shift,
+    )
+    poly = _branching(tuple(w - shift for w in weight), args,
+                      {y.exps: {(y.spow, 0, 0): y.sign}}, order, tbase)
+    result = LaurentPoly(
+        var_names, {e: ParamSeries(cd, order) for e, cd in poly.items()}, order
+    )
     _CACHE[key] = result
     return result

@@ -77,22 +77,6 @@ BETA = (1, 0, 1)
 MINUS_ONE = (-1, 0, 0)
 MINUS_ALPHA = (-1, 1, 0)
 
-_Z_CACHE = {}
-
-
-def _znorm(dens: DensityProduct, order) -> ParamSeries:
-    key = (dens.key(), order)
-    hit = _Z_CACHE.get(key)
-    if hit is None:
-        hit = ct_integrate(dens, None, order)
-        _Z_CACHE[key] = hit
-    return hit
-
-
-def clear_caches():
-    _Z_CACHE.clear()
-
-
 def _var_names(prefix, n):
     return tuple("%s%d" % (prefix, i + 1) for i in range(n))
 
@@ -229,8 +213,7 @@ def rhs_t2_branching(weight: DominantWeight, n, order):
     num = ring.t(mu.weight())
     for j in range(n - 2 * ell + 1, n + 1):
         num = num * tc2.one_minus_t_power(j)
-    den = tc4.one_minus_t_pow(ell) * tc4.v_of(mu.parts, include_zeros=False)
-    return num, den
+    return num, tc4.c_symbol("-", mu.parts)
 
 
 def _bridge_den(lam: Partition, n, k, order):
@@ -380,7 +363,7 @@ def _integral(key, inst, values=(), normalized=False):
     dens, slots, tbase = INTEGRANDS[key](inst.n, inst.m)
     order = inst.order
     if inst.weight is None:
-        integral = _znorm(dens, order)
+        integral = ct_integrate(dens, None, order)
     else:
         mult = hl_full(inst.weight.parts, slots, dens.vars, order, tbase)
         if inst.mu is not None:
@@ -389,7 +372,7 @@ def _integral(key, inst, values=(), normalized=False):
         if torus is not None:
             mult = mult * torus
         integral = _times(ct_integrate(dens, mult, order), scalar)
-    z = _znorm(dens, order) if normalized else SeriesRing(order).one()
+    z = ct_integrate(dens, None, order) if normalized else SeriesRing(order).one()
     return integral, z
 
 
@@ -436,7 +419,7 @@ def _build_double_cover(inst):
     mu = shape.palindrome
     notes = []
     num, den = rhs_double_cover(weight, n, inner)
-    z = _znorm(dens, inner)
+    z = ct_integrate(dens, None, inner)
     if mu.weight():
         notes.append(
             "value differs from the stated closed form by t^|mu|: the "

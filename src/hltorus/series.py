@@ -34,8 +34,8 @@ def mul_into(dst, a, b, cap):
     total degree above ``cap`` are skipped, and an entry of ``dst`` that
     cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
     is the one product loop of the package: series products, the torus
-    products of ``LaurentPoly`` and the constant-term convolution all
-    accumulate through it.
+    products of ``LaurentPoly``, the branching rule of ``hall_littlewood``
+    and the constant-term convolution all accumulate through it.
     """
     if len(a) > len(b):
         a, b = b, a

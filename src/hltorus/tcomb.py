@@ -35,9 +35,9 @@ class TComb:
             raise DomainError("negative t-powers are not ring elements")
         return self.ring.s(self.base * k)
 
-    def one_minus_t_power(self, k, sign=1):
-        """1 - sign * t**k."""
-        return self.ring.one() - self.ring.monomial(es=self.base * k, coeff=sign)
+    def one_minus_t_power(self, k):
+        """1 - t**k."""
+        return self.ring.one() - self.ring.monomial(es=self.base * k)
 
     def t_integer(self, i):
         """[i] = 1 + t + ... + t^(i-1)."""

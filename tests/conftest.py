@@ -9,10 +9,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 @pytest.fixture
 def clear_caches():
     """A function that empties every module-level cache of the package."""
-    from hltorus import densities, hall_littlewood, identities
+    from hltorus import densities, hall_littlewood
 
     def clear():
-        for module in (densities, hall_littlewood, identities):
+        for module in (densities, hall_littlewood):
             module.clear_caches()
 
     return clear

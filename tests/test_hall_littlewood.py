@@ -106,8 +106,9 @@ def test_dominant_weight_slots():
 
 def test_scaled_slots_match_substitution():
     # evaluate with slots (t z1, z1, t z2, z2) directly, then compare with
-    # substituting into the plain four-variable polynomial
-    for w in ((3, 1, 0, 0), (2, 2, 1, 0), (2, 1, 1, 0)):
+    # substituting into the plain four-variable polynomial; a last part > 0
+    # checks the (y_1 ... y_N)^{lambda_N} shift against the truncation
+    for w in ((3, 1, 0, 0), (2, 2, 1, 0), (2, 1, 1, 0), (3, 2, 1, 1), (2, 2, 2, 1)):
         direct = hl_full(
             w,
             (Mono(1, 2, (1, 0)), Mono(1, 0, (1, 0)), Mono(1, 2, (0, 1)), Mono(1, 0, (0, 1))),

@@ -443,6 +443,15 @@ def test_resource_limit_reported(monkeypatch):
     dmod.clear_caches()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_term_ceiling_is_domain_error(monkeypatch, value):
+    # a bad ceiling is a usage error, neither a crash nor a partial report,
+    # and a cached expansion does not hide it
+    monkeypatch.setenv("HLTORUS_MAX_TERMS", value)
+    with pytest.raises(DomainError, match="HLTORUS_MAX_TERMS"):
+        verify("orthogonality", n=2, weight=(1, 0), mu=(1, 0), order=8)
+
+
 def test_resource_ladder_produces_partial_report(register_identity):
     from hltorus.errors import ResourceLimitError
 
