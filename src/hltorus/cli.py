@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .densities import env_ceiling
@@ -162,7 +163,7 @@ def main(argv=None, out=None):
         return USAGE_EXIT
     _apply_memory_ceiling()
     if args.command == "list":
-        return _cmd_list(args, out)
+        return _write(out, _cmd_list, args, out)
 
     defn = REGISTRY.get(args.identity)
     if defn is None:
@@ -204,7 +205,32 @@ def main(argv=None, out=None):
         # exit 1 ("mismatch found")
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return INTERNAL_EXIT
-    return _emit(reports, args.json, args.timings, out)
+    return _write(out, _emit, reports, args.json, args.timings, out)
+
+
+def _write(out, fn, *args):
+    """fn(*args), then flush ``out``; an output that cannot be written gives exit 4.
+
+    A reader that went away (``hltorus sweep ... | head -1``) or a full
+    disk says nothing about the identity, so it must not read as exit 1.
+    The descriptor under ``out``, if it has one, is pointed at os.devnull,
+    so that the interpreter's own last flush does not raise a second time.
+    """
+    try:
+        code = fn(*args)
+        out.flush()
+    except OSError as exc:
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError, ValueError):
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        sys.stderr.write("internal error: cannot write the output: %s\n" % exc)
+        return INTERNAL_EXIT
+    return code
 
 
 if __name__ == "__main__":

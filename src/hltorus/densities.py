@@ -29,6 +29,19 @@ invariant under each block's Weyl group.  ``koornwinder_normalization``
 states the bare Koornwinder integral in closed form, Gustafson's product at
 q = 0, parsing the same parameter quadruple as ``koornwinder_density``.
 
+On a density with one "A" block over all its variables, P_lambda(x; t)
+times a symmetric g integrates without forming P_lambda, by Macdonald's
+symmetrization (Symmetric Functions and Hall Polynomials, III (2.2)):
+P_lambda = (1/v_lambda(t)) sum_{w in S_n} w(x^lambda prod_{i<j}
+(x_i - t x_j)/(x_i - x_j)), and the quotient cancels the i > j half of the
+Selberg density, so CT[P_lambda g * all roots] = (n!/v_lambda(t))
+CT[x^lambda g * positive roots].  Here v_lambda(t) = prod_i [m_i]_t! over
+the runs of equal parts of lambda padded to n parts, zeros included: the
+Weyl factors of the stabilizer of x^lambda, a product of S_{m_i}.
+``ct_integrate`` takes lambda as its ``lead``: it shifts g by x^lambda and
+multiplies by n!/v_lambda(t) = (n!/prod m_i!) prod_i m_i!/[m_i]_t! in place
+of n!/[n]_t!, which is the lambda = 0 case.
+
 Integration is the extraction of the torus-degree-zero coefficient.  The
 density is expanded once, factor by factor, into a table over the window
 of torus exponents the multiplier can cancel, then convolved with the
@@ -48,7 +61,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import itemgetter
 from math import factorial, prod
 
@@ -440,11 +453,21 @@ def _expansion(dens, order, bounds):
     return acc
 
 
-def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
+def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSeries:
     """Torus integral (constant term) of multiplier times the density.
 
     Exact through the given order.  ``multiplier`` may be None for the bare
     normalization integral.
+
+    With ``lead``, a weakly decreasing weight with one part per variable,
+    the integrand is P_lead(x; t) times the multiplier g, and P_lead itself
+    is never formed (see the module docstring).  g is guarded as without
+    ``lead``, shifted by x^lead with a one-term product and convolved with
+    the same positive-root table; the result is restored by the stabilizer
+    factor n!/v_lead(t), with v_lead over every run of equal parts, zeros
+    included, in place of n!/[n]_t!.  A lead that is not weakly decreasing
+    or has the wrong length, and a density that is not one "A" block over
+    all its variables, raise ``ConfigurationError``.
     """
     if multiplier is None:
         multiplier = LaurentPoly.unit(dens.vars, order)
@@ -460,6 +483,11 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
         raise ConfigurationError(
             "multiplier is not invariant under the blocks' Weyl groups in %r" % (dens,)
         )
+    blocks, prefactor = dens.blocks, dens.prefactor
+    if lead is not None:
+        blocks = _stabilizer(dens, lead)
+        prefactor *= factorial(len(lead)) // prod(factorial(b[2]) for b in blocks)
+        multiplier = multiplier * LaurentPoly.monomial(dens.vars, lead, 1, order)
     table = _expansion(dens, order, multiplier.var_bounds())
     out = {}
     for e, coeff in multiplier.terms.items():
@@ -467,11 +495,36 @@ def ct_integrate(dens: DensityProduct, multiplier, order) -> ParamSeries:
         if dcoef:
             mul_into(out, coeff.coeffs, dcoef, order)
     result = ParamSeries(out, order, clean=False)
-    if dens.blocks:
-        result = result * _weyl_factor(dens.blocks, order)
-    if dens.prefactor != 1:
-        result = result * dens.prefactor
+    if blocks:
+        result = result * _weyl_factor(blocks, order)
+    if prefactor != 1:
+        result = result * prefactor
     return result
+
+
+def _stabilizer(dens, lead):
+    """The "A" blocks of the runs of equal parts of ``lead``, in the density's t.
+
+    They stand for the stabilizer of x^lead in S_n, whose Weyl factors give
+    v_lead(t) = prod over the runs of [m]_t!; zero parts form a run too.
+    Refuses a density that is not one "A" block over all its variables and
+    a lead that is not weakly decreasing with one part per variable.
+    """
+    nv = len(dens.vars)
+    if len(dens.blocks) != 1 or dens.blocks[0][:3] != ("A", 0, nv):
+        raise ConfigurationError("a lead weight needs one \"A\" block over all of %r" % (dens,))
+    lead = tuple(lead)
+    if len(lead) != nv or any(a < b for a, b in zip(lead, lead[1:])):
+        raise ConfigurationError(
+            "lead %r is not a weakly decreasing weight with %d parts" % (lead, nv)
+        )
+    tpow = dens.blocks[0][3]
+    blocks, first = [], 0
+    for _, run in groupby(lead):
+        size = len(tuple(run))
+        blocks.append(("A", first, size, tpow))
+        first += size
+    return tuple(blocks)
 
 
 def _weyl_group(kind, size):

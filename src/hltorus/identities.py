@@ -43,8 +43,9 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import factorial
+from operator import mul
 from typing import Callable, Optional, Tuple
 
 from .densities import (
@@ -352,26 +353,42 @@ def _linear_factors(slots, values, names, order):
     return torus, ParamSeries(scalar, order, clean=False)
 
 
+def _symmetrizes(dens, slots, tbase):
+    """Whether P at ``slots`` can be integrated by ``ct_integrate``'s ``lead``.
+
+    True when the density is one "A" block over all its variables, in P's
+    t, and the slots are those variables themselves.
+    """
+    nv = len(dens.vars)
+    return dens.blocks == (("A", 0, nv, tbase),) and slots == _plain_args(nv)
+
+
 def _integral(key, inst, values=(), normalized=False):
     """(I, Z) for the integrand ``key`` of one instance.
 
     I integrates P_lambda at the integrand's slots (times P_mu at the
     inverted slots when the instance has mu) and the slot rule's linear
     factors against the density, or the bare density without a weight.
-    Z is the bare integral when ``normalized``, else one.
+    Where ``_symmetrizes`` holds, P_lambda is not formed: lambda is passed
+    to ``ct_integrate`` as its ``lead``.  Z is the bare integral when
+    ``normalized``, else one.
     """
     dens, slots, tbase = INTEGRANDS[key](inst.n, inst.m)
     order = inst.order
     if inst.weight is None:
         integral = ct_integrate(dens, None, order)
     else:
-        mult = hl_full(inst.weight.parts, slots, dens.vars, order, tbase)
+        lead = inst.weight.parts if _symmetrizes(dens, slots, tbase) else None
+        factors = []
+        if lead is None:
+            factors.append(hl_full(inst.weight.parts, slots, dens.vars, order, tbase))
         if inst.mu is not None:
-            mult = mult * hl_full(inst.mu.parts, _inverted(slots), dens.vars, order, tbase)
+            factors.append(hl_full(inst.mu.parts, _inverted(slots), dens.vars, order, tbase))
         torus, scalar = _linear_factors(slots, values, dens.vars, order)
         if torus is not None:
-            mult = mult * torus
-        integral = _times(ct_integrate(dens, mult, order), scalar)
+            factors.append(torus)
+        mult = reduce(mul, factors) if factors else None
+        integral = _times(ct_integrate(dens, mult, order, lead=lead), scalar)
     z = ct_integrate(dens, None, order) if normalized else SeriesRing(order).one()
     return integral, z
 
@@ -723,9 +740,15 @@ def _compare(lhs: ParamSeries, rhs: ParamSeries):
 
 
 def sweep_weights(name, n, m=None, max_weight=4, max_parts=None):
-    """The default weight grid for an identity, in deterministic order."""
+    """The default weight grid for an identity, in deterministic order.
+
+    Raises ``DomainError`` for a negative ``max_weight`` or ``max_parts``.
+    """
     from .partitions import partitions_up_to
 
+    for arg, value in (("max_weight", max_weight), ("max_parts", max_parts)):
+        if value is not None and value < 0:
+            raise DomainError("%s must be at least 0, not %d" % (arg, value))
     defn = REGISTRY[name]
     if not defn.needs_weight:
         return [None]

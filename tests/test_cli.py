@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -219,3 +222,47 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
     assert text == ""
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "exactness check failed" in err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--identity", "o_plus_even", "--n", "1", "--max-weight", "2", "--order", "4"],
+    ["list"],
+])
+def test_closed_output_is_internal_error(capsys, argv):
+    assert cli.main(argv, out=_ClosedPipe()) == cli.INTERNAL_EXIT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Broken pipe" in err
+
+
+def test_closed_stdout_of_the_command_exits_4():
+    """A reader that is gone before the first line: exit 4, one stderr line,
+    and no traceback from the interpreter's last flush either."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hltorus", "sweep", "--identity", "o_plus_even",
+             "--n", "1", "--max-weight", "2", "--order", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == cli.INTERNAL_EXIT, err
+    assert len(err.splitlines()) == 1 and "Broken pipe" in err, err
+
+
+@pytest.mark.parametrize("flag, value", [("--max-weight", "-1"), ("--max-parts", "-2")])
+def test_negative_sweep_bound_is_usage_error(capsys, flag, value):
+    argv = ["sweep", "--identity", "orthogonality", "--n", "2", "--order", "4", flag, value]
+    code, text = run(argv)
+    assert code == 2
+    assert text == ""
+    assert "at least 0" in capsys.readouterr().err

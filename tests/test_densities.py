@@ -25,10 +25,12 @@ from hltorus.identities import (
     REGISTRY,
     _Instance,
     cross_block_density,
+    sweep_weights,
     two_block_density,
 )
 from hltorus.laurent import LaurentPoly
 from hltorus.series import SeriesRing
+from hltorus.tcomb import TComb
 
 from helpers import unit_inverse
 from oracles import gustafson_rhs
@@ -466,6 +468,60 @@ def test_weyl_factor_of_small_blocks():
     assert densities._weyl_factor((("D", 0, 3, 4),), D) == densities._weyl_factor(
         (("A", 0, 4, 4),), D)
     assert densities._weyl_factor((("D", 0, 1, 2),), D) == r.one()
+
+
+def _slots(n, power=1):
+    return tuple(var_arg(n, i, power) for i in range(n))
+
+
+@pytest.mark.parametrize("n, max_weight", [(2, 4), (3, 4), (4, 6)])
+def test_lead_matches_product_route(n, max_weight):
+    """P_lambda as ``lead`` against the product P_lambda * Pbar_mu, on every
+    pair of the orthogonality grid."""
+    order = 10
+    dens = selberg_density(n)
+    grid = [w.padded(n).parts for w in sweep_weights("orthogonality", n, max_weight=max_weight)]
+    ps = {w: hl_full(w, _slots(n), dens.vars, order) for w in grid}
+    pbars = {w: hl_full(w, _slots(n, -1), dens.vars, order) for w in grid}
+    nonzero = 0
+    for lam in grid:
+        for mu in grid:
+            got = ct_integrate(dens, pbars[mu], order, lead=lam)
+            assert got == ct_integrate(dens, ps[lam] * pbars[mu], order), (lam, mu)
+            nonzero += not got.is_zero()
+    assert nonzero == len(grid)  # the diagonal, as orthogonality says
+
+
+def test_lead_counts_zero_parts_in_v_lambda():
+    """(2,1,0,0) has the run of zeros m_0 = 2, so v_lambda = [2]_t! = 1 + t:
+    <P_lambda, P_lambda> = 4!/v_lambda(t), not 4!."""
+    n, order, lam = 4, 10, (2, 1, 0, 0)
+    dens = selberg_density(n)
+    pbar = hl_full(lam, _slots(n, -1), dens.vars, order)
+    got = ct_integrate(dens, pbar, order, lead=lam)
+    ring = SeriesRing(order)
+    assert got * TComb(ring).v_of(lam) == ring.const(factorial(n))
+    assert got * (ring.one() + ring.t()) == ring.const(factorial(n))
+    p = hl_full(lam, _slots(n), dens.vars, order)
+    assert got == ct_integrate(dens, p * pbar, order)
+    # without a multiplier: the bare integral of P_lambda, zero unless lambda = 0
+    assert ct_integrate(dens, None, order, lead=lam).is_zero()
+    assert ct_integrate(dens, None, order, lead=(0,) * n) == ct_integrate(dens, None, order)
+
+
+def test_lead_refusals():
+    dens = selberg_density(2)
+    one = LaurentPoly.unit(dens.vars, D)
+    for lead in ((0, 1), (1, 0, 0), (1,)):
+        with pytest.raises(ConfigurationError, match="weakly decreasing"):
+            ct_integrate(dens, one, D, lead=lead)
+    for other in (koornwinder_density(2, K_PLUS_EVEN), two_block_density(1, 2)):
+        with pytest.raises(ConfigurationError, match="one \"A\" block"):
+            ct_integrate(other, None, D, lead=(1,) * len(other.vars))
+    # the multiplier is still guarded
+    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
+    with pytest.raises(ConfigurationError, match="not invariant"):
+        ct_integrate(dens, x1, D, lead=(1, 0))
 
 
 def test_ct_requires_matching_variables_and_order():

@@ -6,10 +6,12 @@ from hltorus.hall_littlewood import const_arg, hl_full, pm_args, var_arg
 from hltorus.identities import (
     ALPHA,
     BETA,
+    INTEGRANDS,
     REGISTRY,
     _integral,
     _Instance,
     _linear_factors,
+    _symmetrizes,
     rhs_kawanaka,
     rhs_orthogonality,
     rhs_rogers_szego,
@@ -78,6 +80,24 @@ def test_arguments_a_row_does_not_take_are_rejected():
 def test_sweep_weights_without_m_is_a_domain_error():
     with pytest.raises(DomainError, match="0 <= m <= n"):
         sweep_weights("unm_vanishing", 2)
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_weight=-1), dict(max_weight=-3),
+                                    dict(max_weight=2, max_parts=-1)])
+def test_negative_sweep_bounds_are_domain_errors(kwargs):
+    for name, m in (("orthogonality", None), ("o_plus_even", None), ("unm_vanishing", 1)):
+        with pytest.raises(DomainError, match="at least 0"):
+            sweep_weights(name, 2, m, **kwargs)
+    assert sweep_weights("orthogonality", 2, max_weight=0) == [Partition(())]
+
+
+def test_symmetrization_route_is_read_from_the_integrand():
+    """Only the t-Selberg integrand with P at the plain variables takes the
+    ``lead`` route; t2_selberg (P in t^2), two_block, cross_block and the
+    Koornwinder integrands keep the product."""
+    taken = {key for key, integrand in INTEGRANDS.items()
+             if _symmetrizes(*integrand(3, 1))}
+    assert taken == {"selberg"}
 
 
 def test_derived_row_attributes():
