@@ -28,15 +28,17 @@ INTERNAL_EXIT = 4
 
 
 def _apply_memory_ceiling():
+    """Cap the address space at HLTORUS_MAX_MIB; whether a ceiling was set."""
     mib = env_ceiling("HLTORUS_MAX_MIB")
     if mib is None:
-        return
+        return False
     try:
         import resource
     except ImportError:  # non-POSIX platform
-        return
+        return False
     limit = mib * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return True
 
 
 def _invalid_limit():
@@ -161,7 +163,7 @@ def main(argv=None, out=None):
     if invalid is not None:
         sys.stderr.write("error: %s\n" % invalid)
         return USAGE_EXIT
-    _apply_memory_ceiling()
+    ceiling = _apply_memory_ceiling()
     if args.command == "list":
         return _write(out, _cmd_list, args, out)
 
@@ -197,10 +199,13 @@ def main(argv=None, out=None):
     except ResourceLimitError as exc:
         sys.stderr.write("resource limit: %s\n" % exc)
         return RESOURCE_EXIT
-    except MemoryError:
-        sys.stderr.write("memory ceiling exceeded\n")
-        return RESOURCE_EXIT
     except Exception as exc:
+        # an allocation that fails under the ceiling can surface as a
+        # SystemError ("error return without exception set") instead of a
+        # MemoryError; without a ceiling a SystemError is a crash
+        if isinstance(exc, MemoryError) or (ceiling and isinstance(exc, SystemError)):
+            sys.stderr.write("memory ceiling exceeded\n")
+            return RESOURCE_EXIT
         # a crash says nothing about the identity, so it must not read as
         # exit 1 ("mismatch found")
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))

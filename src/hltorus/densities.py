@@ -11,19 +11,32 @@ Every density with a Weyl-group symmetry is stored over the positive roots
 only, and its symmetric blocks are recorded in ``DensityProduct.blocks``.
 A type-A block of n variables carries the q=0 Selberg density
 prod_{i != j} (1-x_i/x_j)/(1-t x_i/x_j), of which only the factors with
-i < j are kept.  A type-D block carries the pair factors of the q=0
-Koornwinder density, the product over the roots +-e_i+-e_j (i != j) of
-(1-x^a)/(1-t x^a), of which only the positive roots x_i/x_j and x_i x_j
-(i < j) are kept; the single-variable factors are invariant under
-x_i -> 1/x_i and stay whole.  For f invariant under the block's Weyl group
-W, CT[f * prod over all roots] = (|W|/W(t)) CT[f * prod over positive
-roots], where W(t) = prod_d (1-t^d)/(1-t) over the degrees d of W:
-1, 2, ..., n for S_n (so the factor is n!/[n]_t!) and 2, 4, ..., 2n-2 and
-n for W(D_n), of order 2^(n-1) n!.  This is Macdonald's Poincare-series
-identity sum_{w in W} w(prod_{a > 0} (1 - t x^-a)/(1 - x^-a)) = W(t)
-("The Poincare series of a Coxeter group", Math. Ann. 199 (1972); for S_n,
-Symmetric Functions and Hall Polynomials, III (1.4)).  The integrator
-multiplies by that Weyl factor per block, so a density still means the full
+i < j are kept.  The q=0 Koornwinder density is the product over the roots
++-e_i+-e_j (i != j) of (1-x^a)/(1-t x^a), times, per variable,
+(1-x_i^2)(1-x_i^-2) over (1-p x_i)(1-p/x_i) for each of its parameters p.
+Of the pair factors only the positive roots x_i/x_j and x_i x_j (i < j)
+are kept.  A type-D block keeps the single-variable factors whole.  A
+type-B block names a pair (a, b) of the parameters and keeps per variable
+only (1-x_i^2)/((1-a x_i)(1-b x_i)), the x_i side of the numerator and of
+the a, b factors; the other two parameters' factors stay whole.
+
+For f invariant under the block's Weyl group W, CT[f * full density] =
+(|W|/W(t)) CT[f * stored half], where W(t) = sum_{w in W} w(Phi) and Phi is
+the stored half over the full density: prod_{a > 0} (1-t x^-a)/(1-x^-a)
+over the halved roots, times prod_i (1-a/x_i)(1-b/x_i)/(1-x_i^-2) for a
+"B" block.  For S_n and W(D_n), W(t) = prod_d (1-t^d)/(1-t) over the
+degrees d of W: 1, 2, ..., n for S_n (so the factor is n!/[n]_t!) and 2, 4,
+..., 2n-2 and n for W(D_n), of order 2^(n-1) n!.  This is Macdonald's
+Poincare-series identity ("The Poincare series of a Coxeter group", Math.
+Ann. 199 (1972); for S_n, Symmetric Functions and Hall Polynomials, III
+(1.4)).  For W(B_n), of order 2^n n!, with the unequal parameters t on the
+long roots and -ab on the short ones, it is W(t; ab) = prod_{i<n}
+(1-t^(i+1))(1-ab t^i)/(1-t) (Macdonald, "Spherical functions on a group of
+p-adic type", 1971; at q=0 for the Koornwinder density, Venkateswaran,
+arXiv:1209.2933); at n = 1, Phi(x) + Phi(1/x) = 1 - ab.  The identity
+needs f * stored half to have no pole on the torus, so a parameter +-1 must
+be in the pair, where it cancels against the numerator.  The integrator
+multiplies by the Weyl factor per block, so a density still means the full
 product times its prefactor, and it refuses a multiplier that is not
 invariant under each block's Weyl group.  ``koornwinder_normalization``
 states the bare Koornwinder integral in closed form, Gustafson's product at
@@ -113,7 +126,10 @@ class DensityProduct:
     factor n!/[n]_t!.  Within a "D" block only the pair factors at the
     positive roots x_i/x_j and x_i x_j (i < j) of the D_n root system are
     stored; the density meant is the product over all the roots
-    +-e_i+-e_j, recovered through the factor 2^(n-1) n!/W_D(t).
+    +-e_i+-e_j, recovered through the factor 2^(n-1) n!/W_D(t).  A "B"
+    block (kind, first, size, tpow, ab) also stores its single-variable
+    factors on the x_i side only of the pair (a, b) whose product is the
+    signed s-monomial ab; the factor 2^n n!/W(t; ab) restores them.
     """
 
     __slots__ = ("vars", "num_factors", "geo_factors", "prefactor", "blocks", "label")
@@ -210,7 +226,7 @@ def _koornwinder_params(params):
     return norm
 
 
-def koornwinder_density(n, params, prefix="x") -> DensityProduct:
+def koornwinder_density(n, params, prefix="x", pair=None) -> DensityProduct:
     """The symmetric q=0 Koornwinder density with parameters (a,b,c,d).
 
     Each parameter is 0, +1, -1 or a signed s-monomial (sign, s-exponent)
@@ -218,45 +234,62 @@ def koornwinder_density(n, params, prefix="x") -> DensityProduct:
     against a matching numerator factor; any other parameter of modulus >= 1
     is rejected since there is no cancellation recipe for it.
 
-    The single-variable factors are stored whole; of the pair factors
-    (1-x^a)/(1-t x^a) over the roots a = +-e_i+-e_j only those at the
-    positive roots x_i/x_j and x_i x_j (i < j) are stored, as one "D" block
-    when n >= 2.  The prefactor 1/(2^n n!) still refers to the full density.
+    Of the pair factors (1-x^a)/(1-t x^a) over the roots a = +-e_i+-e_j
+    only those at the positive roots x_i/x_j and x_i x_j (i < j) are stored.
+    Without ``pair`` the single-variable factors are stored whole and the
+    block is "D" (when n >= 2).  With ``pair``, two nonzero parameters
+    (a, b) of the four, each variable keeps only (1-x_i^2)/((1-a x_i)(1-b
+    x_i)), with +-1 cancelled as above, while the other two parameters'
+    factors stay whole; the block is ("B", 0, n, 2, ab), ab the signed
+    s-monomial a*b (when n >= 1).  A +-1 outside the pair would leave a
+    pole on the torus, and a parameter-free ab a Weyl factor that does not
+    expand, so both are rejected.  The prefactor 1/(2^n n!) still refers to
+    the full density.
     """
     if n < 0:
         raise DomainError("negative variable count")
     norm = _koornwinder_params(params)
+    half = [] if pair is None else _koornwinder_params(pair)
+    whole = list(norm)
+    for p in half:
+        if p not in whole:
+            raise DomainError("pair %r is not two of the parameters %r" % (pair, params))
+        whole.remove(p)
+    if pair is not None and (len(half) != 2 or any(k == 0 for _, k in whole)
+                             or half[0][1] + half[1][1] == 0):
+        raise DomainError("pair %r cannot halve the parameters %r" % (pair, params))
     vars = tuple("%s%d" % (prefix, i + 1) for i in range(n))
     has_plus = any(k == 0 and s == 1 for s, k in norm)
     has_minus = any(k == 0 and s == -1 for s, k in norm)
     num = []
     geo = []
     for i in range(n):
-        ei = _unit_exps(n, i)
-        ei_inv = _unit_exps(n, i, -1)
-        if has_plus and has_minus:
-            pass  # (1-x^2)(1-x^-2) fully cancelled
-        elif has_plus:
-            num.append((-1, ei))
-            num.append((-1, ei_inv))
-        elif has_minus:
-            num.append((1, ei))
-            num.append((1, ei_inv))
-        else:
-            num.append((1, _unit_exps(n, i, 2)))
-            num.append((1, _unit_exps(n, i, -2)))
-        for sign, spow in norm:
-            if spow >= 1:
-                geo.append(((spow, 0, 0), sign, ei))
-                geo.append(((spow, 0, 0), sign, ei_inv))
+        for side in (1,) if half else (1, -1):
+            e = _unit_exps(n, i, side)
+            if has_plus and has_minus:
+                pass  # (1-x^2) fully cancelled
+            elif has_plus or has_minus:
+                num.append((-1 if has_plus else 1, e))
+            else:
+                num.append((1, _unit_exps(n, i, 2 * side)))
+            geo += [((spow, 0, 0), sign, e) for sign, spow in half if spow]
+        for side in (1, -1):
+            e = _unit_exps(n, i, side)
+            geo += [((spow, 0, 0), sign, e) for sign, spow in whole if spow]
     for i, j in combinations(range(n), 2):
         for pj in (-1, 1):
             exps = tuple((k == i) + pj * (k == j) for k in range(n))
             num.append((1, exps))
             geo.append(((2, 0, 0), 1, exps))
     pref = Fraction(1, (2 ** n) * factorial(n))
-    label = "koornwinder(%d;%s)" % (n, ",".join(repr(p) for p in params))
-    blocks = (("D", 0, n, 2),) if n >= 2 else ()
+    body = "%d;%s" % (n, ",".join(repr(p) for p in params))
+    if half:
+        (sa, ka), (sb, kb) = half
+        label = "koornwinder_B(%s;pair %r)" % (body, tuple(pair))
+        blocks = (("B", 0, n, 2, (sa * sb, ka + kb)),) if n >= 1 else ()
+    else:
+        label = "koornwinder(%s)" % body
+        blocks = (("D", 0, n, 2),) if n >= 2 else ()
     return DensityProduct(vars, num, geo, pref, label=label, blocks=blocks)
 
 
@@ -528,9 +561,15 @@ def _stabilizer(dens, lead):
 
 
 def _weyl_group(kind, size):
-    """|W| and the degrees of the Weyl group of one block: S_n or W(D_n)."""
+    """|W| and the degrees of the Weyl group of one block: S_n, W(D_n) or W(B_n).
+
+    For a "B" block the degrees 1, ..., n are those of the t-part of
+    W(t; ab); ``_weyl_factor`` adds its ab-part.
+    """
     if kind == "A":
         return factorial(size), range(1, size + 1)
+    if kind == "B":
+        return 2 ** size * factorial(size), range(1, size + 1)
     return 2 ** (size - 1) * factorial(size), [*range(2, 2 * size - 1, 2), size]
 
 
@@ -538,17 +577,21 @@ def _weyl_group(kind, size):
 def _weyl_factor(blocks, order):
     """prod over blocks of |W|/W(t) = |W| prod_d (1-t)/(1-t^d), d the degrees.
 
-    A block with tpow None has t = 0, where W(0) = 1.
+    A block with tpow None has t = 0, where W(0) = 1.  A "B" block's W(t; ab)
+    also has the factors 1 - ab t^i for i < n.
     """
     ring = SeriesRing(order)
     acc = ring.one()
-    for kind, _, size, tpow in blocks:
+    for kind, _, size, tpow, *ab in blocks:
         count, degrees = _weyl_group(kind, size)
         acc = acc * count
         if tpow is not None:
             one_minus_t = ring.one() - ring.monomial(es=tpow)
             for d in degrees:
                 acc = acc * one_minus_t * ring.geometric(es=tpow * d)
+        for sign, spow in ab:
+            for i in range(size):
+                acc = acc * ring.geometric(es=spow + tpow * i, sign=sign)
     return acc
 
 
@@ -556,10 +599,11 @@ def _block_symmetric(blocks, terms):
     """Whether each simple reflection of each block's Weyl group fixes the terms.
 
     The reflections are the adjacent transpositions x_i <-> x_{i+1} within
-    a block and, for a "D" block ending at x_n, also
-    (x_{n-1}, x_n) -> (1/x_n, 1/x_{n-1}).  Each is the map
-    (e_i, e_{i+1}) -> (s e_{i+1}, s e_i) with s = 1 or -1, and it pairs the
-    terms with e_i > s e_{i+1} with those with e_i < s e_{i+1}.  Coefficients are
+    a block and, for a block ending at x_n, also
+    (x_{n-1}, x_n) -> (1/x_n, 1/x_{n-1}) for "D" and x_n -> 1/x_n for "B".
+    Each is the map (e_i, e_j) -> (s e_j, s e_i) with j = i + 1 and s = 1
+    or -1, or j = i and s = -1 for x_n -> 1/x_n, and it pairs the terms
+    with e_i > s e_j with those with e_i < s e_j.  Coefficients are
     compared, not just the exponent support: each term of the former kind
     must find an equal partner, and then equal counts on the two sides mean
     no term is left unpaired.
@@ -568,20 +612,24 @@ def _block_symmetric(blocks, terms):
         return True
     nv = len(next(iter(terms)))
     reflections = []
-    for kind, first, size, _ in blocks:
+    for kind, first, size, *_ in blocks:
         for i in range(first, first + size - 1):
             perm = list(range(nv))
             perm[i], perm[i + 1] = i + 1, i
-            reflections.append((i, 1, itemgetter(*perm)))
+            reflections.append((i, i + 1, 1, itemgetter(*perm)))
         if kind == "D":
             i = first + size - 2
-            reflections.append((i, -1, lambda e, i=i: e[:i] + (-e[i + 1], -e[i]) + e[i + 2:]))
+            reflections.append((i, i + 1, -1,
+                                lambda e, i=i: e[:i] + (-e[i + 1], -e[i]) + e[i + 2:]))
+        elif kind == "B":
+            i = first + size - 1
+            reflections.append((i, i, -1, lambda e, i=i: e[:i] + (-e[i],) + e[i + 1:]))
     unpaired = 0
     for e, c in terms.items():
         if not c.coeffs:
             continue
-        for i, s, image in reflections:
-            a, b = e[i], s * e[i + 1]
+        for i, j, s, image in reflections:
+            a, b = e[i], s * e[j]
             if a < b:
                 unpaired += 1
             elif a > b:

@@ -298,26 +298,37 @@ def halved_density(n) -> DensityProduct:
 
 
 class _Koornwinder:
-    """The Koornwinder density on n - drop variables; P at x_i^{+-1} and ``consts``."""
+    """The Koornwinder density on n - drop variables; P at x_i^{+-1} and ``consts``.
 
-    def __init__(self, params, drop=0, consts=()):
-        self.params, self.drop, self.consts = params, drop, consts
+    With a ``pair`` (a, b) of the parameters the density is halved over
+    W(B_n), a "B" block; without one only over W(D_n), a "D" block (see
+    ``koornwinder_density``).  P at x_i^{+-1} and the slot rule's linear
+    factors are invariant under x_n -> 1/x_n, as the "B" block needs.
+    """
+
+    def __init__(self, params, pair=None, drop=0, consts=()):
+        self.params, self.pair, self.drop, self.consts = params, pair, drop, consts
 
     def __call__(self, n, m):
         nv = n - self.drop
         slots = pm_args(nv) + tuple(const_arg(nv, c) for c in self.consts)
-        return koornwinder_density(nv, self.params), slots, 2
+        return koornwinder_density(nv, self.params, pair=self.pair), slots, 2
+
+    def whole(self):
+        """The same integrand without its pair, on the "D" block."""
+        return _Koornwinder(self.params, drop=self.drop, consts=self.consts)
 
 
 # key -> function of (n, m) giving (density, slots of P, t-base of P)
 INTEGRANDS = {
     "selberg": lambda n, m: (selberg_density(n), _plain_args(n), 2),
-    "symplectic": _Koornwinder(K_SYMPLECTIC),
-    "kawanaka": _Koornwinder(K_KAWANAKA),
+    "symplectic": _Koornwinder(K_SYMPLECTIC, pair=((1, 1), (-1, 1))),
+    "kawanaka": _Koornwinder(K_KAWANAKA, pair=(1, (1, 1))),
+    # +1 and -1 must both be in a pair, which leaves ab = -1 without s-degree
     "plus_even": _Koornwinder(K_PLUS_EVEN),
-    "minus_even": _Koornwinder(K_MINUS_EVEN, drop=1, consts=(1, -1)),
-    "plus_odd": _Koornwinder(K_PLUS_ODD, consts=(1,)),
-    "minus_odd": _Koornwinder(K_MINUS_ODD, consts=(-1,)),
+    "minus_even": _Koornwinder(K_MINUS_EVEN, pair=((1, 1), (-1, 1)), drop=1, consts=(1, -1)),
+    "plus_odd": _Koornwinder(K_PLUS_ODD, pair=(-1, (1, 2)), consts=(1,)),
+    "minus_odd": _Koornwinder(K_MINUS_ODD, pair=(1, (-1, 2)), consts=(-1,)),
     "two_block": lambda n, m: (two_block_density(m, n), _plain_args(m + n), 2),
     "cross_block": lambda n, m: (cross_block_density(n), _plain_args(2 * n), 2),
     "t2_selberg": lambda n, m: (
@@ -371,9 +382,16 @@ def _integral(key, inst, values=(), normalized=False):
     factors against the density, or the bare density without a weight.
     Where ``_symmetrizes`` holds, P_lambda is not formed: lambda is passed
     to ``ct_integrate`` as its ``lead``.  Z is the bare integral when
-    ``normalized``, else one.
+    ``normalized``, else one.  Without a weight (the normalization_* rows)
+    a Koornwinder integrand keeps the "D" block: on the "B" block the bare
+    integral of a one-sided density is 2^n n!/W(t; ab) times its
+    prefactor, which is Gustafson's product by construction, so the row
+    would integrate nothing.
     """
-    dens, slots, tbase = INTEGRANDS[key](inst.n, inst.m)
+    integrand = INTEGRANDS[key]
+    if inst.weight is None:
+        integrand = integrand.whole()
+    dens, slots, tbase = integrand(inst.n, inst.m)
     order = inst.order
     if inst.weight is None:
         integral = ct_integrate(dens, None, order)

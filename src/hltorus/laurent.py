@@ -151,36 +151,6 @@ class LaurentPoly:
 
     __hash__ = None
 
-    # -- torus operations -------------------------------------------------------
-
-    def constant_term(self, in_vars):
-        """Sum of terms with exponent zero on every variable in ``in_vars``.
-
-        The result is a Laurent polynomial in the remaining variables; this
-        is the torus integral over the dropped variables.
-        """
-        in_vars = tuple(in_vars)
-        idx = []
-        for v in in_vars:
-            if v not in self.vars:
-                raise ConfigurationError("unknown variable %r" % (v,))
-            idx.append(self.vars.index(v))
-        drop = set(idx)
-        keep = [i for i in range(len(self.vars)) if i not in drop]
-        out_vars = tuple(self.vars[i] for i in keep)
-        out = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in drop):
-                continue
-            key = tuple(e[i] for i in keep)
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentPoly(out_vars, out, self.trunc, clean=False)
-
     # -- display ------------------------------------------------------------------
 
     def __repr__(self):

@@ -93,11 +93,6 @@ class ParamSeries:
             return None
         return min(k[0] + k[1] + k[2] for k in self.coeffs)
 
-    def max_total_degree(self):
-        if not self.coeffs:
-            return None
-        return max(k[0] + k[1] + k[2] for k in self.coeffs)
-
     def sorted_items(self):
         return sorted(
             self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])
@@ -257,9 +252,6 @@ class SeriesRing:
 
     def beta(self, power=1):
         return self.monomial(eb=power)
-
-    def from_coeffs(self, coeffs):
-        return ParamSeries(dict(coeffs), self.trunc)
 
     def geometric(self, es=0, ea=0, eb=0, sign=1):
         """1/(1 - sign * s^es a^ea b^eb) as a truncated geometric series.

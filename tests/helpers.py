@@ -18,6 +18,35 @@ from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
 
+def from_coeffs(ring, coeffs):
+    """The series at ``ring``'s order with the given coefficients, cleaned."""
+    return ParamSeries(dict(coeffs), ring.trunc)
+
+
+def max_total_degree(series):
+    """Highest total degree with a nonzero coefficient, or None if zero."""
+    return max((sum(k) for k in series.coeffs), default=None)
+
+
+def constant_term(poly, in_vars):
+    """Sum of terms with exponent zero on every variable in ``in_vars``.
+
+    The result is a Laurent polynomial in the remaining variables; this
+    is the torus integral over the dropped variables.
+    """
+    in_vars = tuple(in_vars)
+    for v in in_vars:
+        if v not in poly.vars:
+            raise ConfigurationError("unknown variable %r" % (v,))
+    drop = {poly.vars.index(v) for v in in_vars}
+    keep = [i for i in range(len(poly.vars)) if i not in drop]
+    out = LaurentPoly.zero(tuple(poly.vars[i] for i in keep), poly.trunc)
+    for e, c in poly.terms.items():
+        if not any(e[i] for i in drop):
+            out = out + LaurentPoly(out.vars, {tuple(e[i] for i in keep): c}, poly.trunc)
+    return out
+
+
 def drop_param(series, idx):
     """Set the parameter in slot ``idx`` of (s, alpha, beta) to zero."""
     return ParamSeries(
@@ -56,8 +85,8 @@ def unit_inverse(series):
         raise DomainError("series with zero constant term has no inverse")
     scale = Fraction(1) / c0
     ring = SeriesRing(series.trunc)
-    tail = ring.from_coeffs(
-        {k: -c * scale for k, c in series.coeffs.items() if k != ZERO_KEY}
+    tail = from_coeffs(
+        ring, {k: -c * scale for k, c in series.coeffs.items() if k != ZERO_KEY}
     )
     acc = ring.one()
     power = ring.one()

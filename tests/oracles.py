@@ -27,6 +27,8 @@ from hltorus.identities import t_multinomial_of
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
+from helpers import max_total_degree
+
 
 def pfaffian_by_matchings(matrix):
     """Signed sum over all perfect matchings of {0, ..., size-1}."""
@@ -205,7 +207,7 @@ def degenerate_check(parts, nvars, order=24):
     p = hl_full(padded, args, names, order)
     top = 0
     for c in p.terms.values():
-        d = c.max_total_degree()
+        d = max_total_degree(c)
         if d is not None and d > top:
             top = d
     certified = top < order

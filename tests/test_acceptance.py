@@ -17,7 +17,7 @@ from hltorus.pfaffian import AntisymMatrix, build_a_matrix, pfaffian
 from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import bounded_partitions, q_pochhammer, row_closed_form
+from helpers import bounded_partitions, from_coeffs, q_pochhammer, row_closed_form
 from oracles import (degenerate_check, determinant, multiset_inversion_sum,
                      pf_closed_form, pfaffian_by_matchings)
 
@@ -197,7 +197,7 @@ def test_criterion_6_special_cases():
         for (es, ea, eb), c in row_closed_form("ab_oplus_even", lam, D).coeffs.items():
             key = (es, 0, eb)
             folded[key] = folded.get(key, 0) + (-c if ea % 2 else c)
-        merged = ring.from_coeffs(folded).truncated(D - 2)
+        merged = from_coeffs(ring, folded).truncated(D - 2)
         assert merged == row_closed_form("alpha_minus_one", lam, D).truncated(D - 2), lam
     print("[acceptance] criterion 6 special cases: PASS "
           "(%d integral instances + closed-form cross-checks, D=%d, %.1fs)"
@@ -286,7 +286,7 @@ def test_criterion_8_property_suites():
         upper = {}
         for j in range(size):
             for k in range(j + 1, size):
-                upper[(j, k)] = ring.from_coeffs({
+                upper[(j, k)] = from_coeffs(ring, {
                     (rng.randint(0, 2), rng.randint(0, 1), 0): rng.randint(-2, 2)
                     for _ in range(2)
                 })

@@ -207,7 +207,8 @@ def test_invalid_limit_variable_is_usage_error(monkeypatch, capsys, name, value)
 
 @pytest.mark.parametrize(
     "error",
-    [InternalConsistencyError, ConfigurationError, KeyError, TypeError, ZeroDivisionError],
+    [InternalConsistencyError, ConfigurationError, KeyError, TypeError, ZeroDivisionError,
+     SystemError],
 )
 def test_internal_error_exit_code(monkeypatch, capsys, error):
     def broken_verify(**kw):
@@ -222,6 +223,43 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
     assert text == ""
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "exactness check failed" in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, SystemError])
+def test_failed_allocation_under_a_ceiling_exits_3(monkeypatch, capsys, error):
+    """Under RLIMIT_AS a failed allocation can surface as a SystemError
+    instead of a MemoryError; either is the ceiling's resource hit."""
+    def starved_verify(**kw):
+        raise error()
+
+    monkeypatch.setattr(cli, "_apply_memory_ceiling", lambda: True)
+    monkeypatch.setattr(cli, "verify", starved_verify)
+    code, text = run([
+        "verify", "--identity", "orthogonality", "--n", "2",
+        "--lambda", "1,0", "--mu", "1,0", "--order", "4",
+    ])
+    assert code == cli.RESOURCE_EXIT == 3
+    assert text == ""
+    assert capsys.readouterr().err == "memory ceiling exceeded\n"
+
+
+def test_memory_ceiling_exits_3_at_every_ceiling():
+    """One instance, whose density expansion outgrows each ceiling within
+    seconds, in one process per ceiling: exit 3 and one stderr line each,
+    whether the failed allocation surfaced as a MemoryError or not."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = [sys.executable, "-m", "hltorus", "verify", "--identity", "orthogonality",
+            "--n", "9", "--lambda", "2,1", "--mu", "2,1", "--order", "12"]
+    procs = {}
+    for mib in (36, 40, 44, 48):
+        env = dict(os.environ, PYTHONPATH=src, HLTORUS_MAX_MIB=str(mib))
+        env.pop("HLTORUS_MAX_TERMS", None)
+        procs[mib] = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                      env=env)
+    for mib, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out, err) == (cli.RESOURCE_EXIT, b"",
+                                               b"memory ceiling exceeded\n"), mib
 
 
 class _ClosedPipe(io.StringIO):

@@ -14,7 +14,9 @@ from hltorus.densities import (
 )
 from hltorus.errors import ConfigurationError, DomainError, ResourceLimitError
 from hltorus.hall_littlewood import hl_full, pm_args, var_arg
+from hltorus import identities
 from hltorus.identities import (
+    ALPHA,
     K_KAWANAKA,
     K_MINUS_EVEN,
     K_MINUS_ODD,
@@ -24,6 +26,7 @@ from hltorus.identities import (
     INTEGRANDS,
     REGISTRY,
     _Instance,
+    _linear_factors,
     cross_block_density,
     sweep_weights,
     two_block_density,
@@ -32,11 +35,14 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import unit_inverse
+from helpers import from_coeffs, unit_inverse
 from oracles import gustafson_rhs
 
 D = 12
 K_QUADRUPLES = (K_PLUS_EVEN, K_MINUS_EVEN, K_PLUS_ODD, K_MINUS_ODD, K_SYMPLECTIC, K_KAWANAKA)
+# the integrands halved over W(B_n), with the values of the rows that use them
+HALVED = {"symplectic": (), "kawanaka": (), "minus_even": (ALPHA,), "plus_odd": (ALPHA,),
+          "minus_odd": (ALPHA,)}
 
 
 def test_selberg_structure():
@@ -85,6 +91,21 @@ def test_koornwinder_structures():
     assert sorted(d.num_factors) == [(1, (1, -1)), (1, (1, 1))]
     assert sorted(d.geo_factors)[-2:] == [((2, 0, 0), 1, (1, -1)), ((2, 0, 0), 1, (1, 1))]
     assert d.blocks == (("D", 0, 2, 2),)
+    # with the pair (sqrt t, -sqrt t) only the x side of the single-variable
+    # factors is stored, and the block is "B" with ab = -t
+    d = koornwinder_density(1, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
+    assert d.num_factors == ((1, (2,)),)
+    assert sorted(d.geo_factors) == [((1, 0, 0), -1, (1,)), ((1, 0, 0), 1, (1,))]
+    assert d.blocks == (("B", 0, 1, 2, (-1, 2)),)
+    assert d.prefactor == Fraction(1, 2)
+    # (t, -1, +-sqrt t) with the pair (-1, t): (1-x)/(1-t x), +-sqrt t stay whole
+    d = koornwinder_density(2, K_PLUS_ODD, pair=(-1, (1, 2)))
+    single = lambda fs: sorted(f for f in fs if sum(map(bool, f[-1])) == 1)
+    assert single(d.num_factors) == [(1, (0, 1)), (1, (1, 0))]
+    assert single(d.geo_factors) == sorted(
+        [((2, 0, 0), 1, e) for e in ((1, 0), (0, 1))]
+        + [((1, 0, 0), s, e) for s in (1, -1) for e in ((1, 0), (-1, 0), (0, 1), (0, -1))])
+    assert d.blocks == (("B", 0, 2, 2, (-1, 2)),)
 
 
 def test_koornwinder_cancellation_reproduces_full_product():
@@ -120,6 +141,17 @@ def test_koornwinder_rejections():
         koornwinder_density(1, ((1, 0), 0, 0, 0))
     with pytest.raises(DomainError):
         koornwinder_density(1, (1, 1, 0, 0))
+    # a pair must be two nonzero parameters of the four
+    for pair in (((1, 2), (1, 1)), ((1, 1), 0), ((1, 1),), (1, (1, 1), (-1, 1))):
+        with pytest.raises(DomainError, match="pair"):
+            koornwinder_density(1, K_SYMPLECTIC, pair=pair)
+    # plus_even has no valid pair: a +-1 outside it leaves a pole on the
+    # torus, and the pair (1, -1) has ab = -1, without s-degree
+    for a, b in combinations(K_PLUS_EVEN, 2):
+        with pytest.raises(DomainError, match="pair"):
+            koornwinder_density(2, K_PLUS_EVEN, pair=(a, b))
+    with pytest.raises(DomainError, match="pair"):
+        koornwinder_density(2, K_PLUS_ODD, pair=((1, 1), (-1, 1)))
 
 
 def test_expandability_certificate():
@@ -142,10 +174,12 @@ def test_gustafson_normalizations_match():
     assert len(NORMALIZATION_ROWS) == 6
     for name in NORMALIZATION_ROWS:
         defn = REGISTRY[name]
+        integrand = INTEGRANDS[defn.integrands[0]]
         for n in range(1, (3 if name == "normalization_i" else 2) + 1):
-            dens = INTEGRANDS[defn.integrands[0]](n, None)[0]
             num, den = defn.closed(_Instance(n, None, None, None, D))
-            assert ct_integrate(dens, None, D) * den == num, (name, n)
+            for route in (integrand, integrand.whole()):
+                dens = route(n, None)[0]
+                assert ct_integrate(dens, None, D) * den == num, (name, n, dens.blocks)
 
 
 def test_koornwinder_normalization_matches_specialized_oracle():
@@ -163,8 +197,8 @@ def test_known_series_coefficients():
     # (1-t)/(t^2;t^2)_1 = (1-t)/(1-t^2) = 1 - s^2 + s^4 - ...
     r = SeriesRing(8)
     val = koornwinder_normalization(1, K_SYMPLECTIC, 8)
-    expected = r.from_coeffs({(0, 0, 0): 1, (2, 0, 0): -1, (4, 0, 0): 1,
-                              (6, 0, 0): -1, (8, 0, 0): 1})
+    expected = from_coeffs(r, {(0, 0, 0): 1, (2, 0, 0): -1, (4, 0, 0): 1,
+                               (6, 0, 0): -1, (8, 0, 0): 1})
     assert val == expected
     # (1-t)/(s;s)_2 = (1-s^2)/(1-s^2)(1-s)(1-s^2)... spot-check low degrees
     val2 = koornwinder_normalization(1, K_KAWANAKA, 6)
@@ -355,6 +389,8 @@ def _expansion_cases():
     for params in K_QUADRUPLES:
         for n in (1, 2):
             yield koornwinder_density(n, params)
+    for key in HALVED:
+        yield INTEGRANDS[key](2 + INTEGRANDS[key].drop, None)[0]
     for n in (2, 3):
         for tpow in (2, 4):
             yield selberg_density(n, tpow=tpow)
@@ -468,6 +504,133 @@ def test_weyl_factor_of_small_blocks():
     assert densities._weyl_factor((("D", 0, 3, 4),), D) == densities._weyl_factor(
         (("A", 0, 4, 4),), D)
     assert densities._weyl_factor((("D", 0, 1, 2),), D) == r.one()
+    # B_n with ab = -t: the degrees of W(C_n), 2, 4, ..., 2n, and |W| = 2^n n!
+    for n in (1, 2, 3):
+        got = densities._weyl_factor((("B", 0, n, 2, (-1, 2)),), D)
+        want = r.const(2 ** n * factorial(n)) * (r.one() - r.t()) ** n
+        for i in range(1, n + 1):
+            want = want * unit_inverse(r.one() - r.t(2 * i))
+        assert got == want, n
+
+
+def _poincare_b(ring, n, ab):
+    """W(t; ab) = prod_{i<n} (1 + t + ... + t^i)(1 - ab t^i), ab = (sign, s-power)."""
+    sign, spow = ab
+    acc = ring.one()
+    for i in range(n):
+        acc = acc * sum((ring.t(k) for k in range(i + 1)), ring.zero())
+        acc = acc * (ring.one() - ring.monomial(es=spow + 2 * i, coeff=sign))
+    return acc
+
+
+def test_poincare_series_of_b_inverts_gustafson():
+    """W(t; ab) times Gustafson's product at (a, b, 0, 0) is one, and the
+    "B" Weyl factor is 2^n n! times that product, for every halving pair."""
+    order = 12
+    r = SeriesRing(order)
+    for key in HALVED:
+        a, b = INTEGRANDS[key].pair
+        for n in range(1, 6):
+            gustafson = koornwinder_normalization(n, (a, b, 0, 0), order)
+            ab = koornwinder_density(n, (a, b, 0, 0), pair=(a, b)).blocks[0][4]
+            assert _poincare_b(r, n, ab) * gustafson == r.one(), (key, n)
+            block = ("B", 0, n, 2, ab)
+            assert densities._weyl_factor((block,), order) == gustafson * (
+                2 ** n * factorial(n)), (key, n)
+
+
+def _b_multiplier(key, n, weight, order):
+    """The "B" and "D" densities of an integrand on n variables, and P_weight
+    at its slots times the linear factors of the rows that use it."""
+    integrand = INTEGRANDS[key]
+    dens, slots, _ = integrand(n + integrand.drop, None)
+    whole = integrand.whole()(n + integrand.drop, None)[0]
+    if weight is None:
+        return dens, whole, None
+    mult = hl_full(weight + (0,) * (len(slots) - len(weight)), slots, dens.vars, order)
+    torus, _ = _linear_factors(slots, HALVED[key], dens.vars, order)
+    return dens, whole, mult if torus is None else mult * torus
+
+
+def test_b_block_matches_full_and_d_routes():
+    """Each halved integrand against its full density, multiplied out over
+    every root and both sides of every single-variable factor, and against
+    its "D" route, at n = 1, 2, 3 with P at the integrand's slots."""
+    for key in HALVED:
+        nonzero = 0
+        for n in (1, 2, 3):
+            order = 8 if n < 3 else 6
+            _, whole, _ = _b_multiplier(key, n, None, order)
+            full = _full_product(whole.vars, *_full_koornwinder(whole), order)
+            for weight in (None, (2, 2), (2, 1, 1), (1, 1), (3, 1)):
+                if weight is not None and len(weight) > 2 * n + len(INTEGRANDS[key].consts):
+                    continue
+                dens, whole, mult = _b_multiplier(key, n, weight, order)
+                assert dens.blocks[0][0] == "B" and whole.blocks[:1] in ((), (("D", 0, n, 2),))
+                got = ct_integrate(dens, mult, order)
+                assert got == _ct_bruteforce(full, whole.prefactor, mult), (key, n, weight)
+                assert got == ct_integrate(whole, mult, order), (key, n, weight)
+                nonzero += not got.is_zero()
+        assert nonzero >= 8, key
+
+
+@pytest.mark.parametrize("key, n, weight, order", [
+    ("kawanaka", 4, (2, 1), 8),
+    ("symplectic", 4, (2, 2, 1, 1), 10),
+])
+def test_b_block_matches_d_route_on_larger_cases(key, n, weight, order):
+    dens, whole, mult = _b_multiplier(key, n, weight, order)
+    got = ct_integrate(dens, mult, order)
+    assert not got.is_zero()
+    assert got == ct_integrate(whole, mult, order)
+
+
+def test_b_block_guard():
+    """A "B" block needs invariance under x_n -> 1/x_n too: S_n symmetry,
+    and W(D_n) symmetry, are not enough."""
+    order = 8
+    for key in HALVED:
+        dens, whole, _ = _b_multiplier(key, 2, None, order)
+        full = _full_product(whole.vars, *_full_koornwinder(whole), order)
+
+        def poly(*exps):
+            return LaurentPoly(dens.vars, {e: SeriesRing(order).one() for e in exps}, order)
+
+        # S_2-invariant; the second and third are W(D_2)-invariant too
+        for mult in (poly((1, 0), (0, 1)), poly((1, 1), (-1, -1)), poly((1, -1), (-1, 1))):
+            with pytest.raises(ConfigurationError, match="not invariant"):
+                ct_integrate(dens, mult, order)
+        # one variable, where W(B_1) is x -> 1/x alone
+        x = LaurentPoly.monomial(("x1",), (1,), 1, order)
+        one_var = _b_multiplier(key, 1, None, order)[0]
+        with pytest.raises(ConfigurationError, match="not invariant"):
+            ct_integrate(one_var, x, order)
+        # W(B_2)-invariant
+        for mult in (poly((1, 1), (-1, -1), (1, -1), (-1, 1)),
+                     poly((2, 0), (-2, 0), (0, 2), (0, -2))):
+            got = ct_integrate(dens, mult, order)
+            assert got == _ct_bruteforce(full, whole.prefactor, mult), (key, mult)
+
+
+def test_blocks_by_integrand_and_row(monkeypatch):
+    """Five integrands take a "B" block; plus_even keeps its "D" block, and
+    so do the bare integrals of the normalization rows."""
+    kinds = {key: integrand(3, None)[0].blocks[0][0] for key, integrand in INTEGRANDS.items()
+             if hasattr(integrand, "params")}
+    assert kinds == {"plus_even": "D", **{key: "B" for key in HALVED}}
+    seen = []
+
+    def recording(dens, *args, **kwargs):
+        seen.append(dens.blocks[0][0])
+        return ct_integrate(dens, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "ct_integrate", recording)
+    for name in NORMALIZATION_ROWS:
+        assert identities.verify(name, n=3, order=4).status == "match", name
+    assert seen == ["D"] * 6
+    seen.clear()
+    assert identities.verify("o_plus_odd", n=2, weight=(1, 1), order=6).status == "match"
+    assert seen == ["B", "B"]  # I and Z
 
 
 def _slots(n, power=1):

@@ -28,7 +28,7 @@ from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import bounded_partitions, drop_param, negate_param, row_closed_form
+from helpers import bounded_partitions, drop_param, from_coeffs, negate_param, row_closed_form
 from oracles import (rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta, rhs_alpha_minus_one,
                      rhs_orthogonal_alpha)
 
@@ -265,7 +265,7 @@ def _eval_alpha_minus_one(series):
     for (es, ea, eb), c in series.coeffs.items():
         key = (es, 0, eb)
         out[key] = out.get(key, 0) + (-c if ea % 2 else c)
-    return SeriesRing(series.trunc).from_coeffs(out)
+    return from_coeffs(SeriesRing(series.trunc), out)
 
 
 def test_alpha_minus_one_consistent_with_ab():

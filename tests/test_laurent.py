@@ -5,7 +5,7 @@ from hltorus.errors import ConfigurationError, DomainError
 from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
-from helpers import rename_vars, specialize
+from helpers import constant_term, max_total_degree, rename_vars, specialize
 from oracles import product_by_nested_loops
 
 
@@ -40,21 +40,21 @@ def test_param_coefficient_product():
 
 def test_constant_term_examples():
     p = mono((-1, -1)) + LaurentPoly.monomial(V, (0, 0), ring().t(), D)
-    assert p.constant_term(V).scalar() == ring().t()
-    assert mono((2, 0)).constant_term(("x1",)).is_zero()
+    assert constant_term(p, V).scalar() == ring().t()
+    assert constant_term(mono((2, 0)), ("x1",)).is_zero()
     q = LaurentPoly.monomial(V, (0, 0), 3, D) + mono((1, -1))
-    r = q.constant_term(("x1",))
+    r = constant_term(q, ("x1",))
     assert r.vars == ("x2",) and r.scalar() == 3
 
 
 def test_constant_term_full_equals_zero_coefficient():
     p = mono((1, -1)) + mono((0, 0), 5) + mono((-2, 1))
-    assert p.constant_term(V).scalar() == p.coefficient((0, 0))
+    assert constant_term(p, V).scalar() == p.coefficient((0, 0))
 
 
 def test_constant_term_unknown_variable():
     with pytest.raises(ConfigurationError):
-        mono((1, 0)).constant_term(("zz",))
+        constant_term(mono((1, 0)), ("zz",))
 
 
 def test_specialize_to_minus_one():
@@ -110,11 +110,11 @@ def test_laurent_ring_laws(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(_poly_strategy(), _poly_strategy())
 def test_constant_term_is_linear_and_degrees_stay_truncated(a, b):
-    lhs = (a + b).constant_term(V).scalar()
-    assert lhs == a.constant_term(V).scalar() + b.constant_term(V).scalar()
+    lhs = constant_term(a + b, V).scalar()
+    assert lhs == constant_term(a, V).scalar() + constant_term(b, V).scalar()
     prod = a * b
     for coeff in prod.terms.values():
-        d = coeff.max_total_degree()
+        d = max_total_degree(coeff)
         assert d is None or d <= prod.trunc
 
 

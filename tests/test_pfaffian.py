@@ -12,7 +12,7 @@ from hltorus.pfaffian import (
 )
 from hltorus.series import SeriesRing
 
-from helpers import bounded_partitions
+from helpers import bounded_partitions, from_coeffs
 from oracles import determinant, pf_closed_form, pfaffian_by_matchings
 
 D = 8
@@ -27,7 +27,7 @@ def rand_matrix(size, rng, d=D):
                 (rng.randint(0, 2), rng.randint(0, 1), 0): rng.randint(-3, 3)
                 for _ in range(3)
             }
-            upper[(j, k)] = ring.from_coeffs(coeffs)
+            upper[(j, k)] = from_coeffs(ring, coeffs)
     return AntisymMatrix(size, upper, d)
 
 
