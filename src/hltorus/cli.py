@@ -28,7 +28,11 @@ INTERNAL_EXIT = 4
 
 
 def _apply_memory_ceiling():
-    """Cap the address space at HLTORUS_MAX_MIB; whether a ceiling was set."""
+    """Cap the address space at HLTORUS_MAX_MIB; whether a ceiling was set.
+
+    A ceiling the process cannot apply, above its hard limit or too large
+    for the platform, is a usage error.
+    """
     mib = env_ceiling("HLTORUS_MAX_MIB")
     if mib is None:
         return False
@@ -37,21 +41,11 @@ def _apply_memory_ceiling():
     except ImportError:  # non-POSIX platform
         return False
     limit = mib * 1024 * 1024
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    except (OverflowError, ValueError) as exc:
+        raise DomainError("HLTORUS_MAX_MIB=%d cannot be applied: %s" % (mib, exc))
     return True
-
-
-def _invalid_limit():
-    """The error for the first ceiling variable that is not a positive integer.
-
-    Unset or empty leaves the default: no memory ceiling, 4000000 terms.
-    """
-    for name in ("HLTORUS_MAX_MIB", "HLTORUS_MAX_TERMS"):
-        try:
-            env_ceiling(name)
-        except DomainError as exc:
-            return exc
-    return None
 
 
 def build_parser():
@@ -159,11 +153,14 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code else 0
-    invalid = _invalid_limit()
-    if invalid is not None:
-        sys.stderr.write("error: %s\n" % invalid)
+    try:
+        # both ceiling variables are checked before either applies; unset or
+        # empty leaves the default: no memory ceiling, 4000000 terms
+        env_ceiling("HLTORUS_MAX_TERMS")
+        ceiling = _apply_memory_ceiling()
+    except DomainError as exc:
+        sys.stderr.write("error: %s\n" % exc)
         return USAGE_EXIT
-    ceiling = _apply_memory_ceiling()
     if args.command == "list":
         return _write(out, _cmd_list, args, out)
 
@@ -200,6 +197,12 @@ def main(argv=None, out=None):
         sys.stderr.write("resource limit: %s\n" % exc)
         return RESOURCE_EXIT
     except Exception as exc:
+        # free the failed computation's frames, and the tables they hold,
+        # first: under a memory ceiling the report below needs room too
+        cause = exc
+        while cause is not None:
+            cause.__traceback__ = None
+            cause = cause.__context__
         # an allocation that fails under the ceiling can surface as a
         # SystemError ("error return without exception set") instead of a
         # MemoryError; without a ceiling a SystemError is a crash

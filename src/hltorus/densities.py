@@ -56,17 +56,23 @@ multiplies by n!/v_lambda(t) = (n!/prod m_i!) prod_i m_i!/[m_i]_t! in place
 of n!/[n]_t!, which is the lambda = 0 case.
 
 Integration is the extraction of the torus-degree-zero coefficient.  The
-density is expanded once, factor by factor, into a table over the window
-of torus exponents the multiplier can cancel, then convolved with the
-multiplier.  Each intermediate term is pruned by its s-degree budget: a
-lower bound on the s-degree the remaining factors must add to bring its
-exponent back into the window.  Per variable, the numerator factors move it
-for free (each at most once), and what is left costs at least the cheapest
-cdeg per unit of move among the remaining geometric factors that move it
-the right way; one step can move several variables, so the bound is the
-max over the variables.  No factor lowers the s-degree, so a term whose
-degree plus budget exceeds the order cannot reach the window at degree <=
-the order, and the table is exact there.
+density is expanded once into a table over the window of torus exponents
+the multiplier can cancel, then convolved with the multiplier.  First the
+factors whose exponents lie on one line through the origin, multiples of a
+primitive d, are multiplied into one truncated Laurent series in x^d: a
+pair (1-x^a)/(1-t x^a) is one series, and so are the two cross-block
+factors at x_i/y_j and y_j/x_i and all the single-variable factors of one
+variable.  Then every state steps through each line's terms by one
+``mul_into`` per term, and each intermediate term is pruned by its
+s-degree budget: a lower bound on the s-degree the remaining lines must add
+to bring its exponent back into the window.  Per line, the largest move
+each way by a term with a degree-0 coefficient is free, and the rest costs
+at least the least degree per unit of move among the terms beyond it.  Per
+variable the free moves of the lines add up and the least of their rates
+prices the distance left; one term can move several variables, so the
+bound is the max over the variables.  No factor lowers the s-degree, so a
+term whose degree plus budget exceeds the order cannot reach the window at
+degree <= the order, and the table is exact there.
 """
 
 from __future__ import annotations
@@ -74,9 +80,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
-from operator import itemgetter
-from math import factorial, prod
+from itertools import accumulate, combinations, groupby
+from math import factorial, gcd, inf, prod
+from operator import add, itemgetter
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
@@ -116,7 +122,9 @@ class DensityProduct:
     ``num_factors`` is a tuple of (sign, exps) pairs, each meaning the
     binomial (1 - sign * x^exps).  ``geo_factors`` is a tuple of
     ((e_s, e_alpha, e_beta), sign, exps) triples, each meaning the factor
-    1/(1 - sign * s^e_s a^e_a b^e_b * x^exps).
+    1/(1 - sign * s^e_s a^e_a b^e_b * x^exps).  Every exps must be
+    nonzero, and every coefficient key nonnegative of positive degree, the
+    expandability certificate; anything else raises ``DomainError``.
 
     ``blocks`` lists the symmetric blocks as (kind, first variable, size,
     tpow) tuples.  Within an "A" block only the positive-root factors
@@ -138,15 +146,15 @@ class DensityProduct:
                  blocks=()):
         self.vars = tuple(vars)
         self.num_factors = tuple((s, tuple(e)) for s, e in num_factors)
-        geo = []
-        for ckey, sign, exps in geo_factors:
-            ckey = tuple(ckey)
-            if sum(ckey) < 1:
-                raise DomainError(
-                    "geometric factor with parameter-free coefficient is not expandable"
-                )
-            geo.append((ckey, sign, tuple(exps)))
-        self.geo_factors = tuple(geo)
+        self.geo_factors = tuple((tuple(c), sign, tuple(e)) for c, sign, e in geo_factors)
+        for ckey, _, _ in self.geo_factors:
+            if min(ckey) < 0 or sum(ckey) < 1:
+                raise DomainError("geometric coefficient %r is not a monomial of positive"
+                                  " degree, so the factor is not expandable" % (ckey,))
+        for *_, exps in self.num_factors + self.geo_factors:
+            if not any(exps):
+                raise DomainError("a factor with exponent vector %r lies on no line"
+                                  % (exps,))
         self.prefactor = Fraction(prefactor)
         self.blocks = tuple(tuple(b) for b in blocks)
         self.label = label
@@ -334,40 +342,63 @@ def clear_caches():
     _weyl_factor.cache_clear()
 
 
-def _factor_sequence(dens):
-    """All factors, ordered so complementary monomials sit together."""
-    factors = [("num", sign, exps, None) for sign, exps in dens.num_factors]
-    factors += [("geo", sign, exps, ckey) for ckey, sign, exps in dens.geo_factors]
-    factors.sort(key=lambda f: (tuple(abs(e) for e in f[2]), f[2], f[0]))
-    return factors
+def _factor_sequence(dens, order):
+    """The density's factors multiplied into one series per line through the origin.
+
+    A list of (d, terms): d is a primitive direction with its first nonzero
+    entry positive, and ``terms`` the product of every factor whose exponent
+    is a multiple of d, a Laurent series in x^d truncated at ``order``, as
+    (k, coefficient dict) pairs in increasing k.  Lines are ordered by
+    (|d|, d), a fixed order that applies the lines on the last variables
+    first.
+    """
+    ring = SeriesRing(order)
+    lines = {}
+
+    def put(exps, terms):
+        # exps = m d with d primitive, its first nonzero entry positive
+        m = gcd(*exps) * (1 if next(e for e in exps if e) > 0 else -1)
+        d = tuple(e // m for e in exps)
+        f = LaurentPoly(("y",), {(j * m,): c for j, c in terms}, order)
+        lines[d] = lines[d] * f if d in lines else f
+
+    for sign, exps in dens.num_factors:
+        put(exps, ((0, ring.one()), (1, ring.const(-sign))))
+    for (es, ea, eb), sign, exps in dens.geo_factors:
+        put(exps, ((j, ring.monomial(j * es, j * ea, j * eb, sign ** j))
+                   for j in range(order // (es + ea + eb) + 1)))
+    return [(d, sorted((k, c.coeffs) for (k,), c in lines[d].terms.items()))
+            for d in sorted(lines, key=lambda d: (tuple(map(abs, d)), d))]
 
 
-def _movement(factors, nv):
-    """What the factors from each position on can do to each variable.
+def _movement(lines, nv):
+    """What the lines from each position on can do to each variable.
 
     Entry ``pos`` holds, per variable, (free up, free down, rate up, rate
-    down).  The free moves are how far the numerator factors can move the
-    variable each way, each factor used at most once and at no s-degree.
-    A rate is the pair (cdeg, step) of the geometric factor with the least
-    cdeg/step among those that move the variable that way, ``step`` per use
-    at s-degree ``cdeg``; it is None when no such factor remains.
+    down).  A line's free move each way is the largest move by a term of
+    its series whose coefficient has a degree-0 part.  Its rate each way is
+    the pair (deg, step) of the term beyond the free move with the least
+    deg/step, ``deg`` the term's least s-degree and ``step`` its move past
+    the free one.  Per variable the free moves of the lines add up and the
+    rate is the least of theirs; None when no line left moves it that way.
     """
     free = [[0, 0] for _ in range(nv)]
     rate = [[None, None] for _ in range(nv)]
-    out = [None] * len(factors)
-    out.append(((0, 0, None, None),) * nv)
-    for pos in range(len(factors) - 1, -1, -1):
-        kind, _, exps, ckey = factors[pos]
-        for v, e in enumerate(exps):
-            if not e:
-                continue
-            way = 0 if e > 0 else 1
-            if kind == "num":
-                free[v][way] += abs(e)
-                continue
-            cdeg, best = sum(ckey), rate[v][way]
-            if best is None or cdeg * best[1] < best[0] * abs(e):
-                rate[v][way] = (cdeg, abs(e))
+    out = [None] * len(lines) + [((0, 0, None, None),) * nv]
+    for pos in range(len(lines) - 1, -1, -1):
+        d, terms = lines[pos]
+        for side in (1, -1):
+            steps = [(k * side, min(map(sum, c))) for k, c in terms if k * side > 0]
+            kfree = max([k for k, deg in steps if not deg], default=0)
+            for v, dv in enumerate(d):
+                if not dv:
+                    continue
+                way = 0 if dv * side > 0 else 1
+                free[v][way] += kfree * abs(dv)
+                for k, deg in steps:
+                    step, best = (k - kfree) * abs(dv), rate[v][way]
+                    if step > 0 and (best is None or deg * best[1] < best[0] * step):
+                        rate[v][way] = (deg, step)
         out[pos] = tuple((f[0], f[1], r[0], r[1]) for f, r in zip(free, rate))
     return out
 
@@ -375,11 +406,13 @@ def _movement(factors, nv):
 def _budget(exps, bounds, moves, order):
     """``order`` less the least s-degree that brings ``exps`` into the window.
 
-    ``moves`` is one entry of ``_movement``.  Per variable outside the
-    window, the distance left after the free moves is priced at the cheapest
-    rate, rounded up to a whole s-degree; one geometric step can move
-    several variables at once, so the bound is the max over the variables,
-    not the sum.  Negative when no degree <= ``order`` can get back.
+    ``exps``, ``bounds`` and ``moves`` run over the same variables, the
+    last one entry of ``_movement`` or its part for those variables.  Per
+    variable outside the window, the distance left after the free moves is
+    priced at the least rate, rounded up to a whole s-degree; one term can
+    move several variables at once, so the bound is the max over the
+    variables, not the sum.  Negative when no degree <= ``order`` can get
+    back.
     """
     need = 0
     for x, b, (fup, fdown, rup, rdown) in zip(exps, bounds, moves):
@@ -399,33 +432,42 @@ def _budget(exps, bounds, moves, order):
     return order - need
 
 
-def _p3_add_into(dst, src, cap, sign=1, shift=(0, 0, 0)):
-    ss, sa, sb = shift
-    for (es, ea, eb), c in src.items():
-        es += ss
-        ea += sa
-        eb += sb
-        if es + ea + eb > cap:
-            continue
-        k = (es, ea, eb)
-        v = dst.get(k, 0) + (c if sign > 0 else -c)
-        if v:
-            dst[k] = v
-        elif k in dst:
-            del dst[k]
+def _walks(d, terms):
+    """The two sides of a line's series, each walked outward from k = 0.
+
+    Per side, the (shift, shift of the touched variables, coefficient dict,
+    least degree of this term and every term beyond it) quadruples, and per
+    touched variable the sign s such that the side moves it away from the
+    window [-b, b] from every exponent x with s x >= -b.
+    """
+    out = []
+    for side in (1, -1):
+        walk = [(k, c) for k, c in terms if (k >= 0 if side > 0 else k < 0)][::side]
+        lows = list(accumulate([min(map(sum, c)) for _, c in walk][::-1], min))[::-1]
+        out.append(([(tuple(k * x for x in d), [k * x for x in d if x], c, low)
+                     for (k, c), low in zip(walk, lows)],
+                    [1 if x * side > 0 else -1 for x in d if x]))
+    return out
 
 
 def _expansion(dens, order, bounds):
     """Expand the density into {torus exponent: coefficient dict}.
 
     The table is exact, through s-degree ``order``, for every exponent
-    within the requested per-variable window.  After each factor, a state
-    (torus exponent, coefficient dict) keeps only the terms that can still
-    end inside the window at degree <= ``order``: ``_budget`` is a lower
-    bound on the s-degree the remaining factors must add to bring the
-    exponent back, and a state whose budget exceeds ``order`` is dropped.
-    Cached per density and order, and reused whenever a cached window
-    covers the request.
+    within the requested per-variable window.  The lines of
+    ``_factor_sequence`` are applied one at a time: each state (torus
+    exponent, coefficient dict) is shifted by every term k of the line's
+    series and multiplied by its coefficient, keeping only the terms that
+    can still end inside the window at degree <= ``order``.  ``_budget``
+    bounds below the s-degree the remaining lines must add to bring an
+    exponent back; the variables the line leaves alone are priced once per
+    state, the ones it touches per term, and the state's least degree is
+    taken off what a term may add.  Each side of the series is walked
+    outward from k = 0 and stops at a term where that is below the least
+    degree of every term beyond it while each touched variable moves away
+    from the window, where no further term can do better, as a variable's
+    need only grows with its distance from the window.  Cached per density
+    and order, and reused whenever a cached window covers the request.
     """
     limit = _max_terms()
     cache_key = (dens.key(), order)
@@ -435,50 +477,38 @@ def _expansion(dens, order, bounds):
         if all(b <= cb for b, cb in zip(bounds, cached_bounds)):
             return table
         bounds = tuple(max(b, cb) for b, cb in zip(bounds, cached_bounds))
-    factors = _factor_sequence(dens)
-    nv = len(dens.vars)
-    moves = _movement(factors, nv)
-    zero = (0,) * nv
-    acc = {zero: {(0, 0, 0): 1}}
-
-    def add(new, e, cd, cap, sign=1):
-        cur = new.setdefault(e, {})
-        _p3_add_into(cur, cd, cap, sign=sign)
-        if not cur:
-            del new[e]
-
-    for pos, (kind, sign, exps, ckey) in enumerate(factors):
-        here, after = moves[pos], moves[pos + 1]
+    lines = _factor_sequence(dens, order)
+    moves = _movement(lines, len(dens.vars))
+    acc = {(0,) * len(dens.vars): {(0, 0, 0): 1}}
+    for (d, terms), after in zip(lines, moves[1:]):
+        touched = [v for v, dv in enumerate(d) if dv]
+        tbounds, tmoves = [bounds[v] for v in touched], [after[v] for v in touched]
+        others = tuple(inf if dv else b for dv, b in zip(d, bounds))
+        walks = _walks(d, terms)
         new = {}
-        if kind == "num":
-            for e, cd in acc.items():
-                cap = _budget(e, bounds, after, order)
-                if cap >= 0:
-                    add(new, e, cd, cap)
-                e2 = tuple(a + b for a, b in zip(e, exps))
-                cap = _budget(e2, bounds, after, order)
-                if cap >= 0:
-                    add(new, e2, cd, cap, sign=-sign)
-        else:
-            cdeg = sum(ckey)
-            for e, cd in acc.items():
-                while True:
-                    cap = _budget(e, bounds, after, order)
-                    if cap >= 0:
-                        add(new, e, cd, cap)
-                    # the budget falls by at most cdeg per step, so once a
-                    # step keeps no term no later step of the chain can
-                    e = tuple(a + b for a, b in zip(e, exps))
-                    cap = _budget(e, bounds, here, order)
-                    if cap < cdeg:
-                        break
-                    nxt = {}
-                    _p3_add_into(nxt, cd, cap, sign=sign, shift=ckey)
-                    if not nxt:
-                        break
-                    cd = nxt
-                if len(new) > limit:
-                    break
+        while acc:
+            e, cd = acc.popitem()
+            # the degree a term may add: the budget less the state's least degree
+            dmin = min(map(sum, cd))
+            rest = _budget(e, others, after, order - dmin)
+            if rest < 0:
+                continue
+            te = [e[v] for v in touched]
+            for walk, signs in walks:
+                for shift, tshift, c, low in walk:
+                    tx = list(map(add, te, tshift))
+                    room = min(rest, _budget(tx, tbounds, tmoves, order - dmin))
+                    if room < low:
+                        if all(s * x >= -b for s, x, b in zip(signs, tx, tbounds)):
+                            break
+                        continue
+                    e2 = tuple(map(add, e, shift))
+                    cur = new.setdefault(e2, {})
+                    mul_into(cur, cd, c, room + dmin)
+                    if not cur:
+                        del new[e2]
+            if len(new) > limit:
+                break
         acc = new
         if len(acc) > limit:
             raise ResourceLimitError("density expansion exceeded %d terms" % limit)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .series import ParamSeries, SeriesRing, mul_into
 
 
@@ -48,19 +48,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, exps):
-        c = self.terms.get(tuple(exps))
-        if c is None:
-            return SeriesRing(self.trunc).zero()
-        return c
-
-    def scalar(self):
-        """The value of a polynomial with no torus dependence."""
-        for e in self.terms:
-            if any(e):
-                raise DomainError("polynomial still depends on torus variables")
-        return self.coefficient((0,) * len(self.vars))
 
     def var_bounds(self):
         """Per-variable maximum absolute exponent over the support."""

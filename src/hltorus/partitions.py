@@ -32,11 +32,6 @@ class Partition:
             raise DomainError("partitions cannot have negative parts")
         self.parts = parts
 
-    @classmethod
-    def parse(cls, text):
-        text = text.strip()
-        return cls(() if not text else tuple(int(p) for p in text.split(",")))
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -62,22 +57,12 @@ class Partition:
     def length_nonzero(self):
         return sum(1 for p in self.parts if p)
 
-    def multiplicity(self, i):
-        if i < 0:
-            raise DomainError("multiplicity index must be nonnegative")
-        return sum(1 for p in self.parts if p == i)
-
     def multiplicities(self):
         """Mapping part value -> multiplicity over all stored parts."""
         out = {}
         for p in self.parts:
             out[p] = out.get(p, 0) + 1
         return out
-
-    def parity_counts(self):
-        """(number of odd parts, number of even parts); zeros count as even."""
-        odd = sum(1 for p in self.parts if p & 1)
-        return odd, len(self.parts) - odd
 
     def padded(self, rank):
         if len(self.parts) > rank:
@@ -98,11 +83,6 @@ class DominantWeight:
 
     def __init__(self, parts):
         self.parts = _as_parts(parts)
-
-    @classmethod
-    def parse(cls, text):
-        text = text.strip()
-        return cls(() if not text else tuple(int(p) for p in text.split(",")))
 
     @classmethod
     def from_pair(cls, mu, nu, rank):
@@ -135,10 +115,6 @@ class DominantWeight:
 
     def weight(self):
         return sum(self.parts)
-
-    def parity_counts(self):
-        odd = sum(1 for p in self.parts if p & 1)
-        return odd, len(self.parts) - odd
 
     def multiplicities(self):
         out = {}

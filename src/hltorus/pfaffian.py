@@ -36,9 +36,6 @@ class AntisymMatrix:
         val = self.upper.get((k, j))
         return -val if val is not None else SeriesRing(self.trunc).zero()
 
-    def dense(self):
-        return [[self.entry(j, k) for k in range(self.size)] for j in range(self.size)]
-
 
 def pfaffian(a: AntisymMatrix) -> ParamSeries:
     """Pfaffian by recursive expansion along the first active row."""

@@ -34,8 +34,9 @@ def mul_into(dst, a, b, cap):
     total degree above ``cap`` are skipped, and an entry of ``dst`` that
     cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
     is the one product loop of the package: series products, the torus
-    products of ``LaurentPoly``, the branching rule of ``hall_littlewood``
-    and the constant-term convolution all accumulate through it.
+    products of ``LaurentPoly``, the branching rule of ``hall_littlewood``,
+    every step of the density expansion and the constant-term convolution
+    all accumulate through it.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -80,12 +81,6 @@ class ParamSeries:
 
     def is_zero(self):
         return not self.coeffs
-
-    def coefficient(self, key):
-        return self.coeffs.get(tuple(key), 0)
-
-    def constant(self):
-        return self.coeffs.get(ZERO_KEY, 0)
 
     def min_total_degree(self):
         """Lowest total degree with a nonzero coefficient, or None if zero."""
@@ -184,13 +179,6 @@ class ParamSeries:
 
     __hash__ = None
 
-    # -- structural helpers -----------------------------------------------
-
-    def truncated(self, new_trunc):
-        if new_trunc >= self.trunc:
-            return ParamSeries(dict(self.coeffs), new_trunc, clean=False)
-        return ParamSeries(self.coeffs, new_trunc)
-
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
@@ -249,9 +237,6 @@ class SeriesRing:
 
     def alpha(self, power=1):
         return self.monomial(ea=power)
-
-    def beta(self, power=1):
-        return self.monomial(eb=power)
 
     def geometric(self, es=0, ea=0, eb=0, sign=1):
         """1/(1 - sign * s^es a^ea b^eb) as a truncated geometric series.

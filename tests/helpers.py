@@ -18,6 +18,41 @@ from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
 
+def parse_weight(cls, text):
+    """A ``Partition`` or ``DominantWeight`` from comma-separated parts."""
+    text = text.strip()
+    return cls(() if not text else tuple(int(p) for p in text.split(",")))
+
+
+def parity_counts(weight):
+    """(number of odd parts, number of even parts); zeros count as even."""
+    odd = sum(1 for p in weight.parts if p & 1)
+    return odd, len(weight.parts) - odd
+
+
+def dense(mat):
+    """The entries of an ``AntisymMatrix`` as a list of rows."""
+    return [[mat.entry(j, k) for k in range(mat.size)] for j in range(mat.size)]
+
+
+def coefficient(poly, exps):
+    """The coefficient of x^exps in ``poly``, the zero series when absent."""
+    c = poly.terms.get(tuple(exps))
+    return SeriesRing(poly.trunc).zero() if c is None else c
+
+
+def scalar(poly):
+    """The value of a polynomial with no torus dependence."""
+    if any(any(e) for e in poly.terms):
+        raise DomainError("polynomial still depends on torus variables")
+    return coefficient(poly, (0,) * len(poly.vars))
+
+
+def truncated(series, new_trunc):
+    """``series`` at the truncation order ``new_trunc``."""
+    return ParamSeries(dict(series.coeffs), new_trunc, clean=new_trunc < series.trunc)
+
+
 def from_coeffs(ring, coeffs):
     """The series at ``ring``'s order with the given coefficients, cleaned."""
     return ParamSeries(dict(coeffs), ring.trunc)
@@ -80,7 +115,7 @@ def unit_inverse(series):
     Geometric expansion of the degree >= 1 tail, which is exact in the
     truncated ring; a series with zero constant term is rejected.
     """
-    c0 = series.constant()
+    c0 = series.coeffs.get(ZERO_KEY, 0)
     if c0 == 0:
         raise DomainError("series with zero constant term has no inverse")
     scale = Fraction(1) / c0

@@ -24,10 +24,10 @@ from itertools import permutations
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import hl_full, var_arg
 from hltorus.identities import t_multinomial_of
-from hltorus.series import SeriesRing
+from hltorus.series import ZERO_KEY, SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import max_total_degree
+from helpers import max_total_degree, parity_counts
 
 
 def pfaffian_by_matchings(matrix):
@@ -211,7 +211,7 @@ def degenerate_check(parts, nvars, order=24):
         if d is not None and d > top:
             top = d
     certified = top < order
-    at_zero = {e: c.constant() for e, c in p.terms.items() if c.constant()}
+    at_zero = {e: c.coeffs[ZERO_KEY] for e, c in p.terms.items() if ZERO_KEY in c.coeffs}
     schur = schur_by_tableaux(parts, nvars)
     schur_ok = at_zero == schur
     at_one = {}
@@ -318,7 +318,7 @@ def pf_closed_form(kind, lam, trunc):
 def rhs_orthogonal_alpha(component, lam, order):
     """The one-parameter closed forms for the four orthogonal components."""
     ring = SeriesRing(order)
-    odd, even = lam.parity_counts()
+    odd, even = parity_counts(lam)
     sign = 1 if component in ("plus_even", "plus_odd") else -1
     bracket = _power_of_minus_alpha(ring, odd) + _power_of_minus_alpha(ring, even) * sign
     return t_multinomial_of(lam.parts, order) * bracket
@@ -385,7 +385,7 @@ def rhs_alpha_eq_minus_beta(lam, order):
         else:
             o_sq = o_sq * tc.rogers_szego(mult, z_sq)
             o_m1 = o_m1 * tc.rogers_szego(mult, minus_one)
-    odd, even = lam.parity_counts()
+    odd, even = parity_counts(lam)
     bracket = e_sq * o_m1 * _power_of_minus_alpha(ring, odd) + o_sq * e_m1 * _power_of_minus_alpha(ring, even)
     return t_multinomial_of(lam.parts, order) * bracket
 

@@ -17,7 +17,7 @@ from hltorus.pfaffian import AntisymMatrix, build_a_matrix, pfaffian
 from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import bounded_partitions, from_coeffs, q_pochhammer, row_closed_form
+from helpers import bounded_partitions, dense, from_coeffs, q_pochhammer, row_closed_form, truncated
 from oracles import (degenerate_check, determinant, multiset_inversion_sum,
                      pf_closed_form, pfaffian_by_matchings)
 
@@ -197,8 +197,8 @@ def test_criterion_6_special_cases():
         for (es, ea, eb), c in row_closed_form("ab_oplus_even", lam, D).coeffs.items():
             key = (es, 0, eb)
             folded[key] = folded.get(key, 0) + (-c if ea % 2 else c)
-        merged = from_coeffs(ring, folded).truncated(D - 2)
-        assert merged == row_closed_form("alpha_minus_one", lam, D).truncated(D - 2), lam
+        merged = truncated(from_coeffs(ring, folded), D - 2)
+        assert merged == truncated(row_closed_form("alpha_minus_one", lam, D), D - 2), lam
     print("[acceptance] criterion 6 special cases: PASS "
           "(%d integral instances + closed-form cross-checks, D=%d, %.1fs)"
           % (count, D, time.time() - start))
@@ -292,7 +292,7 @@ def test_criterion_8_property_suites():
                 })
         mat = AntisymMatrix(size, upper, D)
         p = pfaffian(mat)
-        assert p * p == determinant(mat.dense(), D)
+        assert p * p == determinant(dense(mat), D)
     # ring laws on deterministic random samples
     def sample(seed):
         r = random.Random(seed)

@@ -205,6 +205,34 @@ def test_invalid_limit_variable_is_usage_error(monkeypatch, capsys, name, value)
     assert "Traceback" not in err
 
 
+def test_memory_ceiling_too_large_for_the_platform_is_usage_error(monkeypatch, capsys):
+    # 2^44 MiB is 2^64 bytes, one past what setrlimit takes; nothing is applied
+    monkeypatch.setenv("HLTORUS_MAX_MIB", str(2 ** 44))
+    code, text = run(["list"])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "HLTORUS_MAX_MIB" in err
+
+
+def test_memory_ceiling_above_the_hard_limit_is_usage_error():
+    """A child whose hard address-space limit is 2 GiB asks for 4 GiB."""
+    import resource
+
+    hard = 2 << 30
+
+    def lower_hard_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (hard, hard))
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src, HLTORUS_MAX_MIB=str(2 * hard >> 20))
+    proc = subprocess.run([sys.executable, "-m", "hltorus", "list"], env=env,
+                          capture_output=True, preexec_fn=lower_hard_limit, timeout=60)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (cli.USAGE_EXIT, b""), err
+    assert len(err.splitlines()) == 1 and "HLTORUS_MAX_MIB" in err, err
+
+
 @pytest.mark.parametrize(
     "error",
     [InternalConsistencyError, ConfigurationError, KeyError, TypeError, ZeroDivisionError,

@@ -157,6 +157,14 @@ def test_koornwinder_rejections():
 def test_expandability_certificate():
     with pytest.raises(DomainError):
         DensityProduct(("x1",), (), (((0, 0, 0), 1, (1,)),))
+    # a negative parameter exponent would integrate outside the ring
+    with pytest.raises(DomainError):
+        DensityProduct(("x1",), [], [((2, -1, 0), 1, (1,)), ((2, 0, 0), 1, (-1,))])
+    # a zero exponent vector lies on no line through the origin
+    with pytest.raises(DomainError):
+        DensityProduct(("x1",), [(1, (0,))], [])
+    with pytest.raises(DomainError):
+        DensityProduct(("x1",), [], [((2, 0, 0), 1, (0,))])
 
 
 def test_single_geometric_factor_integral():
@@ -202,8 +210,8 @@ def test_known_series_coefficients():
     assert val == expected
     # (1-t)/(s;s)_2 = (1-s^2)/(1-s^2)(1-s)(1-s^2)... spot-check low degrees
     val2 = koornwinder_normalization(1, K_KAWANAKA, 6)
-    assert val2.coefficient((0, 0, 0)) == 1
-    assert val2.coefficient((1, 0, 0)) == 1
+    assert val2.coeffs[(0, 0, 0)] == 1
+    assert val2.coeffs[(1, 0, 0)] == 1
 
 
 def _full_product(vars_, num_factors, geo_factors, order):
@@ -395,6 +403,9 @@ def _expansion_cases():
         for tpow in (2, 4):
             yield selberg_density(n, tpow=tpow)
     yield two_block_density(1, 2)
+    # two-sided lines with no free move, where the outward walk stops early
+    for n in (1, 2):
+        yield cross_block_density(n)
 
 
 @pytest.mark.parametrize("dens", list(_expansion_cases()), ids=lambda d: d.label)
@@ -427,7 +438,7 @@ def test_budget_is_tight_on_hand_cases():
     def budget(num, geo, exps, bounds, order=10):
         vars_ = tuple("x%d" % (i + 1) for i in range(len(exps)))
         dens = DensityProduct(vars_, num, geo)
-        moves = densities._movement(densities._factor_sequence(dens), len(vars_))
+        moves = densities._movement(densities._factor_sequence(dens, order), len(vars_))
         assert densities._budget(exps, bounds, moves[-1], order) == (
             order if all(abs(x) <= b for x, b in zip(exps, bounds)) else -1)
         return densities._budget(exps, bounds, moves[0], order)
@@ -444,6 +455,10 @@ def test_budget_is_tight_on_hand_cases():
     geo = (((2, 0, 0), 1, (1,)), ((3, 0, 0), -1, (2,)), ((1, 1, 0), 1, (-1,)))
     assert budget((), geo, (-4,), (0,)) == 10 - 6
     assert budget((), geo, (3,), (0,)) == 10 - 6
+    # geometric factors at t on x1 and on 1/x1 price both ways
+    two_sided = (((2, 0, 0), 1, (1,)), ((2, 0, 0), 1, (-1,)))
+    assert budget((), two_sided, (-3,), (0,)) == 10 - 6
+    assert budget((), two_sided, (3,), (0,)) == 10 - 6
     # one step moves both variables, so the needs are not added up
     both = (((2, 0, 0), 1, (1, 1)),)
     assert budget((), both, (-1, -1), (0, 0)) == 10 - 2

@@ -28,7 +28,8 @@ from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import bounded_partitions, drop_param, from_coeffs, negate_param, row_closed_form
+from helpers import (bounded_partitions, drop_param, from_coeffs, negate_param, parity_counts,
+                     row_closed_form, truncated)
 from oracles import (rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta, rhs_alpha_minus_one,
                      rhs_orthogonal_alpha)
 
@@ -159,7 +160,7 @@ def test_ab_rhs_frozen_zero_weight():
     r = SeriesRing(D)
     one_plus_t = r.one() + r.t()
     h2 = r.one() + one_plus_t * r.monomial(ea=1, eb=1) + r.monomial(ea=2, eb=2)
-    g2 = r.alpha(2) + one_plus_t * r.monomial(ea=1, eb=1) + r.beta(2)
+    g2 = r.alpha(2) + one_plus_t * r.monomial(ea=1, eb=1) + r.monomial(eb=2)
     assert row_closed_form("ab_oplus_even", (0, 0), D) == h2 + g2
     assert row_closed_form("ab_ominus_even", (0, 0), D) == h2 - g2
 
@@ -240,7 +241,7 @@ def test_alpha_rhs_vanishing_at_alpha_zero():
     for rank in (2, 3, 4):
         comp = "plus_even" if rank % 2 == 0 else "plus_odd"
         for lam in bounded_partitions(rank, 3):
-            odd, even = lam.parity_counts()
+            odd, even = parity_counts(lam)
             at_zero = drop_param(row_closed_form("o_" + comp, lam, D), 1)
             if odd == 0 or even == 0:
                 assert not at_zero.is_zero(), lam
@@ -275,8 +276,8 @@ def test_alpha_minus_one_consistent_with_ab():
     # accurate through D minus the rank
     for lam in bounded_partitions(4, 2):
         cut = D - 4
-        merged = _eval_alpha_minus_one(row_closed_form("ab_oplus_even", lam, D)).truncated(cut)
-        assert merged == row_closed_form("alpha_minus_one", lam, D).truncated(cut), lam
+        merged = truncated(_eval_alpha_minus_one(row_closed_form("ab_oplus_even", lam, D)), cut)
+        assert merged == truncated(row_closed_form("alpha_minus_one", lam, D), cut), lam
 
 
 def test_slot_rule_scalars():
@@ -284,7 +285,7 @@ def test_slot_rule_scalars():
     from hltorus.identities import INTEGRANDS, MINUS_ALPHA, MINUS_ONE
 
     r = SeriesRing(D)
-    one, a, b = r.one(), r.alpha(), r.beta()
+    one, a, b = r.one(), r.alpha(), r.monomial(eb=1)
     expected = {
         ("plus_even", (ALPHA,)): one,
         ("minus_even", (ALPHA,)): one - a * a,
@@ -315,7 +316,7 @@ def test_sum_identity_components():
     i2, z2 = _integral("minus_even", inst, (ALPHA, BETA), normalized=True)
     # the slot rule gives the minus component's prefactor from its slots +-1,
     # and _integral applies it to i2
-    pref = (r.one() - r.alpha(2)) * (r.one() - r.beta(2))
+    pref = (r.one() - r.alpha(2)) * (r.one() - r.monomial(eb=2))
     slots = pm_args(1) + (const_arg(1, 1), const_arg(1, -1))
     _, scalar = _linear_factors(slots, (ALPHA, BETA), ("x1",), D)
     assert scalar == pref

@@ -5,7 +5,7 @@ from hltorus.errors import ConfigurationError, DomainError
 from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
-from helpers import constant_term, max_total_degree, rename_vars, specialize
+from helpers import coefficient, constant_term, max_total_degree, rename_vars, scalar, specialize
 from oracles import product_by_nested_loops
 
 
@@ -40,16 +40,16 @@ def test_param_coefficient_product():
 
 def test_constant_term_examples():
     p = mono((-1, -1)) + LaurentPoly.monomial(V, (0, 0), ring().t(), D)
-    assert constant_term(p, V).scalar() == ring().t()
+    assert scalar(constant_term(p, V)) == ring().t()
     assert constant_term(mono((2, 0)), ("x1",)).is_zero()
     q = LaurentPoly.monomial(V, (0, 0), 3, D) + mono((1, -1))
     r = constant_term(q, ("x1",))
-    assert r.vars == ("x2",) and r.scalar() == 3
+    assert r.vars == ("x2",) and scalar(r) == 3
 
 
 def test_constant_term_full_equals_zero_coefficient():
     p = mono((1, -1)) + mono((0, 0), 5) + mono((-2, 1))
-    assert constant_term(p, V).scalar() == p.coefficient((0, 0))
+    assert scalar(constant_term(p, V)) == coefficient(p, (0, 0))
 
 
 def test_constant_term_unknown_variable():
@@ -60,7 +60,7 @@ def test_constant_term_unknown_variable():
 def test_specialize_to_minus_one():
     p = mono((1, 0)) + mono((-1, 0))
     out = specialize(p, {"x1": -1})
-    assert out.coefficient((0, 0)) == -2
+    assert coefficient(out, (0, 0)) == -2
 
 
 def test_specialize_to_inverse_variable():
@@ -110,8 +110,8 @@ def test_laurent_ring_laws(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(_poly_strategy(), _poly_strategy())
 def test_constant_term_is_linear_and_degrees_stay_truncated(a, b):
-    lhs = constant_term(a + b, V).scalar()
-    assert lhs == constant_term(a, V).scalar() + constant_term(b, V).scalar()
+    lhs = scalar(constant_term(a + b, V))
+    assert lhs == scalar(constant_term(a, V)) + scalar(constant_term(b, V))
     prod = a * b
     for coeff in prod.terms.values():
         d = max_total_degree(coeff)
