@@ -51,28 +51,34 @@ Selberg density, so CT[P_lambda g * all roots] = (n!/v_lambda(t))
 CT[x^lambda g * positive roots].  Here v_lambda(t) = prod_i [m_i]_t! over
 the runs of equal parts of lambda padded to n parts, zeros included: the
 Weyl factors of the stabilizer of x^lambda, a product of S_{m_i}.
-``ct_integrate`` takes lambda as its ``lead``: it shifts g by x^lambda and
-multiplies by n!/v_lambda(t) = (n!/prod m_i!) prod_i m_i!/[m_i]_t! in place
-of n!/[n]_t!, which is the lambda = 0 case.
+``ct_integrate`` takes lambda as its ``lead``: it reads the table at the
+offset -lambda, which stands for x^lambda g without forming that product,
+and multiplies by n!/v_lambda(t) = (n!/prod m_i!) prod_i m_i!/[m_i]_t! in
+place of n!/[n]_t!, which is the lambda = 0 case.
 
 Integration is the extraction of the torus-degree-zero coefficient.  The
 density is expanded once into a table over the window of torus exponents
-the multiplier can cancel, then convolved with the multiplier.  First the
-factors whose exponents lie on one line through the origin, multiples of a
-primitive d, are multiplied into one truncated Laurent series in x^d: a
-pair (1-x^a)/(1-t x^a) is one series, and so are the two cross-block
-factors at x_i/y_j and y_j/x_i and all the single-variable factors of one
-variable.  Then every state steps through each line's terms by one
-``mul_into`` per term, and each intermediate term is pruned by its
-s-degree budget: a lower bound on the s-degree the remaining lines must add
-to bring its exponent back into the window.  Per line, the largest move
-each way by a term with a degree-0 coefficient is free, and the rest costs
-at least the least degree per unit of move among the terms beyond it.  Per
-variable the free moves of the lines add up and the least of their rates
-prices the distance left; one term can move several variables, so the
-bound is the max over the variables.  No factor lowers the s-degree, so a
-term whose degree plus budget exceeds the order cannot reach the window at
-degree <= the order, and the table is exact there.
+the shifted multiplier can cancel, one signed interval (lo_i, hi_i) =
+(-max e_i - lambda_i, -min e_i - lambda_i) per variable over the
+multiplier's support, not the box [-b_i, b_i] of its largest |e_i|:
+x^lambda g is one-sided in most variables, and the box would keep states
+for the side that is never read.  The table is then convolved with the
+multiplier.  First the factors whose exponents lie on one line through the
+origin, multiples of a primitive d, are multiplied into one truncated
+Laurent series in x^d: a pair (1-x^a)/(1-t x^a) is one series, and so are
+the two cross-block factors at x_i/y_j and y_j/x_i and all the
+single-variable factors of one variable.  Then every state steps through
+each line's terms by one ``mul_into`` per term, and each intermediate term
+is pruned by its s-degree budget: a lower bound on the s-degree the
+remaining lines must add to bring its exponent back into the window.  Per
+line, the largest move each way by a term with a degree-0 coefficient is
+free, and the rest costs at least the least degree per unit of move among
+the terms beyond it.  Per variable the free moves of the lines add up and
+the least of their rates prices the distance left to the nearer end of
+the interval; one term can move several variables, so the bound is the max
+over the variables.  No factor lowers the s-degree, so a term whose degree
+plus budget exceeds the order cannot reach the window at degree <= the
+order, and the table is exact there.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby
 from math import factorial, gcd, inf, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
@@ -403,23 +409,24 @@ def _movement(lines, nv):
     return out
 
 
-def _budget(exps, bounds, moves, order):
+def _budget(exps, window, moves, order):
     """``order`` less the least s-degree that brings ``exps`` into the window.
 
-    ``exps``, ``bounds`` and ``moves`` run over the same variables, the
-    last one entry of ``_movement`` or its part for those variables.  Per
-    variable outside the window, the distance left after the free moves is
-    priced at the least rate, rounded up to a whole s-degree; one term can
-    move several variables at once, so the bound is the max over the
+    ``exps``, ``window`` and ``moves`` run over the same variables: the
+    window holds one signed interval (lo, hi) per variable, and ``moves``
+    is one entry of ``_movement`` or its part for those variables.  Per
+    variable outside its interval, the distance left after the free moves
+    is priced at the least rate, rounded up to a whole s-degree; one term
+    can move several variables at once, so the bound is the max over the
     variables, not the sum.  Negative when no degree <= ``order`` can get
     back.
     """
     need = 0
-    for x, b, (fup, fdown, rup, rdown) in zip(exps, bounds, moves):
-        if x > b:
-            dist, rate = x - b - fdown, rdown
-        elif x < -b:
-            dist, rate = -b - x - fup, rup
+    for x, (lo, hi), (fup, fdown, rup, rdown) in zip(exps, window, moves):
+        if x > hi:
+            dist, rate = x - hi - fdown, rdown
+        elif x < lo:
+            dist, rate = lo - x - fup, rup
         else:
             continue
         if dist <= 0:
@@ -432,59 +439,67 @@ def _budget(exps, bounds, moves, order):
     return order - need
 
 
-def _walks(d, terms):
+def _walks(d, terms, twindow):
     """The two sides of a line's series, each walked outward from k = 0.
 
     Per side, the (shift, shift of the touched variables, coefficient dict,
     least degree of this term and every term beyond it) quadruples, and per
-    touched variable the sign s such that the side moves it away from the
-    window [-b, b] from every exponent x with s x >= -b.
+    touched variable, with ``twindow`` its interval (lo, hi), the pair
+    (s, m) such that the side moves it away from the interval from every
+    exponent x with s x >= m: (1, lo) for a side that moves it up, and
+    (-1, -hi) for one that moves it down.
     """
     out = []
     for side in (1, -1):
         walk = [(k, c) for k, c in terms if (k >= 0 if side > 0 else k < 0)][::side]
         lows = list(accumulate([min(map(sum, c)) for _, c in walk][::-1], min))[::-1]
+        ups = [x * side > 0 for x in d if x]
         out.append(([(tuple(k * x for x in d), [k * x for x in d if x], c, low)
                      for (k, c), low in zip(walk, lows)],
-                    [1 if x * side > 0 else -1 for x in d if x]))
+                    [(1, lo) if up else (-1, -hi) for up, (lo, hi) in zip(ups, twindow)]))
     return out
 
 
-def _expansion(dens, order, bounds):
+def _expansion(dens, order, window):
     """Expand the density into {torus exponent: coefficient dict}.
 
     The table is exact, through s-degree ``order``, for every exponent
-    within the requested per-variable window.  The lines of
-    ``_factor_sequence`` are applied one at a time: each state (torus
-    exponent, coefficient dict) is shifted by every term k of the line's
-    series and multiplied by its coefficient, keeping only the terms that
-    can still end inside the window at degree <= ``order``.  ``_budget``
-    bounds below the s-degree the remaining lines must add to bring an
-    exponent back; the variables the line leaves alone are priced once per
-    state, the ones it touches per term, and the state's least degree is
-    taken off what a term may add.  Each side of the series is walked
-    outward from k = 0 and stops at a term where that is below the least
-    degree of every term beyond it while each touched variable moves away
-    from the window, where no further term can do better, as a variable's
-    need only grows with its distance from the window.  Cached per density
-    and order, and reused whenever a cached window covers the request.
+    within the requested window, one signed interval (lo, hi) per variable.
+    The lines of ``_factor_sequence`` are applied one at a time: each state
+    (torus exponent, coefficient dict) is shifted by every term k of the
+    line's series and multiplied by its coefficient, keeping only the terms
+    that can still end inside the window at degree <= ``order``.
+    ``_budget`` bounds below the s-degree the remaining lines must add to
+    bring an exponent back; the variables the line leaves alone are priced
+    once per state, the ones it touches per term, and the state's least
+    degree is taken off what a term may add.  Each side of the series is
+    walked outward from k = 0 and stops at a term where that is below the
+    least degree of every term beyond it while each touched variable moves
+    away from its interval (up from x >= lo, or down from x <= hi), where
+    no further term can do better, as a variable's need only grows with its
+    distance from the interval.  Cached per density and order; a request
+    whose intervals lie inside the cached ones gets the cached table, and
+    any other rebuilds it for the union of the two windows, reusing the
+    lines and their movement, which do not depend on the window.
     """
     limit = _max_terms()
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
     if cached is not None:
-        cached_bounds, table = cached
-        if all(b <= cb for b, cb in zip(bounds, cached_bounds)):
+        cached_window, table, lines, moves = cached
+        if all(clo <= lo and hi <= chi for (lo, hi), (clo, chi) in zip(window, cached_window)):
             return table
-        bounds = tuple(max(b, cb) for b, cb in zip(bounds, cached_bounds))
-    lines = _factor_sequence(dens, order)
-    moves = _movement(lines, len(dens.vars))
+        window = [(min(lo, clo), max(hi, chi))
+                  for (lo, hi), (clo, chi) in zip(window, cached_window)]
+    else:
+        lines = _factor_sequence(dens, order)
+        moves = _movement(lines, len(dens.vars))
     acc = {(0,) * len(dens.vars): {(0, 0, 0): 1}}
     for (d, terms), after in zip(lines, moves[1:]):
         touched = [v for v, dv in enumerate(d) if dv]
-        tbounds, tmoves = [bounds[v] for v in touched], [after[v] for v in touched]
-        others = tuple(inf if dv else b for dv, b in zip(d, bounds))
-        walks = _walks(d, terms)
+        twindow, tmoves = [window[v] for v in touched], [after[v] for v in touched]
+        others = tuple((-inf, inf) if dv else w for dv, w in zip(d, window))
+        walks = _walks(d, terms, twindow)
         new = {}
         while acc:
             e, cd = acc.popitem()
@@ -494,12 +509,12 @@ def _expansion(dens, order, bounds):
             if rest < 0:
                 continue
             te = [e[v] for v in touched]
-            for walk, signs in walks:
+            for walk, stops in walks:
                 for shift, tshift, c, low in walk:
                     tx = list(map(add, te, tshift))
-                    room = min(rest, _budget(tx, tbounds, tmoves, order - dmin))
+                    room = min(rest, _budget(tx, twindow, tmoves, order - dmin))
                     if room < low:
-                        if all(s * x >= -b for s, x, b in zip(signs, tx, tbounds)):
+                        if all(s * x >= m for (s, m), x in zip(stops, tx)):
                             break
                         continue
                     e2 = tuple(map(add, e, shift))
@@ -512,7 +527,7 @@ def _expansion(dens, order, bounds):
         acc = new
         if len(acc) > limit:
             raise ResourceLimitError("density expansion exceeded %d terms" % limit)
-    _EXPANSION_CACHE[cache_key] = (tuple(bounds), acc)
+    _EXPANSION_CACHE[cache_key] = (window, acc, lines, moves)
     return acc
 
 
@@ -522,15 +537,19 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     Exact through the given order.  ``multiplier`` may be None for the bare
     normalization integral.
 
+    The density is expanded over the window of exponents the convolution
+    reads, the entries -(e + lead) for the exponents e of the multiplier
+    (lead = 0 without one), as one signed interval per variable.
+
     With ``lead``, a weakly decreasing weight with one part per variable,
     the integrand is P_lead(x; t) times the multiplier g, and P_lead itself
     is never formed (see the module docstring).  g is guarded as without
-    ``lead``, shifted by x^lead with a one-term product and convolved with
-    the same positive-root table; the result is restored by the stabilizer
-    factor n!/v_lead(t), with v_lead over every run of equal parts, zeros
-    included, in place of n!/[n]_t!.  A lead that is not weakly decreasing
-    or has the wrong length, and a density that is not one "A" block over
-    all its variables, raise ``ConfigurationError``.
+    ``lead`` and convolved with the same positive-root table, read at the
+    offset -lead, which stands for x^lead g; the result is restored by the
+    stabilizer factor n!/v_lead(t), with v_lead over every run of equal
+    parts, zeros included, in place of n!/[n]_t!.  A lead that is not
+    weakly decreasing or has the wrong length, and a density that is not
+    one "A" block over all its variables, raise ``ConfigurationError``.
     """
     if multiplier is None:
         multiplier = LaurentPoly.unit(dens.vars, order)
@@ -546,15 +565,17 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
         raise ConfigurationError(
             "multiplier is not invariant under the blocks' Weyl groups in %r" % (dens,)
         )
-    blocks, prefactor = dens.blocks, dens.prefactor
+    blocks, prefactor, neg = dens.blocks, dens.prefactor, [0] * len(dens.vars)
     if lead is not None:
         blocks = _stabilizer(dens, lead)
         prefactor *= factorial(len(lead)) // prod(factorial(b[2]) for b in blocks)
-        multiplier = multiplier * LaurentPoly.monomial(dens.vars, lead, 1, order)
-    table = _expansion(dens, order, multiplier.var_bounds())
+        neg = [-a for a in lead]
+    terms = multiplier.terms
+    columns = zip(*terms) if terms else ((0,),) * len(neg)
+    table = _expansion(dens, order, [(b - max(c), b - min(c)) for c, b in zip(columns, neg)])
     out = {}
-    for e, coeff in multiplier.terms.items():
-        dcoef = table.get(tuple(-x for x in e))
+    for e, coeff in terms.items():
+        dcoef = table.get(tuple(map(sub, neg, e)))
         if dcoef:
             mul_into(out, coeff.coeffs, dcoef, order)
     result = ParamSeries(out, order, clean=False)

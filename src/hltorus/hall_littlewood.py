@@ -86,33 +86,32 @@ def _psi(lam, mu, tbase, cap, y):
     return psi
 
 
-def _branching(lam, args, seed, cap, tbase):
+def _branching(lam, args, memo, cap, tbase):
     """P_lam(args) times the seed term, for a partition lam padded to len(args).
 
-    Polynomials map exponent tuples to (e_s, 0, 0)-keyed coefficient dicts;
-    ``seed`` is the one-term polynomial that P_() stands for.
+    Polynomials map exponent tuples to (e_s, 0, 0)-keyed coefficient dicts.
+    ``memo`` maps each partition already built to its polynomial, and ()
+    to the seed, the one-term polynomial that P_() stands for.  The
+    recursion goes through the module-level name, not a closure that refers
+    to itself, so the memo is freed when the caller drops it rather than
+    left for the cycle collector.
     """
-    memo = {(): seed}
-
-    def build(lam):
-        hit = memo.get(lam)
-        if hit is not None:
-            return hit
-        k = len(lam)
-        size = sum(lam)
-        acc = {}
-        for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
-            y = _mono_pow(args[k - 1], size - sum(mu))
-            factor = _psi(lam, mu, tbase, cap, y)
-            if not factor:
-                continue
-            for exps, cd in build(mu).items():
-                key = tuple(a + b for a, b in zip(exps, y.exps))
-                mul_into(acc.setdefault(key, {}), cd, factor, cap)
-        memo[lam] = acc
-        return acc
-
-    return build(lam)
+    hit = memo.get(lam)
+    if hit is not None:
+        return hit
+    k = len(lam)
+    size = sum(lam)
+    acc = {}
+    for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
+        y = _mono_pow(args[k - 1], size - sum(mu))
+        factor = _psi(lam, mu, tbase, cap, y)
+        if not factor:
+            continue
+        for exps, cd in _branching(mu, args, memo, cap, tbase).items():
+            key = tuple(a + b for a, b in zip(exps, y.exps))
+            mul_into(acc.setdefault(key, {}), cd, factor, cap)
+    memo[lam] = acc
+    return acc
 
 
 _CACHE = {}
@@ -158,7 +157,7 @@ def hl_full(weight, args, var_names, order, tbase=2):
         shift,
     )
     poly = _branching(tuple(w - shift for w in weight), args,
-                      {y.exps: {(y.spow, 0, 0): y.sign}}, order, tbase)
+                      {(): {y.exps: {(y.spow, 0, 0): y.sign}}}, order, tbase)
     result = LaurentPoly(
         var_names, {e: ParamSeries(cd, order) for e, cd in poly.items()}, order
     )

@@ -49,16 +49,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def var_bounds(self):
-        """Per-variable maximum absolute exponent over the support."""
-        bounds = [0] * len(self.vars)
-        for e in self.terms:
-            for i, v in enumerate(e):
-                a = v if v >= 0 else -v
-                if a > bounds[i]:
-                    bounds[i] = a
-        return tuple(bounds)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):

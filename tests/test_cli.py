@@ -180,8 +180,7 @@ def test_resource_exit_code(monkeypatch):
 
     dmod.clear_caches()
     code, text = run([
-        "verify", "--identity", "orthogonality", "--n", "2",
-        "--lambda", "1,0", "--mu", "1,0", "--order", "8",
+        "verify", "--identity", "symplectic", "--n", "2", "--lambda", "1,1", "--order", "8",
     ])
     assert code == 3
     assert "resource" in text
@@ -276,8 +275,8 @@ def test_memory_ceiling_exits_3_at_every_ceiling():
     seconds, in one process per ceiling: exit 3 and one stderr line each,
     whether the failed allocation surfaced as a MemoryError or not."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    argv = [sys.executable, "-m", "hltorus", "verify", "--identity", "orthogonality",
-            "--n", "9", "--lambda", "2,1", "--mu", "2,1", "--order", "12"]
+    argv = [sys.executable, "-m", "hltorus", "verify", "--identity", "kawanaka",
+            "--n", "6", "--lambda", "2,1", "--order", "8"]
     procs = {}
     for mib in (36, 40, 44, 48):
         env = dict(os.environ, PYTHONPATH=src, HLTORUS_MAX_MIB=str(mib))

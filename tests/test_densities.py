@@ -408,62 +408,119 @@ def _expansion_cases():
         yield cross_block_density(n)
 
 
+def _restrict(table, window):
+    return {e: c for e, c in table.items()
+            if all(lo <= x <= hi for x, (lo, hi) in zip(e, window))}
+
+
 @pytest.mark.parametrize("dens", list(_expansion_cases()), ids=lambda d: d.label)
 def test_pruned_expansion_matches_full_product(dens):
     """The budget-pruned table against the unpruned, window-free product.
 
     Inside the window every exponent must be present with every
-    coefficient term through the order; outside it nothing is kept.
+    coefficient term through the order; outside it nothing is kept.  The
+    windows are symmetric boxes, one-sided intervals, intervals that miss
+    the origin, and a different side per variable.
     """
     top = 8
     full = _full_product(dens.vars, dens.num_factors, dens.geo_factors, top)
     nv = len(dens.vars)
-    windows = [(b,) * nv for b in (0, 1, 2)] + [tuple(range(nv))[::-1]]
+    windows = [((-b, b),) * nv for b in (0, 1, 2)]
+    windows.append(tuple((-b, b) for b in range(nv))[::-1])
+    windows += [((0, 2),) * nv, ((-2, 0),) * nv, ((1, 2),) * nv]
+    windows.append(tuple(((0, 2), (-2, 0), (-1, 1))[v % 3] for v in range(nv)))
+    windows.append(tuple(((-2, -1), (1, 1))[v % 2] for v in range(nv)))
     for order in range(4, top + 1):
-        for bounds in windows:
+        for window in windows:
             want = {}
-            for e, c in full.terms.items():
-                if all(abs(x) <= b for x, b in zip(e, bounds)):
-                    kept = {k: v for k, v in c.coeffs.items() if sum(k) <= order}
-                    if kept:
-                        want[e] = kept
+            for e, c in _restrict(full.terms, window).items():
+                kept = {k: v for k, v in c.coeffs.items() if sum(k) <= order}
+                if kept:
+                    want[e] = kept
             densities.clear_caches()
-            got = densities._expansion(dens, order, bounds)
-            assert got == want, (order, bounds)
+            got = densities._expansion(dens, order, window)
+            assert got == want, (order, window)
+    densities.clear_caches()
+
+
+@pytest.mark.parametrize("dens", [selberg_density(3), koornwinder_density(2, K_QUADRUPLES[0]),
+                                  cross_block_density(2)], ids=lambda d: d.label)
+def test_expansion_cache_serves_subwindows_and_widens_to_the_union(dens):
+    """A narrow request, one on the other side, a sub-window of their union
+    and one a step past the union at one end: each table agrees with a cold
+    build on its window, the sub-window gets the cached table itself, and
+    every other request rebuilds, still exact on the earlier windows."""
+    order = 6
+    nv = len(dens.vars)
+    narrow = tuple(((0, 2), (-1, 1), (-2, 0))[v % 3] for v in range(nv))
+    other = tuple((-hi, -lo) for lo, hi in narrow)
+    union = tuple((min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(narrow, other))
+    sub = ((-1, 1),) * nv
+    past = ((union[0][0] - 1, union[0][1]),) + union[1:]
+    windows = (narrow, other, sub, past)
+    want = {}
+    for window in windows:
+        densities.clear_caches()
+        want[window] = _restrict(densities._expansion(dens, order, window), window)
+    densities.clear_caches()
+    got = [densities._expansion(dens, order, w) for w in windows]
+    for table, window in zip(got, windows):
+        assert _restrict(table, window) == want[window], window
+    assert _restrict(got[1], narrow) == want[narrow]
+    assert _restrict(got[3], union) == _restrict(got[1], union)
+    assert got[1] is not got[0] and got[2] is got[1] and got[3] is not got[2]
     densities.clear_caches()
 
 
 def test_budget_is_tight_on_hand_cases():
-    """Exact budgets, so a weaker (still sound) bound shows up too."""
-    def budget(num, geo, exps, bounds, order=10):
+    """Exact budgets, so a weaker (still sound) bound shows up too.
+
+    A window is one interval (lo, hi) per variable."""
+    def budget(num, geo, exps, window, order=10):
         vars_ = tuple("x%d" % (i + 1) for i in range(len(exps)))
         dens = DensityProduct(vars_, num, geo)
         moves = densities._movement(densities._factor_sequence(dens, order), len(vars_))
-        assert densities._budget(exps, bounds, moves[-1], order) == (
-            order if all(abs(x) <= b for x, b in zip(exps, bounds)) else -1)
-        return densities._budget(exps, bounds, moves[0], order)
+        assert densities._budget(exps, window, moves[-1], order) == (
+            order if all(lo <= x <= hi for x, (lo, hi) in zip(exps, window)) else -1)
+        return densities._budget(exps, window, moves[0], order)
 
     step3 = (((2, 0, 0), 1, (3,)),)
-    assert budget((), step3, (-4,), (0,)) == 10 - 3  # ceil(4 * 2/3)
-    assert budget((), step3, (-4,), (1,)) == 10 - 2
-    assert budget((), step3, (4,), (0,)) == -1  # nothing moves x1 down
-    assert budget((), step3, (-4,), (0,), order=2) < 0
+    assert budget((), step3, (-4,), ((0, 0),)) == 10 - 3  # ceil(4 * 2/3)
+    assert budget((), step3, (-4,), ((-1, 1),)) == 10 - 2
+    assert budget((), step3, (4,), ((0, 0),)) == -1  # nothing moves x1 down
+    assert budget((), step3, (-4,), ((0, 0),), order=2) < 0
+    # one-sided windows: the distance is to the nearer end
+    assert budget((), step3, (-4,), ((-2, 0),)) == 10 - 2
+    assert budget((), step3, (-4,), ((1, 3),)) == 10 - 4  # ceil(5 * 2/3)
+    assert budget((), step3, (4,), ((5, 7),)) == 10 - 1
+    assert budget((), step3, (4,), ((-2, 0),)) == -1
+    assert budget((), step3, (4,), ((0, 5),)) == 10
     # a numerator factor moves x1 up by one for free, once
-    assert budget(((1, (1,)),), step3, (-4,), (0,)) == 10 - 2
-    assert budget(((1, (1,)),), step3, (-1,), (0,)) == 10
+    assert budget(((1, (1,)),), step3, (-4,), ((0, 0),)) == 10 - 2
+    assert budget(((1, (1,)),), step3, (-1,), ((0, 0),)) == 10
+    assert budget(((1, (1,)),), step3, (-1,), ((1, 2),)) == 10 - 1
     # the cheapest rate per unit of move prices the distance
     geo = (((2, 0, 0), 1, (1,)), ((3, 0, 0), -1, (2,)), ((1, 1, 0), 1, (-1,)))
-    assert budget((), geo, (-4,), (0,)) == 10 - 6
-    assert budget((), geo, (3,), (0,)) == 10 - 6
+    assert budget((), geo, (-4,), ((0, 0),)) == 10 - 6
+    assert budget((), geo, (3,), ((0, 0),)) == 10 - 6
     # geometric factors at t on x1 and on 1/x1 price both ways
     two_sided = (((2, 0, 0), 1, (1,)), ((2, 0, 0), 1, (-1,)))
-    assert budget((), two_sided, (-3,), (0,)) == 10 - 6
-    assert budget((), two_sided, (3,), (0,)) == 10 - 6
+    assert budget((), two_sided, (-3,), ((0, 0),)) == 10 - 6
+    assert budget((), two_sided, (3,), ((0, 0),)) == 10 - 6
+    assert budget((), two_sided, (3,), ((-5, -1),)) == 10 - 8
+    assert budget((), two_sided, (3,), ((4, 6),)) == 10 - 2
     # one step moves both variables, so the needs are not added up
     both = (((2, 0, 0), 1, (1, 1)),)
-    assert budget((), both, (-1, -1), (0, 0)) == 10 - 2
-    assert budget((), both, (-1, -2), (0, 1)) == 10 - 2
-    assert budget((), both, (-3, 0), (1, 0)) == 10 - 4
+    assert budget((), both, (-1, -1), ((0, 0), (0, 0))) == 10 - 2
+    assert budget((), both, (-1, -2), ((0, 0), (-1, 1))) == 10 - 2
+    assert budget((), both, (-3, 0), ((-1, 1), (0, 0))) == 10 - 4
+    assert budget((), both, (-1, -3), ((0, 2), (-5, -3))) == 10 - 2
+    assert budget((), both, (-1, 3), ((0, 2), (-5, -3))) == -1
+    # one step raises x1 and lowers x2, each against its own side
+    apart = (((2, 0, 0), 1, (1, -1)),)
+    assert budget((), apart, (-2, 2), ((0, 1), (-1, 0))) == 10 - 4
+    assert budget((), apart, (-2, 2), ((-1, 0), (0, 1))) == 10 - 2
+    assert budget((), apart, (-2, 2), ((-1, 0), (3, 4))) == -1
 
 
 def test_non_symmetric_multiplier_rejected():
@@ -668,6 +725,26 @@ def test_lead_matches_product_route(n, max_weight):
             assert got == ct_integrate(dens, ps[lam] * pbars[mu], order), (lam, mu)
             nonzero += not got.is_zero()
     assert nonzero == len(grid)  # the diagonal, as orthogonality says
+
+
+def test_window_is_the_range_of_the_exponents_read(monkeypatch):
+    """``ct_integrate`` asks for the exponents -(e + lead) it reads, per
+    variable from the least to the largest: a narrower window would drop
+    terms, a wider one only costs time."""
+    n, order = 3, 8
+    dens = selberg_density(n)
+    pbar = hl_full((2, 1, 0), _slots(n, -1), dens.vars, order)
+    asked = []
+    expansion = densities._expansion
+    monkeypatch.setattr(densities, "_expansion",
+                        lambda d, o, w: asked.append(tuple(map(tuple, w))) or expansion(d, o, w))
+    for lead in (None, (2, 1, 0), (3, 1, 1)):
+        asked.clear()
+        ct_integrate(dens, pbar, order, lead=lead)
+        shift = lead or (0,) * n
+        reads = [tuple(-x - a for x, a in zip(e, shift)) for e in pbar.terms]
+        assert asked == [tuple((min(c), max(c)) for c in zip(*reads))], lead
+    densities.clear_caches()
 
 
 def test_lead_counts_zero_parts_in_v_lambda():

@@ -1,8 +1,10 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hltorus import hall_littlewood
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import (
     Mono,
@@ -221,3 +223,24 @@ def test_u2n_frontier_weight_builds():
     _assert_matches_oracle(weight, pm_args(4), point, Fraction(1, 2))
     full = hl_full(weight, pm_args(4), names(4), _certifying_order(weight, pm_args(4), 2))
     assert p == LaurentPoly(names(4), {e: truncated(c, 8) for e, c in full.terms.items()}, 8)
+
+
+def test_branching_leaves_no_cyclic_garbage():
+    """The memo of intermediate P_mu is freed by reference counting: with
+    the collector off, a large weight leaves no more for it than a small
+    one."""
+    def garbage_after(weight):
+        hall_littlewood.clear_caches()
+        gc.collect()
+        hl_full(weight, pm_args(3), names(3), 8)
+        return gc.collect()
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        small = garbage_after((1, 0, 0, 0, 0, 0))
+        assert garbage_after((3, 3, 2, 2, 1, 1)) <= small
+    finally:
+        if enabled:
+            gc.enable()
+        hall_littlewood.clear_caches()

@@ -457,7 +457,7 @@ def test_resource_limit_reported(monkeypatch):
     from hltorus import densities as dmod
 
     dmod.clear_caches()
-    rep = verify("orthogonality", n=2, weight=(1, 0), mu=(1, 0), order=8)
+    rep = verify("symplectic", n=2, weight=(1, 1, 0, 0), order=8)
     assert rep.status == "resource-limit"
     assert rep.achieved_order == 0
     monkeypatch.delenv("HLTORUS_MAX_TERMS")

@@ -82,9 +82,8 @@ def test_variable_mismatch_rejected():
         mono((1, 0)) * other
 
 
-def test_var_bounds_and_rename():
+def test_rename_vars():
     p = mono((3, -2)) + mono((-1, 0))
-    assert p.var_bounds() == (3, 2)
     assert rename_vars(p, ("a", "b")).vars == ("a", "b")
 
 
