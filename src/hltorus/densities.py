@@ -144,9 +144,13 @@ class DensityProduct:
     block (kind, first, size, tpow, ab) also stores its single-variable
     factors on the x_i side only of the pair (a, b) whose product is the
     signed s-monomial ab; the factor 2^n n!/W(t; ab) restores them.
+
+    A density is immutable once built: no code changes its fields
+    afterwards.  ``key()``, which names its expansion in the cache, is
+    computed once, in ``__init__``, and relies on that.
     """
 
-    __slots__ = ("vars", "num_factors", "geo_factors", "prefactor", "blocks", "label")
+    __slots__ = ("vars", "num_factors", "geo_factors", "prefactor", "blocks", "label", "_key")
 
     def __init__(self, vars, num_factors, geo_factors, prefactor=Fraction(1), label="",
                  blocks=()):
@@ -164,15 +168,16 @@ class DensityProduct:
         self.prefactor = Fraction(prefactor)
         self.blocks = tuple(tuple(b) for b in blocks)
         self.label = label
-
-    def key(self):
-        return (
+        self._key = (
             self.vars,
             tuple(sorted(self.num_factors)),
             tuple(sorted(self.geo_factors)),
             self.prefactor,
             self.blocks,
         )
+
+    def key(self):
+        return self._key
 
     def __repr__(self):
         return "DensityProduct(%s: %d numerator, %d geometric, prefactor %s)" % (
@@ -539,7 +544,11 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
 
     The density is expanded over the window of exponents the convolution
     reads, the entries -(e + lead) for the exponents e of the multiplier
-    (lead = 0 without one), as one signed interval per variable.
+    (lead = 0 without one), as one signed interval per variable.  The
+    multiplier's exponent range and the guard's verdict on it are read off
+    its terms once per polynomial object and per block tuple (see
+    ``_reading``), so a cached multiplier is checked in full the first time
+    and refused or accepted the same way on every later call.
 
     With ``lead``, a weakly decreasing weight with one part per variable,
     the integrand is P_lead(x; t) times the multiplier g, and P_lead itself
@@ -560,7 +569,8 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
         )
     if multiplier.trunc != order:
         raise ConfigurationError("multiplier truncation differs from the order")
-    if dens.blocks and not _block_symmetric(dens.blocks, multiplier.terms):
+    ranges, invariant = _reading(multiplier, dens.blocks)
+    if not invariant:
         # the Weyl factor is exact only for Weyl-invariant multipliers
         raise ConfigurationError(
             "multiplier is not invariant under the blocks' Weyl groups in %r" % (dens,)
@@ -570,11 +580,9 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
         blocks = _stabilizer(dens, lead)
         prefactor *= factorial(len(lead)) // prod(factorial(b[2]) for b in blocks)
         neg = [-a for a in lead]
-    terms = multiplier.terms
-    columns = zip(*terms) if terms else ((0,),) * len(neg)
-    table = _expansion(dens, order, [(b - max(c), b - min(c)) for c, b in zip(columns, neg)])
+    table = _expansion(dens, order, [(b - hi, b - lo) for (hi, lo), b in zip(ranges, neg)])
     out = {}
-    for e, coeff in terms.items():
+    for e, coeff in multiplier.terms.items():
         dcoef = table.get(tuple(map(sub, neg, e)))
         if dcoef:
             mul_into(out, coeff.coeffs, dcoef, order)
@@ -584,6 +592,26 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     if prefactor != 1:
         result = result * prefactor
     return result
+
+
+def _reading(multiplier, blocks):
+    """The multiplier's per-variable (max, min) exponents, and whether it is
+    invariant under the Weyl groups of ``blocks``.
+
+    Both depend on the terms alone, so they are kept in the polynomial's
+    ``_memo``: the ranges, (0, 0) per variable for no terms, read once, and
+    ``_block_symmetric``'s verdict once per block tuple, in a dict.
+    """
+    memo = multiplier._memo
+    if memo is None:
+        terms = multiplier.terms
+        columns = zip(*terms) if terms else ((0,),) * len(multiplier.vars)
+        memo = multiplier._memo = (tuple((max(c), min(c)) for c in columns), {})
+    ranges, verdicts = memo
+    verdict = verdicts.get(blocks)
+    if verdict is None:
+        verdict = verdicts[blocks] = not blocks or _block_symmetric(blocks, multiplier.terms)
+    return ranges, verdict
 
 
 def _stabilizer(dens, lead):

@@ -374,6 +374,31 @@ def _symmetrizes(dens, slots, tbase):
     return dens.blocks == (("A", 0, nv, tbase),) and slots == _plain_args(nv)
 
 
+# The plan of an integrand, everything ``_integral`` reads that depends on
+# (key, n, m, weightless) alone: the density, P's slots and their inverses,
+# P's t-base and whether ``_symmetrizes`` holds.
+_Plan = namedtuple("_Plan", "dens slots inverted tbase symmetrizes")
+_PLANS = {}
+
+
+def clear_caches():
+    _PLANS.clear()
+
+
+def _plan(key, n, m, weightless):
+    """The cached plan of the integrand ``key``; its "D" form when ``weightless``."""
+    plan_key = (key, n, m, weightless)
+    plan = _PLANS.get(plan_key)
+    if plan is None:
+        integrand = INTEGRANDS[key]
+        if weightless:
+            integrand = integrand.whole()
+        dens, slots, tbase = integrand(n, m)
+        plan = _PLANS[plan_key] = _Plan(dens, slots, _inverted(slots), tbase,
+                                        _symmetrizes(dens, slots, tbase))
+    return plan
+
+
 def _integral(key, inst, values=(), normalized=False):
     """(I, Z) for the integrand ``key`` of one instance.
 
@@ -386,22 +411,21 @@ def _integral(key, inst, values=(), normalized=False):
     a Koornwinder integrand keeps the "D" block: on the "B" block the bare
     integral of a one-sided density is 2^n n!/W(t; ab) times its
     prefactor, which is Gustafson's product by construction, so the row
-    would integrate nothing.
+    would integrate nothing.  The density and the slots come from the
+    integrand's cached plan (``_plan``).
     """
-    integrand = INTEGRANDS[key]
-    if inst.weight is None:
-        integrand = integrand.whole()
-    dens, slots, tbase = integrand(inst.n, inst.m)
+    plan = _plan(key, inst.n, inst.m, inst.weight is None)
+    dens, slots, tbase = plan.dens, plan.slots, plan.tbase
     order = inst.order
     if inst.weight is None:
         integral = ct_integrate(dens, None, order)
     else:
-        lead = inst.weight.parts if _symmetrizes(dens, slots, tbase) else None
+        lead = inst.weight.parts if plan.symmetrizes else None
         factors = []
         if lead is None:
             factors.append(hl_full(inst.weight.parts, slots, dens.vars, order, tbase))
         if inst.mu is not None:
-            factors.append(hl_full(inst.mu.parts, _inverted(slots), dens.vars, order, tbase))
+            factors.append(hl_full(inst.mu.parts, plan.inverted, dens.vars, order, tbase))
         torus, scalar = _linear_factors(slots, values, dens.vars, order)
         if torus is not None:
             factors.append(torus)

@@ -16,9 +16,18 @@ from .series import ParamSeries, SeriesRing, mul_into
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with ParamSeries coefficients."""
+    """Sparse Laurent polynomial with ParamSeries coefficients.
 
-    __slots__ = ("vars", "terms", "trunc")
+    A polynomial is immutable once built: no code changes ``vars``,
+    ``terms`` or a coefficient afterwards, and every operation returns a
+    new polynomial.  ``_memo`` relies on that.  It starts as None and is
+    filled lazily by :func:`~hltorus.densities.ct_integrate` with what it
+    reads off the terms alone (their exponent range and the Weyl-group
+    guard's verdicts), so a cached polynomial integrated many times is
+    ranged and checked once.
+    """
+
+    __slots__ = ("vars", "terms", "trunc", "_memo")
 
     def __init__(self, vars, terms, trunc, clean=True):
         self.vars = tuple(vars)
@@ -26,6 +35,7 @@ class LaurentPoly:
             terms = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
         self.terms = terms
         self.trunc = trunc
+        self._memo = None
 
     # -- constructors -------------------------------------------------------
 

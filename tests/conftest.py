@@ -8,12 +8,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 @pytest.fixture
 def clear_caches():
-    """A function that empties every module-level cache of the package."""
-    from hltorus import densities, hall_littlewood
+    """A function that empties every module-level cache of the package: it
+    calls ``clear_caches()`` on every loaded ``hltorus`` module that has one."""
+    import hltorus  # noqa: F401  (loads every module)
 
     def clear():
-        for module in (densities, hall_littlewood):
-            module.clear_caches()
+        for name in sorted(sys.modules):
+            if name.startswith("hltorus."):
+                module_clear = getattr(sys.modules[name], "clear_caches", None)
+                if module_clear is not None:
+                    module_clear()
 
     return clear
 

@@ -32,7 +32,7 @@ from hltorus.identities import (
     two_block_density,
 )
 from hltorus.laurent import LaurentPoly
-from hltorus.series import SeriesRing
+from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
 from helpers import from_coeffs, unit_inverse
@@ -523,20 +523,58 @@ def test_budget_is_tight_on_hand_cases():
     assert budget((), apart, (-2, 2), ((-1, 0), (3, 4))) == -1
 
 
+def _fresh(poly):
+    """A copy of ``poly`` sharing no object with it, so nothing memoized on it."""
+    terms = {e: ParamSeries(dict(c.coeffs), c.trunc) for e, c in poly.terms.items()}
+    return LaurentPoly(poly.vars, terms, poly.trunc)
+
+
+def _guarded_ct(dens, mult, order, **kwargs):
+    """``ct_integrate``, then the guard's verdict memoized on ``mult`` checked
+    against ``_block_symmetric`` on a fresh copy of its terms."""
+    try:
+        return ct_integrate(dens, mult, order, **kwargs)
+    finally:
+        verdict = densities._block_symmetric(dens.blocks, _fresh(mult).terms)
+        assert mult._memo[1][dens.blocks] is verdict, (dens, mult)
+
+
 def test_non_symmetric_multiplier_rejected():
     dens = selberg_density(2)
     x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
     x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
     for mult in (x1, x2, x1 + x2 * 2):  # the last has x1 + x2's support
         with pytest.raises(ConfigurationError):
-            ct_integrate(dens, mult, D)
-    assert ct_integrate(dens, x1 + x2, D) == SeriesRing(D).zero()
+            _guarded_ct(dens, mult, D)
+    assert _guarded_ct(dens, x1 + x2, D) == SeriesRing(D).zero()
     # symmetric within each block is enough for two blocks
     dens = two_block_density(1, 2)
     x = LaurentPoly.monomial(dens.vars, (1, 0, 0), 1, D)
-    assert ct_integrate(dens, x, D) == SeriesRing(D).zero()
+    assert _guarded_ct(dens, x, D) == SeriesRing(D).zero()
     with pytest.raises(ConfigurationError):
-        ct_integrate(dens, LaurentPoly.monomial(dens.vars, (0, 1, 0), 1, D), D)
+        _guarded_ct(dens, LaurentPoly.monomial(dens.vars, (0, 1, 0), 1, D), D)
+
+
+def test_guard_verdict_is_kept_per_multiplier_and_block_set():
+    """The guard's verdict is memoized on the multiplier object per block
+    tuple: a refused multiplier is refused again on the same object, and a
+    multiplier accepted on one block set is still checked on another."""
+    dens = selberg_density(2)
+    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
+    x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="not invariant"):
+            ct_integrate(dens, x1, D)
+    both = x1 + x2
+    assert ct_integrate(dens, both, D) == SeriesRing(D).zero()
+    # x2 -> 1/x2 breaks x1 + x2 on the "B" block over the same variables
+    b_dens = koornwinder_density(2, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
+    assert b_dens.vars == dens.vars and b_dens.blocks[0][0] == "B"
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="not invariant"):
+            ct_integrate(b_dens, both, D)
+    assert ct_integrate(dens, both, D) == SeriesRing(D).zero()
+    assert both._memo[1] == {dens.blocks: True, b_dens.blocks: False}
 
 
 def test_d_block_guard():
@@ -545,7 +583,7 @@ def test_d_block_guard():
     dens = koornwinder_density(3, K_PLUS_ODD)
     x = [LaurentPoly.monomial(dens.vars, e, 1, D) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     with pytest.raises(ConfigurationError):
-        ct_integrate(dens, x[0] + x[1] + x[2], D)
+        _guarded_ct(dens, x[0] + x[1] + x[2], D)
     # D_2 = A_1 x A_1: invariance under x1 <-> x2 and (x1, x2) -> (1/x2, 1/x1)
     order = 8
     for params in (K_PLUS_ODD, K_SYMPLECTIC):
@@ -557,11 +595,11 @@ def test_d_block_guard():
 
         for mult in (poly((1, 0), (0, 1)), poly((1, 0)), poly((1, 1), (-1, 1))):
             with pytest.raises(ConfigurationError):
-                ct_integrate(dens, mult, order)
+                _guarded_ct(dens, mult, order)
         # D-invariant but not BC-invariant, then BC-invariant
         for mult in (poly((1, 1), (-1, -1)), poly((1, -1), (-1, 1)),
                      poly((2, 0), (-2, 0), (0, 2), (0, -2))):
-            got = ct_integrate(dens, mult, order)
+            got = _guarded_ct(dens, mult, order)
             assert got == _ct_bruteforce(full, dens.prefactor, mult), (params, mult)
             assert not got.is_zero()
 
@@ -671,16 +709,16 @@ def test_b_block_guard():
         # S_2-invariant; the second and third are W(D_2)-invariant too
         for mult in (poly((1, 0), (0, 1)), poly((1, 1), (-1, -1)), poly((1, -1), (-1, 1))):
             with pytest.raises(ConfigurationError, match="not invariant"):
-                ct_integrate(dens, mult, order)
+                _guarded_ct(dens, mult, order)
         # one variable, where W(B_1) is x -> 1/x alone
         x = LaurentPoly.monomial(("x1",), (1,), 1, order)
         one_var = _b_multiplier(key, 1, None, order)[0]
         with pytest.raises(ConfigurationError, match="not invariant"):
-            ct_integrate(one_var, x, order)
+            _guarded_ct(one_var, x, order)
         # W(B_2)-invariant
         for mult in (poly((1, 1), (-1, -1), (1, -1), (-1, 1)),
                      poly((2, 0), (-2, 0), (0, 2), (0, -2))):
-            got = ct_integrate(dens, mult, order)
+            got = _guarded_ct(dens, mult, order)
             assert got == _ct_bruteforce(full, whole.prefactor, mult), (key, mult)
 
 
@@ -730,10 +768,12 @@ def test_lead_matches_product_route(n, max_weight):
 def test_window_is_the_range_of_the_exponents_read(monkeypatch):
     """``ct_integrate`` asks for the exponents -(e + lead) it reads, per
     variable from the least to the largest: a narrower window would drop
-    terms, a wider one only costs time."""
+    terms, a wider one only costs time.  The range is memoized on the
+    multiplier, so the same object, integrated again with another lead,
+    must ask for the window a fresh copy of it asks for."""
     n, order = 3, 8
     dens = selberg_density(n)
-    pbar = hl_full((2, 1, 0), _slots(n, -1), dens.vars, order)
+    pbar = _fresh(hl_full((2, 1, 0), _slots(n, -1), dens.vars, order))
     asked = []
     expansion = densities._expansion
     monkeypatch.setattr(densities, "_expansion",
@@ -741,9 +781,10 @@ def test_window_is_the_range_of_the_exponents_read(monkeypatch):
     for lead in (None, (2, 1, 0), (3, 1, 1)):
         asked.clear()
         ct_integrate(dens, pbar, order, lead=lead)
+        ct_integrate(dens, _fresh(pbar), order, lead=lead)
         shift = lead or (0,) * n
         reads = [tuple(-x - a for x, a in zip(e, shift)) for e in pbar.terms]
-        assert asked == [tuple((min(c), max(c)) for c in zip(*reads))], lead
+        assert asked == [tuple((min(c), max(c)) for c in zip(*reads))] * 2, lead
     densities.clear_caches()
 
 
@@ -776,7 +817,7 @@ def test_lead_refusals():
     # the multiplier is still guarded
     x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
     with pytest.raises(ConfigurationError, match="not invariant"):
-        ct_integrate(dens, x1, D, lead=(1, 0))
+        _guarded_ct(dens, x1, D, lead=(1, 0))
 
 
 def test_ct_requires_matching_variables_and_order():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hltorus.densities import ct_integrate, selberg_density
@@ -99,6 +101,52 @@ def test_symmetrization_route_is_read_from_the_integrand():
     taken = {key for key, integrand in INTEGRANDS.items()
              if _symmetrizes(*integrand(3, 1))}
     assert taken == {"selberg"}
+
+
+def test_clearing_caches_rebuilds_the_integrand_plan(monkeypatch, clear_caches):
+    """A warm instance integrates against the density object its integrand's
+    plan cached; after ``clear_caches`` the next instance builds a new one."""
+    from hltorus import identities
+
+    seen = []
+
+    def recording(dens, *args, **kwargs):
+        seen.append(dens)
+        return ct_integrate(dens, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "ct_integrate", recording)
+    clear_caches()
+    for clear_first in (False, False, True):
+        if clear_first:
+            clear_caches()
+        assert ok(verify("orthogonality", n=2, weight=(1, 0), mu=(1, 0), order=6))
+    first, warm, cold = seen
+    assert warm is first
+    assert cold is not first
+
+
+def test_pair_sweep_reports_do_not_depend_on_cache_state(clear_caches):
+    """The n=3 orthogonality grid run warm in grid order, warm in reversed
+    order and cold before each pair gives byte-identical sorted reports."""
+    grid = sweep_weights("orthogonality", 3, max_weight=3)
+    pairs = [(lam, mu) for lam in grid for mu in grid]
+
+    def report_lines(todo, cold):
+        lines = []
+        for lam, mu in todo:
+            if cold:
+                clear_caches()
+            rep = verify("orthogonality", n=3, weight=lam, mu=mu, order=D)
+            lines.append(json.dumps(rep.to_json_obj(), sort_keys=True))
+        return "\n".join(sorted(lines)).encode()
+
+    clear_caches()
+    warm = report_lines(pairs, cold=False)
+    clear_caches()
+    assert report_lines(pairs[::-1], cold=False) == warm
+    assert report_lines(pairs, cold=True) == warm
+    assert warm.count(b'"match"') == len(grid)
+    assert warm.count(b'"vanished-as-predicted"') == len(pairs) - len(grid)
 
 
 def test_derived_row_attributes():
