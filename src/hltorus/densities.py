@@ -38,7 +38,12 @@ needs f * stored half to have no pole on the torus, so a parameter +-1 must
 be in the pair, where it cancels against the numerator.  The integrator
 multiplies by the Weyl factor per block, so a density still means the full
 product times its prefactor, and it refuses a multiplier that is not
-invariant under each block's Weyl group.  ``koornwinder_normalization``
+invariant under each block's Weyl group.  The simple reflections of that
+group (``_reflections``) also cut out its closed dominant chamber, which
+each orbit of exponents meets exactly once, and ``chamber_product`` forms a
+product of invariant multipliers there: it multiplies only the term pairs
+whose exponent sum is dominant and copies each such term over its orbit.
+``koornwinder_normalization``
 states the bare Koornwinder integral in closed form, Gustafson's product at
 q = 0, parsing the same parameter quadruple as ``koornwinder_density``.
 
@@ -85,7 +90,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations, groupby
 from math import factorial, gcd, inf, prod
 from operator import add, itemgetter, sub
@@ -351,6 +356,7 @@ _EXPANSION_CACHE = {}
 def clear_caches():
     _EXPANSION_CACHE.clear()
     _weyl_factor.cache_clear()
+    _runs.cache_clear()
 
 
 def _factor_sequence(dens, order):
@@ -577,8 +583,8 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
         )
     blocks, prefactor, neg = dens.blocks, dens.prefactor, [0] * len(dens.vars)
     if lead is not None:
-        blocks = _stabilizer(dens, lead)
-        prefactor *= factorial(len(lead)) // prod(factorial(b[2]) for b in blocks)
+        blocks, count = _stabilizer(dens, lead)
+        prefactor *= count
         neg = [-a for a in lead]
     table = _expansion(dens, order, [(b - hi, b - lo) for (hi, lo), b in zip(ranges, neg)])
     out = {}
@@ -615,12 +621,14 @@ def _reading(multiplier, blocks):
 
 
 def _stabilizer(dens, lead):
-    """The "A" blocks of the runs of equal parts of ``lead``, in the density's t.
+    """The "A" blocks of the runs of equal parts of ``lead``, in the density's
+    t, and the multinomial n!/prod m_i! over the runs' sizes m_i.
 
-    They stand for the stabilizer of x^lead in S_n, whose Weyl factors give
-    v_lead(t) = prod over the runs of [m]_t!; zero parts form a run too.
+    The blocks stand for the stabilizer of x^lead in S_n, whose Weyl factors
+    give v_lead(t) = prod over the runs of [m]_t!; zero parts form a run too.
     Refuses a density that is not one "A" block over all its variables and
-    a lead that is not weakly decreasing with one part per variable.
+    a lead that is not weakly decreasing with one part per variable, on
+    every call; only the runs are cached, per (tpow, lead), in ``_runs``.
     """
     nv = len(dens.vars)
     if len(dens.blocks) != 1 or dens.blocks[0][:3] != ("A", 0, nv):
@@ -630,13 +638,17 @@ def _stabilizer(dens, lead):
         raise ConfigurationError(
             "lead %r is not a weakly decreasing weight with %d parts" % (lead, nv)
         )
-    tpow = dens.blocks[0][3]
+    return _runs(dens.blocks[0][3], lead)
+
+
+@lru_cache(maxsize=64)
+def _runs(tpow, lead):
     blocks, first = [], 0
     for _, run in groupby(lead):
         size = len(tuple(run))
         blocks.append(("A", first, size, tpow))
         first += size
-    return tuple(blocks)
+    return tuple(blocks), factorial(len(lead)) // prod(factorial(b[2]) for b in blocks)
 
 
 def _weyl_group(kind, size):
@@ -674,35 +686,44 @@ def _weyl_factor(blocks, order):
     return acc
 
 
-def _block_symmetric(blocks, terms):
-    """Whether each simple reflection of each block's Weyl group fixes the terms.
+def _reflections(blocks, nv):
+    """The simple reflections of the blocks' Weyl groups on ``nv`` variables.
 
-    The reflections are the adjacent transpositions x_i <-> x_{i+1} within
-    a block and, for a block ending at x_n, also
-    (x_{n-1}, x_n) -> (1/x_n, 1/x_{n-1}) for "D" and x_n -> 1/x_n for "B".
-    Each is the map (e_i, e_j) -> (s e_j, s e_i) with j = i + 1 and s = 1
-    or -1, or j = i and s = -1 for x_n -> 1/x_n, and it pairs the terms
-    with e_i > s e_j with those with e_i < s e_j.  Coefficients are
-    compared, not just the exponent support: each term of the former kind
-    must find an equal partner, and then equal counts on the two sides mean
-    no term is left unpaired.
+    They are the adjacent transpositions x_i <-> x_{i+1} within a block
+    and, for a block ending at x_n, also (x_{n-1}, x_n) -> (1/x_n, 1/x_{n-1})
+    for "D" and x_n -> 1/x_n for "B".  Each is the map (e_i, e_j) -> (s e_j,
+    s e_i) on exponents, with j = i + 1 and s = 1 or -1, or j = i and s = -1
+    for x_n -> 1/x_n, returned as (i, j, s, image), ``image`` applying it to
+    an exponent tuple.  It fixes the wall e_i = s e_j; the closed dominant
+    chamber is where e_i >= s e_j for every one.
     """
-    if not terms:
-        return True
-    nv = len(next(iter(terms)))
-    reflections = []
+    out = []
     for kind, first, size, *_ in blocks:
         for i in range(first, first + size - 1):
             perm = list(range(nv))
             perm[i], perm[i + 1] = i + 1, i
-            reflections.append((i, i + 1, 1, itemgetter(*perm)))
-        if kind == "D":
+            out.append((i, i + 1, 1, itemgetter(*perm)))
+        if kind == "D" and size >= 2:
             i = first + size - 2
-            reflections.append((i, i + 1, -1,
-                                lambda e, i=i: e[:i] + (-e[i + 1], -e[i]) + e[i + 2:]))
+            out.append((i, i + 1, -1, lambda e, i=i: e[:i] + (-e[i + 1], -e[i]) + e[i + 2:]))
         elif kind == "B":
             i = first + size - 1
-            reflections.append((i, i, -1, lambda e, i=i: e[:i] + (-e[i],) + e[i + 1:]))
+            out.append((i, i, -1, lambda e, i=i: e[:i] + (-e[i],) + e[i + 1:]))
+    return out
+
+
+def _block_symmetric(blocks, terms):
+    """Whether each simple reflection of each block's Weyl group fixes the terms.
+
+    Each reflection of ``_reflections`` pairs the terms with e_i > s e_j
+    with those with e_i < s e_j.  Coefficients are compared, not just the
+    exponent support: each term of the former kind must find an equal
+    partner, and then equal counts on the two sides mean no term is left
+    unpaired.
+    """
+    if not terms:
+        return True
+    reflections = _reflections(blocks, len(next(iter(terms))))
     unpaired = 0
     for e, c in terms.items():
         if not c.coeffs:
@@ -717,3 +738,109 @@ def _block_symmetric(blocks, terms):
                     return False
                 unpaired -= 1
     return unpaired == 0
+
+
+def chamber_product(dens, factors):
+    """The product of the multipliers ``factors``, formed on the dominant chamber.
+
+    Every factor must be invariant under the Weyl groups of ``dens.blocks``.
+    Each one's verdict is read through ``_reading``, memoized as for
+    ``ct_integrate``, before anything is multiplied, and a factor that is not
+    invariant raises ``ConfigurationError``.  That holds even where the
+    product would be invariant, as x1 times x2 on ``selberg_density(2)``;
+    no registry row forms such a product.
+
+    A product of invariant factors is invariant, and each orbit of
+    exponents meets the closed dominant chamber (see ``_reflections``)
+    exactly once (Humphreys, Reflection Groups and Coxeter Groups, 1990,
+    1.12).  So the factors are multiplied two at a time, through
+    ``_chamber_mul``, only at the term pairs whose exponent sum is dominant,
+    and each dominant term's coefficient is then copied to every point of
+    its orbit.  Without blocks every exponent is dominant, and this is the
+    plain product.  ``ct_integrate`` still checks the finished product.
+    """
+    first = factors[0]
+    for f in factors:
+        first._check(f)
+        if not _reading(f, dens.blocks)[1]:
+            raise ConfigurationError(
+                "multiplier factor is not invariant under the blocks' Weyl groups in %r"
+                % (dens,))
+    reflections = _reflections(dens.blocks, len(first.vars))
+    return reduce(lambda p, q: _chamber_mul(p, q, reflections), factors)
+
+
+def _chamber_mul(p, q, reflections):
+    """p * q for invariant p and q, multiplied only where the sum is dominant.
+
+    With d_r(e) = e_i - s e_j for the reflection r = (i, j, s), a sum a + b
+    is dominant when d_r(a) + d_r(b) >= 0 for every r.  The partners b, the
+    terms of the smaller factor, are kept per r and per value x in a bitset
+    of those with x + d_r(b) >= 0.  A term a of the larger factor for which
+    some r leaves no partner is dropped; the others are grouped by d_r(a),
+    clipped at -min_b d_r(b), beyond which every partner passes, and a
+    group's partners are the AND of its bitsets.  Each dominant sum's orbit
+    is found by closing it under the reflections, and shares the sum's
+    coefficient.
+    """
+    a, b = p.terms, q.terms
+    if len(a) < len(b):
+        a, b = b, a
+    order = p.trunc
+    if not b:
+        return LaurentPoly(p.vars, {}, order, clean=False)
+    partners = [(e, c.coeffs) for e, c in b.items()]
+    # per reflection, (i, j, s, least x, largest x) and {x: bitset of partners}
+    cuts, tables = [], []
+    for i, j, s, _ in reflections:
+        bits = {}
+        for k, (e, _) in enumerate(partners):
+            w = e[i] - s * e[j]
+            bits[w] = bits.get(w, 0) | 1 << k
+        table, acc = {}, 0
+        for w in range(max(bits), min(bits) - 1, -1):
+            acc |= bits.get(w, 0)
+            table[-w] = acc
+        cuts.append((i, j, s, -max(bits), -min(bits)))
+        tables.append(table)
+    groups = {}
+    for e, c in a.items():
+        key = []
+        for i, j, s, least, most in cuts:
+            x = e[i] - s * e[j]
+            if x < least:
+                break
+            key.append(min(x, most))
+        else:
+            groups.setdefault(tuple(key), []).append((e, c.coeffs))
+    raw = {}
+    everyone = (1 << len(partners)) - 1
+    for key, members in groups.items():
+        mask = everyone
+        for x, table in zip(key, tables):
+            mask &= table[x]
+        fits = []
+        while mask:
+            low = mask & -mask
+            fits.append(partners[low.bit_length() - 1])
+            mask ^= low
+        for ea, ca in members:
+            for eb, cb in fits:
+                e = tuple(map(add, ea, eb))
+                dst = raw.get(e)
+                if dst is None:
+                    dst = raw[e] = {}
+                mul_into(dst, ca, cb, order)
+    out = {}
+    for e, c in raw.items():
+        if not c:
+            continue
+        coeff = out[e] = ParamSeries(c, order, clean=False)
+        orbit = [e]
+        for x in orbit:
+            for *_, image in reflections:
+                y = image(x)
+                if y not in out:
+                    out[y] = coeff
+                    orbit.append(y)
+    return LaurentPoly(p.vars, out, order, clean=False)

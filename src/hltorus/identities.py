@@ -17,7 +17,11 @@ The slot rule: the linear factor is prod_v prod_y (1 - v y) over the values
 v and every slot y of P.  A torus slot x_i^{+-1} gives the Laurent factor
 (1 - v x_i^{+-1}); a constant slot +-1 gives the scalar (1 -+ v), which
 multiplies the integral: the component prefactors, such as (1 - alpha^2)
-for the even minus component, are these scalars.
+for the even minus component, are these scalars.  P and the Laurent factor
+are each invariant under the density's Weyl group, so their product is
+formed on its dominant chamber (``chamber_product`` in
+``hltorus.densities``): only the term pairs whose exponent sum is dominant
+are multiplied, and each such term is copied over its orbit.
 
 With I_k the integral of the k-th integrand and Z_k its bare density
 integral, the one builder ``_build`` checks
@@ -43,13 +47,13 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from math import factorial
-from operator import mul
 from typing import Callable, Optional, Tuple
 
 from .densities import (
     DensityProduct,
+    chamber_product,
     ct_integrate,
     koornwinder_density,
     koornwinder_normalization,
@@ -429,7 +433,7 @@ def _integral(key, inst, values=(), normalized=False):
         torus, scalar = _linear_factors(slots, values, dens.vars, order)
         if torus is not None:
             factors.append(torus)
-        mult = reduce(mul, factors) if factors else None
+        mult = chamber_product(dens, factors) if factors else None
         integral = _times(ct_integrate(dens, mult, order, lead=lead), scalar)
     z = ct_integrate(dens, None, order) if normalized else SeriesRing(order).one()
     return integral, z

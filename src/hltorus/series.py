@@ -11,8 +11,8 @@ otherwise; arithmetic never rounds.
 
 Every product of coefficient dicts goes through :func:`mul_into`, which
 accumulates into a plain dict in place.  Callers that sum many products,
-such as the torus products of ``LaurentPoly`` and the constant-term
-convolution, keep one raw dict per result and wrap it in a ``ParamSeries``
+such as the torus products of ``LaurentPoly``, the chamber product of
+``hltorus.densities`` and the constant-term convolution, keep one raw dict per result and wrap it in a ``ParamSeries``
 once, instead of building and adding a series per term pair.
 """
 
@@ -34,7 +34,7 @@ def mul_into(dst, a, b, cap):
     total degree above ``cap`` are skipped, and an entry of ``dst`` that
     cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
     is the one product loop of the package: series products, the torus
-    products of ``LaurentPoly``, the branching rule of ``hall_littlewood``,
+    products of ``LaurentPoly`` and ``chamber_product``, the branching rule of ``hall_littlewood``,
     every step of the density expansion and the constant-term convolution
     all accumulate through it.
     """

@@ -1,12 +1,13 @@
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 
 from hltorus import densities
 from hltorus.densities import (
     DensityProduct,
+    chamber_product,
     ct_integrate,
     koornwinder_density,
     koornwinder_normalization,
@@ -17,6 +18,7 @@ from hltorus.hall_littlewood import hl_full, pm_args, var_arg
 from hltorus import identities
 from hltorus.identities import (
     ALPHA,
+    BETA,
     K_KAWANAKA,
     K_MINUS_EVEN,
     K_MINUS_ODD,
@@ -24,6 +26,8 @@ from hltorus.identities import (
     K_PLUS_ODD,
     K_SYMPLECTIC,
     INTEGRANDS,
+    MINUS_ALPHA,
+    MINUS_ONE,
     REGISTRY,
     _Instance,
     _linear_factors,
@@ -604,6 +608,148 @@ def test_d_block_guard():
             assert not got.is_zero()
 
 
+def _closure(e, reflections):
+    """The orbit of ``e``: its closure under the reflections."""
+    orbit = {e}
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        for *_, image in reflections:
+            y = image(x)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def _signed_permutations(e, kind):
+    """The orbit of ``e`` under S_n ("A"), W(B_n) ("B") or W(D_n) ("D"),
+    listed from the groups' definitions: permutations, then sign changes,
+    an even number of them for "D"."""
+    out = set()
+    for perm in permutations(e):
+        for signs in product((1, -1), repeat=len(e) if kind != "A" else 0):
+            if kind == "D" and prod(signs) == -1:
+                continue
+            out.add(tuple(x * sg for x, sg in zip(perm, signs)) if signs else perm)
+    return out
+
+
+@pytest.mark.parametrize("kind", "ABD")
+def test_each_orbit_meets_the_chamber_once(kind):
+    """Every point of [-3, 3]^n lies in the orbit of exactly one point of
+    the closed dominant chamber, e_i >= s e_j for each reflection (i, j, s)
+    of ``_reflections``, the reflections the guard checks; and closing a
+    point under them gives its orbit under the whole group."""
+    for n in range(1, 5):
+        block = (kind, 0, n, 2) + (((-1, 2),) if kind == "B" else ())
+        reflections = densities._reflections((block,), n)
+        group = "A" if (kind, n) == ("D", 1) else kind  # W(D_1) is trivial, as S_1
+        seen = set()
+        for e in product(range(-3, 4), repeat=n):
+            if e in seen:
+                continue
+            orbit = _closure(e, reflections)
+            assert orbit == _signed_permutations(e, group)
+            dominant = [x for x in orbit if all(x[i] >= s * x[j] for i, j, s, _ in reflections)]
+            assert len(dominant) == 1, (kind, n, e, dominant)
+            seen |= orbit
+
+
+def _koornwinder_routes(key, n):
+    """The densities and slots of a Koornwinder integrand on n + drop slots'
+    variables: its own route and, when it has a pair, its "D" route."""
+    integrand = INTEGRANDS[key]
+    own = integrand(n + integrand.drop, None)
+    routes = [own]
+    if integrand.pair is not None:
+        routes.append(integrand.whole()(n + integrand.drop, None))
+    return routes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chamber_product_matches_plain_product(n):
+    """The chamber product of P at an integrand's slots and the slot rule's
+    linear factor has the very terms of ``LaurentPoly.__mul__``, for every
+    Koornwinder integrand on its "B" and "D" routes and the registry's
+    value sets."""
+    keys = [key for key, integrand in INTEGRANDS.items() if hasattr(integrand, "params")]
+    order = 6 if n < 4 else 4
+    blockless = 0
+    for key in keys:
+        for dens, slots, tbase in _koornwinder_routes(key, n):
+            blockless += not dens.blocks
+            for weight in ((2, 1),) if n == 4 else ((1,), (2, 1), (1, 1, 1)):
+                if len(weight) > len(slots):
+                    continue
+                p = hl_full(weight + (0,) * (len(slots) - len(weight)), slots, dens.vars,
+                            order, tbase)
+                for values in ((ALPHA,), (ALPHA, BETA), (MINUS_ONE, BETA), (ALPHA, MINUS_ALPHA)):
+                    torus, _ = _linear_factors(slots, values, dens.vars, order)
+                    want = p * torus
+                    got = chamber_product(dens, [p, torus])
+                    assert got.terms == want.terms, (key, dens.blocks, weight, values)
+                    assert chamber_product(dens, [torus, p]).terms == want.terms
+    # on one variable plus_even and the five "D" routes keep no block, as W(D_1)
+    # is trivial, and there the product is the plain one
+    assert blockless == (6 if n == 1 else 0)
+
+
+def test_chamber_product_matches_plain_product_on_type_a():
+    """On "A" blocks: P and the linear factor at every variable on the
+    Selberg and two-block densities, and on the two-block density factors
+    symmetric within one block only, P in the x's times a factor in the
+    y's, and three factors at once."""
+    order = 6
+    for n in (1, 2, 3, 4):
+        dens = selberg_density(n)
+        slots = tuple(var_arg(n, i) for i in range(n))
+        p = hl_full((2, 1, 1, 0)[:n], slots, dens.vars, order)
+        torus, _ = _linear_factors(slots, (ALPHA, BETA), dens.vars, order)
+        assert chamber_product(dens, [p, torus]).terms == (p * torus).terms, n
+    for m, n in ((1, 2), (2, 2), (2, 3)):
+        dens = two_block_density(m, n)
+        nv = m + n
+        every = tuple(var_arg(nv, i) for i in range(nv))
+        p = hl_full((2, 1) + (0,) * (nv - 2), every, dens.vars, order)
+        torus, _ = _linear_factors(every, (ALPHA,), dens.vars, order)
+        assert chamber_product(dens, [p, torus]).terms == (p * torus).terms, (m, n)
+        px = hl_full((2, 1, 0)[:m] if m > 1 else (2,), every[:m], dens.vars, order)
+        ly, _ = _linear_factors(every[m:], (ALPHA, BETA), dens.vars, order)
+        ybar = tuple(var_arg(nv, i, -1) for i in range(m, nv))
+        pybar = hl_full((1,) + (0,) * (n - 1), ybar, dens.vars, order)
+        assert chamber_product(dens, [px, ly]).terms == (px * ly).terms, (m, n)
+        assert chamber_product(dens, [px, ly, pybar]).terms == (px * ly * pybar).terms
+
+
+def test_chamber_product_guards_each_factor(monkeypatch):
+    """A factor that is not invariant is refused, again on the same object,
+    before anything is multiplied; so are x1 and x2 on two variables, though
+    their product x1 x2 is symmetric."""
+    dens = selberg_density(2)
+    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
+    x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
+    both = x1 + x2
+
+    def no_product(*args):
+        raise AssertionError("multiplied before the guard")
+
+    monkeypatch.setattr(densities, "_chamber_mul", no_product)
+    for factors in ([both, x1], [x1, both], [x1, x2]):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="not invariant"):
+                chamber_product(dens, factors)
+    assert x1._memo[1] == {dens.blocks: False} and both._memo[1] == {dens.blocks: True}
+    monkeypatch.undo()
+    assert chamber_product(dens, [both, both]).terms == (both * both).terms
+    # on a "B" block x1 + x2 is not invariant either
+    b_dens = koornwinder_density(2, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
+    with pytest.raises(ConfigurationError, match="not invariant"):
+        chamber_product(b_dens, [both, both])
+    with pytest.raises(ConfigurationError):
+        chamber_product(dens, [both, LaurentPoly.unit(dens.vars, D + 1)])
+
+
 def test_weyl_factor_of_small_blocks():
     # D_2 = A_1 x A_1 with degrees (2, 2): the factor is 4/(1+t)^2
     r = SeriesRing(D)
@@ -806,14 +952,24 @@ def test_lead_counts_zero_parts_in_v_lambda():
 
 
 def test_lead_refusals():
+    """A bad lead or density is refused on every call, though the runs of a
+    good lead are cached, until ``clear_caches``."""
+    densities.clear_caches()
     dens = selberg_density(2)
     one = LaurentPoly.unit(dens.vars, D)
-    for lead in ((0, 1), (1, 0, 0), (1,)):
-        with pytest.raises(ConfigurationError, match="weakly decreasing"):
-            ct_integrate(dens, one, D, lead=lead)
+    for lead in ((0, 1), (1, 0, 0), (1,), (1, 1, 0)):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="weakly decreasing"):
+                ct_integrate(dens, one, D, lead=lead)
+        if len(lead) == 2:
+            ct_integrate(dens, one, D, lead=lead[::-1])
+    assert densities._runs.cache_info().currsize == 1
     for other in (koornwinder_density(2, K_PLUS_EVEN), two_block_density(1, 2)):
-        with pytest.raises(ConfigurationError, match="one \"A\" block"):
-            ct_integrate(other, None, D, lead=(1,) * len(other.vars))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="one \"A\" block"):
+                ct_integrate(other, None, D, lead=(1,) * len(other.vars))
+    densities.clear_caches()
+    assert densities._runs.cache_info().currsize == 0
     # the multiplier is still guarded
     x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
     with pytest.raises(ConfigurationError, match="not invariant"):
