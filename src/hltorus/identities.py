@@ -30,8 +30,10 @@ integral, the one builder ``_build`` checks
 
 with Z_j = 1 for an unnormalized row, so nothing is divided in the
 truncated ring.  A row that takes mu multiplies P_lambda by P_mu at the
-inverted slots.  ``double_cover`` keeps its own builder: it shifts the
-weight, raises the inner order and adds notes.
+inverted slots.  A weight that ends in -k < 0 at slots that carry
+s-powers is lifted (``_lift``): P_{lambda+k} is built in its place, and the
+order and the closed-form side are raised to match.  A row's ``notes``, if
+set, add remarks to its reports.
 
 Two general closed forms serve eighteen rows.  The twelve orthogonal-
 component rows (o_*, ab_o*, ab_sum_*, alpha_minus_one, alpha_eq_minus_beta)
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
+from operator import add
 from typing import Callable, Optional, Tuple
 
 from .densities import (
@@ -60,7 +63,7 @@ from .densities import (
     positive_roots,
     selberg_density,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
 from .laurent import LaurentPoly
 from .partitions import DominantWeight, Partition, classify_shape
@@ -195,14 +198,32 @@ def rhs_u2n(weight: DominantWeight, n, order):
 def rhs_double_cover(weight: DominantWeight, n, order):
     """(C0, t^{|mu|} C-) for a palindrome mu mu-bar, zero otherwise.
 
-    The pair encodes the verified value t^{-|mu|} C0/C- (see the notes of
-    ``_build_double_cover``).
+    The pair encodes the verified value t^{-|mu|} C0/C- (see
+    ``notes_double_cover``).
     """
     shape = classify_shape(weight.parts)
     if shape.palindrome is None:
         return _zero_pair(order)
     num, den = _c_ratio_pair(shape.palindrome, ((1, 2 * n), (-1, 2 * n)), order)
     return num, den * SeriesRing(order).t(shape.palindrome.weight())
+
+
+def notes_double_cover(inst):
+    """The notes of a ``double_cover`` report on a palindrome mu mu-bar."""
+    mu = classify_shape(inst.weight.parts).palindrome
+    if mu is None:
+        return ()
+    notes = []
+    if mu.weight():
+        notes.append(
+            "value differs from the stated closed form by t^|mu|: the "
+            "verified statement is t^|mu| * integral = C-ratio"
+        )
+    if inst.n - mu.length_nonzero() >= 2:
+        notes.append(
+            "padding-sensitive value: v is taken over mu padded to rank n"
+        )
+    return tuple(notes)
 
 
 def rhs_t2_branching(weight: DominantWeight, n, order):
@@ -338,6 +359,10 @@ INTEGRANDS = {
     "t2_selberg": lambda n, m: (
         selberg_density(n, prefactor=Fraction(1, factorial(n))), _plain_args(n), 4
     ),
+    # the slots t^{1/2} z_i and t^{-1/2} z_i, rescaled by z -> sqrt(t) z to
+    # (t z_i, z_i): the constant term is unchanged and no s-power is negative
+    "double_cover": lambda n, m: (halved_density(n), tuple(
+        y for i in range(n) for y in (var_arg(n, i, spow=2), var_arg(n, i))), 2),
 }
 
 
@@ -403,14 +428,15 @@ def _plan(key, n, m, weightless):
     return plan
 
 
-def _integral(key, inst, values=(), normalized=False):
+def _integral(key, inst, values=(), normalized=False, lift=0):
     """(I, Z) for the integrand ``key`` of one instance.
 
     I integrates P_lambda at the integrand's slots (times P_mu at the
     inverted slots when the instance has mu) and the slot rule's linear
     factors against the density, or the bare density without a weight.
     Where ``_symmetrizes`` holds, P_lambda is not formed: lambda is passed
-    to ``ct_integrate`` as its ``lead``.  Z is the bare integral when
+    to ``ct_integrate`` as its ``lead``.  With a ``lift`` k (see ``_lift``)
+    P_lambda is read off P_{lambda+k}.  Z is the bare integral when
     ``normalized``, else one.  Without a weight (the normalization_* rows)
     a Koornwinder integrand keeps the "D" block: on the "B" block the bare
     integral of a one-sided density is 2^n n!/W(t; ab) times its
@@ -426,7 +452,9 @@ def _integral(key, inst, values=(), normalized=False):
     else:
         lead = inst.weight.parts if plan.symmetrizes else None
         factors = []
-        if lead is None:
+        if lift:
+            factors.append(_lifted(inst.weight.parts, lift, slots, dens.vars, order, tbase))
+        elif lead is None:
             factors.append(hl_full(inst.weight.parts, slots, dens.vars, order, tbase))
         if inst.mu is not None:
             factors.append(hl_full(inst.mu.parts, plan.inverted, dens.vars, order, tbase))
@@ -439,9 +467,43 @@ def _integral(key, inst, values=(), normalized=False):
     return integral, z
 
 
+def _lift(defn, inst):
+    """(k, p) for a weight that ends in -k < 0 at slots that carry s-powers.
+
+    P_lambda has negative s-powers there, so P_{lambda+k} =
+    (prod of the slots)^k P_lambda is built in its place and re-keyed by the
+    slots' torus exponents times -k, which leaves s^p P_lambda with p = k
+    times the slots' s-powers.  The order is raised by p and the closed-form
+    side multiplied by s^p: s^p is carried to the other side, never divided
+    out, because the true integral has a pole of order |mu| in t.  (0, 0)
+    for every other instance, which does no lift work.
+    """
+    parts = inst.weight.parts if inst.weight is not None else ()
+    if not parts or parts[-1] >= 0:
+        return 0, 0
+    k = -parts[-1]
+    spows = {sum(y.spow for y in _plan(key, inst.n, inst.m, False).slots)
+             for key in defn.integrands}
+    if len(spows) > 1:
+        raise ConfigurationError("the integrands of %r lift the weight differently" % defn.name)
+    p = k * spows.pop()
+    return (k, p) if p else (0, 0)
+
+
+def _lifted(weight, k, slots, names, order, tbase):
+    """s^p P_weight at ``slots``: P_{weight+k}, re-keyed (see ``_lift``)."""
+    p = hl_full(tuple(w + k for w in weight), slots, names, order, tbase)
+    shift = [-k * sum(col) for col in zip(*(y.exps for y in slots))]
+    return LaurentPoly(names, {tuple(map(add, e, shift)): c for e, c in p.terms.items()},
+                       order, clean=False)
+
+
 def _build(defn, inst):
     """(lhs, rhs, notes) of a table row; see the module docstring."""
-    parts = [_integral(key, inst, defn.values, defn.normalized) for key in defn.integrands]
+    lift, p = _lift(defn, inst)
+    if p:
+        inst = inst._replace(order=inst.order + p)
+    parts = [_integral(key, inst, defn.values, defn.normalized, lift) for key in defn.integrands]
     num, den = defn.closed(inst)
     lhs = SeriesRing(inst.order).zero()
     for k, (integral, _) in enumerate(parts):
@@ -452,50 +514,9 @@ def _build(defn, inst):
     rhs = num
     for _, z in parts:
         rhs = _times(rhs, z)
-    return _times(lhs, den), rhs, ()
-
-
-def _build_double_cover(inst):
-    n, order = inst.n, inst.order
-    weight = inst.weight
-    # slots t^{1/2} z_i and t^{-1/2} z_i, rescaled by z -> sqrt(t) z so that
-    # the slots become (t z_i, z_i); the constant term is unchanged, and the
-    # weight is shifted by k = -min part so no negative s-powers appear.
-    # The computed series is then t^{nk} times the true integral; that power
-    # is moved to the closed-form side, never divided out, because the true
-    # value carries a genuine pole of order |mu| in t.
-    k = max(0, -weight.parts[-1]) if len(weight.parts) else 0
-    shifted = tuple(p + k for p in weight.parts)
-    inner = order + 2 * n * k
-    names = _var_names("z", n)
-    args = tuple(y for i in range(n) for y in (Mono(1, 2, var_arg(n, i).exps), var_arg(n, i)))
-    p = hl_full(shifted, args, names, inner)
-    if k:
-        back = LaurentPoly.monomial(names, (-2 * k,) * n, 1, inner)
-        p = p * back
-    dens = halved_density(n)
-    raw = ct_integrate(dens, p, inner)
-    ring = SeriesRing(inner)
-    shape = classify_shape(weight.parts)
-    if shape.palindrome is None:
-        return raw, ring.zero(), ()
-    mu = shape.palindrome
-    notes = []
-    num, den = rhs_double_cover(weight, n, inner)
-    z = ct_integrate(dens, None, inner)
-    if mu.weight():
-        notes.append(
-            "value differs from the stated closed form by t^|mu|: the "
-            "verified statement is t^|mu| * integral = C-ratio"
-        )
-    if n - mu.length_nonzero() >= 2:
-        notes.append(
-            "padding-sensitive value: v is taken over mu padded to rank n"
-        )
-    # den already carries t^{|mu|}; the computed series carries t^{nk}
-    lhs = raw * den
-    rhs = num * z * ring.t(n * k)
-    return lhs, rhs, tuple(notes)
+    if p:
+        rhs = rhs * SeriesRing(inst.order).s(p)
+    return _times(lhs, den), rhs, defn.notes(inst) if defn.notes else ()
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +576,8 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class IdentityDef:
-    """One registry row (see the module docstring).  ``build``, if set, maps
-    an instance to (lhs, rhs, notes) in place of the generic builder."""
+    """One registry row (see the module docstring).  ``notes``, if set, maps
+    an instance to the notes of its report."""
 
     name: str
     description: str
@@ -569,7 +590,7 @@ class IdentityDef:
     needs_mu: bool = False
     allows_negative: bool = False
     min_n: int = 1
-    build: Optional[Callable] = None
+    notes: Optional[Callable] = None
 
     @property
     def params(self):
@@ -681,8 +702,9 @@ def _rows():
     )
     yield IdentityDef(
         "double_cover", "t^{1/2}-shifted slots against the t^2 Selberg density",
-        "dominant weight with 2n parts; nonzero only for mu mu-bar",
-        rank="2n", allows_negative=True, build=_build_double_cover,
+        "dominant weight with 2n parts; nonzero only for mu mu-bar", ("double_cover",),
+        normalized=True, rank="2n", allows_negative=True,
+        closed=lambda i: rhs_double_cover(i.weight, i.n, i.order), notes=notes_double_cover,
     )
     yield IdentityDef(
         "t2_branching", "t^2 polynomial against the t density: branching coefficient",
@@ -736,11 +758,10 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
         weight = _pad_weight(defn, weight if weight is not None else (), n, m)
     if defn.needs_mu:
         mu = _pad_weight(defn, mu if mu is not None else (), n, m)
-    build = defn.build or partial(_build, defn)
     start = time.perf_counter()
     achieved = order
     try:
-        lhs, rhs, notes = build(_Instance(n, m, weight, mu, order))
+        lhs, rhs, notes = _build(defn, _Instance(n, m, weight, mu, order))
         status, first_disc = _compare(lhs, rhs)
     except ResourceLimitError as exc:
         # partial report: descend until an order fits within the ceiling
@@ -750,7 +771,7 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
         notes = (str(exc),)
         for lower in range(order - 2, 0, -2):
             try:
-                lhs, rhs, inner_notes = build(_Instance(n, m, weight, mu, lower))
+                lhs, rhs, inner_notes = _build(defn, _Instance(n, m, weight, mu, lower))
             except ResourceLimitError:
                 continue
             status, first_disc = _compare(lhs, rhs)

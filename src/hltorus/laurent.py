@@ -8,7 +8,6 @@ integrands in this package actually look.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .errors import ConfigurationError
@@ -41,24 +40,9 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, vars, trunc):
-        return cls(vars, {}, trunc, clean=False)
-
-    @classmethod
     def unit(cls, vars, trunc):
         one = SeriesRing(trunc).one()
         return cls(vars, {(0,) * len(tuple(vars)): one}, trunc, clean=False)
-
-    @classmethod
-    def monomial(cls, vars, exps, coeff, trunc):
-        if isinstance(coeff, (int, Fraction)):
-            coeff = SeriesRing(trunc).const(coeff)
-        return cls(vars, {tuple(exps): coeff}, trunc)
-
-    # -- queries -------------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -70,44 +54,15 @@ class LaurentPoly:
         if self.trunc != other.trunc:
             raise ConfigurationError("truncation orders differ")
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.vars, out, self.trunc, clean=False)
-
-    def __neg__(self):
-        return LaurentPoly(
-            self.vars, {e: -c for e, c in self.terms.items()}, self.trunc, clean=False
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        """Product with a polynomial, a series or a rational scalar.
+        """Product with another polynomial.
 
-        For two polynomials, the coefficient dicts of every term pair are
-        accumulated in place, one raw dict per torus exponent, through
+        The coefficient dicts of every term pair are accumulated in place,
+        one raw dict per torus exponent, through
         :func:`~hltorus.series.mul_into`; exponents whose coefficients
         cancel are dropped and each surviving dict is wrapped in a
         ``ParamSeries`` once.
         """
-        if isinstance(other, (int, Fraction, ParamSeries)):
-            if isinstance(other, ParamSeries) and other.trunc != self.trunc:
-                raise ConfigurationError("truncation orders differ")
-            out = {}
-            for e, c in self.terms.items():
-                p = c * other
-                if not p.is_zero():
-                    out[e] = p
-            return LaurentPoly(self.vars, out, self.trunc, clean=False)
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -125,8 +80,6 @@ class LaurentPoly:
                 mul_into(dst, ca, cb, D)
         out = {e: ParamSeries(c, D, clean=False) for e, c in raw.items() if c}
         return LaurentPoly(self.vars, out, D, clean=False)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -116,8 +116,6 @@ class ParamSeries:
                 del out[k]
         return ParamSeries(out, self.trunc, clean=False)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ParamSeries(
             {k: -c for k, c in self.coeffs.items()}, self.trunc, clean=False
@@ -129,9 +127,6 @@ class ParamSeries:
                 return NotImplemented
             other = _const(other, self.trunc)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, ParamSeries):
@@ -148,8 +143,6 @@ class ParamSeries:
         out = {}
         mul_into(out, self.coeffs, other.coeffs, self.trunc)
         return ParamSeries(out, self.trunc, clean=False)
-
-    __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -172,10 +165,6 @@ class ParamSeries:
                 return not self.coeffs
             return self.coeffs == {ZERO_KEY: other}
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
 

@@ -26,14 +26,17 @@ def clear_caches():
 def register_identity(monkeypatch):
     """A function that adds a fake registry row for the current test.
 
-    ``register(name, build)`` registers an identity without a weight whose
-    builder is ``build``; the row is removed again after the test.
+    ``register(name, closed)`` registers a row that the generic builder
+    runs: P_lambda against the Selberg density, a weight of n parts and the
+    closed form ``closed``, a function of the instance returning (num, den).
+    At n=1 and weight (0,) the integral is 1.  The row is removed again
+    after the test.
     """
     from hltorus.identities import REGISTRY, IdentityDef
 
-    def register(name, build):
-        fake = IdentityDef(name=name, description="test-only", weight_shape="none",
-                           build=build)
+    def register(name, closed):
+        fake = IdentityDef(name=name, description="test-only", weight_shape="n parts",
+                           integrands=("selberg",), rank="n", closed=closed)
         monkeypatch.setitem(REGISTRY, name, fake)
         return fake
 

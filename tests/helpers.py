@@ -3,8 +3,10 @@
 The package never divides series and never substitutes torus variables;
 these helpers state closed forms and symmetries in the tests.  They read
 and build ``ParamSeries`` and ``LaurentPoly`` through their public fields.
-Q_lambda, the q-Pochhammer symbol, the two grid enumerators and
-``row_closed_form`` below are used by the tests alone as well.
+The package never adds polynomials or scales one either: ``monomial``,
+``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
+q-Pochhammer symbol, the two grid enumerators and ``row_closed_form``
+below are used by the tests alone as well.
 """
 
 from fractions import Fraction
@@ -33,6 +35,28 @@ def parity_counts(weight):
 def dense(mat):
     """The entries of an ``AntisymMatrix`` as a list of rows."""
     return [[mat.entry(j, k) for k in range(mat.size)] for j in range(mat.size)]
+
+
+def monomial(vars, exps, coeff, trunc):
+    """The one-term polynomial coeff * x^exps; ``coeff`` a series or a rational."""
+    if not isinstance(coeff, ParamSeries):
+        coeff = SeriesRing(trunc).const(coeff)
+    return LaurentPoly(vars, {tuple(exps): coeff}, trunc)
+
+
+def poly_sum(first, *rest):
+    """The sum of polynomials over the same variables and order."""
+    out = dict(first.terms)
+    for poly in rest:
+        first._check(poly)
+        for e, c in poly.terms.items():
+            out[e] = out[e] + c if e in out else c
+    return LaurentPoly(first.vars, out, first.trunc)
+
+
+def scaled(poly, c):
+    """``poly`` times the series or rational ``c``, term by term."""
+    return LaurentPoly(poly.vars, {e: v * c for e, v in poly.terms.items()}, poly.trunc)
 
 
 def coefficient(poly, exps):
@@ -75,11 +99,12 @@ def constant_term(poly, in_vars):
             raise ConfigurationError("unknown variable %r" % (v,))
     drop = {poly.vars.index(v) for v in in_vars}
     keep = [i for i in range(len(poly.vars)) if i not in drop]
-    out = LaurentPoly.zero(tuple(poly.vars[i] for i in keep), poly.trunc)
+    out = {}
     for e, c in poly.terms.items():
         if not any(e[i] for i in drop):
-            out = out + LaurentPoly(out.vars, {tuple(e[i] for i in keep): c}, poly.trunc)
-    return out
+            key = tuple(e[i] for i in keep)
+            out[key] = out[key] + c if key in out else c
+    return LaurentPoly(tuple(poly.vars[i] for i in keep), out, poly.trunc)
 
 
 def drop_param(series, idx):
@@ -157,7 +182,7 @@ def specialize(poly, assignment):
         if sign not in (1, -1) or power not in (1, -1) or name not in names:
             raise DomainError("substitution target %r not allowed" % (target,))
         plan[names.index(v)] = (sign, names.index(name), power)
-    out = LaurentPoly.zero(names, poly.trunc)
+    out = {}
     for e, c in poly.terms.items():
         newe = list(e)
         sign = 1
@@ -170,8 +195,9 @@ def specialize(poly, assignment):
                 sign = -sign
             if j is not None:
                 newe[j] += power * k
-        out = out + LaurentPoly(names, {tuple(newe): c if sign > 0 else -c}, poly.trunc)
-    return out
+        key, c = tuple(newe), c if sign > 0 else -c
+        out[key] = out[key] + c if key in out else c
+    return LaurentPoly(names, out, poly.trunc)
 
 
 def rename_vars(poly, new_vars):
@@ -194,7 +220,7 @@ def hl_q(weight, args, var_names, order, tbase=2):
     """Q_lambda = b_lambda(t) P_lambda."""
     p = hl_full(weight, args, var_names, order, tbase)
     b = TComb(SeriesRing(order), base=tbase).c_symbol("-", weight)
-    return p * b
+    return scaled(p, b)
 
 
 def q_pochhammer(ring, a, q, n=None):

@@ -163,12 +163,11 @@ def test_sweep_deterministic_across_runs(clear_caches):
 
 
 def test_mismatch_exit_code(register_identity):
-    ring = SeriesRing(4)
+    def bad_closed(inst):
+        ring = SeriesRing(inst.order)
+        return ring.zero(), ring.one()
 
-    def bad_build(inst):
-        return ring.one(), ring.zero(), ()
-
-    register_identity("always_wrong", bad_build)
+    register_identity("always_wrong", bad_closed)
     code, text = run(["verify", "--identity", "always_wrong", "--n", "1"])
     assert code == 1
     assert "mismatch" in text

@@ -39,7 +39,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import from_coeffs, unit_inverse
+from helpers import from_coeffs, monomial, poly_sum, scaled, unit_inverse
 from oracles import gustafson_rhs
 
 D = 12
@@ -174,7 +174,7 @@ def test_expandability_certificate():
 def test_single_geometric_factor_integral():
     r = SeriesRing(D)
     dens = DensityProduct(("x1", "x2"), (), (((2, 0, 0), 1, (1, 1)),))
-    mult = LaurentPoly.monomial(("x1", "x2"), (-1, -1), 1, D)
+    mult = monomial(("x1", "x2"), (-1, -1), 1, D)
     assert ct_integrate(dens, mult, D) == r.t()
 
 
@@ -545,18 +545,18 @@ def _guarded_ct(dens, mult, order, **kwargs):
 
 def test_non_symmetric_multiplier_rejected():
     dens = selberg_density(2)
-    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
-    x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
-    for mult in (x1, x2, x1 + x2 * 2):  # the last has x1 + x2's support
+    x1 = monomial(dens.vars, (1, 0), 1, D)
+    x2 = monomial(dens.vars, (0, 1), 1, D)
+    for mult in (x1, x2, poly_sum(x1, scaled(x2, 2))):  # the last has x1 + x2's support
         with pytest.raises(ConfigurationError):
             _guarded_ct(dens, mult, D)
-    assert _guarded_ct(dens, x1 + x2, D) == SeriesRing(D).zero()
+    assert _guarded_ct(dens, poly_sum(x1, x2), D) == SeriesRing(D).zero()
     # symmetric within each block is enough for two blocks
     dens = two_block_density(1, 2)
-    x = LaurentPoly.monomial(dens.vars, (1, 0, 0), 1, D)
+    x = monomial(dens.vars, (1, 0, 0), 1, D)
     assert _guarded_ct(dens, x, D) == SeriesRing(D).zero()
     with pytest.raises(ConfigurationError):
-        _guarded_ct(dens, LaurentPoly.monomial(dens.vars, (0, 1, 0), 1, D), D)
+        _guarded_ct(dens, monomial(dens.vars, (0, 1, 0), 1, D), D)
 
 
 def test_guard_verdict_is_kept_per_multiplier_and_block_set():
@@ -564,12 +564,12 @@ def test_guard_verdict_is_kept_per_multiplier_and_block_set():
     tuple: a refused multiplier is refused again on the same object, and a
     multiplier accepted on one block set is still checked on another."""
     dens = selberg_density(2)
-    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
-    x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
+    x1 = monomial(dens.vars, (1, 0), 1, D)
+    x2 = monomial(dens.vars, (0, 1), 1, D)
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="not invariant"):
             ct_integrate(dens, x1, D)
-    both = x1 + x2
+    both = poly_sum(x1, x2)
     assert ct_integrate(dens, both, D) == SeriesRing(D).zero()
     # x2 -> 1/x2 breaks x1 + x2 on the "B" block over the same variables
     b_dens = koornwinder_density(2, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
@@ -585,9 +585,9 @@ def test_d_block_guard():
     """A D block needs W(D_n) invariance: S_n symmetry is not enough, and
     x_i -> 1/x_i symmetry of a single variable is not needed."""
     dens = koornwinder_density(3, K_PLUS_ODD)
-    x = [LaurentPoly.monomial(dens.vars, e, 1, D) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    x = [monomial(dens.vars, e, 1, D) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     with pytest.raises(ConfigurationError):
-        _guarded_ct(dens, x[0] + x[1] + x[2], D)
+        _guarded_ct(dens, poly_sum(*x), D)
     # D_2 = A_1 x A_1: invariance under x1 <-> x2 and (x1, x2) -> (1/x2, 1/x1)
     order = 8
     for params in (K_PLUS_ODD, K_SYMPLECTIC):
@@ -727,9 +727,9 @@ def test_chamber_product_guards_each_factor(monkeypatch):
     before anything is multiplied; so are x1 and x2 on two variables, though
     their product x1 x2 is symmetric."""
     dens = selberg_density(2)
-    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
-    x2 = LaurentPoly.monomial(dens.vars, (0, 1), 1, D)
-    both = x1 + x2
+    x1 = monomial(dens.vars, (1, 0), 1, D)
+    x2 = monomial(dens.vars, (0, 1), 1, D)
+    both = poly_sum(x1, x2)
 
     def no_product(*args):
         raise AssertionError("multiplied before the guard")
@@ -857,7 +857,7 @@ def test_b_block_guard():
             with pytest.raises(ConfigurationError, match="not invariant"):
                 _guarded_ct(dens, mult, order)
         # one variable, where W(B_1) is x -> 1/x alone
-        x = LaurentPoly.monomial(("x1",), (1,), 1, order)
+        x = monomial(("x1",), (1,), 1, order)
         one_var = _b_multiplier(key, 1, None, order)[0]
         with pytest.raises(ConfigurationError, match="not invariant"):
             _guarded_ct(one_var, x, order)
@@ -971,7 +971,7 @@ def test_lead_refusals():
     densities.clear_caches()
     assert densities._runs.cache_info().currsize == 0
     # the multiplier is still guarded
-    x1 = LaurentPoly.monomial(dens.vars, (1, 0), 1, D)
+    x1 = monomial(dens.vars, (1, 0), 1, D)
     with pytest.raises(ConfigurationError, match="not invariant"):
         _guarded_ct(dens, x1, D, lead=(1, 0))
 

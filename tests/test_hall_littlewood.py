@@ -17,7 +17,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.partitions import partitions_up_to
 from hltorus.series import ParamSeries, SeriesRing
 
-from helpers import coefficient, hl_q, permute_vars, scalar, truncated
+from helpers import coefficient, hl_q, monomial, permute_vars, scalar, truncated
 from oracles import (
     degenerate_check,
     hl_by_point_evaluation,
@@ -86,7 +86,7 @@ def test_shift_law():
         padded = lam.padded(2).parts
         p = hl_full(padded, plain(2), names(2), 8)
         shifted = hl_full(tuple(x + 1 for x in padded), plain(2), names(2), 8)
-        assert p * LaurentPoly.monomial(names(2), (1, 1), 1, 8) == shifted
+        assert p * monomial(names(2), (1, 1), 1, 8) == shifted
 
 
 def test_pm_argument_list():

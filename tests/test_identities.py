@@ -1,17 +1,21 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from hltorus.densities import ct_integrate, selberg_density
 from hltorus.errors import DomainError
-from hltorus.hall_littlewood import const_arg, hl_full, pm_args, var_arg
+from hltorus.hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
 from hltorus.identities import (
     ALPHA,
     BETA,
     INTEGRANDS,
     REGISTRY,
+    _build,
     _integral,
     _Instance,
+    _lift,
+    _lifted,
     _linear_factors,
     _symmetrizes,
     rhs_kawanaka,
@@ -30,10 +34,10 @@ from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import (bounded_partitions, drop_param, from_coeffs, negate_param, parity_counts,
-                     row_closed_form, truncated)
-from oracles import (rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta, rhs_alpha_minus_one,
-                     rhs_orthogonal_alpha)
+from helpers import (bounded_partitions, drop_param, from_coeffs, monomial, negate_param,
+                     parity_counts, row_closed_form, truncated)
+from oracles import (hl_by_point_evaluation, rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta,
+                     rhs_alpha_minus_one, rhs_orthogonal_alpha, slot_value)
 
 D = 10
 
@@ -444,15 +448,36 @@ def test_double_cover_displayed_form_differs_by_t_power():
     assert rep.status == "match"
     assert any("t^|mu|" in note for note in rep.notes)
 
-    from hltorus.identities import _build_double_cover
-
     inst = _Instance(2, None, DominantWeight((1, 0, 0, -1)), None, 10)
-    lhs, rhs, _ = _build_double_cover(inst)
+    lhs, rhs, _ = _build(REGISTRY["double_cover"], inst)
     assert lhs == rhs
     # dropping the t^{|mu|} correction (here |mu| = 1) breaks the equality:
     # rhs * t is what the unshifted displayed form would demand of lhs
     ring = SeriesRing(lhs.trunc)
     assert lhs != rhs * ring.t(1)
+
+
+@pytest.mark.parametrize("weight", [(1, -1), (0, -2), (1, 0, 0, -1), (2, 1, -1, -2)])
+def test_weight_lift_matches_point_evaluation(weight):
+    # the lifted P is s^p P_lambda at the double-cover slots (t z_i, z_i):
+    # at a rational point and a rational s, times s^-p, it is the oracle's
+    # P_lambda there, negative parts and all
+    n = len(weight) // 2
+    inst = _Instance(n, None, DominantWeight(weight), None, D)
+    k, p = _lift(REGISTRY["double_cover"], inst)
+    assert (k, p) == (-weight[-1], -weight[-1] * 2 * n)
+    # plain slots take a negative part as it is
+    assert _lift(REGISTRY["u2n_vanishing"], inst) == (0, 0)
+    dens, slots, tbase = INTEGRANDS["double_cover"](n, None)
+    # v_lambda P_{lambda+k} is a sum of products of N(N-1)/2 factors
+    # (y_i - t y_j) and of slot powers of s-degree at most 2 |lambda + k|
+    order = tbase * len(slots) * (len(slots) - 1) // 2 + 2 * (sum(weight) + k * len(slots)) + 1
+    lifted = _lifted(weight, k, slots, dens.vars, order, tbase)
+    point = (Fraction(2), Fraction(-3, 2))[:n]
+    for s in (Fraction(1, 2), Fraction(-2, 3)):
+        value = sum(v * slot_value(Mono(1, key[0], exps), point, s)
+                    for exps, c in lifted.terms.items() for key, v in c.coeffs.items())
+        assert value * s ** -p == hl_by_point_evaluation(weight, slots, point, s, tbase)
 
 
 def test_double_cover_padding_note():
@@ -467,9 +492,7 @@ def test_t2_branching_original_statement():
     r = SeriesRing(D)
     names = ("x1", "x2")
     pm = hl_full((1, 1), (var_arg(2, 0, -1), var_arg(2, 1, -1)), names, D)
-    from hltorus.laurent import LaurentPoly
-
-    assert pm == LaurentPoly.monomial(names, (-1, -1), 1, D)
+    assert pm == monomial(names, (-1, -1), 1, D)
     rep = verify("t2_branching", n=2, weight=(2, 0) , order=D)
     assert rep.status == "vanished-as-predicted" or rep.status == "match"
     # (2,0) is not palindromic; shifting by -1 gives (1,-1) which is
@@ -524,13 +547,13 @@ def test_invalid_term_ceiling_is_domain_error(monkeypatch, value):
 def test_resource_ladder_produces_partial_report(register_identity):
     from hltorus.errors import ResourceLimitError
 
-    def flaky_build(inst):
+    def flaky_closed(inst):
         if inst.order > 4:
             raise ResourceLimitError("too big")
         r = SeriesRing(inst.order)
-        return r.one(), r.one(), ()
+        return r.one(), r.one()
 
-    register_identity("_ladder_probe", flaky_build)
+    register_identity("_ladder_probe", flaky_closed)
     rep = verify("_ladder_probe", n=1, order=10)
     assert rep.status == "match"
     assert rep.achieved_order == 4

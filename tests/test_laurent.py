@@ -5,7 +5,8 @@ from hltorus.errors import ConfigurationError, DomainError
 from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
-from helpers import coefficient, constant_term, max_total_degree, rename_vars, scalar, specialize
+from helpers import (coefficient, constant_term, max_total_degree, monomial, poly_sum, rename_vars,
+                     scalar, specialize)
 from oracles import product_by_nested_loops
 
 
@@ -18,7 +19,7 @@ def ring():
 
 
 def mono(exps, coeff=1):
-    return LaurentPoly.monomial(V, exps, coeff, D)
+    return monomial(V, exps, coeff, D)
 
 
 def test_inverse_monomials_cancel():
@@ -26,29 +27,29 @@ def test_inverse_monomials_cancel():
 
 
 def test_square_of_sum():
-    p = mono((1, 0)) + mono((0, 1))
+    p = poly_sum(mono((1, 0)), mono((0, 1)))
     sq = p * p
-    assert sq == mono((2, 0)) + mono((0, 2)) + mono((1, 1), 2)
+    assert sq == poly_sum(mono((2, 0)), mono((0, 2)), mono((1, 1), 2))
 
 
 def test_param_coefficient_product():
     one = LaurentPoly.unit(V, D)
-    p = one - mono((1, 1), ring().t())
+    p = poly_sum(one, mono((1, 1), -ring().t()))
     q = mono((-1, -1))
-    assert p * q == mono((-1, -1)) - LaurentPoly.monomial(V, (0, 0), ring().t(), D)
+    assert p * q == poly_sum(mono((-1, -1)), mono((0, 0), -ring().t()))
 
 
 def test_constant_term_examples():
-    p = mono((-1, -1)) + LaurentPoly.monomial(V, (0, 0), ring().t(), D)
+    p = poly_sum(mono((-1, -1)), mono((0, 0), ring().t()))
     assert scalar(constant_term(p, V)) == ring().t()
-    assert constant_term(mono((2, 0)), ("x1",)).is_zero()
-    q = LaurentPoly.monomial(V, (0, 0), 3, D) + mono((1, -1))
+    assert not constant_term(mono((2, 0)), ("x1",)).terms
+    q = poly_sum(mono((0, 0), 3), mono((1, -1)))
     r = constant_term(q, ("x1",))
     assert r.vars == ("x2",) and scalar(r) == 3
 
 
 def test_constant_term_full_equals_zero_coefficient():
-    p = mono((1, -1)) + mono((0, 0), 5) + mono((-2, 1))
+    p = poly_sum(mono((1, -1)), mono((0, 0), 5), mono((-2, 1)))
     assert scalar(constant_term(p, V)) == coefficient(p, (0, 0))
 
 
@@ -58,7 +59,7 @@ def test_constant_term_unknown_variable():
 
 
 def test_specialize_to_minus_one():
-    p = mono((1, 0)) + mono((-1, 0))
+    p = poly_sum(mono((1, 0)), mono((-1, 0)))
     out = specialize(p, {"x1": -1})
     assert coefficient(out, (0, 0)) == -2
 
@@ -83,7 +84,7 @@ def test_variable_mismatch_rejected():
 
 
 def test_rename_vars():
-    p = mono((3, -2)) + mono((-1, 0))
+    p = poly_sum(mono((3, -2)), mono((-1, 0)))
     assert rename_vars(p, ("a", "b")).vars == ("a", "b")
 
 
@@ -103,13 +104,13 @@ def _poly_strategy(trunc=6):
 def test_laurent_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert a * poly_sum(b, c) == poly_sum(a * b, a * c)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_poly_strategy(), _poly_strategy())
 def test_constant_term_is_linear_and_degrees_stay_truncated(a, b):
-    lhs = scalar(constant_term(a + b, V))
+    lhs = scalar(constant_term(poly_sum(a, b), V))
     assert lhs == scalar(constant_term(a, V)) + scalar(constant_term(b, V))
     prod = a * b
     for coeff in prod.terms.values():
