@@ -72,7 +72,12 @@ multiplier.  First the factors whose exponents lie on one line through the
 origin, multiples of a primitive d, are multiplied into one truncated
 Laurent series in x^d: a pair (1-x^a)/(1-t x^a) is one series, and so are
 the two cross-block factors at x_i/y_j and y_j/x_i and all the
-single-variable factors of one variable.  Then every state steps through
+single-variable factors of one variable.  The lines are applied one
+variable at a time where that pays, by a rule on the block kind
+(``_line_key``): on a "B" or "D" block, every Koornwinder density, all of
+x_1's lines first, then x_2's, and so on, so each variable is settled as
+soon as its lines are done; on "A" blocks, where that order makes more
+states, the lines of the last variables first.  Then every state steps through
 each line's terms by one ``mul_into`` per term, and each intermediate term
 is pruned by its s-degree budget: a lower bound on the s-degree the
 remaining lines must add to bring its exponent back into the window.  Per
@@ -365,9 +370,12 @@ def _factor_sequence(dens, order):
     A list of (d, terms): d is a primitive direction with its first nonzero
     entry positive, and ``terms`` the product of every factor whose exponent
     is a multiple of d, a Laurent series in x^d truncated at ``order``, as
-    (k, coefficient dict) pairs in increasing k.  Lines are ordered by
-    (|d|, d), a fixed order that applies the lines on the last variables
-    first.
+    (k, coefficient dict) pairs in increasing k.
+
+    The order of the lines is the order of the expansion's steps, and it is
+    fixed by the kind of the density's blocks (``_line_key``).  The table
+    is the same in the window under every order; the intermediate states
+    are not.
     """
     ring = SeriesRing(order)
     lines = {}
@@ -385,7 +393,28 @@ def _factor_sequence(dens, order):
         put(exps, ((j, ring.monomial(j * es, j * ea, j * eb, sign ** j))
                    for j in range(order // (es + ea + eb) + 1)))
     return [(d, sorted((k, c.coeffs) for (k,), c in lines[d].terms.items()))
-            for d in sorted(lines, key=lambda d: (tuple(map(abs, d)), d))]
+            for d in sorted(lines, key=_line_key(dens.blocks))]
+
+
+def _line_key(blocks):
+    """The sort key of the lines of a density with these blocks.
+
+    With a "B" or "D" block, every Koornwinder density, it is (-|d|, d)
+    elementwise: all of x_1's lines, its pair lines nearest partner first
+    and then its single-variable line, then all of x_2's, and so on.  Each
+    variable is then done as soon as its lines are, and the budget pins it
+    into its interval from there on, the bucket-elimination order (Dechter,
+    "Bucket elimination", Artificial Intelligence 113, 1999).  On the
+    ``cold-density`` instances the summed intermediate states fall from
+    3537 to 1131 (``normalization_v`` n=4), 610 to 224 (``kawanaka`` n=3)
+    and 300 to 153 (``symplectic`` n=3).  Otherwise it is (|d|, d), which
+    applies the lines of the last variables first.  On "A" blocks x_1 first
+    does worse: the ``sweep-pairs`` builds (seed 3) take 1812 states in
+    place of 624, and ``u2n_vanishing`` n=3 1904 in place of 1160.
+    """
+    if any(kind in ("B", "D") for kind, *_ in blocks):
+        return lambda d: (tuple(-abs(x) for x in d), d)
+    return lambda d: (tuple(map(abs, d)), d)
 
 
 def _movement(lines, nv):

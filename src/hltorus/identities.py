@@ -375,22 +375,43 @@ def _linear_factors(slots, values, names, order):
 
     Returns the product over the torus slots as a LaurentPoly (None when
     there are no values) and the product over the constant slots as a
-    series, accumulated binomial by binomial on its coefficient dict.
+    series.  Each torus slot is a power of one variable, so the binomials
+    of each variable are multiplied into one series in that variable, and
+    the torus factor is their tensor product over the variables: each of
+    its terms is one term per variable, multiplied once.  A slot that moves
+    two variables raises ``ConfigurationError``.
     """
-    ring = SeriesRing(order)
-    torus = LaurentPoly.unit(names, order) if values else None
-    scalar = {ZERO_KEY: 1}
+    one = {ZERO_KEY: 1}
+    # variable index, or None for the constant slots -> {power: coefficient dict}
+    factors = {}
     for coeff, ea, eb in values:
         for y in slots:
-            key, c = (y.spow, ea, eb), -coeff * y.sign
-            if any(y.exps):
-                binomial = {(0,) * len(names): ring.one(), y.exps: ring.monomial(*key, coeff=c)}
-                torus = torus * LaurentPoly(names, binomial, order)
-            else:
-                out = {}
-                mul_into(out, scalar, (ring.one() + ring.monomial(*key, coeff=c)).coeffs, order)
-                scalar = out
-    return torus, ParamSeries(scalar, order, clean=False)
+            touched = [i for i, e in enumerate(y.exps) if e]
+            if len(touched) > 1:
+                raise ConfigurationError("slot %r is not a power of one torus variable" % (y,))
+            var = touched[0] if touched else None
+            binomial = ((0, one), (y.exps[var] if touched else 0,
+                                   {(y.spow, ea, eb): -coeff * y.sign}))
+            out = {}
+            for k, c in factors.get(var, {0: one}).items():
+                for shift, b in binomial:
+                    mul_into(out.setdefault(k + shift, {}), c, b, order)
+            factors[var] = {k: c for k, c in out.items() if c}
+    scalar = ParamSeries(factors.pop(None, {0: one}).get(0, {}), order, clean=False)
+    if not values:
+        return None, scalar
+    torus = {(): one}
+    for var in range(len(names)):
+        step = {}
+        for e, ce in torus.items():
+            for k, ck in factors.get(var, {0: one}).items():
+                c = {}
+                mul_into(c, ce, ck, order)
+                if c:
+                    step[e + (k,)] = c
+        torus = step
+    return LaurentPoly(names, {e: ParamSeries(c, order, clean=False) for e, c in torus.items()},
+                       order, clean=False), scalar
 
 
 def _symmetrizes(dens, slots, tbase):
@@ -499,7 +520,12 @@ def _lifted(weight, k, slots, names, order, tbase):
 
 
 def _build(defn, inst):
-    """(lhs, rhs, notes) of a table row; see the module docstring."""
+    """(lhs, rhs, notes, p) of a table row; see the module docstring.
+
+    p is the lift's s-power (``_lift``): lhs and rhs are compared in the
+    ring raised by s^p, so a discrepancy there at degree d is one at degree
+    d - p in the instance's own ring.
+    """
     lift, p = _lift(defn, inst)
     if p:
         inst = inst._replace(order=inst.order + p)
@@ -516,7 +542,7 @@ def _build(defn, inst):
         rhs = _times(rhs, z)
     if p:
         rhs = rhs * SeriesRing(inst.order).s(p)
-    return _times(lhs, den), rhs, defn.notes(inst) if defn.notes else ()
+    return _times(lhs, den), rhs, defn.notes(inst) if defn.notes else (), p
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +787,8 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
     start = time.perf_counter()
     achieved = order
     try:
-        lhs, rhs, notes = _build(defn, _Instance(n, m, weight, mu, order))
-        status, first_disc = _compare(lhs, rhs)
+        lhs, rhs, notes, p = _build(defn, _Instance(n, m, weight, mu, order))
+        status, first_disc = _compare(lhs, rhs, p)
     except ResourceLimitError as exc:
         # partial report: descend until an order fits within the ceiling
         status = "resource-limit"
@@ -771,10 +797,10 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
         notes = (str(exc),)
         for lower in range(order - 2, 0, -2):
             try:
-                lhs, rhs, inner_notes = _build(defn, _Instance(n, m, weight, mu, lower))
+                lhs, rhs, inner_notes, p = _build(defn, _Instance(n, m, weight, mu, lower))
             except ResourceLimitError:
                 continue
-            status, first_disc = _compare(lhs, rhs)
+            status, first_disc = _compare(lhs, rhs, p)
             achieved = lower
             notes = tuple(inner_notes) + (
                 "resource ceiling hit at order %d; results cover order %d"
@@ -797,13 +823,14 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
     )
 
 
-def _compare(lhs: ParamSeries, rhs: ParamSeries):
+def _compare(lhs: ParamSeries, rhs: ParamSeries, p=0):
+    """The status, and the first discrepancy's degree less the lift's p."""
     diff = lhs - rhs
     if diff.is_zero():
         if lhs.is_zero():
             return "vanished-as-predicted", None
         return "match", None
-    return "mismatch", diff.min_total_degree()
+    return "mismatch", diff.min_total_degree() - p
 
 
 def sweep_weights(name, n, m=None, max_weight=4, max_parts=None):

@@ -59,6 +59,22 @@ def scaled(poly, c):
     return LaurentPoly(poly.vars, {e: v * c for e, v in poly.terms.items()}, poly.trunc)
 
 
+def linear_factor_by_binomials(slots, values, names, order):
+    """The torus part of the slot rule, prod over the values v and the torus
+    slots y of (1 - v y), multiplied one binomial at a time into the whole
+    partial product by ``LaurentPoly.__mul__``: the oracle of
+    ``identities._linear_factors``."""
+    ring = SeriesRing(order)
+    torus = LaurentPoly.unit(names, order)
+    for coeff, ea, eb in values:
+        for y in slots:
+            if any(y.exps):
+                binomial = {(0,) * len(names): ring.one(),
+                            y.exps: ring.monomial(y.spow, ea, eb, coeff=-coeff * y.sign)}
+                torus = torus * LaurentPoly(names, binomial, order)
+    return torus
+
+
 def coefficient(poly, exps):
     """The coefficient of x^exps in ``poly``, the zero series when absent."""
     c = poly.terms.get(tuple(exps))

@@ -275,7 +275,7 @@ def test_memory_ceiling_exits_3_at_every_ceiling():
     whether the failed allocation surfaced as a MemoryError or not."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     argv = [sys.executable, "-m", "hltorus", "verify", "--identity", "kawanaka",
-            "--n", "6", "--lambda", "2,1", "--order", "8"]
+            "--n", "8", "--lambda", "2,1", "--order", "8"]
     procs = {}
     for mib in (36, 40, 44, 48):
         env = dict(os.environ, PYTHONPATH=src, HLTORUS_MAX_MIB=str(mib))

@@ -32,11 +32,13 @@ from hltorus.identities import (
     _Instance,
     _linear_factors,
     cross_block_density,
+    halved_density,
     sweep_weights,
     two_block_density,
+    verify,
 )
 from hltorus.laurent import LaurentPoly
-from hltorus.series import ParamSeries, SeriesRing
+from hltorus.series import ParamSeries, SeriesRing, mul_into
 from hltorus.tcomb import TComb
 
 from helpers import from_coeffs, monomial, poly_sum, scaled, unit_inverse
@@ -474,6 +476,98 @@ def test_expansion_cache_serves_subwindows_and_widens_to_the_union(dens):
     assert _restrict(got[3], union) == _restrict(got[1], union)
     assert got[1] is not got[0] and got[2] is got[1] and got[3] is not got[2]
     densities.clear_caches()
+
+
+def _by_size(monkeypatch):
+    """Apply the lines of every density in the order (|d|, d), the one
+    order of every density before the rule per block kind."""
+    own = densities._factor_sequence
+    monkeypatch.setattr(densities, "_factor_sequence", lambda dens, order: sorted(
+        own(dens, order), key=lambda line: (tuple(map(abs, line[0])), line[0])))
+
+
+def _line_order_cases():
+    """Every density kind: Selberg (t and t^2), two-block, cross-block and
+    halved on "A" blocks, and Koornwinder densities on their "D" and "B"
+    routes, with parameters +-1 and s-monomials, on one to four variables."""
+    yield selberg_density(3, tpow=4)
+    for n in (1, 2, 3):
+        yield selberg_density(n)
+        yield halved_density(n)
+        yield cross_block_density(n)
+    yield two_block_density(1, 2)
+    yield two_block_density(2, 2)
+    for n in (1, 2, 3, 4):
+        for params in (K_PLUS_EVEN, K_PLUS_ODD, K_SYMPLECTIC):
+            yield koornwinder_density(n, params)
+        for key in ("kawanaka", "minus_even", "plus_odd"):
+            yield INTEGRANDS[key](n + INTEGRANDS[key].drop, None)[0]
+
+
+@pytest.mark.parametrize("dens", list(_line_order_cases()), ids=lambda d: d.label)
+def test_line_order_keeps_the_table(dens, monkeypatch):
+    """The table under each block kind's line order equals, in the window
+    and through the order, the table built with the lines in (|d|, d)
+    order, on a symmetric box, a one-sided box and mixed sides."""
+    order = 6
+    nv = len(dens.vars)
+    windows = (((-2, 2),) * nv, ((0, 3),) * nv,
+               tuple(((0, 2), (-2, 0), (-1, 1))[v % 3] for v in range(nv)))
+    for window in windows:
+        densities.clear_caches()
+        got = _restrict(densities._expansion(dens, order, window), window)
+        with monkeypatch.context() as patch:
+            _by_size(patch)
+            densities.clear_caches()
+            want = _restrict(densities._expansion(dens, order, window), window)
+        assert got == want, window
+    densities.clear_caches()
+
+
+def _expansion_work(monkeypatch, expansions):
+    """The ``mul_into`` calls of the cold expansions (dens, order, window)."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return mul_into(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(densities, "mul_into", counting)
+        for dens, order, window in expansions:
+            densities.clear_caches()
+            densities._expansion(dens, order, window)
+    densities.clear_caches()
+    return calls[0]
+
+
+def test_line_order_saves_work_on_bc_densities(monkeypatch):
+    """A deterministic work guard on the line order.  The expansions of
+    three Koornwinder instances take strictly fewer ``mul_into`` calls
+    under x_1 first than under (|d|, d); a Selberg and a cross-block
+    expansion, whose "A" blocks keep (|d|, d), take the same number."""
+    expansion = densities._expansion
+    for name, kwargs in (("kawanaka", dict(n=3, weight=(2, 1), order=10)),
+                         ("symplectic", dict(n=3, weight=(2, 2, 1, 1), order=10)),
+                         ("normalization_v", dict(n=4, order=6))):
+        asked = []
+        with monkeypatch.context() as patch:
+            patch.setattr(densities, "_expansion",
+                          lambda d, o, w: asked.append((d, o, w)) or expansion(d, o, w))
+            densities.clear_caches()
+            assert verify(name, **kwargs).status == "match"
+        assert asked and all(d.blocks[0][0] in "BD" for d, _, _ in asked), name
+        chosen = _expansion_work(monkeypatch, asked)
+        with monkeypatch.context() as patch:
+            _by_size(patch)
+            by_size = _expansion_work(patch, asked)
+        assert chosen < by_size, (name, chosen, by_size)
+    for dens, window in ((selberg_density(3), ((-3, 3),) * 3),
+                         (cross_block_density(2), ((-2, 2),) * 4)):
+        chosen = _expansion_work(monkeypatch, [(dens, 8, window)])
+        with monkeypatch.context() as patch:
+            _by_size(patch)
+            assert _expansion_work(patch, [(dens, 8, window)]) == chosen, dens.label
 
 
 def test_budget_is_tight_on_hand_cases():

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from hltorus.densities import ct_integrate, selberg_density
-from hltorus.errors import DomainError
+from hltorus.errors import ConfigurationError, DomainError, ResourceLimitError
 from hltorus.hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
 from hltorus.identities import (
     ALPHA,
@@ -34,7 +36,8 @@ from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import (bounded_partitions, drop_param, from_coeffs, monomial, negate_param,
+from helpers import (bounded_partitions, drop_param, from_coeffs, linear_factor_by_binomials,
+                     monomial, negate_param,
                      parity_counts, row_closed_form, truncated)
 from oracles import (hl_by_point_evaluation, rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta,
                      rhs_alpha_minus_one, rhs_orthogonal_alpha, slot_value)
@@ -359,6 +362,25 @@ def test_slot_rule_scalars():
         assert len(torus.terms) > 1  # the torus slots x_i^{+-1} give the Laurent factor
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_factor_matches_binomial_products(n):
+    """The tensor product over the variables has the very terms of the
+    binomial-by-binomial product, on every integrand of every Rogers-Szego
+    row at its values."""
+    rows = [row for row in REGISTRY.values()
+            if isinstance(row.closed, partial) and row.closed.func is rhs_rogers_szego]
+    assert len(rows) == 12
+    for row in rows:
+        for key in row.integrands:
+            dens, slots, _ = INTEGRANDS[key](n, None)
+            torus, _ = _linear_factors(slots, row.values, dens.vars, D)
+            want = linear_factor_by_binomials(slots, row.values, dens.vars, D)
+            assert torus == want, (row.name, key)
+    x1x2 = Mono(1, 0, (1, 1))
+    with pytest.raises(ConfigurationError, match="one torus variable"):
+        _linear_factors((x1x2,), (ALPHA,), ("x1", "x2"), D)
+
+
 def test_sum_identity_components():
     # the even sum value is twice the first bracket summand
     lam = Partition((1, 1, 0, 0))
@@ -449,7 +471,8 @@ def test_double_cover_displayed_form_differs_by_t_power():
     assert any("t^|mu|" in note for note in rep.notes)
 
     inst = _Instance(2, None, DominantWeight((1, 0, 0, -1)), None, 10)
-    lhs, rhs, _ = _build(REGISTRY["double_cover"], inst)
+    lhs, rhs, _, p = _build(REGISTRY["double_cover"], inst)
+    assert p == 4
     assert lhs == rhs
     # dropping the t^{|mu|} correction (here |mu| = 1) breaks the equality:
     # rhs * t is what the unshifted displayed form would demand of lhs
@@ -521,6 +544,26 @@ def test_deep_order_spot_checks():
     ):
         rep = verify(name, **kw)
         assert ok(rep), rep.text_line()
+
+
+def test_lifted_mismatch_is_reported_at_its_degree_in_the_instance_ring(monkeypatch):
+    """A lifted instance is compared in the ring raised by s^p, p = 4 here.
+    A fault of degree 4 seeded in the closed side shows there at degree 8
+    and is reported at 4, within the order asked for; on the resource
+    ladder too, where the closed form refuses the raised order 10."""
+    row = REGISTRY["double_cover"]
+
+    def seeded(inst):
+        if inst.order > 8:
+            raise ResourceLimitError("seeded ceiling")
+        num, den = row.closed(inst)
+        return num + SeriesRing(inst.order).s(inst.order - 4), den
+
+    monkeypatch.setitem(REGISTRY, "double_cover", dataclasses.replace(row, closed=seeded))
+    for order, achieved in ((4, 4), (6, 4)):
+        rep = verify("double_cover", n=2, weight=(1, 0, 0, -1), order=order)
+        assert (rep.status, rep.achieved_order) == ("mismatch", achieved), rep.text_line()
+        assert rep.first_discrepancy_degree == 4 <= rep.achieved_order, rep.text_line()
 
 
 def test_resource_limit_reported(monkeypatch):
