@@ -65,30 +65,21 @@ Integration is the extraction of the torus-degree-zero coefficient.  The
 density is expanded once into a table over the window of torus exponents
 the shifted multiplier can cancel, one signed interval (lo_i, hi_i) =
 (-max e_i - lambda_i, -min e_i - lambda_i) per variable over the
-multiplier's support, not the box [-b_i, b_i] of its largest |e_i|:
-x^lambda g is one-sided in most variables, and the box would keep states
-for the side that is never read.  The table is then convolved with the
-multiplier.  First the factors whose exponents lie on one line through the
-origin, multiples of a primitive d, are multiplied into one truncated
-Laurent series in x^d: a pair (1-x^a)/(1-t x^a) is one series, and so are
-the two cross-block factors at x_i/y_j and y_j/x_i and all the
-single-variable factors of one variable.  The lines are applied one
-variable at a time where that pays, by a rule on the block kind
-(``_line_key``): on a "B" or "D" block, every Koornwinder density, all of
-x_1's lines first, then x_2's, and so on, so each variable is settled as
-soon as its lines are done; on "A" blocks, where that order makes more
-states, the lines of the last variables first.  Then every state steps through
-each line's terms by one ``mul_into`` per term, and each intermediate term
-is pruned by its s-degree budget: a lower bound on the s-degree the
-remaining lines must add to bring its exponent back into the window.  Per
-line, the largest move each way by a term with a degree-0 coefficient is
-free, and the rest costs at least the least degree per unit of move among
-the terms beyond it.  Per variable the free moves of the lines add up and
-the least of their rates prices the distance left to the nearer end of
-the interval; one term can move several variables, so the bound is the max
-over the variables.  No factor lowers the s-degree, so a term whose degree
-plus budget exceeds the order cannot reach the window at degree <= the
-order, and the table is exact there.
+multiplier's support (x^lambda g is one-sided in most variables, and a box
+would keep states for the side never read), and the table is convolved
+with the multiplier.  The factors on each line through the origin are
+multiplied into one truncated Laurent series (``_factor_sequence``), and
+the lines are applied in an order fixed by the block kind (``_line_key``).
+Every state steps through each line's terms by one ``mul_into`` per term,
+and a term is dropped once its s-degree plus a lower bound on what the
+remaining lines must add to bring it back into the window (``_movement``,
+``_budget``) exceeds the order.  No factor lowers the s-degree, so the
+table is exact in the window.
+
+One density is never expanded: the U(2n) density of two t = 0 blocks and
+the cross factors 1/((1-t x_i/y_j)(1-t y_i/x_j)) (``CrossBlock``), which
+``ct_integrate`` integrates by a finite signed sum over the multiplier's
+terms, from the Cauchy identity and Weyl's character formula.
 """
 
 from __future__ import annotations
@@ -102,6 +93,7 @@ from operator import add, itemgetter, sub
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
+from .partitions import partitions_up_to
 from .series import ParamSeries, SeriesRing, mul_into
 
 
@@ -410,7 +402,8 @@ def _line_key(blocks):
     and 300 to 153 (``symplectic`` n=3).  Otherwise it is (|d|, d), which
     applies the lines of the last variables first.  On "A" blocks x_1 first
     does worse: the ``sweep-pairs`` builds (seed 3) take 1812 states in
-    place of 624, and ``u2n_vanishing`` n=3 1904 in place of 1160.
+    place of 624, and the factored U(2n) density of the tests at n=3, order
+    8, in the window of P_(1,1,0,0,-1,-1), 1904 in place of 1160.
     """
     if any(kind in ("B", "D") for kind, *_ in blocks):
         return lambda d: (tuple(-abs(x) for x in d), d)
@@ -520,9 +513,9 @@ def _expansion(dens, order, window):
     distance from the interval.  Cached per density and order; a request
     whose intervals lie inside the cached ones gets the cached table, and
     any other rebuilds it for the union of the two windows, reusing the
-    lines and their movement, which do not depend on the window.
+    lines and their movement, which do not depend on the window.  The term
+    ceiling caps a build, so a cached table is served without reading it.
     """
-    limit = _max_terms()
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
     if cached is not None:
@@ -534,6 +527,7 @@ def _expansion(dens, order, window):
     else:
         lines = _factor_sequence(dens, order)
         moves = _movement(lines, len(dens.vars))
+    limit = _max_terms()
     acc = {(0,) * len(dens.vars): {(0, 0, 0): 1}}
     for (d, terms), after in zip(lines, moves[1:]):
         touched = [v for v, dv in enumerate(d) if dv]
@@ -586,14 +580,13 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     and refused or accepted the same way on every later call.
 
     With ``lead``, a weakly decreasing weight with one part per variable,
-    the integrand is P_lead(x; t) times the multiplier g, and P_lead itself
-    is never formed (see the module docstring).  g is guarded as without
-    ``lead`` and convolved with the same positive-root table, read at the
-    offset -lead, which stands for x^lead g; the result is restored by the
-    stabilizer factor n!/v_lead(t), with v_lead over every run of equal
-    parts, zeros included, in place of n!/[n]_t!.  A lead that is not
-    weakly decreasing or has the wrong length, and a density that is not
-    one "A" block over all its variables, raise ``ConfigurationError``.
+    the integrand is P_lead(x; t) times the multiplier g, and P_lead is
+    never formed (see the module docstring): g, guarded as without ``lead``,
+    is read against the table at the offset -lead and restored by
+    n!/v_lead(t).  A lead that is not weakly decreasing or has the wrong
+    length, and a density that is not one "A" block over all its variables,
+    raise ``ConfigurationError``.  A ``CrossBlock`` density is not
+    expanded: once the guard passes the multiplier, ``_cauchy_sum`` sums it.
     """
     if multiplier is None:
         multiplier = LaurentPoly.unit(dens.vars, order)
@@ -610,11 +603,13 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
         raise ConfigurationError(
             "multiplier is not invariant under the blocks' Weyl groups in %r" % (dens,)
         )
-    blocks, prefactor, neg = dens.blocks, dens.prefactor, [0] * len(dens.vars)
+    blocks, neg = dens.blocks, [0] * len(dens.vars)
     if lead is not None:
         blocks, count = _stabilizer(dens, lead)
-        prefactor *= count
         neg = [-a for a in lead]
+    elif isinstance(dens, CrossBlock):
+        return _cauchy_sum(multiplier.terms, len(dens.vars) // 2, order)
+    prefactor = dens.prefactor if lead is None else dens.prefactor * count
     table = _expansion(dens, order, [(b - hi, b - lo) for (hi, lo), b in zip(ranges, neg)])
     out = {}
     for e, coeff in multiplier.terms.items():
@@ -627,6 +622,78 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     if prefactor != 1:
         result = result * prefactor
     return result
+
+
+class CrossBlock:
+    """The U(2n) density, integrated by the Cauchy identity and never expanded.
+
+    On x_1..x_n, y_1..y_n it is prod_{i != j} (1-x_i/x_j)(1-y_i/y_j) prod_{i,j}
+    1/((1-t x_i/y_j)(1-t y_i/x_j)) / (n!)^2: two t = 0 "A" blocks, which the
+    guard reads, and the cross factors.  These are sum_{kappa, rho}
+    t^(|kappa|+|rho|) s_kappa(x) s_kappa(1/y) s_rho(y) s_rho(1/x) by the
+    Cauchy identity (Macdonald, Symmetric Functions and Hall Polynomials, I
+    (4.3)), and s_rho(1/x) prod_{i<j} (1-x_i/x_j) = sum_w eps(w) x^(delta -
+    w(rho+delta)), delta = (n-1, ..., 0), by Weyl's character formula (I
+    (3.1)).  So, for a multiplier invariant under S_n x S_n, a term x^a y^b
+    adds eps1 eps2 t^(|kappa|+|rho|) times its coefficient for each
+    partition kappa such that a + kappa + delta sorts, with sign eps1, to
+    rho + delta, rho a partition, and b + rho + delta sorts, with sign eps2,
+    to kappa + delta (``_cauchy_sum``).
+    """
+
+    __slots__ = ("vars", "blocks")
+
+    def __init__(self, n):
+        self.vars = tuple("%s%d" % (p, i + 1) for p in "xy" for i in range(n))
+        self.blocks = (("A", 0, n, None), ("A", n, n, None))
+
+    def __repr__(self):
+        return "CrossBlock(%d)" % (len(self.vars) // 2)
+
+
+def _sort_sign(v):
+    """(v sorted decreasing, the sign of that sort), or None for a repeated entry."""
+    sign = 1
+    for i, x in enumerate(v):
+        for y in v[i + 1:]:
+            if x == y:
+                return None
+            if x < y:
+                sign = -sign
+    return sorted(v, reverse=True), sign
+
+
+def _cauchy_sum(terms, n, order):
+    """CT[multiplier * ``CrossBlock(n)``] through ``order``, from the terms alone.
+
+    The terms are grouped by their x-part a, since rho and eps1 depend only
+    on (a, kappa).  As |rho| = |kappa| + |a|, the s-degree 2(|kappa| +
+    |rho|) bounds |kappa| per group by its least coefficient degree.
+    """
+    delta = range(n - 1, -1, -1)
+    groups = {}
+    for e, c in terms.items():
+        if c.coeffs:
+            groups.setdefault(e[:n], []).append((e[n:], c.coeffs))
+    kappas = [(sum(k.parts), tuple(map(add, k.padded(n).parts, delta)))
+              for k in partitions_up_to(order // 2, n)]
+    out = {}
+    for a, members in groups.items():
+        size = sum(a)
+        room = (order - min(min(map(sum, c)) for _, c in members)) // 2 - size
+        for k, kd in kappas:
+            if 2 * k > room:
+                break
+            hit = _sort_sign(tuple(map(add, a, kd)))
+            if hit is None or hit[0][-1] < 0:
+                continue
+            rd, sign = hit
+            shift, target = 2 * (2 * k + size), set(kd)
+            for b, c in members:
+                w = tuple(map(add, b, rd))
+                if set(w) == target:
+                    mul_into(out, c, {(shift, 0, 0): sign * _sort_sign(w)[1]}, order)
+    return ParamSeries(out, order, clean=False)
 
 
 def _reading(multiplier, blocks):

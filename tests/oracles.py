@@ -15,12 +15,17 @@ per-row statements; they are kept as references for the general
 ``rogers_szego_value`` and ``koornwinder_normalization``.  They
 stay in the tree permanently as ground truth.  ``degenerate_check`` holds
 ``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
+``cross_block_density`` states the U(2n) density in factored form, which the
+density expansion integrates; it is the oracle of the package's Cauchy-sum
+route for the ``cross_block`` integrand.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
+from hltorus.densities import DensityProduct, positive_roots
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import hl_full, var_arg
 from hltorus.identities import t_multinomial_of
@@ -28,6 +33,30 @@ from hltorus.series import ZERO_KEY, SeriesRing
 from hltorus.tcomb import TComb
 
 from helpers import max_total_degree, parity_counts
+
+
+def cross_block_density(n):
+    """The U(2n) density as factors: cross-block geometric factors only.
+
+    The full density is prod over each block of prod_{i != j} (1-x_i/x_j)
+    times prod_{i,j} 1/((1-t x_i/y_j)(1-t y_i/x_j)), with prefactor
+    1/(n!)^2.  Each block's numerator keeps only its i < j factors; that is
+    the t=0 case of the Weyl factor, where [n]_0! = 1.
+    """
+    vars_ = tuple("%s%d" % (p, i + 1) for p in "xy" for i in range(n))
+    total = 2 * n
+    num = [(1, exps) for exps in positive_roots(total, 0, n) + positive_roots(total, n, n)]
+    geo = []
+    for i in range(n):
+        for j in range(n):
+            exps = [0] * total
+            exps[i] += 1
+            exps[n + j] -= 1
+            geo.append(((2, 0, 0), 1, tuple(exps)))
+            geo.append(((2, 0, 0), 1, tuple(-e for e in exps)))
+    return DensityProduct(vars_, num, geo, Fraction(1, factorial(n) ** 2),
+                          label="cross_block(%d)" % n,
+                          blocks=(("A", 0, n, None), ("A", n, n, None)))
 
 
 def pfaffian_by_matchings(matrix):

@@ -216,7 +216,7 @@ def test_criterion_7_vanishing_families():
             count += 1
             if not _ok(rep):
                 failures.append(rep.text_line())
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for w in sweep_weights("u2n_vanishing", n, max_weight=3):
             rep = verify("u2n_vanishing", n=n, weight=w.parts, order=D)
             count += 1

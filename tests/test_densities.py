@@ -6,6 +6,7 @@ import pytest
 
 from hltorus import densities
 from hltorus.densities import (
+    CrossBlock,
     DensityProduct,
     chamber_product,
     ct_integrate,
@@ -31,7 +32,6 @@ from hltorus.identities import (
     REGISTRY,
     _Instance,
     _linear_factors,
-    cross_block_density,
     halved_density,
     sweep_weights,
     two_block_density,
@@ -42,7 +42,7 @@ from hltorus.series import ParamSeries, SeriesRing, mul_into
 from hltorus.tcomb import TComb
 
 from helpers import from_coeffs, monomial, poly_sum, scaled, unit_inverse
-from oracles import gustafson_rhs
+from oracles import cross_block_density, gustafson_rhs
 
 D = 12
 K_QUADRUPLES = (K_PLUS_EVEN, K_MINUS_EVEN, K_PLUS_ODD, K_MINUS_ODD, K_SYMPLECTIC, K_KAWANAKA)
@@ -1090,3 +1090,84 @@ def test_term_ceiling_trips(monkeypatch):
         ct_integrate(dens, e1e1bar, D)
     monkeypatch.delenv("HLTORUS_MAX_TERMS")
     dmod.clear_caches()
+
+
+# (n, weight) for the Cauchy-sum route: mu = nu, mu != nu with |mu| = |nu|,
+# |mu| != |nu| and the zero weight, at n = 1-4
+CAUCHY_CASES = [
+    (1, (0, 0)), (1, (1, -1)), (1, (2, -1)), (1, (2, 0)),
+    (2, (0, 0, 0, 0)), (2, (1, 0, 0, -1)), (2, (2, 1, -1, -2)), (2, (2, 0, -1, -1)),
+    (2, (1, 1, 0, 0)),
+    (3, (0,) * 6), (3, (1, 1, 0, 0, -1, -1)), (3, (2, 1, 0, -1, -1, -1)),
+    (3, (2, 0, 0, 0, 0, -1)),
+    (4, (0,) * 8), (4, (1, 0, 0, 0, 0, 0, 0, -1)), (4, (1, 1, 0, 0, 0, 0, 0, -2)),
+    (4, (1, 0, 0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("n, weight", CAUCHY_CASES, ids=str)
+@pytest.mark.parametrize("order", [7, 8])
+def test_cauchy_sum_matches_the_expansion_oracle(n, weight, order):
+    """The cross-block route against the expansion of the factored density,
+    term for term, for P_lambda at the 2n variables and for the bare
+    integral."""
+    oracle, dens = cross_block_density(n), CrossBlock(n)
+    assert dens.vars == oracle.vars and dens.blocks == oracle.blocks
+    p = hl_full(weight, _slots(2 * n), dens.vars, order)
+    got = []
+    for mult in (p, None):
+        densities.clear_caches()
+        got.append(ct_integrate(dens, mult, order))
+        assert got[-1] == ct_integrate(oracle, mult, order), mult is None
+    # mu = nu and the zero weight integrate to nonzero series, the rest to zero
+    mu = tuple(x for x in weight if x > 0)
+    nu = tuple(-x for x in weight[::-1] if x < 0)
+    assert got[0].is_zero() is (mu != nu)
+    densities.clear_caches()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cauchy_sum_takes_block_invariant_products(n):
+    """A multiplier invariant under S_n x S_n but not under S_2n:
+    P_mu(x) P_nu(1/y), with mu != nu, and times its mirror."""
+    order = 8
+    oracle, dens = cross_block_density(n), CrossBlock(n)
+    x = tuple(var_arg(2 * n, i) for i in range(n))
+    ybar = tuple(var_arg(2 * n, n + i, -1) for i in range(n))
+    for mu, nu in (((1,), (1,)), ((2,), (1, 1)), ((1, 1), (2,)), ((2, 1), (1, 1, 1)[:n])):
+        mult = (hl_full(mu + (0,) * (n - len(mu)), x, dens.vars, order)
+                * hl_full(nu + (0,) * (n - len(nu)), ybar, dens.vars, order))
+        densities.clear_caches()
+        assert ct_integrate(dens, mult, order) == ct_integrate(oracle, mult, order), (mu, nu)
+    densities.clear_caches()
+
+
+def test_cauchy_bare_integral_is_the_partition_generating_function():
+    """CT[cross-block density] = sum_kappa t^(2|kappa|) over the partitions
+    with at most n parts = prod_{k<=n} 1/(1 - t^(2k)), at n = 1-6."""
+    order = 24
+    ring = SeriesRing(order)
+    for n in range(1, 7):
+        want = ring.one()
+        for k in range(1, n + 1):
+            want = want * ring.geometric(es=4 * k)
+        assert ct_integrate(CrossBlock(n), None, order) == want, n
+
+
+def test_cauchy_sum_refuses_what_is_not_block_invariant():
+    """x1, x1 y1 and y2 alone, and P_(1,0) at the slots x1 and y1, are each
+    refused, as is a lead; the block-symmetrized x1 y1 is taken."""
+    dens = CrossBlock(2)
+    for exps in ((1, 0, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1)):
+        with pytest.raises(ConfigurationError, match="not invariant"):
+            _guarded_ct(dens, monomial(dens.vars, exps, 1, D), D)
+    short = hl_full((1, 0), (var_arg(4, 0), var_arg(4, 2)), dens.vars, D)
+    with pytest.raises(ConfigurationError, match="not invariant"):
+        _guarded_ct(dens, short, D)
+    with pytest.raises(ConfigurationError, match="one \"A\" block"):
+        ct_integrate(dens, None, D, lead=(0,) * 4)
+    # the same terms, symmetrized over both blocks, are taken
+    both = poly_sum(*(monomial(dens.vars, e, 1, D)
+                      for e in ((1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1))))
+    assert _guarded_ct(dens, both, D) == ct_integrate(cross_block_density(2), both, D)
+    densities.clear_caches()

@@ -540,6 +540,7 @@ def test_deep_order_spot_checks():
         ("symplectic", dict(n=2, weight=(2, 2, 0, 0), order=16)),
         ("ab_ominus_odd", dict(n=1, weight=(2, 1, 1), order=14)),
         ("u2n_vanishing", dict(n=2, weight=(2, 1, -1, -2), order=16)),
+        ("u2n_vanishing", dict(n=3, weight=(2, 1, 0, 0, -1, -2), order=16)),
         ("double_cover", dict(n=2, weight=(2, 1, -1, -2), order=16)),
     ):
         rep = verify(name, **kw)
@@ -581,10 +582,14 @@ def test_resource_limit_reported(monkeypatch):
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_invalid_term_ceiling_is_domain_error(monkeypatch, value):
     # a bad ceiling is a usage error, neither a crash nor a partial report,
-    # and a cached expansion does not hide it
+    # and a cached expansion does not hide it; nor does u2n_vanishing,
+    # whose cross-block route expands no density
     monkeypatch.setenv("HLTORUS_MAX_TERMS", value)
     with pytest.raises(DomainError, match="HLTORUS_MAX_TERMS"):
         verify("orthogonality", n=2, weight=(1, 0), mu=(1, 0), order=8)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="HLTORUS_MAX_TERMS"):
+            verify("u2n_vanishing", n=2, weight=(1, 0, 0, -1), order=8)
 
 
 def test_resource_ladder_produces_partial_report(register_identity):
