@@ -67,9 +67,10 @@ the shifted multiplier can cancel, one signed interval (lo_i, hi_i) =
 (-max e_i - lambda_i, -min e_i - lambda_i) per variable over the
 multiplier's support (x^lambda g is one-sided in most variables, and a box
 would keep states for the side never read), and the table is convolved
-with the multiplier.  The factors on each line through the origin are
-multiplied into one truncated Laurent series (``_factor_sequence``), and
-the lines are applied in an order fixed by the block kind (``_line_key``).
+with the multiplier.  The factors on each line through the origin form
+one truncated Laurent series, built once per distinct set of factors by
+dividing out the geometric ones (``_factor_sequence``), and the lines are
+applied in an order fixed by the block kind (``_line_key``).
 Every state steps through each line's terms by one ``mul_into`` per term,
 and a term is dropped once its s-degree plus a lower bound on what the
 remaining lines must add to bring it back into the window (``_movement``,
@@ -94,7 +95,7 @@ from operator import add, itemgetter, sub
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
 from .partitions import partitions_up_to
-from .series import ParamSeries, SeriesRing, mul_into
+from .series import ZERO_KEY, ParamSeries, SeriesRing, divide_binomial, mul_into
 
 
 def env_ceiling(name):
@@ -324,7 +325,7 @@ def koornwinder_normalization(n, params, order) -> ParamSeries:
     where abcd is 0 unless all four parameters are nonzero and a pair with
     ef = 0 contributes 1 (Gustafson, Bull. AMS 22 (1990), at q = 0).  The
     only parameter-free denominator is 1 - (+1)(-1) = 2; every other one has
-    positive s-degree and expands as an exact geometric series.
+    positive s-degree and is divided out by ``_over``.
     """
     norm = _koornwinder_params(params)
     ring = SeriesRing(order)
@@ -332,15 +333,21 @@ def koornwinder_normalization(n, params, order) -> ParamSeries:
     pairs = list(combinations(norm, 2))
     acc = one
     for j in range(n):
-        acc = acc * (one - ring.t()) * ring.geometric(es=2 * (j + 1))
+        acc = _over(acc * (one - ring.t()), 2 * (j + 1))
         if len(norm) == 4:
             es = 2 * (2 * n - j - 2) + sum(k for _, k in norm)
             acc = acc * (one - ring.monomial(es=es, coeff=prod(s for s, _ in norm)))
         for (s1, k1), (s2, k2) in pairs:
             es = 2 * j + k1 + k2
             # es is 0 only for the pair +1, -1, where the factor is 1/2
-            acc = acc * (ring.geometric(es=es, sign=s1 * s2) if es else Fraction(1, 2))
+            acc = _over(acc, es, s1 * s2) if es else acc * Fraction(1, 2)
     return acc
+
+
+def _over(series, es, sign=1):
+    """``series`` / (1 - sign * s^es), for es > 0."""
+    coeffs = divide_binomial(series.coeffs, (es, 0, 0), sign, series.trunc)
+    return ParamSeries(coeffs, series.trunc, clean=False)
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +368,65 @@ def _factor_sequence(dens, order):
 
     A list of (d, terms): d is a primitive direction with its first nonzero
     entry positive, and ``terms`` the product of every factor whose exponent
-    is a multiple of d, a Laurent series in x^d truncated at ``order``, as
-    (k, coefficient dict) pairs in increasing k.
+    is a multiple of d, a Laurent series in y = x^d truncated at ``order``,
+    as (k, coefficient dict) pairs in increasing k.  Lines with the same
+    factors, as (sign, m) for 1 - sign y^m and (m, key, sign) for 1/(1 -
+    sign s^key y^m), share one series, built by ``_line_series``.
 
     The order of the lines is the order of the expansion's steps, and it is
     fixed by the kind of the density's blocks (``_line_key``).  The table
     is the same in the window under every order; the intermediate states
     are not.
     """
-    ring = SeriesRing(order)
     lines = {}
 
-    def put(exps, terms):
+    def factors(exps):
         # exps = m d with d primitive, its first nonzero entry positive
         m = gcd(*exps) * (1 if next(e for e in exps if e) > 0 else -1)
-        d = tuple(e // m for e in exps)
-        f = LaurentPoly(("y",), {(j * m,): c for j, c in terms}, order)
-        lines[d] = lines[d] * f if d in lines else f
+        return m, lines.setdefault(tuple(e // m for e in exps), ([], []))
 
     for sign, exps in dens.num_factors:
-        put(exps, ((0, ring.one()), (1, ring.const(-sign))))
-    for (es, ea, eb), sign, exps in dens.geo_factors:
-        put(exps, ((j, ring.monomial(j * es, j * ea, j * eb, sign ** j))
-                   for j in range(order // (es + ea + eb) + 1)))
-    return [(d, sorted((k, c.coeffs) for (k,), c in lines[d].terms.items()))
-            for d in sorted(lines, key=_line_key(dens.blocks))]
+        m, (num, _) = factors(exps)
+        num.append((sign, m))
+    for ckey, sign, exps in dens.geo_factors:
+        m, (_, geo) = factors(exps)
+        geo.append((m, ckey, sign))
+    built = {}
+    out = []
+    for d in sorted(lines, key=_line_key(dens.blocks)):
+        num, geo = lines[d]
+        key = (tuple(sorted(num)), tuple(sorted(geo)))
+        if key not in built:
+            built[key] = _line_series(*key, order)
+        out.append((d, built[key]))
+    return out
+
+
+def _line_series(num, geo, order):
+    """prod (1 - sign y^m) over ``num`` / prod (1 - sign s^key y^m) over ``geo``.
+
+    The numerator is multiplied out in integers, each geometric factor is
+    divided out by ``divide_binomial`` on keys (m, e_s, e_a, e_b), and one
+    ``LaurentPoly`` product joins the two.
+    """
+    top = {0: 1}
+    for sign, m in num:
+        nxt = dict(top)
+        for k, c in top.items():
+            nxt[k + m] = nxt.get(k + m, 0) - sign * c
+        top = {k: c for k, c in nxt.items() if c}
+    low = {(0, 0, 0, 0): 1}
+    for m, ckey, sign in geo:
+        low = divide_binomial(low, (m, *ckey), sign, order)
+    rows = {}
+    for (k, *key), c in low.items():
+        rows.setdefault((k,), {})[tuple(key)] = c
+    y = ("y",)
+    joined = (LaurentPoly(y, {(k,): ParamSeries({ZERO_KEY: c}, order, clean=False)
+                              for k, c in top.items()}, order, clean=False)
+              * LaurentPoly(y, {k: ParamSeries(c, order, clean=False) for k, c in rows.items()},
+                            order, clean=False))
+    return sorted((k, c.coeffs) for (k,), c in joined.terms.items())
 
 
 def _line_key(blocks):
@@ -775,10 +816,10 @@ def _weyl_factor(blocks, order):
         if tpow is not None:
             one_minus_t = ring.one() - ring.monomial(es=tpow)
             for d in degrees:
-                acc = acc * one_minus_t * ring.geometric(es=tpow * d)
+                acc = _over(acc * one_minus_t, tpow * d)
         for sign, spow in ab:
             for i in range(size):
-                acc = acc * ring.geometric(es=spow + tpow * i, sign=sign)
+                acc = _over(acc, spow + tpow * i, sign)
     return acc
 
 

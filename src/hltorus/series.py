@@ -13,12 +13,15 @@ Every product of coefficient dicts goes through :func:`mul_into`, which
 accumulates into a plain dict in place.  Callers that sum many products,
 such as the torus products of ``LaurentPoly``, the chamber product of
 ``hltorus.densities`` and the constant-term convolution, keep one raw dict per result and wrap it in a ``ParamSeries``
-once, instead of building and adding a series per term pair.
+once, instead of building and adding a series per term pair.  The one
+division, by a binomial 1 - c x^k with c of positive degree, is the exact
+recurrence of :func:`divide_binomial`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import ConfigurationError, DomainError
 
@@ -53,6 +56,34 @@ def mul_into(dst, a, b, cap):
                 dst[k] = v
             elif k in dst:
                 del dst[k]
+
+
+def divide_binomial(coeffs, step, sign, cap):
+    """``coeffs`` divided by 1 - sign * x^step, through total degree ``cap``.
+
+    Keys and ``step`` are exponent tuples ending in the (s, alpha, beta)
+    degrees, which alone count for the degree; any entries before them are
+    torus exponents.  The step needs positive degree, and then the quotient
+    is exact by the recurrence out[k] = coeffs[k] + sign * out[k - step],
+    walked up each chain k, k + step, ... from its lowest key to the cap:
+    one step per key walked.
+    """
+    lift = sum(step[-3:])
+    if lift < 1:
+        raise DomainError("a geometric factor needs positive parameter degree")
+    out = {}
+    walked = set()
+    for k in sorted(coeffs, key=lambda k: sum(k[-3:])):
+        if k in walked:
+            continue
+        v, deg = 0, sum(k[-3:])
+        while deg <= cap:
+            walked.add(k)
+            v = coeffs.get(k, 0) + sign * v
+            if v:
+                out[k] = v
+            k, deg = tuple(map(add, k, step)), deg + lift
+    return out
 
 
 def _cleaned(coeffs, trunc):
@@ -226,19 +257,3 @@ class SeriesRing:
 
     def alpha(self, power=1):
         return self.monomial(ea=power)
-
-    def geometric(self, es=0, ea=0, eb=0, sign=1):
-        """1/(1 - sign * s^es a^ea b^eb) as a truncated geometric series.
-
-        The monomial must carry positive total degree; that is the
-        expandability certificate for every denominator in the package.
-        """
-        deg = es + ea + eb
-        if deg < 1:
-            raise DomainError("geometric factor needs positive parameter degree")
-        out = {}
-        k = 0
-        while k * deg <= self.trunc:
-            out[(k * es, k * ea, k * eb)] = 1 if (sign > 0 or k % 2 == 0) else -1
-            k += 1
-        return ParamSeries(out, self.trunc, clean=False)

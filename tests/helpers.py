@@ -1,8 +1,9 @@
 """Substitutions, exact divisions and other API that only the tests need.
 
-The package never divides series and never substitutes torus variables;
-these helpers state closed forms and symmetries in the tests.  They read
-and build ``ParamSeries`` and ``LaurentPoly`` through their public fields.
+The package divides series only by binomials (``divide_binomial``) and
+never substitutes torus variables; these helpers state closed forms and
+symmetries in the tests.  They read and build ``ParamSeries`` and
+``LaurentPoly`` through their public fields.
 The package never adds polynomials or scales one either: ``monomial``,
 ``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
 q-Pochhammer symbol, the two grid enumerators and ``row_closed_form``
@@ -10,7 +11,9 @@ below are used by the tests alone as well.
 """
 
 from fractions import Fraction
+from math import gcd
 
+from hltorus import densities
 from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
 from hltorus.hall_littlewood import hl_full
 from hltorus.identities import REGISTRY, _Instance
@@ -172,6 +175,38 @@ def unit_inverse(series):
             break
         acc = acc + power
     return acc * scale
+
+
+def geometric(ring, es=0, ea=0, eb=0, sign=1):
+    """1/(1 - sign * s^es a^ea b^eb) as a truncated geometric series, the
+    oracle of ``divide_binomial``; the monomial needs positive degree."""
+    deg = es + ea + eb
+    if deg < 1:
+        raise DomainError("geometric factor needs positive parameter degree")
+    return ParamSeries({(k * es, k * ea, k * eb): sign ** k
+                        for k in range(ring.trunc // deg + 1)}, ring.trunc, clean=False)
+
+
+def factor_sequence_by_products(dens, order):
+    """The lines of ``densities._factor_sequence``, each factor's whole
+    series multiplied into its line's product by ``LaurentPoly.__mul__``,
+    one factor at a time: the oracle of the shared, divided line series."""
+    ring = SeriesRing(order)
+    lines = {}
+
+    def put(exps, terms):
+        m = gcd(*exps) * (1 if next(e for e in exps if e) > 0 else -1)
+        d = tuple(e // m for e in exps)
+        f = LaurentPoly(("y",), {(j * m,): c for j, c in terms}, order)
+        lines[d] = lines[d] * f if d in lines else f
+
+    for sign, exps in dens.num_factors:
+        put(exps, ((0, ring.one()), (1, ring.const(-sign))))
+    for (es, ea, eb), sign, exps in dens.geo_factors:
+        put(exps, ((j, ring.monomial(j * es, j * ea, j * eb, sign ** j))
+                   for j in range(order // (es + ea + eb) + 1)))
+    return [(d, sorted((k, c.coeffs) for (k,), c in lines[d].terms.items()))
+            for d in sorted(lines, key=densities._line_key(dens.blocks))]
 
 
 def specialize(poly, assignment):

@@ -32,7 +32,7 @@ from hltorus.identities import t_multinomial_of
 from hltorus.series import ZERO_KEY, SeriesRing
 from hltorus.tcomb import TComb
 
-from helpers import max_total_degree, parity_counts
+from helpers import geometric, max_total_degree, parity_counts
 
 
 def cross_block_density(n):
@@ -430,7 +430,7 @@ def gustafson_rhs(item, n, order):
     one_minus_t = ring.one() - ring.t()
 
     def geom_t_pow(k):
-        return ring.geometric(es=k)
+        return geometric(ring, es=k)
 
     if item == "i":
         acc = one_minus_t ** n

@@ -41,7 +41,8 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing, mul_into
 from hltorus.tcomb import TComb
 
-from helpers import from_coeffs, monomial, poly_sum, scaled, unit_inverse
+from helpers import (factor_sequence_by_products, from_coeffs, geometric, monomial, poly_sum,
+                     scaled, unit_inverse)
 from oracles import cross_block_density, gustafson_rhs
 
 D = 12
@@ -522,6 +523,44 @@ def test_line_order_keeps_the_table(dens, monkeypatch):
             want = _restrict(densities._expansion(dens, order, window), window)
         assert got == want, window
     densities.clear_caches()
+
+
+def _line_build_routes():
+    """Every expanded integrand, and the "D" route of each one with a pair."""
+    for key, integrand in INTEGRANDS.items():
+        if key != "cross_block":
+            yield key, integrand
+            if getattr(integrand, "pair", None) is not None:
+                yield key + ".whole", integrand.whole()
+
+
+@pytest.mark.parametrize("integrand", [r for _, r in _line_build_routes()],
+                         ids=[key for key, _ in _line_build_routes()])
+def test_line_series_match_the_product_oracle(integrand):
+    """Each line's series, built once per distinct factor set by division,
+    equals the product of its factors' whole series, with the same
+    directions in the same order, at n = 1-4 and five orders."""
+    for n in range(1, 5):
+        dens = integrand(n + getattr(integrand, "drop", 0), 2)[0]
+        for order in (1, 2, 5, 8, 11):
+            assert densities._factor_sequence(dens, order) == \
+                factor_sequence_by_products(dens, order), (dens.label, order)
+
+
+@pytest.mark.parametrize("dens, distinct", [
+    (INTEGRANDS["plus_odd"](3, None)[0], 2),
+    (INTEGRANDS["plus_odd"](6, None)[0], 2),
+    (selberg_density(4), 1),
+], ids=["plus_odd-3", "plus_odd-6", "selberg-4"])
+def test_line_build_multiplies_once_per_distinct_factor_set(dens, distinct, monkeypatch):
+    """A Koornwinder density has two distinct lines, its pair lines and its
+    single-variable lines, and a Selberg density one; the build makes one
+    ``LaurentPoly`` product for each, however many lines share it."""
+    calls = []
+    own = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or own(a, b))
+    lines = densities._factor_sequence(dens, 8)
+    assert len(calls) == distinct < len(lines)
 
 
 def _expansion_work(monkeypatch, expansions):
@@ -1150,7 +1189,7 @@ def test_cauchy_bare_integral_is_the_partition_generating_function():
     for n in range(1, 7):
         want = ring.one()
         for k in range(1, n + 1):
-            want = want * ring.geometric(es=4 * k)
+            want = want * geometric(ring, es=4 * k)
         assert ct_integrate(CrossBlock(n), None, order) == want, n
 
 

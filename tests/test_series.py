@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
-from hltorus.series import ParamSeries, SeriesRing
+from hltorus.series import ParamSeries, SeriesRing, divide_binomial
 
-from helpers import divide_by_s_power, drop_param, from_coeffs, negate_param, truncated, unit_inverse
+from helpers import (divide_by_s_power, drop_param, from_coeffs, geometric, negate_param, truncated,
+                     unit_inverse)
 
 
 def ring(d=8):
@@ -48,11 +49,11 @@ def test_scalar_arithmetic_and_equality():
 
 def test_powers_and_geometric():
     r = ring(9)
-    geo = r.geometric(es=2)
+    geo = geometric(r, es=2)
     assert (r.one() - r.t()) * geo == r.one()
     assert r.s() ** 3 == r.s(3)
     with pytest.raises(DomainError):
-        r.geometric()  # parameter-free
+        geometric(r)  # parameter-free
 
 
 def test_unit_inverse_and_divide_by_s():
@@ -98,3 +99,35 @@ def test_truncation_is_ring_homomorphism(a, b):
     full = truncated(a * b, d)
     cut = truncated(a, d) * truncated(b, d)
     assert full == cut
+
+
+_steps = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)).filter(
+    lambda k: sum(k) >= 1)
+_dicts = st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 2), st.integers(0, 2)),
+                         st.integers(-5, 5).filter(bool), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dicts, _steps, st.sampled_from((1, -1)), st.integers(0, 10), st.booleans())
+@example({}, (1, 0, 0), 1, 5, False)
+@example({(0, 0, 0): 1, (1, 1, 0): -2}, (2, 1, 0), -1, 2, False)
+@example({(0, 0, 0): 3, (1, 0, 0): 1}, (1, 0, 0), 1, 6, True)
+def test_divide_binomial_matches_the_geometric_product(coeffs, step, sign, cap, cancel):
+    """The recurrence equals the product with the whole geometric series,
+    for caps below and above the step's degree; with ``cancel`` the input
+    is g (1 - sign x^step), whose terms cancel down to g."""
+    r = ring(cap)
+    series = ParamSeries(coeffs, cap)
+    if cancel:
+        series = series * (r.one() - r.monomial(*step, coeff=sign))
+    got = divide_binomial(series.coeffs, step, sign, cap)
+    assert got == (series * geometric(r, *step, sign=sign)).coeffs
+    if cancel:
+        assert got == ParamSeries(coeffs, cap).coeffs
+
+
+def test_divide_binomial_needs_positive_degree():
+    with pytest.raises(DomainError):
+        divide_binomial({(0, 0, 0): 1}, (0, 0, 0), 1, 4)
+    with pytest.raises(DomainError):
+        divide_binomial({(0, 0, 0, 0): 1}, (1, 0, 0, 0), 1, 4)  # a torus step alone
