@@ -16,7 +16,6 @@ from .errors import (
 from .series import ParamSeries, SeriesRing
 from .laurent import LaurentPoly
 from .partitions import DominantWeight, Partition, classify_shape
-from .tcomb import TComb
 from .hall_littlewood import (
     Mono,
     const_arg,
@@ -60,7 +59,6 @@ __all__ = [
     "REGISTRY",
     "ResourceLimitError",
     "SeriesRing",
-    "TComb",
     "VerificationReport",
     "build_a_matrix",
     "build_m_minus",

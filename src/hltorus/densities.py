@@ -95,7 +95,7 @@ from operator import add, itemgetter, sub
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
 from .partitions import partitions_up_to
-from .series import ZERO_KEY, ParamSeries, SeriesRing, divide_binomial, mul_into
+from .series import ZERO_KEY, ParamSeries, binomial_ratio, divide_binomial, mul_into
 
 
 def env_ceiling(name):
@@ -324,30 +324,18 @@ def koornwinder_normalization(n, params, order) -> ParamSeries:
 
     where abcd is 0 unless all four parameters are nonzero and a pair with
     ef = 0 contributes 1 (Gustafson, Bull. AMS 22 (1990), at q = 0).  The
-    only parameter-free denominator is 1 - (+1)(-1) = 2; every other one has
-    positive s-degree and is divided out by ``_over``.
+    only parameter-free denominator, 1 - (+1)(-1) = 2, is the one constant
+    factor of the ``binomial_ratio``.
     """
     norm = _koornwinder_params(params)
-    ring = SeriesRing(order)
-    one = ring.one()
-    pairs = list(combinations(norm, 2))
-    acc = one
+    num, den = [], []
     for j in range(n):
-        acc = _over(acc * (one - ring.t()), 2 * (j + 1))
+        num.append((1, 2))
+        den.append((1, 2 * (j + 1)))
         if len(norm) == 4:
-            es = 2 * (2 * n - j - 2) + sum(k for _, k in norm)
-            acc = acc * (one - ring.monomial(es=es, coeff=prod(s for s, _ in norm)))
-        for (s1, k1), (s2, k2) in pairs:
-            es = 2 * j + k1 + k2
-            # es is 0 only for the pair +1, -1, where the factor is 1/2
-            acc = _over(acc, es, s1 * s2) if es else acc * Fraction(1, 2)
-    return acc
-
-
-def _over(series, es, sign=1):
-    """``series`` / (1 - sign * s^es), for es > 0."""
-    coeffs = divide_binomial(series.coeffs, (es, 0, 0), sign, series.trunc)
-    return ParamSeries(coeffs, series.trunc, clean=False)
+            num.append((prod(s for s, _ in norm), 2 * (2 * n - j - 2) + sum(k for _, k in norm)))
+        den += [(s1 * s2, 2 * j + k1 + k2) for (s1, k1), (s2, k2) in combinations(norm, 2)]
+    return binomial_ratio(num, den, order)
 
 
 # ---------------------------------------------------------------------------
@@ -808,19 +796,15 @@ def _weyl_factor(blocks, order):
     A block with tpow None has t = 0, where W(0) = 1.  A "B" block's W(t; ab)
     also has the factors 1 - ab t^i for i < n.
     """
-    ring = SeriesRing(order)
-    acc = ring.one()
+    num, den, scale = [], [], 1
     for kind, _, size, tpow, *ab in blocks:
         count, degrees = _weyl_group(kind, size)
-        acc = acc * count
+        scale *= count
         if tpow is not None:
-            one_minus_t = ring.one() - ring.monomial(es=tpow)
-            for d in degrees:
-                acc = _over(acc * one_minus_t, tpow * d)
-        for sign, spow in ab:
-            for i in range(size):
-                acc = _over(acc, spow + tpow * i, sign)
-    return acc
+            num += [(1, tpow)] * len(degrees)
+            den += [(1, tpow * d) for d in degrees]
+        den += [(sign, spow + tpow * i) for sign, spow in ab for i in range(size)]
+    return binomial_ratio(num, den, order, scale)
 
 
 def _reflections(blocks, nv):

@@ -40,13 +40,14 @@ component rows (o_*, ab_o*, ab_sum_*, alpha_minus_one, alpha_eq_minus_beta)
 take ``rogers_szego_value`` at their values (a, b), summed over their
 integrands with the sign of each component; the six normalization rows take
 ``koornwinder_normalization`` (``hltorus.densities``) at their integrand's
-parameter quadruple and variable count.
+parameter quadruple and variable count.  Every t-analog in them is a
+quotient of binomials 1 - t^k, formed by ``binomial_ratio``.
 """
 
 from __future__ import annotations
 
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -70,8 +71,7 @@ from .hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
 from .laurent import LaurentPoly
 from .partitions import DominantWeight, Partition, classify_shape
 from .pfaffian import build_a_matrix, build_m_minus, build_m_plus, pfaffian
-from .series import ZERO_KEY, ParamSeries, SeriesRing, mul_into
-from .tcomb import TComb
+from .series import ZERO_KEY, ParamSeries, SeriesRing, binomial_ratio, mul_into
 
 # Koornwinder parameter quadruples for the orthogonal components.
 K_PLUS_EVEN = (1, -1, (1, 1), (-1, 1))
@@ -105,11 +105,35 @@ def _times(x: ParamSeries, c: ParamSeries) -> ParamSeries:
 # ---------------------------------------------------------------------------
 
 
+def _factorials(mults, base):
+    """The factors of prod_m (t;t)_m, t = s^base, for ``binomial_ratio``."""
+    return [(1, base * j) for m in mults for j in range(1, m + 1)]
+
+
+def t_binomial(m, i, order, base=2) -> ParamSeries:
+    """The Gaussian binomial [m i] = (t;t)_m / ((t;t)_i (t;t)_(m-i))."""
+    if not 0 <= i <= m:
+        return SeriesRing(order).zero()
+    return binomial_ratio(_factorials((m,), base), _factorials((i, m - i), base), order)
+
+
 def t_multinomial_of(parts, order, base=2) -> ParamSeries:
     """[N]!/prod [m_i]! over all stored parts."""
-    tc = TComb(SeriesRing(order), base=base)
-    mults = list(Partition(tuple(sorted(parts, reverse=True))).multiplicities().values())
-    return tc.t_multinomial(len(tuple(parts)), mults)
+    parts = tuple(parts)
+    return binomial_ratio(_factorials((len(parts),), base),
+                          _factorials(Counter(parts).values(), base), order)
+
+
+def v_lambda(parts, order, base=2) -> ParamSeries:
+    """v_lambda(t) = prod [m_i]! over all stored parts, zeros included."""
+    parts = tuple(parts)
+    return binomial_ratio(_factorials(Counter(parts).values(), base),
+                          [(1, base)] * len(parts), order)
+
+
+def c_minus(parts, order, base=2) -> ParamSeries:
+    """The q=0 C-symbol at x = t: prod (t;t)_(m_i) over the nonzero parts."""
+    return binomial_ratio(_factorials(Counter(p for p in parts if p).values(), base), (), order)
 
 
 def _zero_pair(order):
@@ -121,8 +145,7 @@ def rhs_orthogonality(lam: Partition, mu: Partition, n, order):
     """(numerator, denominator) of delta_{lambda mu} n! / v_mu(t)."""
     if lam.parts != mu.parts:
         return _zero_pair(order)
-    ring = SeriesRing(order)
-    return ring.const(factorial(n)), TComb(ring).v_of(lam.parts)
+    return SeriesRing(order).const(factorial(n)), v_lambda(lam.parts, order)
 
 
 def rogers_szego_value(sign, lam: Partition, a: ParamSeries, b: ParamSeries, order) -> ParamSeries:
@@ -139,13 +162,13 @@ def rogers_szego_value(sign, lam: Partition, a: ParamSeries, b: ParamSeries, ord
     row with one value.
     """
     ring = SeriesRing(order)
-    tc = TComb(ring)
     ab = a * b
     h, g = [ring.one(), ring.one()], [ring.one(), ring.one()]  # by parity of the value
     for value, mult in lam.multiplicities().items():
-        h[value % 2] *= tc.rogers_szego(mult, ab)
-        g[value % 2] *= sum((tc.t_binomial(mult, j) * (-a) ** (mult - j) * (-b) ** j
-                             for j in range(mult + 1)), ring.zero())
+        row = [t_binomial(mult, j, order) for j in range(mult + 1)]
+        h[value % 2] *= sum((c * ab ** j for j, c in enumerate(row)), ring.zero())
+        g[value % 2] *= sum((c * (-a) ** (mult - j) * (-b) ** j
+                             for j, c in enumerate(row)), ring.zero())
     return t_multinomial_of(lam.parts, order) * (h[0] * g[1] + h[1] * g[0] * sign)
 
 
@@ -176,9 +199,14 @@ def rhs_kawanaka(lam: Partition, n, order) -> ParamSeries:
 
 
 def _c_ratio_pair(mu: Partition, args, order):
-    """(C0 numerator, C- denominator) for the mu = nu values."""
-    tc = TComb(SeriesRing(order))
-    return tc.c_symbol("0", mu.parts, args), tc.c_symbol("-", mu.parts)
+    """(C0, C-) for the mu = nu values.
+
+    C0 = prod_{i < l(mu)} prod over the signed s-monomials (sign, k) in
+    ``args`` of 1 - sign t^(-i) s^k.
+    """
+    ell = mu.length_nonzero()
+    c0 = [(sign, k - 2 * i) for sign, k in args for i in range(ell)]
+    return binomial_ratio(c0, (), order), c_minus(mu.parts, order)
 
 
 def rhs_unm(weight: DominantWeight, n, m, order):
@@ -233,21 +261,17 @@ def rhs_t2_branching(weight: DominantWeight, n, order):
     shape = classify_shape(weight.parts)
     if shape.palindrome is None:
         return _zero_pair(order)
-    ring = SeriesRing(order)
     mu = shape.palindrome
     ell = mu.length_nonzero()
-    tc2 = TComb(ring, base=2)
-    tc4 = TComb(ring, base=4)
-    num = ring.t(mu.weight())
-    for j in range(n - 2 * ell + 1, n + 1):
-        num = num * tc2.one_minus_t_power(j)
-    return num, tc4.c_symbol("-", mu.parts)
+    num = binomial_ratio([(1, 2 * j) for j in range(n - 2 * ell + 1, n + 1)], (), order)
+    return SeriesRing(order).t(mu.weight()) * num, c_minus(mu.parts, order, base=4)
 
 
 def _bridge_den(lam: Partition, n, k, order):
     """v_lambda(t) (1-t)^k 2^n."""
-    tc = TComb(SeriesRing(order))
-    return tc.v_of(lam.parts) * tc.one_minus_t_pow(k) * (2 ** n)
+    mults = Counter(lam.parts).values()
+    return binomial_ratio(_factorials(mults, 2) + [(1, 2)] * k, [(1, 2)] * len(lam.parts),
+                          order, 2 ** n)
 
 
 def rhs_bridge_plus_even(lam: Partition, n, order):
@@ -620,7 +644,8 @@ class IdentityDef:
 
 def _pad_weight(defn: IdentityDef, weight, n, m):
     kind = DominantWeight if defn.allows_negative else Partition
-    w = weight if isinstance(weight, kind) else kind(tuple(weight))
+    # the exact type: a Partition is a DominantWeight but pads as a partition
+    w = weight if type(weight) is kind else kind(weight)
     return w.padded(defn.rank_of(n, m))
 
 

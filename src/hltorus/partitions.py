@@ -7,6 +7,7 @@ multiplicity of zero enters all the closed-form values.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,61 +20,6 @@ def _as_parts(parts):
         if a < b:
             raise DomainError("parts must be weakly decreasing: %r" % (parts,))
     return parts
-
-
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers, zeros kept."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = _as_parts(parts)
-        if parts and parts[-1] < 0:
-            raise DomainError("partitions cannot have negative parts")
-        self.parts = parts
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        other_parts = other.parts if isinstance(other, (Partition, DominantWeight)) else tuple(other)
-        return self.parts == other_parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition(%s)" % (",".join(map(str, self.parts)) or "-")
-
-    def text(self):
-        return ",".join(map(str, self.parts))
-
-    def weight(self):
-        return sum(self.parts)
-
-    def length_nonzero(self):
-        return sum(1 for p in self.parts if p)
-
-    def multiplicities(self):
-        """Mapping part value -> multiplicity over all stored parts."""
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def padded(self, rank):
-        if len(self.parts) > rank:
-            raise DomainError(
-                "partition %s has more than %d parts" % (self.text(), rank)
-            )
-        return Partition(self.parts + (0,) * (rank - len(self.parts)))
-
-    def stripped(self):
-        """Drop trailing zeros."""
-        return Partition(tuple(p for p in self.parts if p))
 
 
 class DominantWeight:
@@ -101,14 +47,14 @@ class DominantWeight:
         return len(self.parts)
 
     def __eq__(self, other):
-        other_parts = other.parts if isinstance(other, (Partition, DominantWeight)) else tuple(other)
+        other_parts = other.parts if isinstance(other, DominantWeight) else tuple(other)
         return self.parts == other_parts
 
     def __hash__(self):
         return hash(self.parts)
 
     def __repr__(self):
-        return "DominantWeight(%s)" % (",".join(map(str, self.parts)) or "-")
+        return "%s(%s)" % (type(self).__name__, ",".join(map(str, self.parts)) or "-")
 
     def text(self):
         return ",".join(map(str, self.parts))
@@ -117,10 +63,8 @@ class DominantWeight:
         return sum(self.parts)
 
     def multiplicities(self):
-        out = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
+        """Mapping part value -> multiplicity over all stored parts."""
+        return dict(Counter(self.parts))
 
     def positive_part(self):
         return Partition(tuple(p for p in self.parts if p > 0))
@@ -132,11 +76,34 @@ class DominantWeight:
     def padded(self, rank):
         if len(self.parts) > rank:
             raise DomainError("weight has more than %d parts" % rank)
-        if not self.parts:
-            return DominantWeight((0,) * rank)
         mu = self.positive_part()
         nu = self.negative_part()
         return DominantWeight.from_pair(mu, nu, rank)
+
+
+class Partition(DominantWeight):
+    """Weakly decreasing tuple of nonnegative integers, zeros kept."""
+
+    __slots__ = ()
+
+    def __init__(self, parts):
+        super().__init__(parts)
+        if self.parts and self.parts[-1] < 0:
+            raise DomainError("partitions cannot have negative parts")
+
+    def length_nonzero(self):
+        return sum(1 for p in self.parts if p)
+
+    def padded(self, rank):
+        if len(self.parts) > rank:
+            raise DomainError(
+                "partition %s has more than %d parts" % (self.text(), rank)
+            )
+        return Partition(self.parts + (0,) * (rank - len(self.parts)))
+
+    def stripped(self):
+        """Drop trailing zeros."""
+        return Partition(tuple(p for p in self.parts if p))
 
 
 @dataclass(frozen=True)

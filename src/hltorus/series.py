@@ -15,7 +15,8 @@ such as the torus products of ``LaurentPoly``, the chamber product of
 ``hltorus.densities`` and the constant-term convolution, keep one raw dict per result and wrap it in a ``ParamSeries``
 once, instead of building and adding a series per term pair.  The one
 division, by a binomial 1 - c x^k with c of positive degree, is the exact
-recurrence of :func:`divide_binomial`.
+recurrence of :func:`divide_binomial`, and every closed form in the
+binomials 1 +- s^k is the one quotient :func:`binomial_ratio`.
 """
 
 from __future__ import annotations
@@ -84,6 +85,45 @@ def divide_binomial(coeffs, step, sign, cap):
                 out[k] = v
             k, deg = tuple(map(add, k, step)), deg + lift
     return out
+
+
+def binomial_ratio(num, den, order, scale=1):
+    """``scale`` * prod_num (1 - sign s^k) / prod_den (1 - sign s^k) through ``order``.
+
+    ``num`` and ``den`` list (sign, k) factors.  Factors common to both
+    cancel first; the rest of the numerator is multiplied out through
+    ``mul_into`` and each denominator factor divided out by
+    ``divide_binomial``, so the coefficients stay integers until ``scale``
+    is applied, once, at the end.  A factor with k = 0 is the constant
+    1 - sign and goes into the scale.
+    """
+    den = list(den)
+    rest = []
+    for factor in num:
+        if factor in den:
+            den.remove(factor)
+        else:
+            rest.append(factor)
+    if any(k < 0 for _, k in rest + den):
+        raise DomainError("a factor 1 - c s^k needs k >= 0")
+    coeffs = {ZERO_KEY: 1}
+    for sign, k in rest:
+        if k:
+            out = {}
+            mul_into(out, coeffs, {ZERO_KEY: 1, (k, 0, 0): -sign}, order)
+            coeffs = out
+        else:
+            scale *= 1 - sign
+    for sign, k in den:
+        if k:
+            coeffs = divide_binomial(coeffs, (k, 0, 0), sign, order)
+        elif sign == 1:
+            raise DomainError("division by 1 - s^0 = 0")
+        else:
+            scale = Fraction(scale, 2)
+    if scale != 1:
+        coeffs = {key: c * scale for key, c in coeffs.items()} if scale else {}
+    return ParamSeries(coeffs, order, clean=False)
 
 
 def _cleaned(coeffs, trunc):

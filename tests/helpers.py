@@ -6,8 +6,8 @@ symmetries in the tests.  They read and build ``ParamSeries`` and
 ``LaurentPoly`` through their public fields.
 The package never adds polynomials or scales one either: ``monomial``,
 ``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
-q-Pochhammer symbol, the two grid enumerators and ``row_closed_form``
-below are used by the tests alone as well.
+q-Pochhammer symbol, the Rogers-Szego sum, the two grid enumerators and
+``row_closed_form`` below are used by the tests alone as well.
 """
 
 from fractions import Fraction
@@ -16,11 +16,10 @@ from math import gcd
 from hltorus import densities
 from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
 from hltorus.hall_littlewood import hl_full
-from hltorus.identities import REGISTRY, _Instance
+from hltorus.identities import REGISTRY, _Instance, c_minus, t_binomial
 from hltorus.laurent import LaurentPoly
 from hltorus.partitions import DominantWeight, Partition
 from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
-from hltorus.tcomb import TComb
 
 
 def parse_weight(cls, text):
@@ -270,8 +269,14 @@ def permute_vars(poly, perm):
 def hl_q(weight, args, var_names, order, tbase=2):
     """Q_lambda = b_lambda(t) P_lambda."""
     p = hl_full(weight, args, var_names, order, tbase)
-    b = TComb(SeriesRing(order), base=tbase).c_symbol("-", weight)
+    b = c_minus(weight, order, base=tbase)
     return scaled(p, b)
+
+
+def rogers_szego_sum(m, z, order):
+    """H_m(z; t) = sum_i z^i [m i] over the package's Gaussian binomials."""
+    return sum((t_binomial(m, i, order) * z ** i for i in range(m + 1)),
+               SeriesRing(order).zero())
 
 
 def q_pochhammer(ring, a, q, n=None):

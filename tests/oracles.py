@@ -17,7 +17,11 @@ stay in the tree permanently as ground truth.  ``degenerate_check`` holds
 ``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
 ``cross_block_density`` states the U(2n) density in factored form, which the
 density expansion integrates; it is the oracle of the package's Cauchy-sum
-route for the ``cross_block`` integrand.
+route for the ``cross_block`` integrand.  The t-analogs are built without
+division, as products of t-integers (``t_factorial``), by the Pascal
+recurrence (``pascal_t_binomial``) and as the Rogers-Szego sum over that
+row (``rogers_szego``): the oracles of the package's ``binomial_ratio``
+closed forms.
 """
 
 from collections import Counter
@@ -29,8 +33,7 @@ from hltorus.densities import DensityProduct, positive_roots
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import hl_full, var_arg
 from hltorus.identities import t_multinomial_of
-from hltorus.series import ZERO_KEY, SeriesRing
-from hltorus.tcomb import TComb
+from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
 
 from helpers import geometric, max_total_degree, parity_counts
 
@@ -78,6 +81,57 @@ def pfaffian_by_matchings(matrix):
     if matrix.size % 2:
         raise ValueError("odd size")
     return rec(tuple(range(matrix.size)))
+
+
+def t_factorial(ring, m, base=2):
+    """[m]! = prod_{i <= m} (1 + t + ... + t^(i-1)), t = s^base."""
+    acc = ring.one()
+    for i in range(2, m + 1):
+        acc = acc * ParamSeries({(base * j, 0, 0): 1 for j in range(i)}, ring.trunc)
+    return acc
+
+
+def pascal_t_binomial(ring, m, i, base=2):
+    """[m i] by the Pascal recurrence [k j] = [k-1 j-1] + t^j [k-1 j]."""
+    if not 0 <= i <= m:
+        return ring.zero()
+    row = [ring.one()]
+    for k in range(1, m + 1):
+        row = [ring.one(), *(row[j - 1] + ring.s(base * j) * row[j] for j in range(1, k)),
+               ring.one()]
+    return row[i]
+
+
+def rogers_szego(ring, m, z, base=2):
+    """H_m(z; t) = sum_i z^i [m i]."""
+    acc, zp = ring.zero(), ring.one()
+    for i in range(m + 1):
+        acc = acc + zp * pascal_t_binomial(ring, m, i, base)
+        zp = zp * z
+    return acc
+
+
+def v_by_factorials(ring, parts, base=2):
+    """prod [m_i]! over the multiplicities of all ``parts``."""
+    acc = ring.one()
+    for m in Counter(parts).values():
+        acc = acc * t_factorial(ring, m, base)
+    return acc
+
+
+def c_symbols(ring, parts, args, base=2):
+    """(C0, C-) at q = 0 over the nonzero parts of mu, l = l(mu) of them.
+
+    C0 = prod_{i < l} prod over (sign, k) in ``args`` of 1 - sign t^-i s^k,
+    and C- = (1-t)^l prod [m_i]! over the nonzero part values.
+    """
+    nonzero = [p for p in parts if p]
+    c0 = ring.one()
+    for sign, k in args:
+        for i in range(len(nonzero)):
+            c0 = c0 * (ring.one() - ring.monomial(es=k - base * i, coeff=sign))
+    one_minus_t = ring.one() - ring.s(base)
+    return c0, one_minus_t ** len(nonzero) * v_by_factorials(ring, nonzero, base)
 
 
 def multiset_inversion_sum(zeros, ones, order):
@@ -353,28 +407,27 @@ def rhs_orthogonal_alpha(component, lam, order):
     return t_multinomial_of(lam.parts, order) * bracket
 
 
-def _alpha_shifted_rs(tc, ring, m):
+def _alpha_shifted_rs(ring, m):
     """(-alpha)^m H_m(beta/alpha; t), assembled directly as a polynomial."""
     acc = ring.zero()
     neg = -1 if m % 2 else 1
     for j in range(m + 1):
-        acc = acc + tc.t_binomial(m, j) * ring.monomial(ea=m - j, eb=j, coeff=neg)
+        acc = acc + pascal_t_binomial(ring, m, j) * ring.monomial(ea=m - j, eb=j, coeff=neg)
     return acc
 
 
 def _rs_brackets(lam, order):
     """The two Rogers-Szego bracket summands of the two-parameter values."""
     ring = SeriesRing(order)
-    tc = TComb(ring)
     z_ab = ring.monomial(ea=1, eb=1)
     even_h = odd_h = even_g = odd_g = ring.one()
     for value, mult in lam.multiplicities().items():
         if value % 2 == 0:
-            even_h = even_h * tc.rogers_szego(mult, z_ab)
-            even_g = even_g * _alpha_shifted_rs(tc, ring, mult)
+            even_h = even_h * rogers_szego(ring, mult, z_ab)
+            even_g = even_g * _alpha_shifted_rs(ring, mult)
         else:
-            odd_h = odd_h * tc.rogers_szego(mult, z_ab)
-            odd_g = odd_g * _alpha_shifted_rs(tc, ring, mult)
+            odd_h = odd_h * rogers_szego(ring, mult, z_ab)
+            odd_g = odd_g * _alpha_shifted_rs(ring, mult)
     # (-alpha)^{# odd parts} is absorbed into the shifted factors
     return even_h * odd_g, odd_h * even_g
 
@@ -393,27 +446,25 @@ def rhs_ab_sum(lam, order):
 
 def rhs_alpha_minus_one(lam, order):
     ring = SeriesRing(order)
-    tc = TComb(ring)
     minus_beta = ring.monomial(eb=1, coeff=-1)
     acc = t_multinomial_of(lam.parts, order) * 2
     for mult in lam.multiplicities().values():
-        acc = acc * tc.rogers_szego(mult, minus_beta)
+        acc = acc * rogers_szego(ring, mult, minus_beta)
     return acc
 
 
 def rhs_alpha_eq_minus_beta(lam, order):
     ring = SeriesRing(order)
-    tc = TComb(ring)
     z_sq = ring.monomial(ea=2, coeff=-1)
     minus_one = ring.const(-1)
     e_sq = o_sq = e_m1 = o_m1 = ring.one()
     for value, mult in lam.multiplicities().items():
         if value % 2 == 0:
-            e_sq = e_sq * tc.rogers_szego(mult, z_sq)
-            e_m1 = e_m1 * tc.rogers_szego(mult, minus_one)
+            e_sq = e_sq * rogers_szego(ring, mult, z_sq)
+            e_m1 = e_m1 * rogers_szego(ring, mult, minus_one)
         else:
-            o_sq = o_sq * tc.rogers_szego(mult, z_sq)
-            o_m1 = o_m1 * tc.rogers_szego(mult, minus_one)
+            o_sq = o_sq * rogers_szego(ring, mult, z_sq)
+            o_m1 = o_m1 * rogers_szego(ring, mult, minus_one)
     odd, even = parity_counts(lam)
     bracket = e_sq * o_m1 * _power_of_minus_alpha(ring, odd) + o_sq * e_m1 * _power_of_minus_alpha(ring, even)
     return t_multinomial_of(lam.parts, order) * bracket

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
-from hltorus.series import ParamSeries, SeriesRing, divide_binomial
+from hltorus.series import ParamSeries, SeriesRing, binomial_ratio, divide_binomial
 
 from helpers import (divide_by_s_power, drop_param, from_coeffs, geometric, negate_param, truncated,
                      unit_inverse)
@@ -131,3 +131,40 @@ def test_divide_binomial_needs_positive_degree():
         divide_binomial({(0, 0, 0): 1}, (0, 0, 0), 1, 4)
     with pytest.raises(DomainError):
         divide_binomial({(0, 0, 0, 0): 1}, (1, 0, 0, 0), 1, 4)  # a torus step alone
+
+
+_factors = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 9)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factors, _factors, _factors, st.lists(st.integers(1, 9), max_size=2),
+       st.integers(0, 12), st.sampled_from((1, -3, Fraction(1, 2), Fraction(-5, 6))))
+@example([], [], [], [], 0, 1)
+@example([(1, 2)], [(1, 2), (1, 4)], [(1, 2)], [], 8, Fraction(1, 2))
+@example([(-1, 3)], [(1, 3)], [], [3], 9, 1)
+def test_binomial_ratio_matches_the_geometric_product(num, den, common, opposite, cap, scale):
+    """The quotient equals the numerator's binomials times the denominator's
+    geometric series times the scale.  ``common`` factors are in both lists
+    and cancel; each k in ``opposite`` is 1 - s^k above and 1 + s^k below,
+    which must not cancel."""
+    r = ring(cap)
+    num = num + common + [(1, k) for k in opposite]
+    den = common + den + [(-1, k) for k in opposite]
+    want = r.const(scale)
+    for sign, k in num:
+        want = want * (r.one() - r.monomial(es=k, coeff=sign))
+    for sign, k in den:
+        want = want * geometric(r, es=k, sign=sign)
+    assert binomial_ratio(num, den, cap, scale) == want
+
+
+def test_binomial_ratio_constant_factors():
+    """A factor with k = 0 is the constant 1 - sign: 2 or 0."""
+    r = ring(6)
+    assert binomial_ratio([(1, 2)], [(-1, 0)], 6) == (r.one() - r.t()) * Fraction(1, 2)
+    assert binomial_ratio([(-1, 0), (1, 1)], [], 6, 3) == (r.one() - r.s()) * 6
+    assert binomial_ratio([(1, 0)], [(1, 1)], 6).is_zero()
+    with pytest.raises(DomainError):
+        binomial_ratio([], [(1, 0)], 6)
+    with pytest.raises(DomainError):
+        binomial_ratio([(1, -2)], [], 6)

@@ -1,110 +1,98 @@
+"""The t-analog closed forms of ``hltorus.identities``: Gaussian binomials
+and multinomials, v_lambda, the C-symbols and the Rogers-Szego sums over
+the binomials, against classical identities and against the division-free
+oracles of ``oracles.py``."""
+
 import pytest
 
 from hltorus.errors import DomainError
-from hltorus.partitions import partitions_up_to
+from hltorus.identities import _c_ratio_pair, c_minus, t_binomial, t_multinomial_of, v_lambda
+from hltorus.partitions import Partition, partitions_up_to
 from hltorus.series import SeriesRing
-from hltorus.tcomb import TComb
 
-from helpers import q_pochhammer
-from oracles import multiset_inversion_sum
+from helpers import q_pochhammer, rogers_szego_sum, truncated
+from oracles import (c_symbols, multiset_inversion_sum, pascal_t_binomial, rogers_szego,
+                     t_factorial, v_by_factorials)
 
 D = 16
-
-
-def tc(base=2, d=D):
-    return TComb(SeriesRing(d), base=base)
+R = SeriesRing(D)
 
 
 def test_v_values():
-    t = tc()
-    r = t.ring
-    one_plus_t = r.one() + r.t()
-    assert t.v_of((0, 0)) == one_plus_t
-    assert t.v_of((2, 2, 1)) == one_plus_t
-    assert t.v_of((1, 1, 0), include_zeros=False) == one_plus_t
+    one_plus_t = R.one() + R.t()
+    assert v_lambda((0, 0), D) == one_plus_t
+    assert v_lambda((2, 2, 1), D) == one_plus_t
+    # zero parts count in v_lambda, not in C-
+    assert c_minus((1, 1, 0), D) == (R.one() - R.t()) ** 2 * one_plus_t
 
 
 def test_t_binomial_values():
-    t = tc()
-    r = t.ring
-    assert t.t_binomial(3, 1) == r.one() + r.t() + r.t(2)
-    assert t.t_binomial(2, 3).is_zero()
-    assert t.t_binomial(7, 0) == r.one()
+    assert t_binomial(3, 1, D) == R.one() + R.t() + R.t(2)
+    assert t_binomial(2, 3, D).is_zero()
+    assert t_binomial(2, -1, D).is_zero()
+    assert t_binomial(7, 0, D) == R.one()
 
 
 def test_t_binomial_against_factorials():
-    t = tc()
     for m in range(7):
         for i in range(m + 1):
-            lhs = t.t_binomial(m, i) * t.t_factorial(m - i) * t.t_factorial(i)
-            assert lhs == t.t_factorial(m)
+            lhs = t_binomial(m, i, D) * t_factorial(R, m - i) * t_factorial(R, i)
+            assert lhs == t_factorial(R, m)
 
 
 def test_rogers_szego_small_values():
-    t = tc()
-    r = t.ring
-    z = r.monomial(ea=1, eb=1)
-    assert t.rogers_szego(1, z) == r.one() + z
-    assert t.rogers_szego(2, r.const(-1)) == r.one() - r.t()
-    assert t.rogers_szego(3, r.const(-1)).is_zero()
+    z = R.monomial(ea=1, eb=1)
+    assert rogers_szego_sum(1, z, D) == R.one() + z
+    assert rogers_szego_sum(2, R.const(-1), D) == R.one() - R.t()
+    assert rogers_szego_sum(3, R.const(-1), D).is_zero()
 
 
 def test_rogers_szego_recurrence():
-    t = tc()
-    r = t.ring
-    for z in (r.alpha(), r.monomial(ea=1, eb=1), r.const(-1), r.s()):
+    for z in (R.alpha(), R.monomial(ea=1, eb=1), R.const(-1), R.s()):
         for m in range(2, 11):
-            lhs = t.rogers_szego(m, z)
-            rhs = (r.one() + z) * t.rogers_szego(m - 1, z) - (
-                r.one() - r.t(m - 1)
-            ) * z * t.rogers_szego(m - 2, z)
+            lhs = rogers_szego_sum(m, z, D)
+            rhs = (R.one() + z) * rogers_szego_sum(m - 1, z, D) - (
+                R.one() - R.t(m - 1)
+            ) * z * rogers_szego_sum(m - 2, z, D)
             assert lhs == rhs, m
+            assert lhs == rogers_szego(R, m, z), m
 
 
 def test_rogers_szego_minus_one_even_law():
-    t = tc()
     for m in range(0, 11):
-        val = t.rogers_szego(m, t.ring.const(-1))
+        val = rogers_szego_sum(m, R.const(-1), D)
         if m % 2:
             assert val.is_zero()
         else:
-            assert val == q_pochhammer(t.ring, (1, 2), (1, 4), m // 2)
+            assert val == q_pochhammer(R, (1, 2), (1, 4), m // 2)
 
 
 def test_rogers_szego_sqrt_t_product_law():
-    t = tc()
-    r = t.ring
     for m in range(0, 9):
-        prod = r.one()
+        prod = R.one()
         for j in range(1, m + 1):
-            prod = prod * (r.one() + r.s(j))
-        assert t.rogers_szego(m, r.s()) == prod
+            prod = prod * (R.one() + R.s(j))
+        assert rogers_szego_sum(m, R.s(), D) == prod
 
 
 def test_macmahon_inversion_identity():
-    t = tc()
     for zeros in range(5):
         for ones in range(5):
-            assert t.t_binomial(zeros + ones, ones) == multiset_inversion_sum(
+            assert t_binomial(zeros + ones, ones, D) == multiset_inversion_sum(
                 zeros, ones, D
             )
 
 
 def test_c_symbols():
-    t = tc()
-    r = t.ring
-    assert t.c_symbol("0", (1,), ((1, 4),)) == r.one() - r.t(2)
-    expected = t.one_minus_t_pow(2) * (r.one() + r.t())
-    assert t.c_symbol("-", (2, 2)) == expected
+    num, _ = _c_ratio_pair(Partition((1,)), ((1, 4),), D)
+    assert num == R.one() - R.t(2)
+    assert c_minus((2, 2), D) == (R.one() - R.t()) ** 2 * (R.one() + R.t())
     with pytest.raises(DomainError):
-        t.c_symbol("+", (3, 1))  # only the kinds "0" and "-" remain
-    with pytest.raises(DomainError):
-        t.c_symbol("0", (1, 1), ((1, 0),))  # t^{-1} x not polynomial
+        _c_ratio_pair(Partition((1, 1)), ((1, 0),), D)  # t^{-1} x not polynomial
 
 
 def test_q_pochhammer():
-    t = tc()
-    r = t.ring
+    r = R
     assert q_pochhammer(r, (1, 4), (1, 4), 2) == (r.one() - r.t(2)) * (r.one() - r.t(4))
     assert q_pochhammer(r, (1, 1), (1, 1), 2) == (r.one() - r.s()) * (r.one() - r.s(2))
     assert q_pochhammer(r, (1, 2), (1, 2), 0) == r.one()
@@ -116,11 +104,42 @@ def test_q_pochhammer():
 
 
 def test_multinomial_matches_factorials():
-    t = tc()
     for lam in partitions_up_to(4, 4):
         padded = lam.padded(4)
-        mults = list(padded.multiplicities().values())
-        lhs = t.t_multinomial(4, mults)
-        for m in mults:
-            lhs = lhs * t.t_factorial(m)
-        assert lhs == t.t_factorial(4)
+        lhs = t_multinomial_of(padded.parts, D)
+        for m in padded.multiplicities().values():
+            lhs = lhs * t_factorial(R, m)
+        assert lhs == t_factorial(R, 4)
+
+
+def _weights(most):
+    """Every weight with values 2, 1, 0 and at most ``most`` parts."""
+    for m2 in range(most + 1):
+        for m1 in range(most + 1 - m2):
+            for m0 in range(most + 1 - m2 - m1):
+                yield (2,) * m2 + (1,) * m1 + (0,) * m0
+
+
+@pytest.mark.parametrize("base", (1, 2, 4))
+def test_t_analogs_match_the_division_free_oracles(base):
+    """The ``binomial_ratio`` closed forms against the Pascal recurrence and
+    the t-integer products, at every order 1-16 and multiplicity m <= 9.
+    The oracles are formed once, at order 16, and truncated to each order."""
+    binomials = {(m, i): pascal_t_binomial(R, m, i, base) for m in range(10)
+                 for i in range(-1, m + 2)}
+    forms = {}
+    for parts in _weights(9):
+        multinomial = R.one()
+        rest = len(parts)
+        for m in Partition(parts).multiplicities().values():
+            multinomial = multinomial * binomials[rest, m]
+            rest -= m
+        forms[parts] = (multinomial, v_by_factorials(R, parts, base),
+                        c_symbols(R, parts, (), base)[1])
+    for order in range(1, D + 1):
+        for (m, i), want in binomials.items():
+            assert t_binomial(m, i, order, base) == truncated(want, order), (m, i)
+        for parts, (multinomial, v, c) in forms.items():
+            assert t_multinomial_of(parts, order, base) == truncated(multinomial, order), parts
+            assert v_lambda(parts, order, base) == truncated(v, order), parts
+            assert c_minus(parts, order, base) == truncated(c, order), parts
