@@ -10,7 +10,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     HLTorusError,
-    InternalConsistencyError,
     ResourceLimitError,
 )
 from .series import ParamSeries, SeriesRing
@@ -51,7 +50,6 @@ __all__ = [
     "DominantWeight",
     "DomainError",
     "HLTorusError",
-    "InternalConsistencyError",
     "LaurentPoly",
     "Mono",
     "ParamSeries",

@@ -4,11 +4,11 @@ Exit codes: 0 when every instance matched or vanished as predicted, 1 when
 a mismatch was found, 2 for usage errors (among them an --m, --lambda or
 --mu that the identity does not take, and an HLTORUS_MAX_MIB or
 HLTORUS_MAX_TERMS that is set but not a positive integer), 3 when a
-resource ceiling was hit, 4 for an internal error (a failed exactness
-check, incompatible objects combined inside the package, or any other
-unexpected exception), which says nothing about the identity.  JSON output is one record per line
-with sorted keys; identical inputs produce byte-identical output (timing is
-only included on request).
+resource ceiling was hit, 4 for an internal error (incompatible objects
+combined inside the package, an output that cannot be written, or any
+other unexpected exception), which says nothing about the identity.  JSON
+output is one record per line with sorted keys; identical inputs produce
+byte-identical output (timing is only included on request).
 """
 
 from __future__ import annotations
@@ -167,9 +167,6 @@ def main(argv=None, out=None):
     defn = REGISTRY.get(args.identity)
     if defn is None:
         sys.stderr.write("unknown identity %r; try the list command\n" % args.identity)
-        return USAGE_EXIT
-    if args.order < 1:
-        sys.stderr.write("--order must be at least 1\n")
         return USAGE_EXIT
     if defn.needs_m and args.m is None:
         sys.stderr.write("identity %r needs --m\n" % args.identity)

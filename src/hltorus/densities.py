@@ -410,11 +410,9 @@ def _line_series(num, geo, order):
     for (k, *key), c in low.items():
         rows.setdefault((k,), {})[tuple(key)] = c
     y = ("y",)
-    joined = (LaurentPoly(y, {(k,): ParamSeries({ZERO_KEY: c}, order, clean=False)
-                              for k, c in top.items()}, order, clean=False)
-              * LaurentPoly(y, {k: ParamSeries(c, order, clean=False) for k, c in rows.items()},
-                            order, clean=False))
-    return sorted((k, c.coeffs) for (k,), c in joined.terms.items())
+    joined = (LaurentPoly(y, {(k,): {ZERO_KEY: c} for k, c in top.items()}, order)
+              * LaurentPoly(y, rows, order))
+    return sorted((k, c) for (k,), c in joined.terms.items())
 
 
 def _line_key(blocks):
@@ -644,7 +642,7 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     for e, coeff in multiplier.terms.items():
         dcoef = table.get(tuple(map(sub, neg, e)))
         if dcoef:
-            mul_into(out, coeff.coeffs, dcoef, order)
+            mul_into(out, coeff, dcoef, order)
     result = ParamSeries(out, order, clean=False)
     if blocks:
         result = result * _weyl_factor(blocks, order)
@@ -702,8 +700,7 @@ def _cauchy_sum(terms, n, order):
     delta = range(n - 1, -1, -1)
     groups = {}
     for e, c in terms.items():
-        if c.coeffs:
-            groups.setdefault(e[:n], []).append((e[n:], c.coeffs))
+        groups.setdefault(e[:n], []).append((e[n:], c))
     kappas = [(sum(k.parts), tuple(map(add, k.padded(n).parts, delta)))
               for k in partitions_up_to(order // 2, n)]
     out = {}
@@ -847,15 +844,13 @@ def _block_symmetric(blocks, terms):
     reflections = _reflections(blocks, len(next(iter(terms))))
     unpaired = 0
     for e, c in terms.items():
-        if not c.coeffs:
-            continue
         for i, j, s, image in reflections:
             a, b = e[i], s * e[j]
             if a < b:
                 unpaired += 1
             elif a > b:
                 other = terms.get(image(e))
-                if other is None or other.coeffs != c.coeffs:
+                if other != c:
                     return False
                 unpaired -= 1
     return unpaired == 0
@@ -909,8 +904,8 @@ def _chamber_mul(p, q, reflections):
         a, b = b, a
     order = p.trunc
     if not b:
-        return LaurentPoly(p.vars, {}, order, clean=False)
-    partners = [(e, c.coeffs) for e, c in b.items()]
+        return LaurentPoly(p.vars, {}, order)
+    partners = list(b.items())
     # per reflection, (i, j, s, least x, largest x) and {x: bitset of partners}
     cuts, tables = [], []
     for i, j, s, _ in reflections:
@@ -933,7 +928,7 @@ def _chamber_mul(p, q, reflections):
                 break
             key.append(min(x, most))
         else:
-            groups.setdefault(tuple(key), []).append((e, c.coeffs))
+            groups.setdefault(tuple(key), []).append((e, c))
     raw = {}
     everyone = (1 << len(partners)) - 1
     for key, members in groups.items():
@@ -956,12 +951,12 @@ def _chamber_mul(p, q, reflections):
     for e, c in raw.items():
         if not c:
             continue
-        coeff = out[e] = ParamSeries(c, order, clean=False)
+        out[e] = c
         orbit = [e]
         for x in orbit:
             for *_, image in reflections:
                 y = image(x)
                 if y not in out:
-                    out[y] = coeff
+                    out[y] = c
                     orbit.append(y)
-    return LaurentPoly(p.vars, out, order, clean=False)
+    return LaurentPoly(p.vars, out, order)

@@ -13,9 +13,5 @@ class DomainError(HLTorusError):
     """An operation was invoked outside its mathematical domain."""
 
 
-class InternalConsistencyError(HLTorusError):
-    """An exactness check failed; results cannot be trusted."""
-
-
 class ResourceLimitError(HLTorusError):
     """A configured memory or size ceiling was exceeded."""

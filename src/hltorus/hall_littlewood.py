@@ -30,7 +30,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .series import ZERO_KEY, ParamSeries, mul_into
+from .series import ZERO_KEY, mul_into
 
 
 class Mono(NamedTuple):
@@ -158,8 +158,6 @@ def hl_full(weight, args, var_names, order, tbase=2):
     )
     poly = _branching(tuple(w - shift for w in weight), args,
                       {(): {y.exps: {(y.spow, 0, 0): y.sign}}}, order, tbase)
-    result = LaurentPoly(
-        var_names, {e: ParamSeries(cd, order) for e, cd in poly.items()}, order
-    )
+    result = LaurentPoly(var_names, {e: cd for e, cd in poly.items() if cd}, order)
     _CACHE[key] = result
     return result

@@ -413,8 +413,7 @@ def _linear_factors(slots, values, names, order):
                 if c:
                     step[e + (k,)] = c
         torus = step
-    return LaurentPoly(names, {e: ParamSeries(c, order, clean=False) for e, c in torus.items()},
-                       order, clean=False), scalar
+    return LaurentPoly(names, torus, order), scalar
 
 
 def _symmetrizes(dens, slots, tbase):
@@ -518,8 +517,7 @@ def _lifted(weight, k, slots, names, order, tbase):
     """s^p P_weight at ``slots``: P_{weight+k}, re-keyed (see ``_lift``)."""
     p = hl_full(tuple(w + k for w in weight), slots, names, order, tbase)
     shift = [-k * sum(col) for col in zip(*(y.exps for y in slots))]
-    return LaurentPoly(names, {tuple(map(add, e, shift)): c for e, c in p.terms.items()},
-                       order, clean=False)
+    return LaurentPoly(names, {tuple(map(add, e, shift)): c for e, c in p.terms.items()}, order)
 
 
 def _build(defn, inst):

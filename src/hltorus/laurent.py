@@ -1,8 +1,9 @@
 """Multivariate Laurent polynomials in the torus variables.
 
 Exponents may be negative; coefficients live in the truncated parameter
-ring (:class:`~hltorus.series.ParamSeries`).  The representation is sparse
-in the torus variables and dense in the parameters, matching how the
+ring, stored as the raw (e_s, e_alpha, e_beta)-keyed dicts that
+:func:`~hltorus.series.mul_into` reads.  The representation is sparse in
+the torus variables and dense in the parameters, matching how the
 integrands in this package actually look.
 """
 
@@ -11,14 +12,21 @@ from __future__ import annotations
 from operator import add
 
 from .errors import ConfigurationError
-from .series import ParamSeries, SeriesRing, mul_into
+from .series import ZERO_KEY, ParamSeries, mul_into
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with ParamSeries coefficients.
+    """Sparse Laurent polynomial whose terms map exponents to coefficient dicts.
+
+    ``terms`` maps exponent tuples to {(e_s, e_alpha, e_beta): c} dicts,
+    the layout of :func:`~hltorus.series.mul_into`.  Every producer keeps
+    the invariant: no dict is empty, no key has total degree above
+    ``trunc``, and no value is zero.  Wrap one term as
+    ``ParamSeries(c, trunc, clean=False)`` for ring arithmetic on it.
 
     A polynomial is immutable once built: no code changes ``vars``,
-    ``terms`` or a coefficient afterwards, and every operation returns a
+    ``terms`` or a coefficient dict afterwards (orbit points of
+    ``chamber_product`` share one dict), and every operation returns a
     new polynomial.  ``_memo`` relies on that.  It starts as None and is
     filled lazily by :func:`~hltorus.densities.ct_integrate` and
     :func:`~hltorus.densities.chamber_product` with what they read off the
@@ -29,10 +37,8 @@ class LaurentPoly:
 
     __slots__ = ("vars", "terms", "trunc", "_memo")
 
-    def __init__(self, vars, terms, trunc, clean=True):
+    def __init__(self, vars, terms, trunc):
         self.vars = tuple(vars)
-        if clean:
-            terms = {tuple(e): c for e, c in terms.items() if not c.is_zero()}
         self.terms = terms
         self.trunc = trunc
         self._memo = None
@@ -41,8 +47,10 @@ class LaurentPoly:
 
     @classmethod
     def unit(cls, vars, trunc):
-        one = SeriesRing(trunc).one()
-        return cls(vars, {(0,) * len(tuple(vars)): one}, trunc, clean=False)
+        if trunc < 0:
+            raise ConfigurationError("truncation order must be nonnegative")
+        vars = tuple(vars)
+        return cls(vars, {(0,) * len(vars): {ZERO_KEY: 1}}, trunc)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -58,28 +66,25 @@ class LaurentPoly:
         """Product with another polynomial.
 
         The coefficient dicts of every term pair are accumulated in place,
-        one raw dict per torus exponent, through
+        one dict per torus exponent, through
         :func:`~hltorus.series.mul_into`; exponents whose coefficients
-        cancel are dropped and each surviving dict is wrapped in a
-        ``ParamSeries`` once.
+        cancel are dropped.
         """
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        bitems = [(e, c.coeffs) for e, c in b.items()]
+        bitems = list(b.items())
         D = self.trunc
         raw = {}
         for ea, ca in a.items():
-            ca = ca.coeffs
             for eb, cb in bitems:
                 key = tuple(map(add, ea, eb))
                 dst = raw.get(key)
                 if dst is None:
                     dst = raw[key] = {}
                 mul_into(dst, ca, cb, D)
-        out = {e: ParamSeries(c, D, clean=False) for e, c in raw.items() if c}
-        return LaurentPoly(self.vars, out, D, clean=False)
+        return LaurentPoly(self.vars, {e: c for e, c in raw.items() if c}, D)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -99,13 +104,12 @@ class LaurentPoly:
             return "0"
         bits = []
         for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
             mono = "*".join(
                 "%s^%d" % (v, k) if k != 1 else v
                 for v, k in zip(self.vars, e)
                 if k
             )
-            coeff = repr(c)
+            coeff = repr(ParamSeries(self.terms[e], self.trunc, clean=False))
             if " " in coeff or "+" in coeff:
                 coeff = "(%s)" % coeff
             bits.append("%s*%s" % (coeff, mono) if mono else coeff)

@@ -111,20 +111,17 @@ class ShapeInfo:
     """Shape classification of a partition or dominant weight.
 
     Each field holds the witness mu when the shape matches, else None:
-    ``double_mult`` for lambda = mu^2 (all multiplicities even),
-    ``double_part`` for lambda = 2 mu (all parts even), and ``palindrome``
-    for lambda_i + lambda_{l+1-i} = 0.
+    ``double_mult`` for lambda = mu^2 (all multiplicities even), and
+    ``palindrome`` for lambda_i + lambda_{l+1-i} = 0.
     """
 
     double_mult: Optional[Partition]
-    double_part: Optional[Partition]
     palindrome: Optional[Partition]
 
 
 def classify_shape(lam) -> ShapeInfo:
     parts = tuple(lam)
     double_mult = None
-    double_part = None
     palindrome = None
     n = len(parts)
     if n % 2 == 0 and all(
@@ -132,11 +129,9 @@ def classify_shape(lam) -> ShapeInfo:
     ):
         if not parts or parts[-1] >= 0:
             double_mult = Partition(parts[::2])
-    if all(p >= 0 and p % 2 == 0 for p in parts):
-        double_part = Partition(tuple(p // 2 for p in parts))
     if all(parts[i] + parts[n - 1 - i] == 0 for i in range(n)):
         palindrome = Partition(tuple(p for p in parts if p > 0))
-    return ShapeInfo(double_mult, double_part, palindrome)
+    return ShapeInfo(double_mult, palindrome)
 
 
 def partitions_up_to(max_total, max_len, max_part=None) -> Tuple[Partition, ...]:

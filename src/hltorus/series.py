@@ -12,11 +12,13 @@ otherwise; arithmetic never rounds.
 Every product of coefficient dicts goes through :func:`mul_into`, which
 accumulates into a plain dict in place.  Callers that sum many products,
 such as the torus products of ``LaurentPoly``, the chamber product of
-``hltorus.densities`` and the constant-term convolution, keep one raw dict per result and wrap it in a ``ParamSeries``
-once, instead of building and adding a series per term pair.  The one
-division, by a binomial 1 - c x^k with c of positive degree, is the exact
-recurrence of :func:`divide_binomial`, and every closed form in the
-binomials 1 +- s^k is the one quotient :func:`binomial_ratio`.
+``hltorus.densities`` and the constant-term convolution, keep one raw
+dict per result instead of building and adding a series per term pair.
+``LaurentPoly`` terms are such dicts; a scalar result is wrapped in a
+``ParamSeries`` once.  The one division, by a binomial 1 - c x^k with c
+of positive degree, is the exact recurrence of :func:`divide_binomial`,
+and every closed form in the binomials 1 +- s^k is the one quotient
+:func:`binomial_ratio`.
 """
 
 from __future__ import annotations

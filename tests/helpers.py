@@ -3,23 +3,30 @@
 The package divides series only by binomials (``divide_binomial``) and
 never substitutes torus variables; these helpers state closed forms and
 symmetries in the tests.  They read and build ``ParamSeries`` and
-``LaurentPoly`` through their public fields.
+``LaurentPoly`` through their public fields.  A polynomial's terms are raw
+coefficient dicts: ``coefficient`` wraps one as a ``ParamSeries`` for ring
+arithmetic, and ``poly_of`` builds a polynomial from series coefficients.
 The package never adds polynomials or scales one either: ``monomial``,
 ``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
 q-Pochhammer symbol, the Rogers-Szego sum, the two grid enumerators and
-``row_closed_form`` below are used by the tests alone as well.
+``row_closed_form`` below are used by the tests alone as well, and so is
+``InternalConsistencyError``, which ``divide_by_s_power`` raises.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from hltorus import densities
-from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
+from hltorus.errors import ConfigurationError, DomainError, HLTorusError
 from hltorus.hall_littlewood import hl_full
 from hltorus.identities import REGISTRY, _Instance, c_minus, t_binomial
 from hltorus.laurent import LaurentPoly
 from hltorus.partitions import DominantWeight, Partition
 from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
+
+
+class InternalConsistencyError(HLTorusError):
+    """An exactness check failed; results cannot be trusted."""
 
 
 def parse_weight(cls, text):
@@ -39,26 +46,42 @@ def dense(mat):
     return [[mat.entry(j, k) for k in range(mat.size)] for j in range(mat.size)]
 
 
+def poly_of(vars, terms, trunc):
+    """The polynomial with the series or rational coefficients ``terms``.
+
+    Each coefficient becomes its dict, cleaned at ``trunc``, and zero ones
+    are dropped, which keeps the layout invariant of ``LaurentPoly``.
+    """
+    ring = SeriesRing(trunc)
+    out = {}
+    for e, c in terms.items():
+        if not isinstance(c, ParamSeries):
+            c = ring.const(c)
+        coeffs = ParamSeries(c.coeffs, trunc).coeffs
+        if coeffs:
+            out[tuple(e)] = coeffs
+    return LaurentPoly(vars, out, trunc)
+
+
 def monomial(vars, exps, coeff, trunc):
     """The one-term polynomial coeff * x^exps; ``coeff`` a series or a rational."""
-    if not isinstance(coeff, ParamSeries):
-        coeff = SeriesRing(trunc).const(coeff)
-    return LaurentPoly(vars, {tuple(exps): coeff}, trunc)
+    return poly_of(vars, {tuple(exps): coeff}, trunc)
 
 
 def poly_sum(first, *rest):
     """The sum of polynomials over the same variables and order."""
-    out = dict(first.terms)
-    for poly in rest:
+    out = {}
+    for poly in (first,) + rest:
         first._check(poly)
-        for e, c in poly.terms.items():
+        for e in poly.terms:
+            c = coefficient(poly, e)
             out[e] = out[e] + c if e in out else c
-    return LaurentPoly(first.vars, out, first.trunc)
+    return poly_of(first.vars, out, first.trunc)
 
 
 def scaled(poly, c):
     """``poly`` times the series or rational ``c``, term by term."""
-    return LaurentPoly(poly.vars, {e: v * c for e, v in poly.terms.items()}, poly.trunc)
+    return poly_of(poly.vars, {e: coefficient(poly, e) * c for e in poly.terms}, poly.trunc)
 
 
 def linear_factor_by_binomials(slots, values, names, order):
@@ -73,14 +96,13 @@ def linear_factor_by_binomials(slots, values, names, order):
             if any(y.exps):
                 binomial = {(0,) * len(names): ring.one(),
                             y.exps: ring.monomial(y.spow, ea, eb, coeff=-coeff * y.sign)}
-                torus = torus * LaurentPoly(names, binomial, order)
+                torus = torus * poly_of(names, binomial, order)
     return torus
 
 
 def coefficient(poly, exps):
-    """The coefficient of x^exps in ``poly``, the zero series when absent."""
-    c = poly.terms.get(tuple(exps))
-    return SeriesRing(poly.trunc).zero() if c is None else c
+    """The coefficient of x^exps in ``poly`` as a series, zero when absent."""
+    return ParamSeries(poly.terms.get(tuple(exps), {}), poly.trunc, clean=False)
 
 
 def scalar(poly):
@@ -118,11 +140,11 @@ def constant_term(poly, in_vars):
     drop = {poly.vars.index(v) for v in in_vars}
     keep = [i for i in range(len(poly.vars)) if i not in drop]
     out = {}
-    for e, c in poly.terms.items():
+    for e in poly.terms:
         if not any(e[i] for i in drop):
-            key = tuple(e[i] for i in keep)
+            key, c = tuple(e[i] for i in keep), coefficient(poly, e)
             out[key] = out[key] + c if key in out else c
-    return LaurentPoly(tuple(poly.vars[i] for i in keep), out, poly.trunc)
+    return poly_of(tuple(poly.vars[i] for i in keep), out, poly.trunc)
 
 
 def drop_param(series, idx):
@@ -196,7 +218,7 @@ def factor_sequence_by_products(dens, order):
     def put(exps, terms):
         m = gcd(*exps) * (1 if next(e for e in exps if e) > 0 else -1)
         d = tuple(e // m for e in exps)
-        f = LaurentPoly(("y",), {(j * m,): c for j, c in terms}, order)
+        f = poly_of(("y",), {(j * m,): c for j, c in terms}, order)
         lines[d] = lines[d] * f if d in lines else f
 
     for sign, exps in dens.num_factors:
@@ -204,7 +226,7 @@ def factor_sequence_by_products(dens, order):
     for (es, ea, eb), sign, exps in dens.geo_factors:
         put(exps, ((j, ring.monomial(j * es, j * ea, j * eb, sign ** j))
                    for j in range(order // (es + ea + eb) + 1)))
-    return [(d, sorted((k, c.coeffs) for (k,), c in lines[d].terms.items()))
+    return [(d, sorted((k, c) for (k,), c in lines[d].terms.items()))
             for d in sorted(lines, key=densities._line_key(dens.blocks))]
 
 
@@ -233,7 +255,7 @@ def specialize(poly, assignment):
             raise DomainError("substitution target %r not allowed" % (target,))
         plan[names.index(v)] = (sign, names.index(name), power)
     out = {}
-    for e, c in poly.terms.items():
+    for e in poly.terms:
         newe = list(e)
         sign = 1
         for i, (sgn, j, power) in plan.items():
@@ -245,9 +267,9 @@ def specialize(poly, assignment):
                 sign = -sign
             if j is not None:
                 newe[j] += power * k
-        key, c = tuple(newe), c if sign > 0 else -c
+        key, c = tuple(newe), coefficient(poly, e) * sign
         out[key] = out[key] + c if key in out else c
-    return LaurentPoly(names, out, poly.trunc)
+    return poly_of(names, out, poly.trunc)
 
 
 def rename_vars(poly, new_vars):

@@ -35,7 +35,7 @@ from hltorus.hall_littlewood import hl_full, var_arg
 from hltorus.identities import t_multinomial_of
 from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
 
-from helpers import geometric, max_total_degree, parity_counts
+from helpers import coefficient, geometric, max_total_degree, parity_counts
 
 
 def cross_block_density(n):
@@ -289,17 +289,17 @@ def degenerate_check(parts, nvars, order=24):
     names = tuple("x%d" % (i + 1) for i in range(nvars))
     p = hl_full(padded, args, names, order)
     top = 0
-    for c in p.terms.values():
-        d = max_total_degree(c)
+    for e in p.terms:
+        d = max_total_degree(coefficient(p, e))
         if d is not None and d > top:
             top = d
     certified = top < order
-    at_zero = {e: c.coeffs[ZERO_KEY] for e, c in p.terms.items() if ZERO_KEY in c.coeffs}
+    at_zero = {e: c[ZERO_KEY] for e, c in p.terms.items() if ZERO_KEY in c}
     schur = schur_by_tableaux(parts, nvars)
     schur_ok = at_zero == schur
     at_one = {}
     for e, c in p.terms.items():
-        total = sum(c.coeffs.values())
+        total = sum(c.values())
         if total:
             at_one[e] = total
     mono_ok = at_one == monomial_sym(parts, nvars)

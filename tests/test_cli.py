@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from hltorus import cli
-from hltorus.errors import ConfigurationError, InternalConsistencyError
+from hltorus.errors import ConfigurationError
 from hltorus.series import SeriesRing
+
+from helpers import InternalConsistencyError
 
 
 def run(argv):
@@ -333,3 +335,11 @@ def test_negative_sweep_bound_is_usage_error(capsys, flag, value):
     assert code == 2
     assert text == ""
     assert "at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_order_below_one_is_usage_error(capsys, command):
+    code, text = run([command, "--identity", "symplectic", "--n", "2", "--order", "0"])
+    assert (code, text) == (cli.USAGE_EXIT, "")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "order must be at least 1" in err, err

@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hltorus.densities import chamber_product
 from hltorus.errors import ConfigurationError, DomainError
+from hltorus.hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
+from hltorus.identities import ALPHA, BETA, INTEGRANDS, MINUS_ALPHA, _lifted, _linear_factors
 from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
-from helpers import (coefficient, constant_term, max_total_degree, monomial, poly_sum, rename_vars,
-                     scalar, specialize)
+from helpers import (coefficient, constant_term, max_total_degree, monomial, poly_of, poly_sum,
+                     rename_vars, scalar, specialize)
 from oracles import product_by_nested_loops
 
 
@@ -96,7 +99,7 @@ def _poly_strategy(trunc=6):
     ).map(lambda d: ParamSeries(d, trunc))
     return st.dictionaries(
         st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeff, max_size=4
-    ).map(lambda t: LaurentPoly(V, t, trunc))
+    ).map(lambda t: poly_of(V, t, trunc))
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,8 +116,8 @@ def test_constant_term_is_linear_and_degrees_stay_truncated(a, b):
     lhs = scalar(constant_term(poly_sum(a, b), V))
     assert lhs == scalar(constant_term(a, V)) + scalar(constant_term(b, V))
     prod = a * b
-    for coeff in prod.terms.values():
-        d = max_total_degree(coeff)
+    for e in prod.terms:
+        d = max_total_degree(coefficient(prod, e))
         assert d is None or d <= prod.trunc
 
 
@@ -167,13 +170,11 @@ def test_products_match_nested_loop_oracle(case):
     names = ("x1", "x2", "x3")[:nv]
 
     def poly(raw):
-        return LaurentPoly(
-            names, {e: ParamSeries(c, TRUNC) for e, c in raw.items()}, TRUNC
-        )
+        return poly_of(names, {e: ParamSeries(c, TRUNC) for e, c in raw.items()}, TRUNC)
 
     expected = product_by_nested_loops(a, b, TRUNC)
     for prod in (poly(a) * poly(b), poly(b) * poly(a)):
-        got = {e: c.coeffs for e, c in prod.terms.items()}
+        got = prod.terms
         assert got == expected
         for coeffs in got.values():
             _assert_clean(coeffs)
@@ -184,3 +185,44 @@ def test_products_match_nested_loop_oracle(case):
             assert prod.coeffs == want.get((), {})
             if prod.coeffs:
                 _assert_clean(prod.coeffs)
+
+
+def _assert_layout(poly):
+    """The ``LaurentPoly`` invariant: no empty coefficient dict, no zero
+    value and no key of total degree above ``trunc``."""
+    for e, c in poly.terms.items():
+        assert c, ("empty coefficient", e)
+        for k, v in c.items():
+            assert v != 0 and sum(k) <= poly.trunc, (e, k, v)
+
+
+def test_producers_keep_the_coefficient_layout():
+    order = 5
+    plain = tuple(var_arg(2, i) for i in range(2))
+    consts = (const_arg(2, 1), const_arg(2, -1))
+    scaled = (Mono(1, 2, (1, 0)), var_arg(2, 0), Mono(1, 2, (0, 1)), var_arg(2, 1))
+    # a last part > 0 at s-scaled slots seeds the branching above the order
+    cases = (((3, 1), plain), ((2, 1, 0, -1), pm_args(2)), ((2, 1, 1, 0), consts + plain),
+             ((2, 2, 1, 0), scaled), ((2, 2, 2, 1), scaled), ((2, 2, 2, 2), scaled))
+    polys = [hl_full(w, args, V, order, tbase) for w, args in cases for tbase in (2, 4)]
+    dens, slots, tbase = INTEGRANDS["double_cover"](2, None)
+    polys.append(_lifted((1, 0, -1, -1), 1, slots, dens.vars, order, tbase))
+    polys.append(_linear_factors(slots, (ALPHA, BETA), dens.vars, order)[0])
+    dens, slots, tbase = INTEGRANDS["symplectic"](2, None)
+    p = hl_full((2, 1, 0, 0), slots, dens.vars, order, tbase)
+    # 1 - alpha^2 y^2 per slot: the odd powers of alpha cancel, in the slot
+    # rule and in the chamber product of its two halves
+    torus, _ = _linear_factors(slots, (ALPHA, MINUS_ALPHA), dens.vars, order)
+    halves = [_linear_factors(slots, (v,), dens.vars, order)[0] for v in (ALPHA, MINUS_ALPHA)]
+    polys += [p, torus, chamber_product(dens, [p, torus]), chamber_product(dens, halves),
+              p * torus]
+    # (x1 + 1)(x1 - 1): the x1 terms cancel; t^2 x1 times t x2 passes the order
+    x1, one = monomial(V, (1, 0), 1, order), LaurentPoly.unit(V, order)
+    polys.append(poly_sum(x1, one) * poly_sum(x1, monomial(V, (0, 0), -1, order)))
+    r = SeriesRing(order)
+    polys.append(monomial(V, (1, 0), r.t(2), order) * monomial(V, (0, 1), r.t(), order))
+    for poly in polys:
+        _assert_layout(poly)
+    # the unit's constant key has degree 0, above any negative order
+    with pytest.raises(ConfigurationError):
+        LaurentPoly.unit(V, -1)

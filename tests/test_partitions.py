@@ -32,14 +32,10 @@ def test_statistics_sum_rules():
 def test_classify_shapes():
     info = classify_shape((2, 2, 1, 1))
     assert info.double_mult == Partition((2, 1))
-    assert info.double_part is None
     assert info.palindrome is None
 
     info = classify_shape((2, 0, -2))
     assert info.palindrome == Partition((2,))
-
-    info = classify_shape((4, 2))
-    assert info.double_part == Partition((2, 1))
 
 
 def test_classify_palindrome_odd_length():

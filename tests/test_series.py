@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hltorus.errors import ConfigurationError, DomainError, InternalConsistencyError
+from hltorus.errors import ConfigurationError, DomainError
 from hltorus.series import ParamSeries, SeriesRing, binomial_ratio, divide_binomial
 
-from helpers import (divide_by_s_power, drop_param, from_coeffs, geometric, negate_param, truncated,
-                     unit_inverse)
+from helpers import (InternalConsistencyError, divide_by_s_power, drop_param, from_coeffs, geometric,
+                     negate_param, truncated, unit_inverse)
 
 
 def ring(d=8):
