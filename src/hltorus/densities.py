@@ -77,10 +77,12 @@ remaining lines must add to bring it back into the window (``_movement``,
 ``_budget``) exceeds the order.  No factor lowers the s-degree, so the
 table is exact in the window.
 
-One density is never expanded: the U(2n) density of two t = 0 blocks and
-the cross factors 1/((1-t x_i/y_j)(1-t y_i/x_j)) (``CrossBlock``), which
-``ct_integrate`` integrates by a finite signed sum over the multiplier's
-terms, from the Cauchy identity and Weyl's character formula.
+Two kinds of density are never expanded.  The U(2n) density of two t = 0
+blocks and the cross factors 1/((1-t x_i/y_j)(1-t y_i/x_j)) (``CrossBlock``)
+is integrated by ``ct_integrate`` as a finite signed sum over the
+multiplier's terms, from the Cauchy identity and Weyl's character formula.
+A product of t-Selberg blocks (``SelbergBlocks``) is integrated through the
+Hall-Littlewood inner product (``hltorus.hall_littlewood.selberg_average``).
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def env_ceiling(name):
     return value
 
 
-def _max_terms():
+def max_terms():
     return env_ceiling("HLTORUS_MAX_TERMS") or 4000000
 
 
@@ -554,7 +556,7 @@ def _expansion(dens, order, window):
     else:
         lines = _factor_sequence(dens, order)
         moves = _movement(lines, len(dens.vars))
-    limit = _max_terms()
+    limit = max_terms()
     acc = {(0,) * len(dens.vars): {(0, 0, 0): 1}}
     for (d, terms), after in zip(lines, moves[1:]):
         touched = [v for v, dv in enumerate(d) if dv]
@@ -614,7 +616,14 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     length, and a density that is not one "A" block over all its variables,
     raise ``ConfigurationError``.  A ``CrossBlock`` density is not
     expanded: once the guard passes the multiplier, ``_cauchy_sum`` sums it.
+    A ``SelbergBlocks`` density is refused: ``selberg_average`` in
+    ``hltorus.hall_littlewood`` integrates it.
     """
+    if order < 0:
+        raise ConfigurationError("truncation order must be nonnegative")
+    if isinstance(dens, SelbergBlocks):
+        raise ConfigurationError("Selberg blocks %r are integrated by class coefficients, "
+                                 "not expanded" % (dens.blocks,))
     if multiplier is None:
         multiplier = LaurentPoly.unit(dens.vars, order)
     if multiplier.vars != dens.vars:
@@ -676,6 +685,35 @@ class CrossBlock:
 
     def __repr__(self):
         return "CrossBlock(%d)" % (len(self.vars) // 2)
+
+
+class SelbergBlocks:
+    """t-Selberg densities on consecutive blocks of variables, never expanded.
+
+    Each block ("A", first, size, tpow) carries prod_{i != j} (1-x_i/x_j)/(1-t
+    x_i/x_j) over its variables, t = s^tpow, and the product is scaled by the
+    prefactor 1/prod size!.  A block is the weight of the Hall-Littlewood
+    inner product in its variables, so P_lambda integrates against it from
+    class coefficients (``hltorus.hall_littlewood.selberg_average``), with
+    no density expanded.  The bare integral is the prefactor times the
+    blocks' Weyl factor (``bare_integral``): the positive-root half of a
+    block has constant term 1, since each of its other terms is a product of
+    positive roots.
+    """
+
+    __slots__ = ("vars", "blocks", "prefactor")
+
+    def __init__(self, blocks, tpow):
+        """``blocks`` lists one (prefix, size) pair per block of variables."""
+        names, spans = [], []
+        for prefix, size in blocks:
+            spans.append(("A", len(names), size, tpow))
+            names += ["%s%d" % (prefix, i + 1) for i in range(size)]
+        self.vars, self.blocks = tuple(names), tuple(spans)
+        self.prefactor = Fraction(1, prod(factorial(size) for _, size in blocks))
+
+    def bare_integral(self, order):
+        return _weyl_factor(self.blocks, order) * self.prefactor
 
 
 def _sort_sign(v):

@@ -31,9 +31,23 @@ integral, the one builder ``_build`` checks
 with Z_j = 1 for an unnormalized row, so nothing is divided in the
 truncated ring.  A row that takes mu multiplies P_lambda by P_mu at the
 inverted slots.  A weight that ends in -k < 0 at slots that carry
-s-powers is lifted (``_lift``): P_{lambda+k} is built in its place, and the
-order and the closed-form side are raised to match.  A row's ``notes``, if
-set, add remarks to its reports.
+s-powers is lifted (``_lift``): P_{lambda+k} is integrated in its place,
+and the order and the closed-form side are raised to match.  A row's
+``notes``, if set, add remarks to its reports.
+
+Each integrand's route (``_route``) follows from its density and slots.
+The t-Selberg density with P at its own variables (``orthogonality``) takes
+``ct_integrate``'s ``lead``, through the expansion: that row checks the very
+orthogonality the class route rests on.  The densities of ``two_block``,
+``t2_selberg`` and ``double_cover`` are t-Selberg blocks
+(``SelbergBlocks``), the weights of the Hall-Littlewood inner product, and
+take the class route (``selberg_average`` in ``hltorus.hall_littlewood``):
+P_lambda = sum_nu c_{lambda nu} m_nu, each m_nu at the slots is expanded
+over the blocks' classes, and each class integrates to its moment
+<m_kappa>/<1>, solved from <P_nu> = 0 for nu != 0.  Neither P nor the
+density is formed, and Z is the blocks' Weyl factor times the prefactor.
+Every other integrand forms P and the multiplier, and ``ct_integrate``
+expands the density or, for ``CrossBlock``, takes the Cauchy sum.
 
 Two general closed forms serve eighteen rows.  The twelve orthogonal-
 component rows (o_*, ab_o*, ab_sum_*, alpha_minus_one, alpha_eq_minus_beta)
@@ -49,25 +63,23 @@ from __future__ import annotations
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import factorial
-from operator import add
 from typing import Callable, Optional, Tuple
 
 from .densities import (
     CrossBlock,
-    DensityProduct,
+    SelbergBlocks,
     chamber_product,
     ct_integrate,
     env_ceiling,
     koornwinder_density,
     koornwinder_normalization,
-    positive_roots,
+    max_terms,
     selberg_density,
 )
 from .errors import ConfigurationError, DomainError, ResourceLimitError
-from .hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
+from .hall_littlewood import Mono, const_arg, hl_full, pm_args, selberg_average, var_arg
 from .laurent import LaurentPoly
 from .partitions import DominantWeight, Partition, classify_shape
 from .pfaffian import build_a_matrix, build_m_minus, build_m_plus, pfaffian
@@ -86,10 +98,6 @@ ALPHA = (1, 1, 0)
 BETA = (1, 0, 1)
 MINUS_ONE = (-1, 0, 0)
 MINUS_ALPHA = (-1, 1, 0)
-
-def _var_names(prefix, n):
-    return tuple("%s%d" % (prefix, i + 1) for i in range(n))
-
 
 def _plain_args(nvars):
     return tuple(var_arg(nvars, i) for i in range(nvars))
@@ -302,28 +310,6 @@ def rhs_bridge_plus_odd(lam: Partition, n, order):
 # ---------------------------------------------------------------------------
 
 
-def two_block_density(m, n) -> DensityProduct:
-    """The U(n) x U(m) density: a t-Selberg density on each of two blocks.
-
-    The full density is prod over each block of prod_{i != j}
-    (1-x_i/x_j)/(1-t x_i/x_j), with prefactor 1/(n! m!); only the i < j
-    factors are stored, and the two blocks are recorded for the Weyl factor
-    (see ``hltorus.densities``).
-    """
-    vars_ = _var_names("x", m) + _var_names("y", n)
-    roots = positive_roots(m + n, 0, m) + positive_roots(m + n, m, n)
-    num = [(1, exps) for exps in roots]
-    geo = [((2, 0, 0), 1, exps) for exps in roots]
-    pref = Fraction(1, factorial(n) * factorial(m))
-    return DensityProduct(vars_, num, geo, pref, label="two_block(%d,%d)" % (m, n),
-                          blocks=(("A", 0, m, 2), ("A", m, n, 2)))
-
-
-def halved_density(n) -> DensityProduct:
-    """The t^2 Selberg density with the 1/n! prefactor (double-cover case)."""
-    return selberg_density(n, tpow=4, prefix="z", prefactor=Fraction(1, factorial(n)))
-
-
 class _Koornwinder:
     """The Koornwinder density on n - drop variables; P at x_i^{+-1} and ``consts``.
 
@@ -356,15 +342,15 @@ INTEGRANDS = {
     "minus_even": _Koornwinder(K_MINUS_EVEN, pair=((1, 1), (-1, 1)), drop=1, consts=(1, -1)),
     "plus_odd": _Koornwinder(K_PLUS_ODD, pair=(-1, (1, 2)), consts=(1,)),
     "minus_odd": _Koornwinder(K_MINUS_ODD, pair=(1, (-1, 2)), consts=(-1,)),
-    "two_block": lambda n, m: (two_block_density(m, n), _plain_args(m + n), 2),
+    # U(m) x U(n): a t-Selberg density on each of two blocks
+    "two_block": lambda n, m: (SelbergBlocks((("x", m), ("y", n)), 2), _plain_args(m + n), 2),
     # integrated by the Cauchy identity, not expanded (see ``CrossBlock``)
     "cross_block": lambda n, m: (CrossBlock(n), _plain_args(2 * n), 2),
-    "t2_selberg": lambda n, m: (
-        selberg_density(n, prefactor=Fraction(1, factorial(n))), _plain_args(n), 4
-    ),
-    # the slots t^{1/2} z_i and t^{-1/2} z_i, rescaled by z -> sqrt(t) z to
-    # (t z_i, z_i): the constant term is unchanged and no s-power is negative
-    "double_cover": lambda n, m: (halved_density(n), tuple(
+    "t2_selberg": lambda n, m: (SelbergBlocks((("x", n),), 2), _plain_args(n), 4),
+    # the t^2 Selberg density against the slots t^{1/2} z_i and t^{-1/2} z_i,
+    # rescaled by z -> sqrt(t) z to (t z_i, z_i): the constant term is
+    # unchanged and no s-power is negative
+    "double_cover": lambda n, m: (SelbergBlocks((("z", n),), 4), tuple(
         y for i in range(n) for y in (var_arg(n, i, spow=2), var_arg(n, i))), 2),
 }
 
@@ -416,20 +402,28 @@ def _linear_factors(slots, values, names, order):
     return LaurentPoly(names, torus, order), scalar
 
 
-def _symmetrizes(dens, slots, tbase):
-    """Whether P at ``slots`` can be integrated by ``ct_integrate``'s ``lead``.
+def _route(dens, slots, tbase):
+    """How ``_integral`` integrates P at ``slots`` against ``dens``.
 
-    True when the density is one "A" block over all its variables, in P's
-    t, and the slots are those variables themselves.
+    "classes" for ``SelbergBlocks`` (``selberg_average``); "lead" where the
+    density is one "A" block over all its variables, in P's t, and the
+    slots are those variables themselves, so that ``ct_integrate`` takes P
+    as its ``lead``; "product" for every other integrand, where P is formed
+    and ``ct_integrate`` expands the density or, for ``CrossBlock``, takes
+    the Cauchy sum.
     """
+    if isinstance(dens, SelbergBlocks):
+        return "classes"
     nv = len(dens.vars)
-    return dens.blocks == (("A", 0, nv, tbase),) and slots == _plain_args(nv)
+    if dens.blocks == (("A", 0, nv, tbase),) and slots == _plain_args(nv):
+        return "lead"
+    return "product"
 
 
 # The plan of an integrand, everything ``_integral`` reads that depends on
 # (key, n, m, weightless) alone: the density, P's slots and their inverses,
-# P's t-base and whether ``_symmetrizes`` holds.
-_Plan = namedtuple("_Plan", "dens slots inverted tbase symmetrizes")
+# P's t-base and its ``_route``.
+_Plan = namedtuple("_Plan", "dens slots inverted tbase route")
 _PLANS = {}
 
 
@@ -447,7 +441,7 @@ def _plan(key, n, m, weightless):
             integrand = integrand.whole()
         dens, slots, tbase = integrand(n, m)
         plan = _PLANS[plan_key] = _Plan(dens, slots, _inverted(slots), tbase,
-                                        _symmetrizes(dens, slots, tbase))
+                                        _route(dens, slots, tbase))
     return plan
 
 
@@ -457,27 +451,33 @@ def _integral(key, inst, values=(), normalized=False, lift=0):
     I integrates P_lambda at the integrand's slots (times P_mu at the
     inverted slots when the instance has mu) and the slot rule's linear
     factors against the density, or the bare density without a weight.
-    Where ``_symmetrizes`` holds, P_lambda is not formed: lambda is passed
-    to ``ct_integrate`` as its ``lead``.  With a ``lift`` k (see ``_lift``)
-    P_lambda is read off P_{lambda+k}.  Z is the bare integral when
-    ``normalized``, else one.  Without a weight (the normalization_* rows)
-    a Koornwinder integrand keeps the "D" block: on the "B" block the bare
-    integral of a one-sided density is 2^n n!/W(t; ab) times its
-    prefactor, which is Gustafson's product by construction, so the row
-    would integrate nothing.  The density and the slots come from the
-    integrand's cached plan (``_plan``).
+    On the "lead" route P_lambda is not formed: lambda is passed to
+    ``ct_integrate`` as its ``lead``.  On the "classes" route, whose rows
+    take a weight alone, with no mu and no values, nothing is formed or
+    expanded (``selberg_average``), and only there does the lift k (see
+    ``_lift``) apply.  Z is the bare integral when ``normalized``, else one.
+    Without a weight (the normalization_* rows) a Koornwinder integrand
+    keeps the "D" block: on the "B" block the bare integral of a one-sided
+    density is 2^n n!/W(t; ab) times its prefactor, which is Gustafson's
+    product by construction, so the row would integrate nothing.  The
+    density, the slots and the route come from the integrand's cached plan
+    (``_plan``).
     """
     plan = _plan(key, inst.n, inst.m, inst.weight is None)
     dens, slots, tbase = plan.dens, plan.slots, plan.tbase
     order = inst.order
+    one = SeriesRing(order).one()
+    if plan.route == "classes":
+        z = dens.bare_integral(order)
+        average = selberg_average(inst.weight.parts, slots, dens.blocks, tbase, order,
+                                  max_terms(), lift)
+        return z * average, z if normalized else one
     if inst.weight is None:
         integral = ct_integrate(dens, None, order)
     else:
-        lead = inst.weight.parts if plan.symmetrizes else None
+        lead = inst.weight.parts if plan.route == "lead" else None
         factors = []
-        if lift:
-            factors.append(_lifted(inst.weight.parts, lift, slots, dens.vars, order, tbase))
-        elif lead is None:
+        if lead is None:
             factors.append(hl_full(inst.weight.parts, slots, dens.vars, order, tbase))
         if inst.mu is not None:
             factors.append(hl_full(inst.mu.parts, plan.inverted, dens.vars, order, tbase))
@@ -486,7 +486,7 @@ def _integral(key, inst, values=(), normalized=False, lift=0):
             factors.append(torus)
         mult = chamber_product(dens, factors) if factors else None
         integral = _times(ct_integrate(dens, mult, order, lead=lead), scalar)
-    z = ct_integrate(dens, None, order) if normalized else SeriesRing(order).one()
+    z = ct_integrate(dens, None, order) if normalized else one
     return integral, z
 
 
@@ -494,12 +494,12 @@ def _lift(defn, inst):
     """(k, p) for a weight that ends in -k < 0 at slots that carry s-powers.
 
     P_lambda has negative s-powers there, so P_{lambda+k} =
-    (prod of the slots)^k P_lambda is built in its place and re-keyed by the
-    slots' torus exponents times -k, which leaves s^p P_lambda with p = k
-    times the slots' s-powers.  The order is raised by p and the closed-form
-    side multiplied by s^p: s^p is carried to the other side, never divided
-    out, because the true integral has a pole of order |mu| in t.  (0, 0)
-    for every other instance, which does no lift work.
+    (prod of the slots)^k P_lambda is integrated in its place (see
+    ``selberg_average``), times x^(-k) per slot, which leaves s^p P_lambda with
+    p = k times the slots' s-powers.  The order is raised by p and the
+    closed-form side multiplied by s^p: s^p is carried to the other side,
+    never divided out, because the true integral has a pole of order |mu| in
+    t.  (0, 0) for every other instance, which does no lift work.
     """
     parts = inst.weight.parts if inst.weight is not None else ()
     if not parts or parts[-1] >= 0:
@@ -511,13 +511,6 @@ def _lift(defn, inst):
         raise ConfigurationError("the integrands of %r lift the weight differently" % defn.name)
     p = k * spows.pop()
     return (k, p) if p else (0, 0)
-
-
-def _lifted(weight, k, slots, names, order, tbase):
-    """s^p P_weight at ``slots``: P_{weight+k}, re-keyed (see ``_lift``)."""
-    p = hl_full(tuple(w + k for w in weight), slots, names, order, tbase)
-    shift = [-k * sum(col) for col in zip(*(y.exps for y in slots))]
-    return LaurentPoly(names, {tuple(map(add, e, shift)): c for e, c in p.terms.items()}, order)
 
 
 def _build(defn, inst):

@@ -9,12 +9,14 @@ arithmetic, and ``poly_of`` builds a polynomial from series coefficients.
 The package never adds polynomials or scales one either: ``monomial``,
 ``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
 q-Pochhammer symbol, the Rogers-Szego sum, the two grid enumerators and
-``row_closed_form`` below are used by the tests alone as well, and so is
+``row_closed_form`` below are used by the tests alone as well, and so are
+``lifted``, the lifted P that the package never forms, and
 ``InternalConsistencyError``, which ``divide_by_s_power`` raises.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from hltorus import densities
 from hltorus.errors import ConfigurationError, DomainError, HLTorusError
@@ -293,6 +295,14 @@ def hl_q(weight, args, var_names, order, tbase=2):
     p = hl_full(weight, args, var_names, order, tbase)
     b = c_minus(weight, order, base=tbase)
     return scaled(p, b)
+
+
+def lifted(weight, k, slots, names, order, tbase):
+    """s^p P_weight at ``slots``, the lift of ``identities._lift``, formed:
+    P_{weight+k}, its torus exponents shifted by -k per slot."""
+    p = hl_full(tuple(w + k for w in weight), slots, names, order, tbase)
+    shift = [-k * sum(col) for col in zip(*(y.exps for y in slots))]
+    return LaurentPoly(names, {tuple(map(add, e, shift)): c for e, c in p.terms.items()}, order)
 
 
 def rogers_szego_sum(m, z, order):

@@ -17,7 +17,10 @@ stay in the tree permanently as ground truth.  ``degenerate_check`` holds
 ``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
 ``cross_block_density`` states the U(2n) density in factored form, which the
 density expansion integrates; it is the oracle of the package's Cauchy-sum
-route for the ``cross_block`` integrand.  The t-analogs are built without
+route for the ``cross_block`` integrand.  ``FACTORED`` does the same for the
+integrands of the class route (``two_block_density``, ``halved_density`` and
+the t-Selberg density of ``t2_selberg``), which the package integrates by
+the Hall-Littlewood inner product.  The t-analogs are built without
 division, as products of t-integers (``t_factorial``), by the Pascal
 recurrence (``pascal_t_binomial``) and as the Rogers-Szego sum over that
 row (``rogers_szego``): the oracles of the package's ``binomial_ratio``
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from hltorus.densities import DensityProduct, positive_roots
+from hltorus.densities import DensityProduct, positive_roots, selberg_density
 from hltorus.errors import DomainError
 from hltorus.hall_littlewood import hl_full, var_arg
 from hltorus.identities import t_multinomial_of
@@ -60,6 +63,36 @@ def cross_block_density(n):
     return DensityProduct(vars_, num, geo, Fraction(1, factorial(n) ** 2),
                           label="cross_block(%d)" % n,
                           blocks=(("A", 0, n, None), ("A", n, n, None)))
+
+
+def two_block_density(m, n):
+    """The U(m) x U(n) density as factors: a t-Selberg density on each of two blocks.
+
+    The full density is prod over each block of prod_{i != j}
+    (1-x_i/x_j)/(1-t x_i/x_j), with prefactor 1/(n! m!); only the i < j
+    factors are stored, and the two blocks are recorded for the Weyl factor.
+    """
+    vars_ = tuple("x%d" % (i + 1) for i in range(m)) + tuple("y%d" % (i + 1) for i in range(n))
+    roots = positive_roots(m + n, 0, m) + positive_roots(m + n, m, n)
+    num = [(1, exps) for exps in roots]
+    geo = [((2, 0, 0), 1, exps) for exps in roots]
+    pref = Fraction(1, factorial(n) * factorial(m))
+    return DensityProduct(vars_, num, geo, pref, label="two_block(%d,%d)" % (m, n),
+                          blocks=(("A", 0, m, 2), ("A", m, n, 2)))
+
+
+def halved_density(n):
+    """The t^2 Selberg density with the 1/n! prefactor (double-cover case)."""
+    return selberg_density(n, tpow=4, prefix="z", prefactor=Fraction(1, factorial(n)))
+
+
+# integrand key -> (n, m) -> its density in factored form, for the
+# integrands whose density the package never expands
+FACTORED = {
+    "two_block": lambda n, m: two_block_density(m, n),
+    "t2_selberg": lambda n, m: selberg_density(n, prefactor=Fraction(1, factorial(n))),
+    "double_cover": lambda n, m: halved_density(n),
+}
 
 
 def pfaffian_by_matchings(matrix):

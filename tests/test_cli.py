@@ -240,7 +240,7 @@ def test_memory_ceiling_above_the_hard_limit_is_usage_error():
 )
 def test_internal_error_exit_code(monkeypatch, capsys, error):
     def broken_verify(**kw):
-        raise error("exactness check failed")
+        raise error("seeded internal fault")
 
     monkeypatch.setattr(cli, "verify", broken_verify)
     code, text = run([
@@ -250,7 +250,7 @@ def test_internal_error_exit_code(monkeypatch, capsys, error):
     assert code == cli.INTERNAL_EXIT == 4
     assert text == ""
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "exactness check failed" in err
+    assert len(err.splitlines()) == 1 and "seeded internal fault" in err
 
 
 @pytest.mark.parametrize("error", [MemoryError, SystemError])
@@ -282,15 +282,22 @@ def test_memory_ceiling_exits_3_at_every_ceiling():
     argv = [sys.executable, "-m", "hltorus", "verify", "--identity", "u2n_vanishing",
             "--n", "6", "--lambda", "3,3,0,0,0,0,0,0,-3,-3", "--order", "12"]
     procs = {}
-    for mib in (36, 40, 44, 48):
-        env = dict(os.environ, PYTHONPATH=src, HLTORUS_MAX_MIB=str(mib))
-        env.pop("HLTORUS_MAX_TERMS", None)
-        procs[mib] = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                      env=env)
-    for mib, proc in procs.items():
-        out, err = proc.communicate(timeout=120)
-        assert (proc.returncode, out, err) == (cli.RESOURCE_EXIT, b"",
-                                               b"memory ceiling exceeded\n"), mib
+    try:
+        for mib in (36, 40, 44, 48):
+            env = dict(os.environ, PYTHONPATH=src, HLTORUS_MAX_MIB=str(mib))
+            env.pop("HLTORUS_MAX_TERMS", None)
+            procs[mib] = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                          env=env)
+        for mib, proc in procs.items():
+            out, err = proc.communicate(timeout=120)
+            assert (proc.returncode, out, err) == (cli.RESOURCE_EXIT, b"",
+                                                   b"memory ceiling exceeded\n"), mib
+    finally:
+        # a child that timed out or outlived a failed assert is killed and reaped
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
 
 class _ClosedPipe(io.StringIO):

@@ -32,9 +32,7 @@ from hltorus.identities import (
     REGISTRY,
     _Instance,
     _linear_factors,
-    halved_density,
     sweep_weights,
-    two_block_density,
     verify,
 )
 from hltorus.laurent import LaurentPoly
@@ -42,7 +40,8 @@ from hltorus.series import SeriesRing, mul_into
 
 from helpers import (coefficient, factor_sequence_by_products, from_coeffs, geometric, monomial,
                      poly_of, poly_sum, scaled, unit_inverse)
-from oracles import cross_block_density, gustafson_rhs, v_by_factorials
+from oracles import (FACTORED, cross_block_density, gustafson_rhs, halved_density,
+                     two_block_density, v_by_factorials)
 
 D = 12
 K_QUADRUPLES = (K_PLUS_EVEN, K_MINUS_EVEN, K_PLUS_ODD, K_MINUS_ODD, K_SYMPLECTIC, K_KAWANAKA)
@@ -525,9 +524,12 @@ def test_line_order_keeps_the_table(dens, monkeypatch):
 
 
 def _line_build_routes():
-    """Every expanded integrand, and the "D" route of each one with a pair."""
+    """Every expanded integrand, the "D" route of each one with a pair, and
+    the factored density of each integrand on the class route."""
     for key, integrand in INTEGRANDS.items():
-        if key != "cross_block":
+        if key in FACTORED:
+            yield key, lambda n, m, key=key: (FACTORED[key](n, m),)
+        elif key != "cross_block":
             yield key, integrand
             if getattr(integrand, "pair", None) is not None:
                 yield key + ".whole", integrand.whole()
@@ -1114,6 +1116,28 @@ def test_ct_requires_matching_variables_and_order():
         ct_integrate(dens, LaurentPoly.unit(("y1",), D), D)
     with pytest.raises(ConfigurationError):
         ct_integrate(dens, LaurentPoly.unit(dens.vars, D + 1), D)
+
+
+def test_negative_order_is_refused():
+    """A negative order means nothing: refused with a multiplier of that
+    order, an empty one included, and without one."""
+    dens = selberg_density(2)
+    for mult in (None, LaurentPoly(dens.vars, {}, -1),
+                 LaurentPoly(dens.vars, {(1, -1): {(0, 0, 0): 1}}, -1)):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            ct_integrate(dens, mult, -1)
+
+
+def test_selberg_blocks_are_not_expanded():
+    """t-Selberg blocks are refused by ``ct_integrate``, with or without a
+    multiplier; their bare integral is the Weyl factor times the prefactor,
+    the expansion's value on the factored density."""
+    for m, n in ((0, 2), (1, 2), (2, 2)):
+        dens = INTEGRANDS["two_block"](n, m)[0]
+        for mult in (None, LaurentPoly.unit(dens.vars, D)):
+            with pytest.raises(ConfigurationError, match="class coefficients"):
+                ct_integrate(dens, mult, D)
+        assert dens.bare_integral(D) == ct_integrate(two_block_density(m, n), None, D)
 
 
 def test_term_ceiling_trips(monkeypatch):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hltorus import hall_littlewood
-from hltorus.errors import DomainError
+from hltorus.errors import ConfigurationError, DomainError, ResourceLimitError
 from hltorus.hall_littlewood import (
+    ClassTable,
     Mono,
     const_arg,
     hl_full,
     pm_args,
+    selberg_average,
     var_arg,
 )
 from hltorus.laurent import LaurentPoly
@@ -244,3 +246,52 @@ def test_branching_leaves_no_cyclic_garbage():
         if enabled:
             gc.enable()
         hall_littlewood.clear_caches()
+
+
+def _by_class(lam, order, tbase):
+    """hl_full at the plain variables, its terms at sorted exponents: one per class."""
+    n = len(lam)
+    p = hl_full(lam, tuple(var_arg(n, i) for i in range(n)),
+                tuple("x%d" % (i + 1) for i in range(n)), order, tbase)
+    return {e: c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
+
+
+@pytest.mark.parametrize("tbase", [2, 4])
+def test_class_table_matches_hl_full_by_class(tbase):
+    """Each row of the class table is hl_full collected by class, at one to
+    four variables, every partition of size at most 5 and orders 0, 3 and
+    8; a table shares its rows across the weights it is asked for, and
+    every entry keeps the coefficient layout."""
+    for order in (0, 3, 8):
+        table = ClassTable(order, tbase)
+        for n in range(1, 5):
+            for lam in partitions_up_to(5, n):
+                lam = lam.padded(n).parts
+                row = table.row(lam)
+                assert row == _by_class(lam, order, tbase), (lam, order)
+                assert row[lam] == {(0, 0, 0): 1}
+                for c in row.values():
+                    assert c and all(v and sum(k) <= order for k, v in c.items())
+    # a floor keeps the classes whose parts all reach it
+    row = ClassTable(6, tbase).row((3, 2, 1, 0))
+    assert ClassTable(6, tbase).row((3, 2, 1, 0), 1) == {
+        mu: c for mu, c in row.items() if min(mu) >= 1}
+
+
+def test_class_table_counts_toward_its_limit():
+    # (2, 1, 0) has the classes (2, 1, 0), (1, 1, 1); its strips' rows add 5
+    assert len(ClassTable(4, 2, limit=7).row((2, 1, 0))) == 2
+    with pytest.raises(ResourceLimitError, match="class table"):
+        ClassTable(4, 2, limit=6).row((2, 1, 0))
+
+
+def test_negative_order_is_refused():
+    slots = tuple(var_arg(2, i) for i in range(2))
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        hl_full((1, 1), slots, ("x1", "x2"), -1)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        ClassTable(-1)
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        selberg_average((1, -1), slots, (("A", 0, 2, 2),), 2, -1)
+    # order 0 is the constant term alone
+    assert hl_full((1, 1), slots, ("x1", "x2"), 0).terms == {(1, 1): {(0, 0, 0): 1}}

@@ -17,9 +17,8 @@ from hltorus.identities import (
     _integral,
     _Instance,
     _lift,
-    _lifted,
     _linear_factors,
-    _symmetrizes,
+    _route,
     rhs_kawanaka,
     rhs_orthogonality,
     rhs_rogers_szego,
@@ -29,17 +28,17 @@ from hltorus.identities import (
     rhs_double_cover,
     rhs_unm,
     sweep_weights,
-    t_multinomial_of,
     verify,
 )
 from hltorus.partitions import DominantWeight, Partition, partitions_up_to
 from hltorus.series import SeriesRing
 
-from helpers import (bounded_partitions, drop_param, from_coeffs, linear_factor_by_binomials,
-                     monomial, negate_param,
-                     parity_counts, row_closed_form, truncated)
-from oracles import (c_symbols, hl_by_point_evaluation, rhs_ab, rhs_ab_sum, rhs_alpha_eq_minus_beta,
-                     rhs_alpha_minus_one, rhs_orthogonal_alpha, slot_value)
+from helpers import (bounded_partitions, drop_param, from_coeffs, lifted,
+                     linear_factor_by_binomials, monomial, negate_param, parity_counts,
+                     row_closed_form, truncated)
+from oracles import (FACTORED, c_symbols, hl_by_point_evaluation, rhs_ab, rhs_ab_sum,
+                     rhs_alpha_eq_minus_beta, rhs_alpha_minus_one, rhs_orthogonal_alpha,
+                     slot_value)
 
 D = 10
 
@@ -102,11 +101,53 @@ def test_negative_sweep_bounds_are_domain_errors(kwargs):
 
 def test_symmetrization_route_is_read_from_the_integrand():
     """Only the t-Selberg integrand with P at the plain variables takes the
-    ``lead`` route; t2_selberg (P in t^2), two_block, cross_block and the
-    Koornwinder integrands keep the product."""
-    taken = {key for key, integrand in INTEGRANDS.items()
-             if _symmetrizes(*integrand(3, 1))}
-    assert taken == {"selberg"}
+    ``lead`` route; the t-Selberg blocks of t2_selberg (P in t^2), two_block
+    and double_cover take the class route, and cross_block and the
+    Koornwinder integrands form the product."""
+    routes = {key: _route(*integrand(3, 1)) for key, integrand in INTEGRANDS.items()}
+    assert routes == {
+        "selberg": "lead",
+        "t2_selberg": "classes", "two_block": "classes", "double_cover": "classes",
+        "cross_block": "product", "symplectic": "product", "kawanaka": "product",
+        "plus_even": "product", "minus_even": "product", "plus_odd": "product",
+        "minus_odd": "product",
+    }
+
+
+# row -> (n, m, largest weight, orders) of the class-route differential test
+CLASS_ROUTE_CASES = {
+    "t2_branching": [(1, None, 3, (1, 6, 10)), (2, None, 4, (1, 6, 10)),
+                     (3, None, 3, (4, 10)), (4, None, 3, (6, 10))],
+    "unm_vanishing": [(1, 0, 3, (1, 6, 10)), (1, 1, 3, (1, 6, 10)), (2, 0, 3, (6, 10)),
+                      (2, 2, 2, (4, 10)), (3, 1, 2, (8,)), (3, 3, 2, (8,)), (4, 0, 2, (10,)),
+                      (4, 2, 2, (10,)), (4, 4, 2, (6,))],
+    "double_cover": [(1, None, 3, (1, 6, 10)), (2, None, 3, (4, 10)), (3, None, 2, (6, 10))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ROUTE_CASES))
+def test_class_route_matches_the_expanded_density(name):
+    """(I, Z) of each row on the class route equal ``ct_integrate`` of P,
+    formed (and lifted), against the row's density in factored form, at
+    n <= 4 and orders up to 10, with m = 0 and m = n, over weight grids
+    that hold zero cases and nonzero ones."""
+    defn = REGISTRY[name]
+    (key,) = defn.integrands
+    zeros = []
+    for n, m, size, orders in CLASS_ROUTE_CASES[name]:
+        dens = FACTORED[key](n, m)
+        for w in sweep_weights(name, n, m, max_weight=size):
+            for order in orders:
+                inst = _Instance(n, m, w, None, order)
+                k, p = _lift(defn, inst)
+                inst = inst._replace(order=order + p)
+                got = _integral(key, inst, (), True, k)
+                _, slots, tbase = INTEGRANDS[key](n, m)
+                mult = lifted(w.parts, k, slots, dens.vars, inst.order, tbase)
+                want = (ct_integrate(dens, mult, inst.order), ct_integrate(dens, None, inst.order))
+                assert got == want, (n, m, w, order)
+                zeros.append(got[0].is_zero())
+    assert any(zeros) and not all(zeros)
 
 
 def test_clearing_caches_rebuilds_the_integrand_plan(monkeypatch, clear_caches):
@@ -490,11 +531,11 @@ def test_weight_lift_matches_point_evaluation(weight):
     # v_lambda P_{lambda+k} is a sum of products of N(N-1)/2 factors
     # (y_i - t y_j) and of slot powers of s-degree at most 2 |lambda + k|
     order = tbase * len(slots) * (len(slots) - 1) // 2 + 2 * (sum(weight) + k * len(slots)) + 1
-    lifted = _lifted(weight, k, slots, dens.vars, order, tbase)
+    lifted_p = lifted(weight, k, slots, dens.vars, order, tbase)
     point = (Fraction(2), Fraction(-3, 2))[:n]
     for s in (Fraction(1, 2), Fraction(-2, 3)):
         value = sum(v * slot_value(Mono(1, key[0], exps), point, s)
-                    for exps, c in lifted.terms.items() for key, v in c.items())
+                    for exps, c in lifted_p.terms.items() for key, v in c.items())
         assert value * s ** -p == hl_by_point_evaluation(weight, slots, point, s, tbase)
 
 
@@ -572,6 +613,22 @@ def test_resource_limit_reported(monkeypatch):
     assert rep.achieved_order == 0
     monkeypatch.delenv("HLTORUS_MAX_TERMS")
     dmod.clear_caches()
+
+
+def test_class_tables_count_toward_the_term_ceiling(monkeypatch):
+    """The class route expands no density, but its class tables count
+    toward HLTORUS_MAX_TERMS: under a ceiling they outgrow, each row gives a
+    resource-limit report at every order, and above it the same instance
+    matches."""
+    cases = (("t2_branching", dict(n=4, weight=(1, 1, -1, -1))),
+             ("unm_vanishing", dict(n=3, m=2, weight=(1, 1, 0, -1, -1))),
+             ("double_cover", dict(n=2, weight=(1, 0, 0, -1))))
+    for ceiling, status, achieved in (("5", "resource-limit", 0), ("100", "match", 8)):
+        monkeypatch.setenv("HLTORUS_MAX_TERMS", ceiling)
+        for name, kwargs in cases:
+            rep = verify(name, order=8, **kwargs)
+            assert (rep.status, rep.achieved_order) == (status, achieved), rep.text_line()
+            assert (status == "match") != ("class table exceeded 5 terms" in rep.notes), name
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

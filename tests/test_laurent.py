@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hltorus.densities import chamber_product
 from hltorus.errors import ConfigurationError, DomainError
 from hltorus.hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
-from hltorus.identities import ALPHA, BETA, INTEGRANDS, MINUS_ALPHA, _lifted, _linear_factors
+from hltorus.identities import ALPHA, BETA, INTEGRANDS, MINUS_ALPHA, _linear_factors
 from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
@@ -205,8 +205,7 @@ def test_producers_keep_the_coefficient_layout():
     cases = (((3, 1), plain), ((2, 1, 0, -1), pm_args(2)), ((2, 1, 1, 0), consts + plain),
              ((2, 2, 1, 0), scaled), ((2, 2, 2, 1), scaled), ((2, 2, 2, 2), scaled))
     polys = [hl_full(w, args, V, order, tbase) for w, args in cases for tbase in (2, 4)]
-    dens, slots, tbase = INTEGRANDS["double_cover"](2, None)
-    polys.append(_lifted((1, 0, -1, -1), 1, slots, dens.vars, order, tbase))
+    dens, slots, _ = INTEGRANDS["double_cover"](2, None)
     polys.append(_linear_factors(slots, (ALPHA, BETA), dens.vars, order)[0])
     dens, slots, tbase = INTEGRANDS["symplectic"](2, None)
     p = hl_full((2, 1, 0, 0), slots, dens.vars, order, tbase)
