@@ -70,12 +70,12 @@ would keep states for the side never read), and the table is convolved
 with the multiplier.  The factors on each line through the origin form
 one truncated Laurent series, built once per distinct set of factors by
 dividing out the geometric ones (``_factor_sequence``), and the lines are
-applied in an order fixed by the block kind (``_line_key``).
-Every state steps through each line's terms by one ``mul_into`` per term,
-and a term is dropped once its s-degree plus a lower bound on what the
-remaining lines must add to bring it back into the window (``_movement``,
-``_budget``) exceeds the order.  No factor lowers the s-degree, so the
-table is exact in the window.
+applied in an order fixed by the block kind (``_line_key``).  A state's
+series in s is one Kronecker-packed integer (``series.pack``); it steps
+through each line's terms by one integer product per term, dropped once
+its s-degree plus a lower bound on what the remaining lines must add to
+bring it back into the window (``_movement``, ``_budget``) exceeds the
+order.  No factor lowers the s-degree, so the table is exact in the window.
 
 Two kinds of density are never expanded.  The U(2n) density of two t = 0
 blocks and the cross factors 1/((1-t x_i/y_j)(1-t y_i/x_j)) (``CrossBlock``)
@@ -97,7 +97,8 @@ from operator import add, itemgetter, sub
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
 from .partitions import partitions_up_to
-from .series import ZERO_KEY, ParamSeries, binomial_ratio, divide_binomial, mul_into
+from .series import (ZERO_KEY, ParamSeries, binomial_ratio, divide_binomial, mul_into, pack,
+                     pack_width, unpack)
 
 
 def env_ceiling(name):
@@ -173,24 +174,15 @@ class DensityProduct:
         self.prefactor = Fraction(prefactor)
         self.blocks = tuple(tuple(b) for b in blocks)
         self.label = label
-        self._key = (
-            self.vars,
-            tuple(sorted(self.num_factors)),
-            tuple(sorted(self.geo_factors)),
-            self.prefactor,
-            self.blocks,
-        )
+        self._key = (self.vars, tuple(sorted(self.num_factors)),
+                     tuple(sorted(self.geo_factors)), self.prefactor, self.blocks)
 
     def key(self):
         return self._key
 
     def __repr__(self):
         return "DensityProduct(%s: %d numerator, %d geometric, prefactor %s)" % (
-            ",".join(self.vars),
-            len(self.num_factors),
-            len(self.geo_factors),
-            self.prefactor,
-        )
+            ",".join(self.vars), len(self.num_factors), len(self.geo_factors), self.prefactor)
 
 
 def positive_roots(nvars, first, size):
@@ -425,14 +417,11 @@ def _line_key(blocks):
     and then its single-variable line, then all of x_2's, and so on.  Each
     variable is then done as soon as its lines are, and the budget pins it
     into its interval from there on, the bucket-elimination order (Dechter,
-    "Bucket elimination", Artificial Intelligence 113, 1999).  On the
-    ``cold-density`` instances the summed intermediate states fall from
-    3537 to 1131 (``normalization_v`` n=4), 610 to 224 (``kawanaka`` n=3)
-    and 300 to 153 (``symplectic`` n=3).  Otherwise it is (|d|, d), which
-    applies the lines of the last variables first.  On "A" blocks x_1 first
-    does worse: the ``sweep-pairs`` builds (seed 3) take 1812 states in
-    place of 624, and the factored U(2n) density of the tests at n=3, order
-    8, in the window of P_(1,1,0,0,-1,-1), 1904 in place of 1160.
+    "Bucket elimination", Artificial Intelligence 113, 1999); the summed
+    states of ``normalization_v`` n=4 fall from 3537 to 1131.  Otherwise it
+    is (|d|, d), which applies the lines of the last variables first; on
+    "A" blocks x_1 first takes 1812 states in place of 624 on the
+    ``sweep-pairs`` builds (seed 3).
     """
     if any(kind in ("B", "D") for kind, *_ in blocks):
         return lambda d: (tuple(-abs(x) for x in d), d)
@@ -450,8 +439,7 @@ def _movement(lines, nv):
     the free one.  Per variable the free moves of the lines add up and the
     rate is the least of theirs; None when no line left moves it that way.
     """
-    free = [[0, 0] for _ in range(nv)]
-    rate = [[None, None] for _ in range(nv)]
+    free, rate = [[0, 0] for _ in range(nv)], [[None, None] for _ in range(nv)]
     out = [None] * len(lines) + [((0, 0, None, None),) * nv]
     for pos in range(len(lines) - 1, -1, -1):
         d, terms = lines[pos]
@@ -480,8 +468,7 @@ def _budget(exps, window, moves, order):
     variable outside its interval, the distance left after the free moves
     is priced at the least rate, rounded up to a whole s-degree; one term
     can move several variables at once, so the bound is the max over the
-    variables, not the sum.  Negative when no degree <= ``order`` can get
-    back.
+    variables, not the sum.  Negative when no degree <= ``order`` can.
     """
     need = 0
     for x, (lo, hi), (fup, fdown, rup, rdown) in zip(exps, window, moves):
@@ -501,24 +488,40 @@ def _budget(exps, window, moves, order):
     return order - need
 
 
-def _walks(d, terms, twindow):
+def _walks(d, terms, twindow, width):
     """The two sides of a line's series, each walked outward from k = 0.
 
-    Per side, the (shift, shift of the touched variables, coefficient dict,
-    least degree of this term and every term beyond it) quadruples, and per
-    touched variable, with ``twindow`` its interval (lo, hi), the pair
-    (s, m) such that the side moves it away from the interval from every
-    exponent x with s x >= m: (1, lo) for a side that moves it up, and
-    (-1, -hi) for one that moves it down.
+    Per side, the (shift, shift of the touched variables, coefficient packed
+    at ``width``, least degree of this term and every term beyond it) of
+    its terms, and per touched variable the pair (s, m) such that the side
+    moves it away from its interval (lo, hi) in ``twindow`` from every x
+    with s x >= m: (1, lo) if the side moves it up, else (-1, -hi).
     """
     out = []
     for side in (1, -1):
         walk = [(k, c) for k, c in terms if (k >= 0 if side > 0 else k < 0)][::side]
         lows = list(accumulate([min(map(sum, c)) for _, c in walk][::-1], min))[::-1]
-        ups = [x * side > 0 for x in d if x]
-        out.append(([(tuple(k * x for x in d), [k * x for x in d if x], c, low)
+        out.append(([(tuple(k * x for x in d), [k * x for x in d if x], pack(c, width), low)
                      for (k, c), low in zip(walk, lows)],
-                    [(1, lo) if up else (-1, -hi) for up, (lo, hi) in zip(ups, twindow)]))
+                    [(1, lo) if x * side > 0 else (-1, -hi)
+                     for x, (lo, hi) in zip([x for x in d if x], twindow)]))
+    return out
+
+
+def _reach(te, walks, twindow, tmoves, order):
+    """Per side of ``walks``, the terms (shift, packed coefficient, least degree,
+    ``_budget`` at ``order``, whether skipping it ends the walk) from the
+    touched exponents ``te``, up to the first that ends every state's walk."""
+    out = []
+    for walk, stops in walks:
+        out.append([])
+        for shift, tshift, c, low in walk:
+            tx = list(map(add, te, tshift))
+            cap = _budget(tx, twindow, tmoves, order)
+            stop = all(s * x >= m for (s, m), x in zip(stops, tx))
+            if stop and cap < low:
+                break
+            out[-1].append((shift, c, low, cap, stop))
     return out
 
 
@@ -528,22 +531,25 @@ def _expansion(dens, order, window):
     The table is exact, through s-degree ``order``, for every exponent
     within the requested window, one signed interval (lo, hi) per variable.
     The lines of ``_factor_sequence`` are applied one at a time: each state
-    (torus exponent, coefficient dict) is shifted by every term k of the
-    line's series and multiplied by its coefficient, keeping only the terms
-    that can still end inside the window at degree <= ``order``.
-    ``_budget`` bounds below the s-degree the remaining lines must add to
-    bring an exponent back; the variables the line leaves alone are priced
-    once per state, the ones it touches per term, and the state's least
-    degree is taken off what a term may add.  Each side of the series is
-    walked outward from k = 0 and stops at a term where that is below the
-    least degree of every term beyond it while each touched variable moves
-    away from its interval (up from x >= lo, or down from x <= hi), where
-    no further term can do better, as a variable's need only grows with its
-    distance from the interval.  Cached per density and order; a request
-    whose intervals lie inside the cached ones gets the cached table, and
-    any other rebuilds it for the union of the two windows, reusing the
-    lines and their movement, which do not depend on the window.  The term
-    ceiling caps a build, so a cached table is served without reading it.
+    (torus exponent, series) is shifted by every term k of the line's
+    series and multiplied by its coefficient, keeping only the terms that
+    can still end inside the window at degree <= ``order``.  ``_budget``
+    bounds below the degree the remaining lines must add to bring an
+    exponent back: per state for the variables the line leaves alone, per
+    line and exponent for the touched ones (``_reach``), less the state's
+    least degree.  Each side of the series is walked outward from k = 0 and
+    stops at a term where that is below the least degree of every term
+    beyond it while each touched variable moves away from its interval.
+
+    Every coefficient is a series in s alone, so a state is one integer
+    (``series.pack``) from the first line to the last, a step one integer
+    product cut to its low digits, and the table is unpacked once.  A digit
+    of a state, product or partial sum is a sum of products of one
+    coefficient per line, so digits of ``series.pack_width`` over the lines
+    never carry; an alpha or beta degree or a non-integer line coefficient
+    raises ``ConfigurationError`` there.  Cached per density and order: a
+    request outside the cached window rebuilds for the union of the two,
+    reusing the lines and their movement; the term ceiling caps builds.
     """
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
@@ -557,56 +563,57 @@ def _expansion(dens, order, window):
         lines = _factor_sequence(dens, order)
         moves = _movement(lines, len(dens.vars))
     limit = max_terms()
-    acc = {(0,) * len(dens.vars): {(0, 0, 0): 1}}
+    width = pack_width([c for _, c in terms] for _, terms in lines)
+    # per cap, the half and the mask that keep and re-centre the digits up to it
+    trims = [(h, 2 * h - 1) for h in (1 << width * (cap + 1) - 1 for cap in range(order + 1))]
+    acc = {(0,) * len(dens.vars): 1}
     for (d, terms), after in zip(lines, moves[1:]):
         touched = [v for v, dv in enumerate(d) if dv]
         twindow, tmoves = [window[v] for v in touched], [after[v] for v in touched]
         others = tuple((-inf, inf) if dv else w for dv, w in zip(d, window))
-        walks = _walks(d, terms, twindow)
-        new = {}
+        walks, reach, new = _walks(d, terms, twindow, width), {}, {}
         while acc:
             e, cd = acc.popitem()
-            # the degree a term may add: the budget less the state's least degree
-            dmin = min(map(sum, cd))
-            rest = _budget(e, others, after, order - dmin)
-            if rest < 0:
+            dmin = ((cd & -cd).bit_length() - 1) // width  # from the lowest set bit
+            top = _budget(e, others, after, order)
+            if top < dmin:
                 continue
-            te = [e[v] for v in touched]
-            for walk, stops in walks:
-                for shift, tshift, c, low in walk:
-                    tx = list(map(add, te, tshift))
-                    room = min(rest, _budget(tx, twindow, tmoves, order - dmin))
-                    if room < low:
-                        if all(s * x >= m for (s, m), x in zip(stops, tx)):
+            te = tuple(e[v] for v in touched)
+            rows = reach.get(te) or reach.setdefault(te, _reach(te, walks, twindow, tmoves, order))
+            for row in rows:
+                for shift, c, low, cap, stop in row:
+                    cap = min(top, cap)
+                    if cap < low + dmin:
+                        if stop:
                             break
                         continue
                     e2 = tuple(map(add, e, shift))
-                    cur = new.setdefault(e2, {})
-                    mul_into(cur, cd, c, room + dmin)
-                    if not cur:
+                    half, mask = trims[cap]
+                    v = new.get(e2, 0) + ((cd * c + half) & mask) - half
+                    if v:
+                        new[e2] = v
+                    elif e2 in new:
                         del new[e2]
             if len(new) > limit:
                 break
         acc = new
         if len(acc) > limit:
             raise ResourceLimitError("density expansion exceeded %d terms" % limit)
-    _EXPANSION_CACHE[cache_key] = (window, acc, lines, moves)
-    return acc
+    table = {e: unpack(v, width) for e, v in acc.items()}
+    _EXPANSION_CACHE[cache_key] = (window, table, lines, moves)
+    return table
 
 
 def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSeries:
     """Torus integral (constant term) of multiplier times the density.
 
-    Exact through the given order.  ``multiplier`` may be None for the bare
-    normalization integral.
-
-    The density is expanded over the window of exponents the convolution
-    reads, the entries -(e + lead) for the exponents e of the multiplier
-    (lead = 0 without one), as one signed interval per variable.  The
-    multiplier's exponent range and the guard's verdict on it are read off
-    its terms once per polynomial object and per block tuple (see
-    ``_reading``), so a cached multiplier is checked in full the first time
-    and refused or accepted the same way on every later call.
+    Exact through the given order; a ``multiplier`` of None gives the bare
+    normalization integral.  The density is expanded over the window of
+    exponents the convolution reads, the entries -(e + lead) for the
+    exponents e of the multiplier (lead = 0 without one), as one signed
+    interval per variable.  The multiplier's exponent range and the guard's
+    verdict on it are memoized on it (``_reading``), so a cached multiplier
+    is refused or accepted the same way on every call.
 
     With ``lead``, a weakly decreasing weight with one part per variable,
     the integrand is P_lead(x; t) times the multiplier g, and P_lead is
@@ -627,18 +634,15 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     if multiplier is None:
         multiplier = LaurentPoly.unit(dens.vars, order)
     if multiplier.vars != dens.vars:
-        raise ConfigurationError(
-            "multiplier variables %r do not match density variables %r"
-            % (multiplier.vars, dens.vars)
-        )
+        raise ConfigurationError("multiplier variables %r do not match density variables %r"
+                                 % (multiplier.vars, dens.vars))
     if multiplier.trunc != order:
         raise ConfigurationError("multiplier truncation differs from the order")
     ranges, invariant = _reading(multiplier, dens.blocks)
     if not invariant:
         # the Weyl factor is exact only for Weyl-invariant multipliers
-        raise ConfigurationError(
-            "multiplier is not invariant under the blocks' Weyl groups in %r" % (dens,)
-        )
+        raise ConfigurationError("multiplier is not invariant under the blocks' Weyl groups"
+                                 " in %r" % (dens,))
     blocks, neg = dens.blocks, [0] * len(dens.vars)
     if lead is not None:
         blocks, count = _stabilizer(dens, lead)
@@ -795,9 +799,8 @@ def _stabilizer(dens, lead):
         raise ConfigurationError("a lead weight needs one \"A\" block over all of %r" % (dens,))
     lead = tuple(lead)
     if len(lead) != nv or any(a < b for a, b in zip(lead, lead[1:])):
-        raise ConfigurationError(
-            "lead %r is not a weakly decreasing weight with %d parts" % (lead, nv)
-        )
+        raise ConfigurationError("lead %r is not a weakly decreasing weight with %d parts"
+                                 % (lead, nv))
     return _runs(dens.blocks[0][3], lead)
 
 
@@ -887,8 +890,7 @@ def _block_symmetric(blocks, terms):
             if a < b:
                 unpaired += 1
             elif a > b:
-                other = terms.get(image(e))
-                if other != c:
+                if terms.get(image(e)) != c:
                     return False
                 unpaired -= 1
     return unpaired == 0

@@ -15,10 +15,12 @@ such as the torus products of ``LaurentPoly``, the chamber product of
 ``hltorus.densities`` and the constant-term convolution, keep one raw
 dict per result instead of building and adding a series per term pair.
 ``LaurentPoly`` terms are such dicts; a scalar result is wrapped in a
-``ParamSeries`` once.  The one division, by a binomial 1 - c x^k with c
-of positive degree, is the exact recurrence of :func:`divide_binomial`,
-and every closed form in the binomials 1 +- s^k is the one quotient
-:func:`binomial_ratio`.
+``ParamSeries`` once.  The density expansion, whose coefficients are
+integer series in s alone, holds each one as a single integer instead
+(:func:`pack`, :func:`unpack`), so its products are integer products.
+The one division, by a binomial 1 - c x^k with c of positive degree, is
+the exact recurrence of :func:`divide_binomial`, and every closed form in
+the binomials 1 +- s^k is the one quotient :func:`binomial_ratio`.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ def mul_into(dst, a, b, cap):
     The dicts map (e_s, e_alpha, e_beta) to nonzero coefficients.  Terms of
     total degree above ``cap`` are skipped, and an entry of ``dst`` that
     cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
-    is the one product loop of the package: series products, the torus
-    products of ``LaurentPoly`` and ``chamber_product``, the branching rule of ``hall_littlewood``,
-    every step of the density expansion and the constant-term convolution
-    all accumulate through it.
+    is the product loop of the package's coefficient dicts: series
+    products, the torus products of ``LaurentPoly`` and ``chamber_product``,
+    the branching rule of ``hall_littlewood`` and the constant-term
+    convolution all accumulate through it.  The density expansion
+    multiplies packed integers (``pack``) instead.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -61,6 +64,53 @@ def mul_into(dst, a, b, cap):
                 del dst[k]
 
 
+def pack_width(groups):
+    """The digit width at which ``pack`` holds every sum of products of
+    one coefficient from each group, a group being coefficient dicts.
+
+    Such a sum is at most the product S over the groups of their absolute
+    coefficient sums, so digits of bit length(S) + 2 bits hold it with room
+    to spare.  Only series in s alone with int coefficients pack: an alpha
+    or beta degree or any other coefficient raises ``ConfigurationError``.
+    """
+    bound = 1
+    for group in groups:
+        total = 0
+        for coeffs in group:
+            for (k, a, b), c in coeffs.items():
+                if a or b or not isinstance(c, int):
+                    raise ConfigurationError("term %r * %r is not an integer multiple of a"
+                                             " power of s" % (c, (k, a, b)))
+                total += abs(c)
+        bound *= total
+    return bound.bit_length() + 2
+
+
+def pack(coeffs, width):
+    """A coefficient dict in s alone as one integer, by Kronecker substitution.
+
+    The coefficient c of s^k becomes the digit c 2^(width k) of a balanced
+    base-2^width number (Schonhage, EUROCAM 1982), so a product of series
+    is one integer product, exact while every digit stays below 2^(width -
+    1) in absolute value, as at a ``pack_width``.
+    """
+    return sum(c << width * k for (k, _, _), c in coeffs.items())
+
+
+def unpack(value, width):
+    """The coefficient dict of a packed series: ``pack``'s inverse."""
+    out = {}
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    k = 0
+    while value:
+        digit = ((value + half) & mask) - half
+        if digit:
+            out[(k, 0, 0)] = digit
+        value = (value - digit) >> width
+        k += 1
+    return out
+
+
 def divide_binomial(coeffs, step, sign, cap):
     """``coeffs`` divided by 1 - sign * x^step, through total degree ``cap``.
 
@@ -69,11 +119,29 @@ def divide_binomial(coeffs, step, sign, cap):
     torus exponents.  The step needs positive degree, and then the quotient
     is exact by the recurrence out[k] = coeffs[k] + sign * out[k - step],
     walked up each chain k, k + step, ... from its lowest key to the cap:
-    one step per key walked.
+    one step per key walked.  When the step is a power of s alone, the
+    chains of each (alpha, beta) degree differ only in s-degree, and one
+    list indexed by s-degree walks all of them at once.
     """
     lift = sum(step[-3:])
     if lift < 1:
         raise DomainError("a geometric factor needs positive parameter degree")
+    if len(step) == 3 and not step[1] and not step[2]:
+        rows = {}
+        for (es, ea, eb), c in coeffs.items():
+            row = rows.get((ea, eb))
+            if row is None:
+                row = rows[ea, eb] = [0] * max(cap + 1 - ea - eb, 0)
+            if es < len(row):
+                row[es] = c
+        out = {}
+        for (ea, eb), row in rows.items():
+            for j in range(lift, len(row)):
+                row[j] += sign * row[j - lift]
+            for j, c in enumerate(row):
+                if c:
+                    out[j, ea, eb] = c
+        return out
     out = {}
     walked = set()
     for k in sorted(coeffs, key=lambda k: sum(k[-3:])):

@@ -36,7 +36,7 @@ from hltorus.identities import (
     verify,
 )
 from hltorus.laurent import LaurentPoly
-from hltorus.series import SeriesRing, mul_into
+from hltorus.series import SeriesRing, pack
 
 from helpers import (coefficient, factor_sequence_by_products, from_coeffs, geometric, monomial,
                      poly_of, poly_sum, scaled, unit_inverse)
@@ -448,6 +448,39 @@ def test_pruned_expansion_matches_full_product(dens):
     densities.clear_caches()
 
 
+def test_expansion_is_exact_past_64_bit_coefficients():
+    """Coefficients beyond 2^64, against the unpruned product: 230 factors
+    1/(1 - s x1) with four numerators 1 + x1, and a second variable joined
+    by 1/(1 - s x1/x2) and 1/(1 - s^2 x2), at order 12."""
+    geo = [((1, 0, 0), 1, (1, 0))] * 230 + [((1, 0, 0), 1, (1, -1)), ((2, 0, 0), 1, (0, 1))]
+    num = [(-1, (1, 0))] * 4
+    dens = DensityProduct(("x1", "x2"), num, geo)
+    order = 12
+    full = _full_product(dens.vars, num, geo, order)
+    for window in (((0, 12), (-3, 3)), ((5, 9), (0, 0)), ((-1, 2), (1, 4))):
+        want = _restrict(full.terms, window)
+        densities.clear_caches()
+        assert densities._expansion(dens, order, window) == want, window
+    assert max(abs(c) for coeffs in full.terms.values() for c in coeffs.values()) > 2 ** 64
+    densities.clear_caches()
+
+
+def test_expansion_refuses_what_it_cannot_pack():
+    """A line coefficient with an alpha or beta degree, or that is not an
+    integer, raises ``ConfigurationError``."""
+    for num, geo in (((), (((1, 1, 0), 1, (1,)),)),
+                     ((), (((2, 0, 0), 1, (1,)), ((0, 0, 1), -1, (-1,)))),
+                     (((Fraction(1, 2), (1,)),), (((2, 0, 0), 1, (1,)),)),
+                     ((), (((2, 0, 0), Fraction(1, 3), (-1,)),))):
+        dens = DensityProduct(("x1",), num, geo)
+        densities.clear_caches()
+        with pytest.raises(ConfigurationError):
+            densities._expansion(dens, 6, ((-2, 2),))
+        with pytest.raises(ConfigurationError):
+            ct_integrate(dens, None, 6)
+    densities.clear_caches()
+
+
 @pytest.mark.parametrize("dens", [selberg_density(3), koornwinder_density(2, K_QUADRUPLES[0]),
                                   cross_block_density(2)], ids=lambda d: d.label)
 def test_expansion_cache_serves_subwindows_and_widens_to_the_union(dens):
@@ -565,15 +598,21 @@ def test_line_build_multiplies_once_per_distinct_factor_set(dens, distinct, monk
 
 
 def _expansion_work(monkeypatch, expansions):
-    """The ``mul_into`` calls of the cold expansions (dens, order, window)."""
+    """The state-by-term products of the cold expansions (dens, order, window).
+
+    Each line term is packed once by ``pack``; the patched one returns an
+    int subclass whose reflected product counts, as every step multiplies a
+    plain state integer by a packed term.
+    """
     calls = [0]
 
-    def counting(*args):
-        calls[0] += 1
-        return mul_into(*args)
+    class Counted(int):
+        def __rmul__(self, other):
+            calls[0] += 1
+            return other * int(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(densities, "mul_into", counting)
+        patch.setattr(densities, "pack", lambda coeffs, width: Counted(pack(coeffs, width)))
         for dens, order, window in expansions:
             densities.clear_caches()
             densities._expansion(dens, order, window)
@@ -583,7 +622,7 @@ def _expansion_work(monkeypatch, expansions):
 
 def test_line_order_saves_work_on_bc_densities(monkeypatch):
     """A deterministic work guard on the line order.  The expansions of
-    three Koornwinder instances take strictly fewer ``mul_into`` calls
+    three Koornwinder instances form strictly fewer state-by-term products
     under x_1 first than under (|d|, d); a Selberg and a cross-block
     expansion, whose "A" blocks keep (|d|, d), take the same number."""
     expansion = densities._expansion

@@ -8,6 +8,7 @@ from hltorus.series import ParamSeries, SeriesRing, binomial_ratio, divide_binom
 
 from helpers import (InternalConsistencyError, divide_by_s_power, drop_param, from_coeffs, geometric,
                      negate_param, truncated, unit_inverse)
+from oracles import pascal_t_binomial
 
 
 def ring(d=8):
@@ -112,10 +113,13 @@ _dicts = st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 2), st.inte
 @example({}, (1, 0, 0), 1, 5, False)
 @example({(0, 0, 0): 1, (1, 1, 0): -2}, (2, 1, 0), -1, 2, False)
 @example({(0, 0, 0): 3, (1, 0, 0): 1}, (1, 0, 0), 1, 6, True)
+@example({(0, 2, 2): 1, (1, 0, 0): 3, (2, 1, 0): -2, (5, 0, 1): 4}, (2, 0, 0), -1, 3, False)
 def test_divide_binomial_matches_the_geometric_product(coeffs, step, sign, cap, cancel):
     """The recurrence equals the product with the whole geometric series,
     for caps below and above the step's degree; with ``cancel`` the input
-    is g (1 - sign x^step), whose terms cancel down to g."""
+    is g (1 - sign x^step), whose terms cancel down to g.  A step in s alone
+    takes the walk per (alpha, beta) degree, also for a degree above the
+    cap and a key beyond it."""
     r = ring(cap)
     series = ParamSeries(coeffs, cap)
     if cancel:
@@ -124,6 +128,21 @@ def test_divide_binomial_matches_the_geometric_product(coeffs, step, sign, cap, 
     assert got == (series * geometric(r, *step, sign=sign)).coeffs
     if cancel:
         assert got == ParamSeries(coeffs, cap).coeffs
+
+
+@pytest.mark.parametrize("base", (1, 2, 3))
+def test_divide_binomial_gives_the_pascal_binomials(base):
+    """[m i] = [m i-1] (1 - t^(m-i+1)) / (1 - t^i), t = s^base, each
+    division a walk in s alone, against the Pascal recurrence at every
+    order 0-14 and m <= 7."""
+    for order in range(15):
+        r = ring(order)
+        for m in range(8):
+            cur = r.one()
+            for i in range(1, m + 1):
+                num = cur * (r.one() - r.s(base * (m - i + 1)))
+                cur = ParamSeries(divide_binomial(num.coeffs, (base * i, 0, 0), 1, order), order)
+                assert cur == pascal_t_binomial(r, m, i, base), (order, m, i)
 
 
 def test_divide_binomial_needs_positive_degree():
