@@ -70,12 +70,12 @@ would keep states for the side never read), and the table is convolved
 with the multiplier.  The factors on each line through the origin form
 one truncated Laurent series, built once per distinct set of factors by
 dividing out the geometric ones (``_factor_sequence``), and the lines are
-applied in an order fixed by the block kind (``_line_key``).  A state's
-series in s is one Kronecker-packed integer (``series.pack``); it steps
-through each line's terms by one integer product per term, dropped once
-its s-degree plus a lower bound on what the remaining lines must add to
-bring it back into the window (``_movement``, ``_budget``) exceeds the
-order.  No factor lowers the s-degree, so the table is exact in the window.
+applied in an order fixed by the block kind (``_line_key``).  A state is
+two integers, its exponent coded in fixed-width fields and its series in
+s packed (``series.pack``): a step by a line's term is one addition and
+one product, dropped once its s-degree plus a lower bound on what the
+remaining lines must add (``_movement``, ``_budget``) exceeds the order.
+No factor lowers the s-degree, so the table is exact in the window.
 
 Two kinds of density are never expanded.  The U(2n) density of two t = 0
 blocks and the cross factors 1/((1-t x_i/y_j)(1-t y_i/x_j)) (``CrossBlock``)
@@ -91,7 +91,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, groupby
-from math import factorial, gcd, inf, prod
+from math import factorial, gcd, prod
 from operator import add, itemgetter, sub
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
@@ -488,37 +488,46 @@ def _budget(exps, window, moves, order):
     return order - need
 
 
-def _walks(d, terms, twindow, width):
+def _walks(d, terms, twindow, width, field):
     """The two sides of a line's series, each walked outward from k = 0.
 
-    Per side, the (shift, shift of the touched variables, coefficient packed
-    at ``width``, least degree of this term and every term beyond it) of
-    its terms, and per touched variable the pair (s, m) such that the side
-    moves it away from its interval (lo, hi) in ``twindow`` from every x
-    with s x >= m: (1, lo) if the side moves it up, else (-1, -hi).
+    Per side, the (shift k d coded at ``field`` bits per variable, touched
+    variables' shift, coefficient packed at ``width``, least degree of this
+    term and every term beyond it) of its terms, and per touched variable
+    the pair (s, m) such that the side moves it away from its interval (lo,
+    hi) in ``twindow`` from every x with s x >= m: (1, lo) if the side moves
+    it up, else (-1, -hi).
     """
-    out = []
+    step, out = sum(x << field * v for v, x in enumerate(d)), []
     for side in (1, -1):
         walk = [(k, c) for k, c in terms if (k >= 0 if side > 0 else k < 0)][::side]
         lows = list(accumulate([min(map(sum, c)) for _, c in walk][::-1], min))[::-1]
-        out.append(([(tuple(k * x for x in d), [k * x for x in d if x], pack(c, width), low)
+        out.append(([(k * step, [k * x for x in d if x], pack(c, width), low)
                      for (k, c), low in zip(walk, lows)],
                     [(1, lo) if x * side > 0 else (-1, -hi)
                      for x, (lo, hi) in zip([x for x in d if x], twindow)]))
     return out
 
 
-def _reach(te, walks, twindow, tmoves, order):
+def _reach(te, walks, singles, order):
     """Per side of ``walks``, the terms (shift, packed coefficient, least degree,
-    ``_budget`` at ``order``, whether skipping it ends the walk) from the
-    touched exponents ``te``, up to the first that ends every state's walk."""
+    budget, whether skipping it ends the walk) from the touched exponents
+    ``te``, up to the first that ends every state's walk.  The budget is the
+    least of the touched variables' own, which ``singles`` memoize per line
+    and coordinate, one (memo, window, moves) each."""
     out = []
     for walk, stops in walks:
         out.append([])
         for shift, tshift, c, low in walk:
-            tx = list(map(add, te, tshift))
-            cap = _budget(tx, twindow, tmoves, order)
-            stop = all(s * x >= m for (s, m), x in zip(stops, tx))
+            cap, stop = order, True
+            for x, (memo, w, mv), (s, m) in zip(map(add, te, tshift), singles, stops):
+                b = memo.get(x)
+                if b is None:
+                    b = memo[x] = _budget((x,), w, mv, order)
+                if b < cap:
+                    cap = b
+                if s * x < m:
+                    stop = False
             if stop and cap < low:
                 break
             out[-1].append((shift, c, low, cap, stop))
@@ -531,25 +540,29 @@ def _expansion(dens, order, window):
     The table is exact, through s-degree ``order``, for every exponent
     within the requested window, one signed interval (lo, hi) per variable.
     The lines of ``_factor_sequence`` are applied one at a time: each state
-    (torus exponent, series) is shifted by every term k of the line's
-    series and multiplied by its coefficient, keeping only the terms that
-    can still end inside the window at degree <= ``order``.  ``_budget``
-    bounds below the degree the remaining lines must add to bring an
-    exponent back: per state for the variables the line leaves alone, per
-    line and exponent for the touched ones (``_reach``), less the state's
-    least degree.  Each side of the series is walked outward from k = 0 and
-    stops at a term where that is below the least degree of every term
-    beyond it while each touched variable moves away from its interval.
+    (exponent, series) is shifted by every term k of the line's series and
+    multiplied by its coefficient, keeping only the terms that can still
+    end inside the window at degree <= ``order``: ``_budget`` bounds below
+    the degree the remaining lines must add, per state for the variables
+    the line leaves alone and per term (``_reach``) for the touched ones,
+    less the state's least degree.  Each side of the series is walked
+    outward from k = 0 and stops at a term where that is below the least
+    degree of every term beyond it while each touched variable moves away
+    from its interval.
 
-    Every coefficient is a series in s alone, so a state is one integer
-    (``series.pack``) from the first line to the last, a step one integer
-    product cut to its low digits, and the table is unpacked once.  A digit
-    of a state, product or partial sum is a sum of products of one
-    coefficient per line, so digits of ``series.pack_width`` over the lines
-    never carry; an alpha or beta degree or a non-integer line coefficient
-    raises ``ConfigurationError`` there.  Cached per density and order: a
-    request outside the cached window rebuilds for the union of the two,
-    reusing the lines and their movement; the term ceiling caps builds.
+    An exponent e is one code, sum_v (e_v + 2^(F-1)) 2^(F v), F the bit
+    length of 2R + 1, R = sum over the lines of max |k| max |d_v|: no
+    coordinate a state reaches from 0 passes R, so no field carries and a
+    step adds the term's shift code.  Per line, the budgets and ``_reach``
+    rows are memoized on the fields they read, decoded on a miss, and the
+    table is decoded once.  A series is one integer (``series.pack``), a
+    step one product cut to its low digits; a digit of a state, product or
+    partial sum is a sum of products of one coefficient per line, so digits
+    of ``series.pack_width`` never carry, and an alpha or beta degree or a
+    non-integer coefficient raises ``ConfigurationError`` there.  Cached per
+    density and order: a request outside the cached window rebuilds for the
+    union of the two, reusing the lines and their movement; the term ceiling
+    caps the states of each line.
     """
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
@@ -566,28 +579,41 @@ def _expansion(dens, order, window):
     width = pack_width([c for _, c in terms] for _, terms in lines)
     # per cap, the half and the mask that keep and re-centre the digits up to it
     trims = [(h, 2 * h - 1) for h in (1 << width * (cap + 1) - 1 for cap in range(order + 1))]
-    acc = {(0,) * len(dens.vars): 1}
+    field = (2 * sum(max(abs(k) for k, _ in terms) * max(map(abs, d)) for d, terms in lines)
+             + 1).bit_length()
+    off, fmask, nv = 1 << field - 1, (1 << field) - 1, len(dens.vars)
+
+    def decode(code, vs):
+        return [(code >> field * v & fmask) - off for v in vs]
+
+    acc = {sum(off << field * v for v in range(nv)): 1}
     for (d, terms), after in zip(lines, moves[1:]):
-        touched = [v for v, dv in enumerate(d) if dv]
-        twindow, tmoves = [window[v] for v in touched], [after[v] for v in touched]
-        others = tuple((-inf, inf) if dv else w for dv, w in zip(d, window))
-        walks, reach, new = _walks(d, terms, twindow, width), {}, {}
+        touched, others = [v for v in range(nv) if d[v]], [v for v in range(nv) if not d[v]]
+        tmask = sum(fmask << field * v for v in touched)
+        omask = ((1 << field * nv) - 1) ^ tmask
+        obox = [window[v] for v in others], [after[v] for v in others]
+        walks = _walks(d, terms, [window[v] for v in touched], width, field)
+        singles = [({}, (window[v],), (after[v],)) for v in touched]
+        tops, reach, new = {}, {}, {}
         while acc:
-            e, cd = acc.popitem()
+            code, cd = acc.popitem()
             dmin = ((cd & -cd).bit_length() - 1) // width  # from the lowest set bit
-            top = _budget(e, others, after, order)
+            top = tops.get(code & omask)
+            if top is None:
+                top = tops[code & omask] = _budget(decode(code, others), *obox, order)
             if top < dmin:
                 continue
-            te = tuple(e[v] for v in touched)
-            rows = reach.get(te) or reach.setdefault(te, _reach(te, walks, twindow, tmoves, order))
+            rows = reach.get(code & tmask) or reach.setdefault(
+                code & tmask, _reach(decode(code, touched), walks, singles, order))
             for row in rows:
                 for shift, c, low, cap, stop in row:
-                    cap = min(top, cap)
+                    if top < cap:
+                        cap = top
                     if cap < low + dmin:
                         if stop:
                             break
                         continue
-                    e2 = tuple(map(add, e, shift))
+                    e2 = code + shift
                     half, mask = trims[cap]
                     v = new.get(e2, 0) + ((cd * c + half) & mask) - half
                     if v:
@@ -599,7 +625,10 @@ def _expansion(dens, order, window):
         acc = new
         if len(acc) > limit:
             raise ResourceLimitError("density expansion exceeded %d terms" % limit)
-    table = {e: unpack(v, width) for e, v in acc.items()}
+    table = {}
+    while acc:  # releasing each packed series as it is unpacked
+        code, v = acc.popitem()
+        table[tuple(decode(code, range(nv)))] = unpack(v, width)
     _EXPANSION_CACHE[cache_key] = (window, table, lines, moves)
     return table
 

@@ -465,6 +465,29 @@ def test_expansion_is_exact_past_64_bit_coefficients():
     densities.clear_caches()
 
 
+def test_expansion_reaches_the_extreme_coordinates():
+    """States at the extreme coordinates a density's lines can reach, on
+    both sides, against the unpruned product: twelve factors 1/(1 - s x1)
+    and twelve 1/(1 - s/x1) at order 12, the same on x1/x2, whose fields
+    move apart; and the Koornwinder density (1, -1, 0, 0), its pair factors
+    alone, on five variables at order 4 in a window without the origin."""
+    one = [((1, 0, 0), 1, (1,))] * 12 + [((1, 0, 0), 1, (-1,))] * 12
+    two = [((1, 0, 0), 1, (1, -1))] * 12 + [((1, 0, 0), 1, (-1, 1))] * 12
+    five = koornwinder_density(5, (1, -1, 0, 0))
+    for dens, order, windows in (
+            (DensityProduct(("x1",), (), one), 12, (((-12, -10),), ((10, 12),), ((-12, 12),))),
+            (DensityProduct(("x1", "x2"), (), two), 12,
+             (((10, 12), (-12, -10)), ((-12, -10), (10, 12)), ((-12, 12), (-12, 12)))),
+            (five, 4, (((1, 2), (-2, -1), (0, 1), (-1, 0), (1, 1)),))):
+        full = _full_product(dens.vars, dens.num_factors, dens.geo_factors, order)
+        for window in windows:
+            want = _restrict(full.terms, window)
+            assert want, (dens.label, window)
+            densities.clear_caches()
+            assert densities._expansion(dens, order, window) == want, (dens.label, window)
+    densities.clear_caches()
+
+
 def test_expansion_refuses_what_it_cannot_pack():
     """A line coefficient with an alpha or beta degree, or that is not an
     integer, raises ``ConfigurationError``."""
@@ -624,11 +647,12 @@ def test_line_order_saves_work_on_bc_densities(monkeypatch):
     """A deterministic work guard on the line order.  The expansions of
     three Koornwinder instances form strictly fewer state-by-term products
     under x_1 first than under (|d|, d); a Selberg and a cross-block
-    expansion, whose "A" blocks keep (|d|, d), take the same number."""
+    expansion, whose "A" blocks keep (|d|, d), take the same number.  Under
+    x_1 first each count stays at or below the bound beside it."""
     expansion = densities._expansion
-    for name, kwargs in (("kawanaka", dict(n=3, weight=(2, 1), order=10)),
-                         ("symplectic", dict(n=3, weight=(2, 2, 1, 1), order=10)),
-                         ("normalization_v", dict(n=4, order=6))):
+    for name, kwargs, most in (("kawanaka", dict(n=3, weight=(2, 1), order=10), 420),
+                               ("symplectic", dict(n=3, weight=(2, 2, 1, 1), order=10), 236),
+                               ("normalization_v", dict(n=4, order=6), 1978)):
         asked = []
         with monkeypatch.context() as patch:
             patch.setattr(densities, "_expansion",
@@ -637,13 +661,15 @@ def test_line_order_saves_work_on_bc_densities(monkeypatch):
             assert verify(name, **kwargs).status == "match"
         assert asked and all(d.blocks[0][0] in "BD" for d, _, _ in asked), name
         chosen = _expansion_work(monkeypatch, asked)
+        assert chosen <= most, (name, chosen)
         with monkeypatch.context() as patch:
             _by_size(patch)
             by_size = _expansion_work(patch, asked)
         assert chosen < by_size, (name, chosen, by_size)
-    for dens, window in ((selberg_density(3), ((-3, 3),) * 3),
-                         (cross_block_density(2), ((-2, 2),) * 4)):
+    for dens, window, most in ((selberg_density(3), ((-3, 3),) * 3, 44),
+                               (cross_block_density(2), ((-2, 2),) * 4, 396)):
         chosen = _expansion_work(monkeypatch, [(dens, 8, window)])
+        assert chosen <= most, (dens.label, chosen)
         with monkeypatch.context() as patch:
             _by_size(patch)
             assert _expansion_work(patch, [(dens, 8, window)]) == chosen, dens.label
@@ -1191,6 +1217,20 @@ def test_term_ceiling_trips(monkeypatch):
         ct_integrate(dens, e1e1bar, D)
     monkeypatch.delenv("HLTORUS_MAX_TERMS")
     dmod.clear_caches()
+
+
+def test_term_ceiling_counts_states(monkeypatch):
+    """The ceiling caps the states of each line: the largest line table of
+    ``plus_odd`` n=3 at order 8 in the window +-3 has 377 states."""
+    dens = INTEGRANDS["plus_odd"](3, None)[0]
+    monkeypatch.setenv("HLTORUS_MAX_TERMS", "376")
+    densities.clear_caches()
+    with pytest.raises(ResourceLimitError):
+        densities._expansion(dens, 8, ((-3, 3),) * 3)
+    monkeypatch.setenv("HLTORUS_MAX_TERMS", "377")
+    densities.clear_caches()
+    assert densities._expansion(dens, 8, ((-3, 3),) * 3)
+    densities.clear_caches()
 
 
 # (n, weight) for the Cauchy-sum route: mu = nu, mu != nu with |mu| = |nu|,
