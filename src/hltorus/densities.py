@@ -42,10 +42,11 @@ invariant under each block's Weyl group.  The simple reflections of that
 group (``_reflections``) also cut out its closed dominant chamber, which
 each orbit of exponents meets exactly once, and ``chamber_product`` forms a
 product of invariant multipliers there: it multiplies only the term pairs
-whose exponent sum is dominant and copies each such term over its orbit.
-``koornwinder_normalization``
-states the bare Koornwinder integral in closed form, Gustafson's product at
-q = 0, parsing the same parameter quadruple as ``koornwinder_density``.
+whose exponent sum is dominant and keeps one coefficient per orbit
+(``OrbitSums``), which ``ct_integrate`` multiplies once by the orbit's sum
+of table entries.  ``koornwinder_normalization`` states the bare Koornwinder
+integral in closed form, Gustafson's product at q = 0, parsing the same
+parameter quadruple as ``koornwinder_density``.
 
 On a density with one "A" block over all its variables, P_lambda(x; t)
 times a symmetric g integrates without forming P_lambda, by Macdonald's
@@ -89,7 +90,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, combinations, groupby
 from math import factorial, gcd, prod
 from operator import add, itemgetter, sub
@@ -640,9 +641,12 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     normalization integral.  The density is expanded over the window of
     exponents the convolution reads, the entries -(e + lead) for the
     exponents e of the multiplier (lead = 0 without one), as one signed
-    interval per variable.  The multiplier's exponent range and the guard's
-    verdict on it are memoized on it (``_reading``), so a cached multiplier
-    is refused or accepted the same way on every call.
+    interval per variable.  A ``LaurentPoly`` multiplier is read term by
+    term; its exponent range and the guard's verdict on it are memoized on
+    it (``_reading``), so a cached multiplier is refused or accepted the
+    same way on every call.  An ``OrbitSums`` multiplier, invariant by
+    construction, must have the density's blocks; each orbit's coefficient
+    multiplies the sum of the table entries at its points.
 
     With ``lead``, a weakly decreasing weight with one part per variable,
     the integrand is P_lead(x; t) times the multiplier g, and P_lead is
@@ -667,24 +671,41 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
                                  % (multiplier.vars, dens.vars))
     if multiplier.trunc != order:
         raise ConfigurationError("multiplier truncation differs from the order")
-    ranges, invariant = _reading(multiplier, dens.blocks)
+    orbits = isinstance(multiplier, OrbitSums)
+    if orbits:
+        ranges, invariant = multiplier.ranges, multiplier.blocks == dens.blocks
+    else:
+        ranges, invariant = _reading(multiplier, dens.blocks)
     if not invariant:
-        # the Weyl factor is exact only for Weyl-invariant multipliers
+        # the Weyl factor is exact only for Weyl-invariant multipliers, and
+        # an orbit under one Weyl group need not be one under another
         raise ConfigurationError("multiplier is not invariant under the blocks' Weyl groups"
-                                 " in %r" % (dens,))
+                                 " (or its orbits are another group's) in %r" % (dens,))
     blocks, neg = dens.blocks, [0] * len(dens.vars)
     if lead is not None:
         blocks, count = _stabilizer(dens, lead)
         neg = [-a for a in lead]
     elif isinstance(dens, CrossBlock):
-        return _cauchy_sum(multiplier.terms, len(dens.vars) // 2, order)
+        terms = ((e, c) for points, c in multiplier.orbits for e in points) if orbits else (
+            multiplier.terms.items())
+        return _cauchy_sum(terms, len(dens.vars) // 2, order)
     prefactor = dens.prefactor if lead is None else dens.prefactor * count
     table = _expansion(dens, order, [(b - hi, b - lo) for (hi, lo), b in zip(ranges, neg)])
     out = {}
-    for e, coeff in multiplier.terms.items():
-        dcoef = table.get(tuple(map(sub, neg, e)))
-        if dcoef:
-            mul_into(out, coeff, dcoef, order)
+    if orbits:
+        for points, coeff in multiplier.orbits:
+            acc = {}
+            for e in points:
+                for k, v in table.get(tuple(map(sub, neg, e)), {}).items():
+                    acc[k] = acc.get(k, 0) + v
+            acc = {k: v for k, v in acc.items() if v}
+            if acc:
+                mul_into(out, coeff, acc, order)
+    else:
+        for e, coeff in multiplier.terms.items():
+            dcoef = table.get(tuple(map(sub, neg, e)))
+            if dcoef:
+                mul_into(out, coeff, dcoef, order)
     result = ParamSeries(out, order, clean=False)
     if blocks:
         result = result * _weyl_factor(blocks, order)
@@ -762,7 +783,8 @@ def _sort_sign(v):
 
 
 def _cauchy_sum(terms, n, order):
-    """CT[multiplier * ``CrossBlock(n)``] through ``order``, from the terms alone.
+    """CT[multiplier * ``CrossBlock(n)``] through ``order``, from the
+    multiplier's (exponent, coefficient) pairs ``terms`` alone.
 
     The terms are grouped by their x-part a, since rho and eps1 depend only
     on (a, kappa).  As |rho| = |kappa| + |a|, the s-degree 2(|kappa| +
@@ -770,7 +792,7 @@ def _cauchy_sum(terms, n, order):
     """
     delta = range(n - 1, -1, -1)
     groups = {}
-    for e, c in terms.items():
+    for e, c in terms:
         groups.setdefault(e[:n], []).append((e[n:], c))
     kappas = [(sum(k.parts), tuple(map(add, k.padded(n).parts, delta)))
               for k in partitions_up_to(order // 2, n)]
@@ -925,6 +947,25 @@ def _block_symmetric(blocks, terms):
     return unpaired == 0
 
 
+class OrbitSums:
+    """A Weyl-invariant multiplier kept as one coefficient per orbit of exponents.
+
+    ``orbits`` holds one (points, coefficient dict) pair per orbit under the
+    Weyl groups of ``blocks``, the points listed from the dominant one; the
+    orbits are disjoint.  ``ranges`` holds each variable's (max, min)
+    exponent over the points, (0, 0) for no orbit.  Only ``ct_integrate``
+    reads it, against a density with the same ``blocks``.
+    """
+
+    __slots__ = ("vars", "trunc", "blocks", "ranges", "orbits")
+
+    def __init__(self, vars, trunc, blocks, orbits):
+        self.vars, self.trunc, self.blocks, self.orbits = vars, trunc, blocks, orbits
+        columns = zip(*(e for points, _ in orbits for e in points))
+        self.ranges = tuple((max(c), min(c)) for c in columns) if orbits else (
+            ((0, 0),) * len(vars))
+
+
 def chamber_product(dens, factors):
     """The product of the multipliers ``factors``, formed on the dominant chamber.
 
@@ -933,16 +974,18 @@ def chamber_product(dens, factors):
     ``ct_integrate``, before anything is multiplied, and a factor that is not
     invariant raises ``ConfigurationError``.  That holds even where the
     product would be invariant, as x1 times x2 on ``selberg_density(2)``;
-    no registry row forms such a product.
+    no registry row forms such a product.  A single factor is returned as
+    it is.
 
     A product of invariant factors is invariant, and each orbit of
     exponents meets the closed dominant chamber (see ``_reflections``)
     exactly once (Humphreys, Reflection Groups and Coxeter Groups, 1990,
     1.12).  So the factors are multiplied two at a time, through
     ``_chamber_mul``, only at the term pairs whose exponent sum is dominant,
-    and each dominant term's coefficient is then copied to every point of
-    its orbit.  Without blocks every exponent is dominant, and this is the
-    plain product.  ``ct_integrate`` still checks the finished product.
+    and the product is returned as ``OrbitSums`` over ``dens.blocks``.  A
+    third factor, which no registry row has, multiplies the second product
+    spread over its points.  Without blocks every exponent is dominant and
+    its own orbit.
     """
     first = factors[0]
     for f in factors:
@@ -951,12 +994,19 @@ def chamber_product(dens, factors):
             raise ConfigurationError(
                 "multiplier factor is not invariant under the blocks' Weyl groups in %r"
                 % (dens,))
+    if len(factors) == 1:
+        return first
     reflections = _reflections(dens.blocks, len(first.vars))
-    return reduce(lambda p, q: _chamber_mul(p, q, reflections), factors)
+    orbits = _chamber_mul(first.terms, factors[1].terms, first.trunc, reflections)
+    for f in factors[2:]:
+        spread = {e: c for points, c in orbits for e in points}
+        orbits = _chamber_mul(spread, f.terms, first.trunc, reflections)
+    return OrbitSums(first.vars, first.trunc, dens.blocks, orbits)
 
 
-def _chamber_mul(p, q, reflections):
-    """p * q for invariant p and q, multiplied only where the sum is dominant.
+def _chamber_mul(a, b, order, reflections):
+    """The orbits of the product of the invariant terms ``a`` and ``b``,
+    multiplied only where the sum is dominant, as (points, coefficient) pairs.
 
     With d_r(e) = e_i - s e_j for the reflection r = (i, j, s), a sum a + b
     is dominant when d_r(a) + d_r(b) >= 0 for every r.  The partners b, the
@@ -964,16 +1014,17 @@ def _chamber_mul(p, q, reflections):
     of those with x + d_r(b) >= 0.  A term a of the larger factor for which
     some r leaves no partner is dropped; the others are grouped by d_r(a),
     clipped at -min_b d_r(b), beyond which every partner passes, and a
-    group's partners are the AND of its bitsets.  Each dominant sum's orbit
-    is found by closing it under the reflections, and shares the sum's
-    coefficient.
+    group's partners are the AND of its bitsets.  Each nonzero dominant
+    sum's orbit is found by closing it under the reflections downward: x
+    moves by r only where d_r(x) > 0.  That reaches the whole orbit: a
+    point y that is not dominant has some d_r(y) < 0, so it is one step down
+    from r(y), which is y plus a positive multiple of r's root and so
+    nearer the dominant point.
     """
-    a, b = p.terms, q.terms
     if len(a) < len(b):
         a, b = b, a
-    order = p.trunc
     if not b:
-        return LaurentPoly(p.vars, {}, order)
+        return []
     partners = list(b.items())
     # per reflection, (i, j, s, least x, largest x) and {x: bitset of partners}
     cuts, tables = [], []
@@ -1016,16 +1067,17 @@ def _chamber_mul(p, q, reflections):
                 if dst is None:
                     dst = raw[e] = {}
                 mul_into(dst, ca, cb, order)
-    out = {}
+    orbits = []
     for e, c in raw.items():
         if not c:
             continue
-        out[e] = c
-        orbit = [e]
-        for x in orbit:
-            for *_, image in reflections:
-                y = image(x)
-                if y not in out:
-                    out[y] = c
-                    orbit.append(y)
-    return LaurentPoly(p.vars, out, order)
+        points, seen = [e], {e}
+        for x in points:
+            for i, j, s, image in reflections:
+                if x[i] > s * x[j]:
+                    y = image(x)
+                    if y not in seen:
+                        seen.add(y)
+                        points.append(y)
+        orbits.append((points, c))
+    return orbits

@@ -21,7 +21,7 @@ for the even minus component, are these scalars.  P and the Laurent factor
 are each invariant under the density's Weyl group, so their product is
 formed on its dominant chamber (``chamber_product`` in
 ``hltorus.densities``): only the term pairs whose exponent sum is dominant
-are multiplied, and each such term is copied over its orbit.
+are multiplied, and the product is integrated one orbit at a time.
 
 With I_k the integral of the k-th integrand and Z_k its bare density
 integral, the one builder ``_build`` checks

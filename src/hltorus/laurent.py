@@ -25,9 +25,8 @@ class LaurentPoly:
     ``ParamSeries(c, trunc, clean=False)`` for ring arithmetic on it.
 
     A polynomial is immutable once built: no code changes ``vars``,
-    ``terms`` or a coefficient dict afterwards (orbit points of
-    ``chamber_product`` share one dict), and every operation returns a
-    new polynomial.  ``_memo`` relies on that.  It starts as None and is
+    ``terms`` or a coefficient dict afterwards, and every operation returns
+    a new polynomial.  ``_memo`` relies on that.  It starts as None and is
     filled lazily by :func:`~hltorus.densities.ct_integrate` and
     :func:`~hltorus.densities.chamber_product` with what they read off the
     terms alone (their exponent range and the Weyl-group

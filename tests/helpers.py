@@ -10,8 +10,10 @@ The package never adds polynomials or scales one either: ``monomial``,
 ``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
 q-Pochhammer symbol, the Rogers-Szego sum, the two grid enumerators and
 ``row_closed_form`` below are used by the tests alone as well, and so are
-``lifted``, the lifted P that the package never forms, and
-``InternalConsistencyError``, which ``divide_by_s_power`` raises.
+``lifted``, the lifted P that the package never forms,
+``spread_orbits``, the terms of a ``chamber_product`` over its orbits'
+points, and ``InternalConsistencyError``, which ``divide_by_s_power``
+raises.
 """
 
 from fractions import Fraction
@@ -100,6 +102,28 @@ def linear_factor_by_binomials(slots, values, names, order):
                             y.exps: ring.monomial(y.spow, ea, eb, coeff=-coeff * y.sign)}
                 torus = torus * poly_of(names, binomial, order)
     return torus
+
+
+def spread_orbits(product):
+    """The terms of a ``chamber_product`` result: each orbit's coefficient
+    dict at every one of its points.
+
+    Asserts on the way that the orbits are disjoint, that each has exactly
+    one point in the closed dominant chamber of ``product.blocks``, listed
+    first, and that ``product.ranges`` is the points' (max, min) range per
+    variable, (0, 0) without points.
+    """
+    reflections = densities._reflections(product.blocks, len(product.vars))
+    terms = {}
+    for points, c in product.orbits:
+        dominant = [e for e in points if all(e[i] >= s * e[j] for i, j, s, _ in reflections)]
+        assert dominant == points[:1], (points, dominant)
+        for e in points:
+            assert e not in terms, ("orbits overlap", e)
+            terms[e] = c
+    columns = list(zip(*terms)) or [(0,)] * len(product.vars)
+    assert product.ranges == tuple((max(c), min(c)) for c in columns), product.ranges
+    return terms
 
 
 def coefficient(poly, exps):

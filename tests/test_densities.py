@@ -39,7 +39,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import SeriesRing, pack
 
 from helpers import (coefficient, factor_sequence_by_products, from_coeffs, geometric, monomial,
-                     poly_of, poly_sum, scaled, unit_inverse)
+                     poly_of, poly_sum, scaled, spread_orbits, unit_inverse)
 from oracles import (FACTORED, cross_block_density, gustafson_rhs, halved_density,
                      two_block_density, v_by_factorials)
 
@@ -869,12 +869,14 @@ def _koornwinder_routes(key, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chamber_product_matches_plain_product(n):
     """The chamber product of P at an integrand's slots and the slot rule's
-    linear factor has the very terms of ``LaurentPoly.__mul__``, for every
+    linear factor has the very terms of ``LaurentPoly.__mul__``, and its
+    integral, each orbit's coefficient times its points' summed table
+    entries, is that of the plain product read term by term, for every
     Koornwinder integrand on its "B" and "D" routes and the registry's
     value sets."""
     keys = [key for key, integrand in INTEGRANDS.items() if hasattr(integrand, "params")]
     order = 6 if n < 4 else 4
-    blockless = 0
+    blockless = nonzero = 0
     for key in keys:
         for dens, slots, tbase in _koornwinder_routes(key, n):
             blockless += not dens.blocks
@@ -887,11 +889,16 @@ def test_chamber_product_matches_plain_product(n):
                     torus, _ = _linear_factors(slots, values, dens.vars, order)
                     want = p * torus
                     got = chamber_product(dens, [p, torus])
-                    assert got.terms == want.terms, (key, dens.blocks, weight, values)
-                    assert chamber_product(dens, [torus, p]).terms == want.terms
+                    assert spread_orbits(got) == want.terms, (key, dens.blocks, weight, values)
+                    assert spread_orbits(chamber_product(dens, [torus, p])) == want.terms
+                    integral = ct_integrate(dens, got, order)
+                    assert integral == ct_integrate(dens, want, order), (key, weight, values)
+                    nonzero += not integral.is_zero()
     # on one variable plus_even and the five "D" routes keep no block, as W(D_1)
     # is trivial, and there the product is the plain one
     assert blockless == (6 if n == 1 else 0)
+    assert nonzero
+    densities.clear_caches()
 
 
 def test_chamber_product_matches_plain_product_on_type_a():
@@ -905,20 +912,21 @@ def test_chamber_product_matches_plain_product_on_type_a():
         slots = tuple(var_arg(n, i) for i in range(n))
         p = hl_full((2, 1, 1, 0)[:n], slots, dens.vars, order)
         torus, _ = _linear_factors(slots, (ALPHA, BETA), dens.vars, order)
-        assert chamber_product(dens, [p, torus]).terms == (p * torus).terms, n
+        assert spread_orbits(chamber_product(dens, [p, torus])) == (p * torus).terms, n
     for m, n in ((1, 2), (2, 2), (2, 3)):
         dens = two_block_density(m, n)
         nv = m + n
         every = tuple(var_arg(nv, i) for i in range(nv))
         p = hl_full((2, 1) + (0,) * (nv - 2), every, dens.vars, order)
         torus, _ = _linear_factors(every, (ALPHA,), dens.vars, order)
-        assert chamber_product(dens, [p, torus]).terms == (p * torus).terms, (m, n)
+        assert spread_orbits(chamber_product(dens, [p, torus])) == (p * torus).terms, (m, n)
         px = hl_full((2, 1, 0)[:m] if m > 1 else (2,), every[:m], dens.vars, order)
         ly, _ = _linear_factors(every[m:], (ALPHA, BETA), dens.vars, order)
         ybar = tuple(var_arg(nv, i, -1) for i in range(m, nv))
         pybar = hl_full((1,) + (0,) * (n - 1), ybar, dens.vars, order)
-        assert chamber_product(dens, [px, ly]).terms == (px * ly).terms, (m, n)
-        assert chamber_product(dens, [px, ly, pybar]).terms == (px * ly * pybar).terms
+        assert spread_orbits(chamber_product(dens, [px, ly])) == (px * ly).terms, (m, n)
+        three = chamber_product(dens, [px, ly, pybar])
+        assert spread_orbits(three) == (px * ly * pybar).terms, (m, n)
 
 
 def test_chamber_product_guards_each_factor(monkeypatch):
@@ -940,13 +948,80 @@ def test_chamber_product_guards_each_factor(monkeypatch):
                 chamber_product(dens, factors)
     assert x1._memo[1] == {dens.blocks: False} and both._memo[1] == {dens.blocks: True}
     monkeypatch.undo()
-    assert chamber_product(dens, [both, both]).terms == (both * both).terms
+    assert spread_orbits(chamber_product(dens, [both, both])) == (both * both).terms
     # on a "B" block x1 + x2 is not invariant either
     b_dens = koornwinder_density(2, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
     with pytest.raises(ConfigurationError, match="not invariant"):
         chamber_product(b_dens, [both, both])
     with pytest.raises(ConfigurationError):
         chamber_product(dens, [both, LaurentPoly.unit(dens.vars, D + 1)])
+
+
+def _as_plain_product(dens, factors, order, lead=None):
+    """``ct_integrate`` of the chamber product of two ``factors``, one orbit
+    at a time, checked against the plain ``LaurentPoly.__mul__`` product
+    read term by term; returns the integral."""
+    got = ct_integrate(dens, chamber_product(dens, factors), order, lead=lead)
+    p, q = factors
+    assert got == ct_integrate(dens, p * q, order, lead=lead), (dens, lead)
+    return got
+
+
+def test_orbit_sums_integrate_as_the_plain_product_on_type_a():
+    """The integral of a chamber product equals that of the plain product
+    on "A" blocks too: P Pbar, and Pbar times the linear factor
+    with and without a lead, on the Selberg density; on the two-block
+    density the linear factor at every variable times Pbar at every
+    variable, and times Pbar in the x's alone; on ``CrossBlock``, through
+    the Cauchy sum, P_mu(x) P_nu(1/y).  Every case has a nonzero integral."""
+    order, nonzero = 6, 0
+    for n in (1, 2, 3):
+        dens = selberg_density(n)
+        p = hl_full((1, 1, 0)[:n], _slots(n), dens.vars, order)
+        pbar = hl_full((1, 1, 0)[:n], _slots(n, -1), dens.vars, order)
+        torus, _ = _linear_factors(_slots(n), (ALPHA, BETA), dens.vars, order)
+        nonzero += not _as_plain_product(dens, [p, pbar], order).is_zero()
+        for lead in (None, (1, 0, 0)[:n], (1, 1, 0)[:n]):
+            nonzero += not _as_plain_product(dens, [pbar, torus], order, lead=lead).is_zero()
+    for m, n in ((1, 2), (2, 2)):
+        dens = two_block_density(m, n)
+        every = _slots(m + n)
+        torus, _ = _linear_factors(every, (ALPHA,), dens.vars, order)
+        pbar = hl_full((1, 1) + (0,) * (m + n - 2), _slots(m + n, -1), dens.vars, order)
+        pxbar = hl_full((1,) + (0,) * (m - 1), _slots(m + n, -1)[:m], dens.vars, order)
+        for factors in ([torus, pbar], [torus, pxbar]):
+            nonzero += not _as_plain_product(dens, factors, order).is_zero()
+    n = 2
+    dens = CrossBlock(n)
+    x = tuple(var_arg(2 * n, i) for i in range(n))
+    ybar = tuple(var_arg(2 * n, n + i, -1) for i in range(n))
+    for mu, nu in (((1, 0), (1, 0)), ((2, 0), (1, 1)), ((1, 1), (1, 1))):
+        factors = [hl_full(mu, x, dens.vars, order), hl_full(nu, ybar, dens.vars, order)]
+        nonzero += not _as_plain_product(dens, factors, order).is_zero()
+    assert nonzero == 19, nonzero
+    densities.clear_caches()
+
+
+def test_orbit_sums_need_the_density_they_were_formed_for():
+    """A chamber product integrates only against its own blocks, variables
+    and order: the "D" route's product is refused by the "B" density on the
+    same variables, and so are another density's variables and another
+    order."""
+    order = 6
+    d_dens, slots, tbase = INTEGRANDS["plus_odd"].whole()(2, None)
+    b_dens, b_slots, _ = INTEGRANDS["plus_odd"](2, None)
+    assert d_dens.vars == b_dens.vars and slots == b_slots and d_dens.blocks != b_dens.blocks
+    p = hl_full((2, 1) + (0,) * (len(slots) - 2), slots, d_dens.vars, order, tbase)
+    torus, _ = _linear_factors(slots, (ALPHA,), d_dens.vars, order)
+    product = chamber_product(d_dens, [p, torus])
+    assert not ct_integrate(d_dens, product, order).is_zero()
+    with pytest.raises(ConfigurationError, match="orbits are another group's"):
+        ct_integrate(b_dens, product, order)
+    with pytest.raises(ConfigurationError, match="variables"):
+        ct_integrate(koornwinder_density(2, K_PLUS_ODD, prefix="y"), product, order)
+    with pytest.raises(ConfigurationError, match="truncation"):
+        ct_integrate(d_dens, product, order + 1)
+    densities.clear_caches()
 
 
 def test_weyl_factor_of_small_blocks():

@@ -9,7 +9,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
 from helpers import (coefficient, constant_term, max_total_degree, monomial, poly_of, poly_sum,
-                     rename_vars, scalar, specialize)
+                     rename_vars, scalar, specialize, spread_orbits)
 from oracles import product_by_nested_loops
 
 
@@ -213,8 +213,10 @@ def test_producers_keep_the_coefficient_layout():
     # rule and in the chamber product of its two halves
     torus, _ = _linear_factors(slots, (ALPHA, MINUS_ALPHA), dens.vars, order)
     halves = [_linear_factors(slots, (v,), dens.vars, order)[0] for v in (ALPHA, MINUS_ALPHA)]
-    polys += [p, torus, chamber_product(dens, [p, torus]), chamber_product(dens, halves),
-              p * torus]
+    polys += [p, torus, p * torus]
+    for product in (chamber_product(dens, [p, torus]), chamber_product(dens, halves)):
+        # the orbits' coefficient dicts, each at its orbit's points
+        polys.append(LaurentPoly(product.vars, spread_orbits(product), product.trunc))
     # (x1 + 1)(x1 - 1): the x1 terms cancel; t^2 x1 times t x2 passes the order
     x1, one = monomial(V, (1, 0), 1, order), LaurentPoly.unit(V, order)
     polys.append(poly_sum(x1, one) * poly_sum(x1, monomial(V, (0, 0), -1, order)))
