@@ -38,15 +38,14 @@ needs f * stored half to have no pole on the torus, so a parameter +-1 must
 be in the pair, where it cancels against the numerator.  The integrator
 multiplies by the Weyl factor per block, so a density still means the full
 product times its prefactor, and it refuses a multiplier that is not
-invariant under each block's Weyl group.  The simple reflections of that
-group (``_reflections``) also cut out its closed dominant chamber, which
-each orbit of exponents meets exactly once, and ``chamber_product`` forms a
-product of invariant multipliers there: it multiplies only the term pairs
-whose exponent sum is dominant and keeps one coefficient per orbit
-(``OrbitSums``), which ``ct_integrate`` multiplies once by the orbit's sum
-of table entries.  ``koornwinder_normalization`` states the bare Koornwinder
-integral in closed form, Gustafson's product at q = 0, parsing the same
-parameter quadruple as ``koornwinder_density``.
+invariant under each block's Weyl group.  Each orbit of exponents meets
+the group's closed dominant chamber exactly once (``_dominant``), so the
+guard compares the terms orbit by orbit, and an invariant P times a linear factor prod_i l(x_i) integrates without its
+product (``ct_integrate``'s ``linear``): the table is summed over each
+orbit once, and each orbit of the linear factor takes one packed product
+per term of P (``_orbit_convolution``).  ``koornwinder_normalization``
+states the bare Koornwinder integral in closed form, Gustafson's product at
+q = 0, parsing the same parameter quadruple as ``koornwinder_density``.
 
 On a density with one "A" block over all its variables, P_lambda(x; t)
 times a symmetric g integrates without forming P_lambda, by Macdonald's
@@ -76,7 +75,9 @@ two integers, its exponent coded in fixed-width fields and its series in
 s packed (``series.pack``): a step by a line's term is one addition and
 one product, dropped once its s-degree plus a lower bound on what the
 remaining lines must add (``_movement``, ``_budget``) exceeds the order.
-No factor lowers the s-degree, so the table is exact in the window.
+No factor lowers the s-degree, so the table is exact in the window.  The
+table keeps its series packed, and the convolution unpacks only what it
+reads.
 
 Two kinds of density are never expanded.  The U(2n) density of two t = 0
 blocks and the cross factors 1/((1-t x_i/y_j)(1-t y_i/x_j)) (``CrossBlock``)
@@ -91,9 +92,9 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, combinations, groupby, product
 from math import factorial, gcd, prod
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
@@ -489,24 +490,25 @@ def _budget(exps, window, moves, order):
     return order - need
 
 
-def _walks(d, terms, twindow, width, field):
-    """The two sides of a line's series, each walked outward from k = 0.
+def _walks(d, row, twindow, field):
+    """The two sides of a line's packed series ``row``, each walked outward from k = 0.
 
     Per side, the (shift k d coded at ``field`` bits per variable, touched
-    variables' shift, coefficient packed at ``width``, least degree of this
-    term and every term beyond it) of its terms, and per touched variable
-    the pair (s, m) such that the side moves it away from its interval (lo,
-    hi) in ``twindow`` from every x with s x >= m: (1, lo) if the side moves
-    it up, else (-1, -hi).
+    variables' shift, packed coefficient, least degree of this term and
+    every term beyond it) of its terms, and per touched variable the pair
+    (s, m) such that the side moves it away from its interval (lo, hi) in
+    ``twindow`` from every x with s x >= m: (1, lo) if the side moves it
+    up, else (-1, -hi).
     """
     step, out = sum(x << field * v for v, x in enumerate(d)), []
+    touched = [x for x in d if x]
     for side in (1, -1):
-        walk = [(k, c) for k, c in terms if (k >= 0 if side > 0 else k < 0)][::side]
-        lows = list(accumulate([min(map(sum, c)) for _, c in walk][::-1], min))[::-1]
-        out.append(([(k * step, [k * x for x in d if x], pack(c, width), low)
-                     for (k, c), low in zip(walk, lows)],
+        walk = [term for term in row if (term[0] >= 0 if side > 0 else term[0] < 0)][::side]
+        lows = list(accumulate([low for _, _, low in walk][::-1], min))[::-1]
+        out.append(([(k * step, [k * x for x in touched], c, low)
+                     for (k, c, _), low in zip(walk, lows)],
                     [(1, lo) if x * side > 0 else (-1, -hi)
-                     for x, (lo, hi) in zip([x for x in d if x], twindow)]))
+                     for x, (lo, hi) in zip(touched, twindow)]))
     return out
 
 
@@ -535,8 +537,16 @@ def _reach(te, walks, singles, order):
     return out
 
 
-def _expansion(dens, order, window):
-    """Expand the density into {torus exponent: coefficient dict}.
+class _Table(dict):
+    """{torus exponent: series packed at ``width``}, with the entries that
+    ``ct_integrate`` has unpacked (``read``) and the orbit sums of
+    ``_orbit_convolution`` (``orbits``), each filled on first use."""
+
+    __slots__ = ("width", "read", "orbits")
+
+
+def _expansion(dens, order, window, spare=0):
+    """Expand the density into {torus exponent: packed series}, a ``_Table``.
 
     The table is exact, through s-degree ``order``, for every exponent
     within the requested window, one signed interval (lo, hi) per variable.
@@ -560,24 +570,35 @@ def _expansion(dens, order, window):
     step one product cut to its low digits; a digit of a state, product or
     partial sum is a sum of products of one coefficient per line, so digits
     of ``series.pack_width`` never carry, and an alpha or beta degree or a
-    non-integer coefficient raises ``ConfigurationError`` there.  Cached per
-    density and order: a request outside the cached window rebuilds for the
-    union of the two, reusing the lines and their movement; the term ceiling
-    caps the states of each line.
+    non-integer coefficient raises ``ConfigurationError`` there; the table
+    keeps ``spare`` more bits.  Cached per density and order with the
+    lines, their movement, their width and their terms, packed once per
+    distinct series: a request outside the cached window or for more bits
+    rebuilds for the union of the windows at the larger width, repacking
+    only for a new width; the term ceiling caps the states of each line.
     """
     cache_key = (dens.key(), order)
     cached = _EXPANSION_CACHE.get(cache_key)
     if cached is not None:
-        cached_window, table, lines, moves = cached
-        if all(clo <= lo and hi <= chi for (lo, hi), (clo, chi) in zip(window, cached_window)):
+        cached_window, table, lines, moves, base, packed = cached
+        if table.width >= base + spare and all(
+                clo <= lo and hi <= chi for (lo, hi), (clo, chi) in zip(window, cached_window)):
             return table
         window = [(min(lo, clo), max(hi, chi))
                   for (lo, hi), (clo, chi) in zip(window, cached_window)]
+        spare = max(spare, table.width - base)
     else:
         lines = _factor_sequence(dens, order)
         moves = _movement(lines, len(dens.vars))
+        base, packed = pack_width(([c for _, c in terms] for _, terms in lines), order), None
     limit = max_terms()
-    width = pack_width([c for _, c in terms] for _, terms in lines)
+    width = base + spare
+    if packed is None or packed[0] != width:
+        once = {}  # lines with the same factors share one series object
+        for _, terms in lines:
+            if id(terms) not in once:
+                once[id(terms)] = [(k, pack(c, width), min(map(sum, c))) for k, c in terms]
+        packed = width, [once[id(terms)] for _, terms in lines]
     # per cap, the half and the mask that keep and re-centre the digits up to it
     trims = [(h, 2 * h - 1) for h in (1 << width * (cap + 1) - 1 for cap in range(order + 1))]
     field = (2 * sum(max(abs(k) for k, _ in terms) * max(map(abs, d)) for d, terms in lines)
@@ -588,12 +609,12 @@ def _expansion(dens, order, window):
         return [(code >> field * v & fmask) - off for v in vs]
 
     acc = {sum(off << field * v for v in range(nv)): 1}
-    for (d, terms), after in zip(lines, moves[1:]):
+    for (d, _), terms, after in zip(lines, packed[1], moves[1:]):
         touched, others = [v for v in range(nv) if d[v]], [v for v in range(nv) if not d[v]]
         tmask = sum(fmask << field * v for v in touched)
         omask = ((1 << field * nv) - 1) ^ tmask
         obox = [window[v] for v in others], [after[v] for v in others]
-        walks = _walks(d, terms, [window[v] for v in touched], width, field)
+        walks = _walks(d, terms, [window[v] for v in touched], field)
         singles = [({}, (window[v],), (after[v],)) for v in touched]
         tops, reach, new = {}, {}, {}
         while acc:
@@ -626,27 +647,29 @@ def _expansion(dens, order, window):
         acc = new
         if len(acc) > limit:
             raise ResourceLimitError("density expansion exceeded %d terms" % limit)
-    table = {}
-    while acc:  # releasing each packed series as it is unpacked
-        code, v = acc.popitem()
-        table[tuple(decode(code, range(nv)))] = unpack(v, width)
-    _EXPANSION_CACHE[cache_key] = (window, table, lines, moves)
+    table = _Table((tuple(decode(code, range(nv))), v) for code, v in acc.items())
+    table.width, table.read, table.orbits = width, {}, None
+    _EXPANSION_CACHE[cache_key] = (window, table, lines, moves, base, packed)
     return table
 
 
-def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSeries:
+def ct_integrate(dens: DensityProduct, multiplier, order, lead=None, linear=None) -> ParamSeries:
     """Torus integral (constant term) of multiplier times the density.
 
     Exact through the given order; a ``multiplier`` of None gives the bare
     normalization integral.  The density is expanded over the window of
     exponents the convolution reads, the entries -(e + lead) for the
     exponents e of the multiplier (lead = 0 without one), as one signed
-    interval per variable.  A ``LaurentPoly`` multiplier is read term by
-    term; its exponent range and the guard's verdict on it are memoized on
-    it (``_reading``), so a cached multiplier is refused or accepted the
-    same way on every call.  An ``OrbitSums`` multiplier, invariant by
-    construction, must have the density's blocks; each orbit's coefficient
-    multiplies the sum of the table entries at its points.
+    interval per variable, and each entry read is unpacked once per table
+    (``_Table.read``).  The multiplier is read term by term; its exponent
+    range and the guard's verdict on it are memoized on it (``_reading``),
+    so a cached multiplier is refused or accepted the same way every time.
+
+    With ``linear``, a series {power: coefficient dict} in one variable,
+    the integrand is the multiplier times L = prod_i linear(x_i), and L is
+    never formed (``_orbit_convolution``).  Before any table entry is read,
+    ``linear`` must equal linear(1/x) on a "B" or "D" block, and
+    ``ConfigurationError`` refuses it with a lead or a ``CrossBlock``.
 
     With ``lead``, a weakly decreasing weight with one part per variable,
     the integrand is P_lead(x; t) times the multiplier g, and P_lead is
@@ -671,40 +694,36 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
                                  % (multiplier.vars, dens.vars))
     if multiplier.trunc != order:
         raise ConfigurationError("multiplier truncation differs from the order")
-    orbits = isinstance(multiplier, OrbitSums)
-    if orbits:
-        ranges, invariant = multiplier.ranges, multiplier.blocks == dens.blocks
-    else:
-        ranges, invariant = _reading(multiplier, dens.blocks)
+    ranges, invariant = _reading(multiplier, dens.blocks)
     if not invariant:
-        # the Weyl factor is exact only for Weyl-invariant multipliers, and
-        # an orbit under one Weyl group need not be one under another
+        # the Weyl factor is exact only for Weyl-invariant multipliers
         raise ConfigurationError("multiplier is not invariant under the blocks' Weyl groups"
-                                 " (or its orbits are another group's) in %r" % (dens,))
+                                 " in %r" % (dens,))
+    if linear is not None:
+        if lead is not None or isinstance(dens, CrossBlock):
+            raise ConfigurationError("a linear factor is integrated only against an expanded"
+                                     " density without a lead, not %r" % (dens,))
+        if any(kind != "A" for kind, *_ in dens.blocks) and any(
+                linear.get(-k) != c for k, c in linear.items()):
+            raise ConfigurationError("linear factor is not invariant under x -> 1/x, which"
+                                     " the blocks' Weyl groups in %r need" % (dens,))
     blocks, neg = dens.blocks, [0] * len(dens.vars)
     if lead is not None:
         blocks, count = _stabilizer(dens, lead)
         neg = [-a for a in lead]
     elif isinstance(dens, CrossBlock):
-        terms = ((e, c) for points, c in multiplier.orbits for e in points) if orbits else (
-            multiplier.terms.items())
-        return _cauchy_sum(terms, len(dens.vars) // 2, order)
+        return _cauchy_sum(multiplier.terms.items(), len(dens.vars) // 2, order)
     prefactor = dens.prefactor if lead is None else dens.prefactor * count
-    table = _expansion(dens, order, [(b - hi, b - lo) for (hi, lo), b in zip(ranges, neg)])
-    out = {}
-    if orbits:
-        for points, coeff in multiplier.orbits:
-            acc = {}
-            for e in points:
-                for k, v in table.get(tuple(map(sub, neg, e)), {}).items():
-                    acc[k] = acc.get(k, 0) + v
-            acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                mul_into(out, coeff, acc, order)
+    if linear is not None:
+        out = _orbit_convolution(dens, multiplier, linear, ranges, order)
     else:
+        table = _expansion(dens, order, [(b - hi, b - lo) for (hi, lo), b in zip(ranges, neg)])
+        out, read, width = {}, table.read, table.width
         for e, coeff in multiplier.terms.items():
-            dcoef = table.get(tuple(map(sub, neg, e)))
-            if dcoef:
+            key = tuple(map(sub, neg, e))
+            packed = table.get(key)
+            if packed is not None:
+                dcoef = read.get(key) or read.setdefault(key, unpack(packed, width))
                 mul_into(out, coeff, dcoef, order)
     result = ParamSeries(out, order, clean=False)
     if blocks:
@@ -712,6 +731,67 @@ def ct_integrate(dens: DensityProduct, multiplier, order, lead=None) -> ParamSer
     if prefactor != 1:
         result = result * prefactor
     return result
+
+
+def _orbit_convolution(dens, poly, linear, ranges, order):
+    """sum_e (poly L)[e] T[-e] as a coefficient dict, T the density's table
+    and L = prod_i linear(x_i), both factors invariant under the Weyl group
+    W of ``dens.blocks``; ``ranges`` is ``poly``'s (max, min) per variable.
+
+    With dom the point of each orbit in the closed dominant chamber
+    (``_dominant``), S[y] = |Stab y| sum over the orbit of y of T[u] =
+    sum_{w in W} T[w y], and b_0 the dominant exponents of L, it is
+    sum_{b_0} L[b_0] / |Stab b_0| sum_a poly[a] S[dom(-a - b_0)], since L
+    is constant on the orbit of b_0, which sum_{w in W} w b_0 covers
+    |Stab b_0| times, and a -> w a permutes poly's terms.  The window, the
+    box of poly's range plus linear's, holds each orbit read.  S is folded
+    once per table (``_Table.orbits``) and poly packed, so each (term,
+    b_0) pair is one integer product and each b_0 one ``unpack``, a checked
+    exact division by ``_stabilizer_order`` and one ``mul_into``.  A digit
+    of the inner sum is at most |W| sum |c| over poly's coefficients times
+    one of T, so the table is asked for that many more bits.
+    """
+    blocks, nv = dens.blocks, len(dens.vars)
+    pack_width([poly.terms.values()], order)  # refuses what does not pack
+    total = sum(abs(c) for coeffs in poly.terms.values() for c in coeffs.values())
+    group = _stabilizer_order(blocks, (0,) * nv)
+    top, low = max(linear, default=0), min(linear, default=0)
+    table = _expansion(dens, order, [(-hi - top, -lo - low) for hi, lo in ranges],
+                       (group * total).bit_length())
+    width, dominant, sums = table.width, _dominant(blocks, nv), table.orbits
+    if sums is None:
+        sums = table.orbits = {}
+        for u, v in table.items():
+            y = dominant(u)
+            sums[y] = sums.get(y, 0) + v
+        for y in sums:
+            sums[y] *= _stabilizer_order(blocks, y)
+    terms = [(a, pack(c, width)) for a, c in poly.terms.items()]
+    half = 1 << width * (order + 1) - 1
+    out = {}
+    for b in product(sorted(linear), repeat=nv):
+        if dominant(b) != b:
+            continue
+        acc, nb = 0, [-x for x in b]
+        for a, c in terms:
+            s = sums.get(dominant(tuple(map(sub, nb, a))))
+            if s:
+                acc += c * s
+        acc = ((acc + half) & (2 * half - 1)) - half
+        if not acc:
+            continue
+        lb = {ZERO_KEY: 1}
+        for k in b:
+            lb, prev = {}, lb
+            mul_into(lb, prev, linear[k], order)
+        stab, quotient = _stabilizer_order(blocks, b), {}
+        for key, v in unpack(acc, width).items():
+            quotient[key], r = divmod(v, stab)
+            if r:
+                raise ConfigurationError("orbit sum %d at %r is not divisible by |Stab| = %d"
+                                         % (v, b, stab))
+        mul_into(out, lb, quotient, order)
+    return out
 
 
 class CrossBlock:
@@ -896,188 +976,67 @@ def _weyl_factor(blocks, order):
     return binomial_ratio(num, den, order, scale)
 
 
-def _reflections(blocks, nv):
-    """The simple reflections of the blocks' Weyl groups on ``nv`` variables.
-
-    They are the adjacent transpositions x_i <-> x_{i+1} within a block
-    and, for a block ending at x_n, also (x_{n-1}, x_n) -> (1/x_n, 1/x_{n-1})
-    for "D" and x_n -> 1/x_n for "B".  Each is the map (e_i, e_j) -> (s e_j,
-    s e_i) on exponents, with j = i + 1 and s = 1 or -1, or j = i and s = -1
-    for x_n -> 1/x_n, returned as (i, j, s, image), ``image`` applying it to
-    an exponent tuple.  It fixes the wall e_i = s e_j; the closed dominant
-    chamber is where e_i >= s e_j for every one.
+def _dominant(blocks, nv):
+    """The map from an exponent on ``nv`` variables to the point of its
+    orbit under the blocks' Weyl groups in their closed dominant chamber,
+    per block e_1 >= ... >= e_n, and e_n >= 0 for "B", e_(n-1) >= |e_n|
+    for "D" (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.12):
+    "A" sorts the entries decreasing, "B" their absolute values, and "D"
+    too, negating the last when no entry is 0 and an odd number are
+    negative (W(D_n) changes an even number of signs; on one variable it
+    is trivial, and so is the map).
     """
-    out = []
+    if len(blocks) == 1 and blocks[0][1:3] == (0, nv) and blocks[0][0] in "AB":
+        if blocks[0][0] == "A":
+            return lambda e: tuple(sorted(e, reverse=True))
+        return lambda e: tuple(sorted(map(abs, e), reverse=True))
+    spans = [(kind, slice(first, first + size)) for kind, first, size, *_ in blocks]
+
+    def dominant(e):
+        e = list(e)
+        for kind, span in spans:
+            part = e[span]
+            if kind == "A":
+                part.sort(reverse=True)
+            else:
+                odd = kind == "D" and prod(part) < 0  # no 0 and an odd number negative
+                part = sorted(map(abs, part), reverse=True)
+                if odd:
+                    part[-1] = -part[-1]
+            e[span] = part
+        return tuple(e)
+
+    return dominant
+
+
+def _stabilizer_order(blocks, e):
+    """|Stab e| in the blocks' Weyl groups for a dominant e: generated by the
+    simple reflections that fix e (Humphreys 1.12), it is per block S_m on
+    each run of m equal entries (equal absolute values in "B" or "D") and
+    W(B_z) or W(D_z) on z zeros.  At e = 0 it is |W|.
+    """
+    out = 1
     for kind, first, size, *_ in blocks:
-        for i in range(first, first + size - 1):
-            perm = list(range(nv))
-            perm[i], perm[i + 1] = i + 1, i
-            out.append((i, i + 1, 1, itemgetter(*perm)))
-        if kind == "D" and size >= 2:
-            i = first + size - 2
-            out.append((i, i + 1, -1, lambda e, i=i: e[:i] + (-e[i + 1], -e[i]) + e[i + 2:]))
-        elif kind == "B":
-            i = first + size - 1
-            out.append((i, i, -1, lambda e, i=i: e[:i] + (-e[i],) + e[i + 1:]))
+        part = e[first:first + size]
+        for x, run in groupby(part if kind == "A" else map(abs, part)):
+            m = len(tuple(run))
+            out *= _weyl_group(kind if x == 0 else "A", m)[0]
     return out
 
 
 def _block_symmetric(blocks, terms):
-    """Whether each simple reflection of each block's Weyl group fixes the terms.
-
-    Each reflection of ``_reflections`` pairs the terms with e_i > s e_j
-    with those with e_i < s e_j.  Coefficients are compared, not just the
-    exponent support: each term of the former kind must find an equal
-    partner, and then equal counts on the two sides mean no term is left
-    unpaired.
-    """
+    """Whether the terms are invariant under the Weyl groups W of ``blocks``:
+    the terms with one dominant point (``_dominant``) must share one
+    coefficient and number |W| / |Stab|, the whole orbit.  Coefficients are
+    compared, not just the exponent support."""
     if not terms:
         return True
-    reflections = _reflections(blocks, len(next(iter(terms))))
-    unpaired = 0
+    nv = len(next(iter(terms)))
+    dominant, orbits = _dominant(blocks, nv), {}
     for e, c in terms.items():
-        for i, j, s, image in reflections:
-            a, b = e[i], s * e[j]
-            if a < b:
-                unpaired += 1
-            elif a > b:
-                if terms.get(image(e)) != c:
-                    return False
-                unpaired -= 1
-    return unpaired == 0
-
-
-class OrbitSums:
-    """A Weyl-invariant multiplier kept as one coefficient per orbit of exponents.
-
-    ``orbits`` holds one (points, coefficient dict) pair per orbit under the
-    Weyl groups of ``blocks``, the points listed from the dominant one; the
-    orbits are disjoint.  ``ranges`` holds each variable's (max, min)
-    exponent over the points, (0, 0) for no orbit.  Only ``ct_integrate``
-    reads it, against a density with the same ``blocks``.
-    """
-
-    __slots__ = ("vars", "trunc", "blocks", "ranges", "orbits")
-
-    def __init__(self, vars, trunc, blocks, orbits):
-        self.vars, self.trunc, self.blocks, self.orbits = vars, trunc, blocks, orbits
-        columns = zip(*(e for points, _ in orbits for e in points))
-        self.ranges = tuple((max(c), min(c)) for c in columns) if orbits else (
-            ((0, 0),) * len(vars))
-
-
-def chamber_product(dens, factors):
-    """The product of the multipliers ``factors``, formed on the dominant chamber.
-
-    Every factor must be invariant under the Weyl groups of ``dens.blocks``.
-    Each one's verdict is read through ``_reading``, memoized as for
-    ``ct_integrate``, before anything is multiplied, and a factor that is not
-    invariant raises ``ConfigurationError``.  That holds even where the
-    product would be invariant, as x1 times x2 on ``selberg_density(2)``;
-    no registry row forms such a product.  A single factor is returned as
-    it is.
-
-    A product of invariant factors is invariant, and each orbit of
-    exponents meets the closed dominant chamber (see ``_reflections``)
-    exactly once (Humphreys, Reflection Groups and Coxeter Groups, 1990,
-    1.12).  So the factors are multiplied two at a time, through
-    ``_chamber_mul``, only at the term pairs whose exponent sum is dominant,
-    and the product is returned as ``OrbitSums`` over ``dens.blocks``.  A
-    third factor, which no registry row has, multiplies the second product
-    spread over its points.  Without blocks every exponent is dominant and
-    its own orbit.
-    """
-    first = factors[0]
-    for f in factors:
-        first._check(f)
-        if not _reading(f, dens.blocks)[1]:
-            raise ConfigurationError(
-                "multiplier factor is not invariant under the blocks' Weyl groups in %r"
-                % (dens,))
-    if len(factors) == 1:
-        return first
-    reflections = _reflections(dens.blocks, len(first.vars))
-    orbits = _chamber_mul(first.terms, factors[1].terms, first.trunc, reflections)
-    for f in factors[2:]:
-        spread = {e: c for points, c in orbits for e in points}
-        orbits = _chamber_mul(spread, f.terms, first.trunc, reflections)
-    return OrbitSums(first.vars, first.trunc, dens.blocks, orbits)
-
-
-def _chamber_mul(a, b, order, reflections):
-    """The orbits of the product of the invariant terms ``a`` and ``b``,
-    multiplied only where the sum is dominant, as (points, coefficient) pairs.
-
-    With d_r(e) = e_i - s e_j for the reflection r = (i, j, s), a sum a + b
-    is dominant when d_r(a) + d_r(b) >= 0 for every r.  The partners b, the
-    terms of the smaller factor, are kept per r and per value x in a bitset
-    of those with x + d_r(b) >= 0.  A term a of the larger factor for which
-    some r leaves no partner is dropped; the others are grouped by d_r(a),
-    clipped at -min_b d_r(b), beyond which every partner passes, and a
-    group's partners are the AND of its bitsets.  Each nonzero dominant
-    sum's orbit is found by closing it under the reflections downward: x
-    moves by r only where d_r(x) > 0.  That reaches the whole orbit: a
-    point y that is not dominant has some d_r(y) < 0, so it is one step down
-    from r(y), which is y plus a positive multiple of r's root and so
-    nearer the dominant point.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return []
-    partners = list(b.items())
-    # per reflection, (i, j, s, least x, largest x) and {x: bitset of partners}
-    cuts, tables = [], []
-    for i, j, s, _ in reflections:
-        bits = {}
-        for k, (e, _) in enumerate(partners):
-            w = e[i] - s * e[j]
-            bits[w] = bits.get(w, 0) | 1 << k
-        table, acc = {}, 0
-        for w in range(max(bits), min(bits) - 1, -1):
-            acc |= bits.get(w, 0)
-            table[-w] = acc
-        cuts.append((i, j, s, -max(bits), -min(bits)))
-        tables.append(table)
-    groups = {}
-    for e, c in a.items():
-        key = []
-        for i, j, s, least, most in cuts:
-            x = e[i] - s * e[j]
-            if x < least:
-                break
-            key.append(min(x, most))
-        else:
-            groups.setdefault(tuple(key), []).append((e, c))
-    raw = {}
-    everyone = (1 << len(partners)) - 1
-    for key, members in groups.items():
-        mask = everyone
-        for x, table in zip(key, tables):
-            mask &= table[x]
-        fits = []
-        while mask:
-            low = mask & -mask
-            fits.append(partners[low.bit_length() - 1])
-            mask ^= low
-        for ea, ca in members:
-            for eb, cb in fits:
-                e = tuple(map(add, ea, eb))
-                dst = raw.get(e)
-                if dst is None:
-                    dst = raw[e] = {}
-                mul_into(dst, ca, cb, order)
-    orbits = []
-    for e, c in raw.items():
-        if not c:
-            continue
-        points, seen = [e], {e}
-        for x in points:
-            for i, j, s, image in reflections:
-                if x[i] > s * x[j]:
-                    y = image(x)
-                    if y not in seen:
-                        seen.add(y)
-                        points.append(y)
-        orbits.append((points, c))
-    return orbits
+        seen = orbits.setdefault(dominant(e), [c, 0])
+        if seen[0] != c:
+            return False
+        seen[1] += 1
+    group = _stabilizer_order(blocks, (0,) * nv)
+    return all(count * _stabilizer_order(blocks, y) == group for y, (_, count) in orbits.items())

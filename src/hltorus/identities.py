@@ -17,11 +17,11 @@ The slot rule: the linear factor is prod_v prod_y (1 - v y) over the values
 v and every slot y of P.  A torus slot x_i^{+-1} gives the Laurent factor
 (1 - v x_i^{+-1}); a constant slot +-1 gives the scalar (1 -+ v), which
 multiplies the integral: the component prefactors, such as (1 - alpha^2)
-for the even minus component, are these scalars.  P and the Laurent factor
-are each invariant under the density's Weyl group, so their product is
-formed on its dominant chamber (``chamber_product`` in
-``hltorus.densities``): only the term pairs whose exponent sum is dominant
-are multiplied, and the product is integrated one orbit at a time.
+for the even minus component, are these scalars.  Every variable carries
+the same series l(x_i), and P and the Laurent factor prod_i l(x_i) are
+each invariant under the density's Weyl group, so the Laurent factor is
+never formed: ``ct_integrate`` takes l as its ``linear`` and integrates
+the product one orbit of the factor at a time.
 
 With I_k the integral of the k-th integrand and Z_k its bare density
 integral, the one builder ``_build`` checks
@@ -70,7 +70,6 @@ from typing import Callable, Optional, Tuple
 from .densities import (
     CrossBlock,
     SelbergBlocks,
-    chamber_product,
     ct_integrate,
     env_ceiling,
     koornwinder_density,
@@ -80,7 +79,6 @@ from .densities import (
 )
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .hall_littlewood import Mono, const_arg, hl_full, pm_args, selberg_average, var_arg
-from .laurent import LaurentPoly
 from .partitions import DominantWeight, Partition, classify_shape
 from .pfaffian import build_a_matrix, build_m_minus, build_m_plus, pfaffian
 from .series import ZERO_KEY, ParamSeries, SeriesRing, binomial_ratio, mul_into
@@ -362,13 +360,12 @@ def _inverted(slots):
 def _linear_factors(slots, values, names, order):
     """The slot rule: prod over the values v and slots y of (1 - v y).
 
-    Returns the product over the torus slots as a LaurentPoly (None when
-    there are no values) and the product over the constant slots as a
-    series.  Each torus slot is a power of one variable, so the binomials
-    of each variable are multiplied into one series in that variable, and
-    the torus factor is their tensor product over the variables: each of
-    its terms is one term per variable, multiplied once.  A slot that moves
-    two variables raises ``ConfigurationError``.
+    Returns the series l(x) in which the binomials of each torus variable
+    multiply out, as {power: coefficient dict}, so that the torus factor is
+    prod_i l(x_i), which is never formed (None without values or torus
+    slots), and the product over the constant slots as a series.  A slot
+    that moves two variables, and slots that give two variables different
+    series, raise ``ConfigurationError``.
     """
     one = {ZERO_KEY: 1}
     # variable index, or None for the constant slots -> {power: coefficient dict}
@@ -387,19 +384,13 @@ def _linear_factors(slots, values, names, order):
                     mul_into(out.setdefault(k + shift, {}), c, b, order)
             factors[var] = {k: c for k, c in out.items() if c}
     scalar = ParamSeries(factors.pop(None, {0: one}).get(0, {}), order, clean=False)
-    if not values:
+    if not factors:
         return None, scalar
-    torus = {(): one}
-    for var in range(len(names)):
-        step = {}
-        for e, ce in torus.items():
-            for k, ck in factors.get(var, {0: one}).items():
-                c = {}
-                mul_into(c, ce, ck, order)
-                if c:
-                    step[e + (k,)] = c
-        torus = step
-    return LaurentPoly(names, torus, order), scalar
+    series = [factors.get(var, {0: one}) for var in range(len(names))]
+    if any(f != series[0] for f in series):
+        raise ConfigurationError("slots %r give the torus variables different linear factors"
+                                 % (slots,))
+    return series[0], scalar
 
 
 def _route(dens, slots, tbase):
@@ -476,16 +467,12 @@ def _integral(key, inst, values=(), normalized=False, lift=0):
         integral = ct_integrate(dens, None, order)
     else:
         lead = inst.weight.parts if plan.route == "lead" else None
-        factors = []
-        if lead is None:
-            factors.append(hl_full(inst.weight.parts, slots, dens.vars, order, tbase))
+        mult = hl_full(inst.weight.parts, slots, dens.vars, order, tbase) if lead is None else None
         if inst.mu is not None:
-            factors.append(hl_full(inst.mu.parts, plan.inverted, dens.vars, order, tbase))
-        torus, scalar = _linear_factors(slots, values, dens.vars, order)
-        if torus is not None:
-            factors.append(torus)
-        mult = chamber_product(dens, factors) if factors else None
-        integral = _times(ct_integrate(dens, mult, order, lead=lead), scalar)
+            pmu = hl_full(inst.mu.parts, plan.inverted, dens.vars, order, tbase)
+            mult = pmu if mult is None else mult * pmu
+        linear, scalar = _linear_factors(slots, values, dens.vars, order)
+        integral = _times(ct_integrate(dens, mult, order, lead=lead, linear=linear), scalar)
     z = ct_integrate(dens, None, order) if normalized else one
     return integral, z
 

@@ -27,9 +27,8 @@ class LaurentPoly:
     A polynomial is immutable once built: no code changes ``vars``,
     ``terms`` or a coefficient dict afterwards, and every operation returns
     a new polynomial.  ``_memo`` relies on that.  It starts as None and is
-    filled lazily by :func:`~hltorus.densities.ct_integrate` and
-    :func:`~hltorus.densities.chamber_product` with what they read off the
-    terms alone (their exponent range and the Weyl-group
+    filled lazily by :func:`~hltorus.densities.ct_integrate` with what it
+    reads off the terms alone (their exponent range and the Weyl-group
     guard's verdicts), so a cached polynomial integrated many times is
     ranged and checked once.
     """

@@ -11,16 +11,17 @@ otherwise; arithmetic never rounds.
 
 Every product of coefficient dicts goes through :func:`mul_into`, which
 accumulates into a plain dict in place.  Callers that sum many products,
-such as the torus products of ``LaurentPoly``, the chamber product of
-``hltorus.densities`` and the constant-term convolution, keep one raw
-dict per result instead of building and adding a series per term pair.
-``LaurentPoly`` terms are such dicts; a scalar result is wrapped in a
-``ParamSeries`` once.  The density expansion, whose coefficients are
-integer series in s alone, holds each one as a single integer instead
-(:func:`pack`, :func:`unpack`), so its products are integer products.
-The one division, by a binomial 1 - c x^k with c of positive degree, is
-the exact recurrence of :func:`divide_binomial`, and every closed form in
-the binomials 1 +- s^k is the one quotient :func:`binomial_ratio`.
+such as the torus products of ``LaurentPoly`` and the constant-term
+convolution, keep one raw dict per result instead of building and adding a
+series per term pair.  ``LaurentPoly`` terms are such dicts; a scalar
+result is wrapped in a ``ParamSeries`` once.  The density expansion, whose
+coefficients are integer series in s alone, holds each one as a single
+integer instead (:func:`pack`, :func:`unpack`), so its products are
+integer products, and so does the orbit-by-orbit convolution of
+``hltorus.densities``.  The one division, by a binomial 1 - c x^k with c
+of positive degree, is the exact recurrence of :func:`divide_binomial`,
+and every closed form in the binomials 1 +- s^k is the one quotient
+:func:`binomial_ratio`.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ def mul_into(dst, a, b, cap):
     total degree above ``cap`` are skipped, and an entry of ``dst`` that
     cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
     is the product loop of the package's coefficient dicts: series
-    products, the torus products of ``LaurentPoly`` and ``chamber_product``,
-    the branching rule of ``hall_littlewood`` and the constant-term
-    convolution all accumulate through it.  The density expansion
-    multiplies packed integers (``pack``) instead.
+    products, the torus products of ``LaurentPoly``, the branching rule of
+    ``hall_littlewood`` and the constant-term convolution all accumulate
+    through it.  The density expansion multiplies packed integers
+    (``pack``) instead, and so does the convolution within one orbit.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -64,26 +65,30 @@ def mul_into(dst, a, b, cap):
                 del dst[k]
 
 
-def pack_width(groups):
-    """The digit width at which ``pack`` holds every sum of products of
-    one coefficient from each group, a group being coefficient dicts.
+def pack_width(groups, order):
+    """The digit width at which ``pack`` holds, through s-degree ``order``,
+    every sum of products of one coefficient from each of the first groups,
+    a group being coefficient dicts.
 
-    Such a sum is at most the product S over the groups of their absolute
-    coefficient sums, so digits of bit length(S) + 2 bits hold it with room
-    to spare.  Only series in s alone with int coefficients pack: an alpha
-    or beta degree or any other coefficient raises ``ConfigurationError``.
+    Such a sum at s^k is at most the s^k coefficient of the product of
+    those groups' absolute series, sum |c| s^j over their terms, so the bit
+    length of the largest one through ``order``, over every prefix, plus 2
+    bits holds it with room to spare.  Only series in s alone with int
+    coefficients pack: any other term raises ``ConfigurationError``.
     """
-    bound = 1
+    bound, most = [1] + [0] * order, 1
     for group in groups:
-        total = 0
+        line = [0] * (order + 1)
         for coeffs in group:
             for (k, a, b), c in coeffs.items():
                 if a or b or not isinstance(c, int):
                     raise ConfigurationError("term %r * %r is not an integer multiple of a"
                                              " power of s" % (c, (k, a, b)))
-                total += abs(c)
-        bound *= total
-    return bound.bit_length() + 2
+                if k <= order:
+                    line[k] += abs(c)
+        bound = [sum(bound[i] * line[k - i] for i in range(k + 1)) for k in range(order + 1)]
+        most = max(most, *bound)
+    return most.bit_length() + 2
 
 
 def pack(coeffs, width):

@@ -10,10 +10,10 @@ The package never adds polynomials or scales one either: ``monomial``,
 ``poly_sum`` and ``scaled`` build the tests' polynomials.  Q_lambda, the
 q-Pochhammer symbol, the Rogers-Szego sum, the two grid enumerators and
 ``row_closed_form`` below are used by the tests alone as well, and so are
-``lifted``, the lifted P that the package never forms,
-``spread_orbits``, the terms of a ``chamber_product`` over its orbits'
-points, and ``InternalConsistencyError``, which ``divide_by_s_power``
-raises.
+``lifted``, the lifted P that the package never forms, ``torus_factor``,
+the linear factor prod_i l(x_i) that the package never forms either,
+``unpacked``, an expansion table with its series unpacked, and
+``InternalConsistencyError``, which ``divide_by_s_power`` raises.
 """
 
 from fractions import Fraction
@@ -26,7 +26,7 @@ from hltorus.hall_littlewood import hl_full
 from hltorus.identities import REGISTRY, _Instance, c_minus, t_binomial
 from hltorus.laurent import LaurentPoly
 from hltorus.partitions import DominantWeight, Partition
-from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
+from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing, unpack
 
 
 class InternalConsistencyError(HLTorusError):
@@ -104,26 +104,23 @@ def linear_factor_by_binomials(slots, values, names, order):
     return torus
 
 
-def spread_orbits(product):
-    """The terms of a ``chamber_product`` result: each orbit's coefficient
-    dict at every one of its points.
+def torus_factor(linear, names, order):
+    """prod_i l(x_i) over the variables ``names``, l = ``linear`` the series
+    {power: coefficient dict} of ``identities._linear_factors``, multiplied
+    one variable at a time by ``LaurentPoly.__mul__``: the product that
+    ``ct_integrate``'s ``linear`` stands for."""
+    torus = LaurentPoly.unit(names, order)
+    for i in range(len(names)):
+        terms = {tuple(k if j == i else 0 for j in range(len(names))): c
+                 for k, c in linear.items()}
+        torus = torus * LaurentPoly(names, terms, order)
+    return torus
 
-    Asserts on the way that the orbits are disjoint, that each has exactly
-    one point in the closed dominant chamber of ``product.blocks``, listed
-    first, and that ``product.ranges`` is the points' (max, min) range per
-    variable, (0, 0) without points.
-    """
-    reflections = densities._reflections(product.blocks, len(product.vars))
-    terms = {}
-    for points, c in product.orbits:
-        dominant = [e for e in points if all(e[i] >= s * e[j] for i, j, s, _ in reflections)]
-        assert dominant == points[:1], (points, dominant)
-        for e in points:
-            assert e not in terms, ("orbits overlap", e)
-            terms[e] = c
-    columns = list(zip(*terms)) or [(0,)] * len(product.vars)
-    assert product.ranges == tuple((max(c), min(c)) for c in columns), product.ranges
-    return terms
+
+def unpacked(table):
+    """A table of ``densities._expansion`` with each series unpacked at its
+    width, as {exponent: coefficient dict}."""
+    return {e: unpack(v, table.width) for e, v in table.items()}
 
 
 def coefficient(poly, exps):

@@ -8,7 +8,6 @@ from hltorus import densities
 from hltorus.densities import (
     CrossBlock,
     DensityProduct,
-    chamber_product,
     ct_integrate,
     koornwinder_density,
     koornwinder_normalization,
@@ -36,10 +35,10 @@ from hltorus.identities import (
     verify,
 )
 from hltorus.laurent import LaurentPoly
-from hltorus.series import SeriesRing, pack
+from hltorus.series import ZERO_KEY, SeriesRing, pack
 
 from helpers import (coefficient, factor_sequence_by_products, from_coeffs, geometric, monomial,
-                     poly_of, poly_sum, scaled, spread_orbits, unit_inverse)
+                     poly_of, poly_sum, scaled, torus_factor, unit_inverse, unpacked)
 from oracles import (FACTORED, cross_block_density, gustafson_rhs, halved_density,
                      two_block_density, v_by_factorials)
 
@@ -443,7 +442,7 @@ def test_pruned_expansion_matches_full_product(dens):
                 if kept:
                     want[e] = kept
             densities.clear_caches()
-            got = densities._expansion(dens, order, window)
+            got = unpacked(densities._expansion(dens, order, window))
             assert got == want, (order, window)
     densities.clear_caches()
 
@@ -460,7 +459,7 @@ def test_expansion_is_exact_past_64_bit_coefficients():
     for window in (((0, 12), (-3, 3)), ((5, 9), (0, 0)), ((-1, 2), (1, 4))):
         want = _restrict(full.terms, window)
         densities.clear_caches()
-        assert densities._expansion(dens, order, window) == want, window
+        assert unpacked(densities._expansion(dens, order, window)) == want, window
     assert max(abs(c) for coeffs in full.terms.values() for c in coeffs.values()) > 2 ** 64
     densities.clear_caches()
 
@@ -484,7 +483,8 @@ def test_expansion_reaches_the_extreme_coordinates():
             want = _restrict(full.terms, window)
             assert want, (dens.label, window)
             densities.clear_caches()
-            assert densities._expansion(dens, order, window) == want, (dens.label, window)
+            got = unpacked(densities._expansion(dens, order, window))
+            assert got == want, (dens.label, window)
     densities.clear_caches()
 
 
@@ -530,6 +530,39 @@ def test_expansion_cache_serves_subwindows_and_widens_to_the_union(dens):
     assert _restrict(got[1], narrow) == want[narrow]
     assert _restrict(got[3], union) == _restrict(got[1], union)
     assert got[1] is not got[0] and got[2] is got[1] and got[3] is not got[2]
+    densities.clear_caches()
+
+
+def test_rebuild_reuses_the_packed_lines(monkeypatch):
+    """A Koornwinder density's lines share two series, each packed once on
+    the first build; a rebuild for a wider window packs nothing and keeps
+    the width, one for more bits repacks the two at the new width, a wider
+    window after it keeps those bits, and the tables agree, unpacked, with
+    a cold build on their windows."""
+    dens, order = INTEGRANDS["plus_odd"](3, None)[0], 6
+    lines = densities._factor_sequence(dens, order)
+    distinct = {id(terms): len(terms) for _, terms in lines}
+    assert len(distinct) == 2 < len(lines)
+    calls = []
+    monkeypatch.setattr(densities, "pack", lambda c, w: calls.append(w) or pack(c, w))
+    densities.clear_caches()
+    narrow, wide = ((-1, 1),) * 3, ((-2, 2),) * 3
+    first = densities._expansion(dens, order, narrow)
+    assert len(calls) == sum(distinct.values())
+    calls.clear()
+    second = densities._expansion(dens, order, wide)
+    assert calls == [] and second.width == first.width
+    third = densities._expansion(dens, order, wide, 5)
+    assert calls == [third.width] * sum(distinct.values()) and third.width == first.width + 5
+    calls.clear()
+    widest = ((-3, 3),) * 3
+    fourth = densities._expansion(dens, order, widest)
+    assert calls == [] and fourth.width == third.width and fourth is not third
+    monkeypatch.undo()
+    for table, window in ((second, wide), (third, wide), (third, narrow), (fourth, widest)):
+        densities.clear_caches()
+        cold = unpacked(densities._expansion(dens, order, window))
+        assert _restrict(unpacked(table), window) == cold, window
     densities.clear_caches()
 
 
@@ -807,20 +840,6 @@ def test_d_block_guard():
             assert not got.is_zero()
 
 
-def _closure(e, reflections):
-    """The orbit of ``e``: its closure under the reflections."""
-    orbit = {e}
-    todo = [e]
-    while todo:
-        x = todo.pop()
-        for *_, image in reflections:
-            y = image(x)
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
-
-
 def _signed_permutations(e, kind):
     """The orbit of ``e`` under S_n ("A"), W(B_n) ("B") or W(D_n) ("D"),
     listed from the groups' definitions: permutations, then sign changes,
@@ -834,24 +853,42 @@ def _signed_permutations(e, kind):
     return out
 
 
+def _in_chamber(x, kind):
+    """Whether x lies in the closed dominant chamber of S_n ("A"), W(B_n)
+    ("B") or W(D_n) ("D"): decreasing entries, with x_n >= 0 for "B" and
+    x_(n-1) >= -x_n for "D"."""
+    if any(a < b for a, b in zip(x, x[1:])):
+        return False
+    return x[-1] >= 0 if kind == "B" else kind == "A" or len(x) < 2 or x[-2] >= -x[-1]
+
+
 @pytest.mark.parametrize("kind", "ABD")
 def test_each_orbit_meets_the_chamber_once(kind):
-    """Every point of [-3, 3]^n lies in the orbit of exactly one point of
-    the closed dominant chamber, e_i >= s e_j for each reflection (i, j, s)
-    of ``_reflections``, the reflections the guard checks; and closing a
-    point under them gives its orbit under the whole group."""
+    """Every point of [-3, 3]^n lies in the orbit, listed from the group's
+    definition, of exactly one point of the closed dominant chamber.
+    ``_dominant`` maps the whole orbit to that point, ``_stabilizer_order``
+    there is |W| over the orbit's size, and the guard takes the orbit's
+    terms with one coefficient, but not with one term dropped or one
+    coefficient changed."""
     for n in range(1, 5):
         block = (kind, 0, n, 2) + (((-1, 2),) if kind == "B" else ())
-        reflections = densities._reflections((block,), n)
+        dominant_of = densities._dominant((block,), n)
         group = "A" if (kind, n) == ("D", 1) else kind  # W(D_1) is trivial, as S_1
+        order = densities._weyl_group(group, n)[0]
         seen = set()
         for e in product(range(-3, 4), repeat=n):
             if e in seen:
                 continue
-            orbit = _closure(e, reflections)
-            assert orbit == _signed_permutations(e, group)
-            dominant = [x for x in orbit if all(x[i] >= s * x[j] for i, j, s, _ in reflections)]
+            orbit = _signed_permutations(e, group)
+            dominant = [x for x in orbit if _in_chamber(x, group)]
             assert len(dominant) == 1, (kind, n, e, dominant)
+            assert {dominant_of(x) for x in orbit} == set(dominant), (kind, n, e)
+            assert densities._stabilizer_order((block,), dominant[0]) * len(orbit) == order
+            terms = {x: {ZERO_KEY: 1} for x in orbit}
+            assert densities._block_symmetric((block,), terms), (kind, n, e)
+            if len(orbit) > 1:
+                assert not densities._block_symmetric((block,), dict(list(terms.items())[1:]))
+                assert not densities._block_symmetric((block,), {**terms, e: {ZERO_KEY: 2}})
             seen |= orbit
 
 
@@ -866,17 +903,29 @@ def _koornwinder_routes(key, n):
     return routes
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _linear_route(dens, p, linear, order):
+    """``ct_integrate`` of P times prod_i l(x_i) by its ``linear`` route,
+    checked against the plain ``LaurentPoly.__mul__`` product with
+    ``torus_factor`` read term by term; returns the integral."""
+    got = ct_integrate(dens, p, order, linear=linear)
+    assert got == ct_integrate(dens, p * torus_factor(linear, dens.vars, order), order), (
+        dens, linear)
+    return got
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_chamber_product_matches_plain_product(n):
-    """The chamber product of P at an integrand's slots and the slot rule's
-    linear factor has the very terms of ``LaurentPoly.__mul__``, and its
-    integral, each orbit's coefficient times its points' summed table
-    entries, is that of the plain product read term by term, for every
+    """P at an integrand's slots times the slot rule's linear factor,
+    integrated orbit by orbit on the Weyl chamber (``ct_integrate``'s
+    ``linear``), equals the plain product read term by term, for every
     Koornwinder integrand on its "B" and "D" routes and the registry's
-    value sets."""
+    value sets.  On no variable, where the slots are constants, the one
+    variable's factor is passed and L is the empty product.  On type A, the
+    Selberg density with P at every variable and the two-block density with
+    P in the x's, l is one-sided, 1 - v/x per value v, which S_n allows."""
     keys = [key for key, integrand in INTEGRANDS.items() if hasattr(integrand, "params")]
     order = 6 if n < 4 else 4
-    blockless = nonzero = 0
+    blockless = nonzero = zero = 0
     for key in keys:
         for dens, slots, tbase in _koornwinder_routes(key, n):
             blockless += not dens.blocks
@@ -886,141 +935,82 @@ def test_chamber_product_matches_plain_product(n):
                 p = hl_full(weight + (0,) * (len(slots) - len(weight)), slots, dens.vars,
                             order, tbase)
                 for values in ((ALPHA,), (ALPHA, BETA), (MINUS_ONE, BETA), (ALPHA, MINUS_ALPHA)):
-                    torus, _ = _linear_factors(slots, values, dens.vars, order)
-                    want = p * torus
-                    got = chamber_product(dens, [p, torus])
-                    assert spread_orbits(got) == want.terms, (key, dens.blocks, weight, values)
-                    assert spread_orbits(chamber_product(dens, [torus, p])) == want.terms
-                    integral = ct_integrate(dens, got, order)
-                    assert integral == ct_integrate(dens, want, order), (key, weight, values)
-                    nonzero += not integral.is_zero()
-    # on one variable plus_even and the five "D" routes keep no block, as W(D_1)
-    # is trivial, and there the product is the plain one
-    assert blockless == (6 if n == 1 else 0)
-    assert nonzero
-    densities.clear_caches()
-
-
-def test_chamber_product_matches_plain_product_on_type_a():
-    """On "A" blocks: P and the linear factor at every variable on the
-    Selberg and two-block densities, and on the two-block density factors
-    symmetric within one block only, P in the x's times a factor in the
-    y's, and three factors at once."""
-    order = 6
-    for n in (1, 2, 3, 4):
+                    linear, _ = _linear_factors(slots, values, dens.vars, order)
+                    if linear is None:
+                        assert not dens.vars, (key, n)
+                        linear, _ = _linear_factors(pm_args(1), values, ("x1",), order)
+                    got = _linear_route(dens, p, linear, order)
+                    nonzero += not got.is_zero()
+                    zero += got.is_zero()
+    # plus_even and the five "D" routes keep no block on one variable, as
+    # W(D_1) is trivial, and all eleven routes none on no variable
+    assert blockless == {0: 11, 1: 6}.get(n, 0)
+    assert nonzero and (zero or n == 0), (nonzero, zero)
+    if n == 2:
+        # digits past the table's own width: the table is asked for more bits
+        dens, slots, tbase = INTEGRANDS["plus_odd"](n, None)
+        p = hl_full((2, 1, 0, 0, 0), slots, dens.vars, order, tbase)
+        linear, _ = _linear_factors(slots, (ALPHA, BETA), dens.vars, order)
+        assert not _linear_route(dens, scaled(p, 2 ** 70), linear, order).is_zero()
+    if 1 <= n <= 3:
         dens = selberg_density(n)
-        slots = tuple(var_arg(n, i) for i in range(n))
-        p = hl_full((2, 1, 1, 0)[:n], slots, dens.vars, order)
-        torus, _ = _linear_factors(slots, (ALPHA, BETA), dens.vars, order)
-        assert spread_orbits(chamber_product(dens, [p, torus])) == (p * torus).terms, n
-    for m, n in ((1, 2), (2, 2), (2, 3)):
-        dens = two_block_density(m, n)
-        nv = m + n
-        every = tuple(var_arg(nv, i) for i in range(nv))
-        p = hl_full((2, 1) + (0,) * (nv - 2), every, dens.vars, order)
-        torus, _ = _linear_factors(every, (ALPHA,), dens.vars, order)
-        assert spread_orbits(chamber_product(dens, [p, torus])) == (p * torus).terms, (m, n)
-        px = hl_full((2, 1, 0)[:m] if m > 1 else (2,), every[:m], dens.vars, order)
-        ly, _ = _linear_factors(every[m:], (ALPHA, BETA), dens.vars, order)
-        ybar = tuple(var_arg(nv, i, -1) for i in range(m, nv))
-        pybar = hl_full((1,) + (0,) * (n - 1), ybar, dens.vars, order)
-        assert spread_orbits(chamber_product(dens, [px, ly])) == (px * ly).terms, (m, n)
-        three = chamber_product(dens, [px, ly, pybar])
-        assert spread_orbits(three) == (px * ly * pybar).terms, (m, n)
+        p = hl_full((2, 1, 1)[:n], _slots(n), dens.vars, order)
+        linear, _ = _linear_factors(_slots(n, -1), (ALPHA, BETA), dens.vars, order)
+        assert not _linear_route(dens, p, linear, order).is_zero()
+        dens = two_block_density(n, 2)
+        px = hl_full((1,) + (0,) * (n - 1), _slots(n + 2)[:n], dens.vars, order)
+        linear, _ = _linear_factors(_slots(n + 2, -1), (ALPHA,), dens.vars, order)
+        assert not _linear_route(dens, px, linear, order).is_zero()
+    densities.clear_caches()
 
 
 def test_chamber_product_guards_each_factor(monkeypatch):
-    """A factor that is not invariant is refused, again on the same object,
-    before anything is multiplied; so are x1 and x2 on two variables, though
-    their product x1 x2 is symmetric."""
+    """A multiplier P that is not invariant, or a linear factor l with
+    l(x) != l(1/x) on a "B" or "D" block, is refused before any table entry
+    is read, again on the same object; x1 is refused though x1 times l(x1)
+    l(x2) is not invariant either way.  On an "A" block a one-sided l is
+    taken.  A remainder in the division by |Stab b_0| raises: with one
+    added to every digit of each orbit sum it is refused, where a floor
+    division would give the right answer."""
     dens = selberg_density(2)
     x1 = monomial(dens.vars, (1, 0), 1, D)
-    x2 = monomial(dens.vars, (0, 1), 1, D)
-    both = poly_sum(x1, x2)
+    both = poly_sum(x1, monomial(dens.vars, (0, 1), 1, D))
+    one = {ZERO_KEY: 1}
+    one_sided = {0: one, -1: {(0, 1, 0): -1}}
+    two_sided = {-1: {(0, 1, 0): -1}, 0: {ZERO_KEY: 1, (0, 2, 0): 1}, 1: {(0, 1, 0): -1}}
+    b_dens = koornwinder_density(2, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
+    d_dens = koornwinder_density(2, K_PLUS_EVEN)
+    unit = LaurentPoly.unit(dens.vars, D)
 
-    def no_product(*args):
-        raise AssertionError("multiplied before the guard")
+    def no_table(*args):
+        raise AssertionError("table read before the guard")
 
-    monkeypatch.setattr(densities, "_chamber_mul", no_product)
-    for factors in ([both, x1], [x1, both], [x1, x2]):
+    monkeypatch.setattr(densities, "_expansion", no_table)
+    for target, mult, linear in ((dens, x1, two_sided), (dens, x1, one_sided),
+                                 (b_dens, both, two_sided), (b_dens, unit, one_sided),
+                                 (d_dens, unit, one_sided)):
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="not invariant"):
-                chamber_product(dens, factors)
-    assert x1._memo[1] == {dens.blocks: False} and both._memo[1] == {dens.blocks: True}
+                ct_integrate(target, mult, D, linear=linear)
+    assert x1._memo[1] == {dens.blocks: False}
+    assert both._memo[1] == {b_dens.blocks: False}
+    for kwargs in ({"lead": (1, 0)}, {}):
+        with pytest.raises(ConfigurationError, match="without a lead"):
+            ct_integrate(dens if kwargs else CrossBlock(1), None, D, linear=one_sided, **kwargs)
     monkeypatch.undo()
-    assert spread_orbits(chamber_product(dens, [both, both])) == (both * both).terms
-    # on a "B" block x1 + x2 is not invariant either
-    b_dens = koornwinder_density(2, K_SYMPLECTIC, pair=((1, 1), (-1, 1)))
-    with pytest.raises(ConfigurationError, match="not invariant"):
-        chamber_product(b_dens, [both, both])
-    with pytest.raises(ConfigurationError):
-        chamber_product(dens, [both, LaurentPoly.unit(dens.vars, D + 1)])
-
-
-def _as_plain_product(dens, factors, order, lead=None):
-    """``ct_integrate`` of the chamber product of two ``factors``, one orbit
-    at a time, checked against the plain ``LaurentPoly.__mul__`` product
-    read term by term; returns the integral."""
-    got = ct_integrate(dens, chamber_product(dens, factors), order, lead=lead)
-    p, q = factors
-    assert got == ct_integrate(dens, p * q, order, lead=lead), (dens, lead)
-    return got
-
-
-def test_orbit_sums_integrate_as_the_plain_product_on_type_a():
-    """The integral of a chamber product equals that of the plain product
-    on "A" blocks too: P Pbar, and Pbar times the linear factor
-    with and without a lead, on the Selberg density; on the two-block
-    density the linear factor at every variable times Pbar at every
-    variable, and times Pbar in the x's alone; on ``CrossBlock``, through
-    the Cauchy sum, P_mu(x) P_nu(1/y).  Every case has a nonzero integral."""
-    order, nonzero = 6, 0
-    for n in (1, 2, 3):
-        dens = selberg_density(n)
-        p = hl_full((1, 1, 0)[:n], _slots(n), dens.vars, order)
-        pbar = hl_full((1, 1, 0)[:n], _slots(n, -1), dens.vars, order)
-        torus, _ = _linear_factors(_slots(n), (ALPHA, BETA), dens.vars, order)
-        nonzero += not _as_plain_product(dens, [p, pbar], order).is_zero()
-        for lead in (None, (1, 0, 0)[:n], (1, 1, 0)[:n]):
-            nonzero += not _as_plain_product(dens, [pbar, torus], order, lead=lead).is_zero()
-    for m, n in ((1, 2), (2, 2)):
-        dens = two_block_density(m, n)
-        every = _slots(m + n)
-        torus, _ = _linear_factors(every, (ALPHA,), dens.vars, order)
-        pbar = hl_full((1, 1) + (0,) * (m + n - 2), _slots(m + n, -1), dens.vars, order)
-        pxbar = hl_full((1,) + (0,) * (m - 1), _slots(m + n, -1)[:m], dens.vars, order)
-        for factors in ([torus, pbar], [torus, pxbar]):
-            nonzero += not _as_plain_product(dens, factors, order).is_zero()
-    n = 2
-    dens = CrossBlock(n)
-    x = tuple(var_arg(2 * n, i) for i in range(n))
-    ybar = tuple(var_arg(2 * n, n + i, -1) for i in range(n))
-    for mu, nu in (((1, 0), (1, 0)), ((2, 0), (1, 1)), ((1, 1), (1, 1))):
-        factors = [hl_full(mu, x, dens.vars, order), hl_full(nu, ybar, dens.vars, order)]
-        nonzero += not _as_plain_product(dens, factors, order).is_zero()
-    assert nonzero == 19, nonzero
-    densities.clear_caches()
-
-
-def test_orbit_sums_need_the_density_they_were_formed_for():
-    """A chamber product integrates only against its own blocks, variables
-    and order: the "D" route's product is refused by the "B" density on the
-    same variables, and so are another density's variables and another
-    order."""
+    assert not _linear_route(dens, both, one_sided, D).is_zero()
+    assert both._memo[1] == {b_dens.blocks: False, dens.blocks: True}
+    # fault injection at the division
     order = 6
-    d_dens, slots, tbase = INTEGRANDS["plus_odd"].whole()(2, None)
-    b_dens, b_slots, _ = INTEGRANDS["plus_odd"](2, None)
-    assert d_dens.vars == b_dens.vars and slots == b_slots and d_dens.blocks != b_dens.blocks
-    p = hl_full((2, 1) + (0,) * (len(slots) - 2), slots, d_dens.vars, order, tbase)
-    torus, _ = _linear_factors(slots, (ALPHA,), d_dens.vars, order)
-    product = chamber_product(d_dens, [p, torus])
-    assert not ct_integrate(d_dens, product, order).is_zero()
-    with pytest.raises(ConfigurationError, match="orbits are another group's"):
-        ct_integrate(b_dens, product, order)
-    with pytest.raises(ConfigurationError, match="variables"):
-        ct_integrate(koornwinder_density(2, K_PLUS_ODD, prefix="y"), product, order)
-    with pytest.raises(ConfigurationError, match="truncation"):
-        ct_integrate(d_dens, product, order + 1)
+    dens, slots, tbase = INTEGRANDS["plus_odd"](2, None)
+    p = hl_full((2, 1, 0, 0, 0), slots, dens.vars, order, tbase)
+    linear, _ = _linear_factors(slots, (ALPHA,), dens.vars, order)
+    assert not _linear_route(dens, p, linear, order).is_zero()
+    unpack = densities.unpack
+    monkeypatch.setattr(densities, "unpack", lambda v, width: {
+        k: c + 1 for k, c in unpack(v, width).items()})
+    with pytest.raises(ConfigurationError, match="not divisible"):
+        ct_integrate(dens, p, order, linear=linear)
     densities.clear_caches()
 
 
@@ -1078,8 +1068,8 @@ def _b_multiplier(key, n, weight, order):
     if weight is None:
         return dens, whole, None
     mult = hl_full(weight + (0,) * (len(slots) - len(weight)), slots, dens.vars, order)
-    torus, _ = _linear_factors(slots, HALVED[key], dens.vars, order)
-    return dens, whole, mult if torus is None else mult * torus
+    linear, _ = _linear_factors(slots, HALVED[key], dens.vars, order)
+    return dens, whole, mult if linear is None else mult * torus_factor(linear, dens.vars, order)
 
 
 def test_b_block_matches_full_and_d_routes():

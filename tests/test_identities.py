@@ -35,7 +35,7 @@ from hltorus.series import SeriesRing
 
 from helpers import (bounded_partitions, drop_param, from_coeffs, lifted,
                      linear_factor_by_binomials, monomial, negate_param, parity_counts,
-                     row_closed_form, truncated)
+                     row_closed_form, torus_factor, truncated)
 from oracles import (FACTORED, c_symbols, hl_by_point_evaluation, rhs_ab, rhs_ab_sum,
                      rhs_alpha_eq_minus_beta, rhs_alpha_minus_one, rhs_orthogonal_alpha,
                      slot_value)
@@ -397,28 +397,32 @@ def test_slot_rule_scalars():
     }
     for (key, values), scalar in expected.items():
         dens, slots, _ = INTEGRANDS[key](2, None)
-        torus, got = _linear_factors(slots, values, dens.vars, D)
+        linear, got = _linear_factors(slots, values, dens.vars, D)
         assert got == scalar, (key, values)
-        assert len(torus.terms) > 1  # the torus slots x_i^{+-1} give the Laurent factor
+        assert len(linear) > 1  # the torus slots x_i^{+-1} give each variable its factor
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_linear_factor_matches_binomial_products(n):
-    """The tensor product over the variables has the very terms of the
-    binomial-by-binomial product, on every integrand of every Rogers-Szego
-    row at its values."""
+    """The product over the variables of the one series each carries has
+    the very terms of the binomial-by-binomial product, on every integrand
+    of every Rogers-Szego row at its values.  A slot that moves two
+    variables, and slots that give the variables different series, are
+    refused."""
     rows = [row for row in REGISTRY.values()
             if isinstance(row.closed, partial) and row.closed.func is rhs_rogers_szego]
     assert len(rows) == 12
     for row in rows:
         for key in row.integrands:
             dens, slots, _ = INTEGRANDS[key](n, None)
-            torus, _ = _linear_factors(slots, row.values, dens.vars, D)
+            linear, _ = _linear_factors(slots, row.values, dens.vars, D)
             want = linear_factor_by_binomials(slots, row.values, dens.vars, D)
-            assert torus == want, (row.name, key)
+            assert torus_factor(linear, dens.vars, D) == want, (row.name, key)
     x1x2 = Mono(1, 0, (1, 1))
     with pytest.raises(ConfigurationError, match="one torus variable"):
         _linear_factors((x1x2,), (ALPHA,), ("x1", "x2"), D)
+    with pytest.raises(ConfigurationError, match="different linear factors"):
+        _linear_factors(pm_args(2)[:3], (ALPHA,), ("x1", "x2"), D)
 
 
 def test_sum_identity_components():

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hltorus.densities import chamber_product
 from hltorus.errors import ConfigurationError, DomainError
 from hltorus.hall_littlewood import Mono, const_arg, hl_full, pm_args, var_arg
 from hltorus.identities import ALPHA, BETA, INTEGRANDS, MINUS_ALPHA, _linear_factors
@@ -9,7 +8,7 @@ from hltorus.laurent import LaurentPoly
 from hltorus.series import ParamSeries, SeriesRing
 
 from helpers import (coefficient, constant_term, max_total_degree, monomial, poly_of, poly_sum,
-                     rename_vars, scalar, specialize, spread_orbits)
+                     rename_vars, scalar, specialize, torus_factor)
 from oracles import product_by_nested_loops
 
 
@@ -206,17 +205,17 @@ def test_producers_keep_the_coefficient_layout():
              ((2, 2, 1, 0), scaled), ((2, 2, 2, 1), scaled), ((2, 2, 2, 2), scaled))
     polys = [hl_full(w, args, V, order, tbase) for w, args in cases for tbase in (2, 4)]
     dens, slots, _ = INTEGRANDS["double_cover"](2, None)
-    polys.append(_linear_factors(slots, (ALPHA, BETA), dens.vars, order)[0])
+    polys.append(torus_factor(_linear_factors(slots, (ALPHA, BETA), dens.vars, order)[0],
+                              dens.vars, order))
     dens, slots, tbase = INTEGRANDS["symplectic"](2, None)
     p = hl_full((2, 1, 0, 0), slots, dens.vars, order, tbase)
     # 1 - alpha^2 y^2 per slot: the odd powers of alpha cancel, in the slot
-    # rule and in the chamber product of its two halves
-    torus, _ = _linear_factors(slots, (ALPHA, MINUS_ALPHA), dens.vars, order)
-    halves = [_linear_factors(slots, (v,), dens.vars, order)[0] for v in (ALPHA, MINUS_ALPHA)]
-    polys += [p, torus, p * torus]
-    for product in (chamber_product(dens, [p, torus]), chamber_product(dens, halves)):
-        # the orbits' coefficient dicts, each at its orbit's points
-        polys.append(LaurentPoly(product.vars, spread_orbits(product), product.trunc))
+    # rule and in the product of its two halves
+    torus = torus_factor(_linear_factors(slots, (ALPHA, MINUS_ALPHA), dens.vars, order)[0],
+                         dens.vars, order)
+    halves = [torus_factor(_linear_factors(slots, (v,), dens.vars, order)[0], dens.vars, order)
+              for v in (ALPHA, MINUS_ALPHA)]
+    polys += [p, torus, p * torus, halves[0] * halves[1]]
     # (x1 + 1)(x1 - 1): the x1 terms cancel; t^2 x1 times t x2 passes the order
     x1, one = monomial(V, (1, 0), 1, order), LaurentPoly.unit(V, order)
     polys.append(poly_sum(x1, one) * poly_sum(x1, monomial(V, (0, 0), -1, order)))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hltorus.errors import ConfigurationError, DomainError
-from hltorus.series import ParamSeries, SeriesRing, binomial_ratio, divide_binomial
+from hltorus.series import (ZERO_KEY, ParamSeries, SeriesRing, binomial_ratio, divide_binomial,
+                            mul_into, pack, pack_width, unpack)
 
 from helpers import (InternalConsistencyError, divide_by_s_power, drop_param, from_coeffs, geometric,
                      negate_param, truncated, unit_inverse)
@@ -187,3 +188,32 @@ def test_binomial_ratio_constant_factors():
         binomial_ratio([], [(1, 0)], 6)
     with pytest.raises(DomainError):
         binomial_ratio([(1, -2)], [], 6)
+
+
+_s_series = st.dictionaries(st.tuples(st.integers(0, 6), st.just(0), st.just(0)),
+                            st.integers(-40, 40).filter(bool), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_s_series, min_size=1, max_size=3), max_size=5), st.integers(0, 8))
+@example([[{(0, 0, 0): 1, (1, 0, 0): -1}]] * 3, 2)
+@example([[{(9, 0, 0): 7}], [{(0, 0, 0): -1}]], 4)
+def test_pack_width_holds_the_worst_sum_of_products(groups, order):
+    """The largest sum of products of one coefficient per group, through
+    the order, is the product of the groups' absolute series.  Packed at
+    ``pack_width`` it survives every integer product of a prefix, cut to
+    the order, and the width is two bits above its largest digit."""
+    width = pack_width(groups, order)
+    worst, packed, most = {ZERO_KEY: 1}, 1, 1
+    half = 1 << width * (order + 1) - 1
+    for group in groups:
+        total = {}
+        for coeffs in group:
+            for key, c in coeffs.items():
+                total[key] = total.get(key, 0) + abs(c)
+        worst, prev = {}, worst
+        mul_into(worst, prev, total, order)
+        packed = ((packed * pack(total, width) + half) & (2 * half - 1)) - half
+        assert unpack(packed, width) == worst
+        most = max(most, *worst.values(), 1)
+    assert width == most.bit_length() + 2
