@@ -40,12 +40,13 @@ multiplies by the Weyl factor per block, so a density still means the full
 product times its prefactor, and it refuses a multiplier that is not
 invariant under each block's Weyl group.  Each orbit of exponents meets
 the group's closed dominant chamber exactly once (``_dominant``), so the
-guard compares the terms orbit by orbit, and an invariant P times a linear factor prod_i l(x_i) integrates without its
-product (``ct_integrate``'s ``linear``): the table is summed over each
-orbit once, and each orbit of the linear factor takes one packed product
-per term of P (``_orbit_convolution``).  ``koornwinder_normalization``
-states the bare Koornwinder integral in closed form, Gustafson's product at
-q = 0, parsing the same parameter quadruple as ``koornwinder_density``.
+guard compares the terms orbit by orbit, and an invariant P times a
+linear factor prod_i l(x_i) integrates without its product
+(``ct_integrate``'s ``linear``): the table is summed over each orbit once,
+and each orbit of the linear factor takes one packed product per term of P
+(``_orbit_convolution``).  ``koornwinder_normalization`` states the bare
+Koornwinder integral in closed form, Gustafson's product at q = 0, parsing
+the same parameter quadruple as ``koornwinder_density``.
 
 On a density with one "A" block over all its variables, P_lambda(x; t)
 times a symmetric g integrates without forming P_lambda, by Macdonald's
@@ -99,8 +100,8 @@ from operator import add, sub
 from .errors import ConfigurationError, DomainError, ResourceLimitError
 from .laurent import LaurentPoly
 from .partitions import partitions_up_to
-from .series import (ZERO_KEY, ParamSeries, binomial_ratio, divide_binomial, mul_into, pack,
-                     pack_width, unpack)
+from .series import (ZERO_KEY, ParamSeries, absolute_series, binomial_ratio, divide_binomial,
+                     mul_into, pack, pack_width, unpack)
 
 
 def env_ceiling(name):
@@ -748,12 +749,12 @@ def _orbit_convolution(dens, poly, linear, ranges, order):
     once per table (``_Table.orbits``) and poly packed, so each (term,
     b_0) pair is one integer product and each b_0 one ``unpack``, a checked
     exact division by ``_stabilizer_order`` and one ``mul_into``.  A digit
-    of the inner sum is at most |W| sum |c| over poly's coefficients times
-    one of T, so the table is asked for that many more bits.
+    of the inner sum is at most |W| sum |c| over poly's coefficients through
+    the order (``series.absolute_series``) times one of T, so the table is
+    asked for that many more bits.
     """
     blocks, nv = dens.blocks, len(dens.vars)
-    pack_width([poly.terms.values()], order)  # refuses what does not pack
-    total = sum(abs(c) for coeffs in poly.terms.values() for c in coeffs.values())
+    total = sum(absolute_series(poly.terms.values(), order))  # refuses what does not pack
     group = _stabilizer_order(blocks, (0,) * nv)
     top, low = max(linear, default=0), min(linear, default=0)
     table = _expansion(dens, order, [(-hi - top, -lo - low) for hi, lo in ranges],
@@ -986,10 +987,6 @@ def _dominant(blocks, nv):
     negative (W(D_n) changes an even number of signs; on one variable it
     is trivial, and so is the map).
     """
-    if len(blocks) == 1 and blocks[0][1:3] == (0, nv) and blocks[0][0] in "AB":
-        if blocks[0][0] == "A":
-            return lambda e: tuple(sorted(e, reverse=True))
-        return lambda e: tuple(sorted(map(abs, e), reverse=True))
     spans = [(kind, slice(first, first + size)) for kind, first, size, *_ in blocks]
 
     def dominant(e):

@@ -73,22 +73,32 @@ def pack_width(groups, order):
     Such a sum at s^k is at most the s^k coefficient of the product of
     those groups' absolute series, sum |c| s^j over their terms, so the bit
     length of the largest one through ``order``, over every prefix, plus 2
-    bits holds it with room to spare.  Only series in s alone with int
-    coefficients pack: any other term raises ``ConfigurationError``.
+    bits holds it with room to spare.  A term that does not pack raises
+    ``ConfigurationError`` (``absolute_series``).
     """
     bound, most = [1] + [0] * order, 1
     for group in groups:
-        line = [0] * (order + 1)
-        for coeffs in group:
-            for (k, a, b), c in coeffs.items():
-                if a or b or not isinstance(c, int):
-                    raise ConfigurationError("term %r * %r is not an integer multiple of a"
-                                             " power of s" % (c, (k, a, b)))
-                if k <= order:
-                    line[k] += abs(c)
+        line = absolute_series(group, order)
         bound = [sum(bound[i] * line[k - i] for i in range(k + 1)) for k in range(order + 1)]
         most = max(most, *bound)
     return most.bit_length() + 2
+
+
+def absolute_series(group, order):
+    """The sum over the coefficient dicts of ``group`` of their absolute
+    series, as the list of its s^k coefficients through ``order``.  Only
+    series in s alone with int coefficients pack: any other term raises
+    ``ConfigurationError``.
+    """
+    line = [0] * (order + 1)
+    for coeffs in group:
+        for (k, a, b), c in coeffs.items():
+            if a or b or not isinstance(c, int):
+                raise ConfigurationError("term %r * %r is not an integer multiple of a"
+                                         " power of s" % (c, (k, a, b)))
+            if k <= order:
+                line[k] += abs(c)
+    return line
 
 
 def pack(coeffs, width):
