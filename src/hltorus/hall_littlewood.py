@@ -1,27 +1,26 @@
 """Hall-Littlewood polynomials evaluated at lists of signed monomials.
 
-P_lambda is built by Macdonald's branching rule (Symmetric Functions and
-Hall Polynomials, III (5.11')), which needs no division:
+P_lambda is built from its coefficients in the monomial symmetric
+functions, P_lambda = sum_mu c_{lambda mu}(t) m_mu over the partitions
+mu <= lambda in dominance (``ClassTable``), with each m_mu formed at the
+slots by one DP (``_monomials``).  The coefficients follow from Macdonald's
+branching rule (Symmetric Functions and Hall Polynomials, III (5.11')),
+which needs no division:
 
     P_lambda(y_1..y_N) = sum_mu psi_{lambda/mu}(t) y_N^{|lambda|-|mu|} P_mu(y_1..y_{N-1})
 
 over the mu with lambda/mu a horizontal strip, where
 psi_{lambda/mu}(t) = prod_{j in J} (1 - t^{m_j(mu)}) and J is the set of
 j >= 1 with theta'_j = 0 and theta'_{j+1} = 1 for theta = lambda - mu.
-The recursion is memoized on mu (whose length is the number of slots it
-uses) within one call.  A weight whose last part is nonzero is shifted to
-end in 0: P_lambda = (y_1 ... y_N)^{lambda_N} P_{lambda - lambda_N}, and the
-recursion starts from that monomial in place of P_() = 1.  Coefficients are
-the package's (e_s, e_alpha, e_beta)-keyed dicts, with e_alpha = e_beta = 0,
-and every product of them goes through ``series.mul_into``.
-
-The same recursion gives the coefficients of P_lambda in the monomial
-symmetric functions, P_lambda = sum_mu c_{lambda mu}(t) m_mu over the
-partitions mu <= lambda in dominance (``ClassTable``): the coefficient of
-y^mu, mu sorted decreasing, is the sum over the strips lambda/nu of size
-mu_N of psi_{lambda/nu}(t) c_{nu, (mu_1, ..., mu_{N-1})}, since the last slot
-takes the least part.  A row of the table holds one entry per class mu, where
-``hl_full`` holds one per monomial.
+So the coefficient of y^mu, mu sorted decreasing, is the sum over the
+strips lambda/nu of size mu_N of psi_{lambda/nu}(t) c_{nu, (mu_1, ...,
+mu_{N-1})}, since the last slot takes the least part.  A row of the table
+holds one entry per class mu.  A weight whose last part h is nonzero is
+shifted to end in 0: P_lambda = (y_1 ... y_N)^h P_{lambda - h}, and
+(y_1 ... y_N)^h m_mu = m_{mu + h} on N slots, so the DP places the parts of
+mu + h.  Coefficients are the package's (e_s, e_alpha, e_beta)-keyed dicts,
+with e_alpha = e_beta = 0, and every product of them goes through
+``series.mul_into``.
 
 The class coefficients also integrate P_lambda against t-Selberg densities,
 the weights of the Hall-Littlewood inner product, with neither factor
@@ -39,7 +38,7 @@ along the way is exact, and the coefficients stay integers.
 from __future__ import annotations
 
 from itertools import product
-from math import inf, prod
+from math import inf
 from typing import NamedTuple, Tuple
 
 from .errors import ConfigurationError, DomainError, ResourceLimitError
@@ -74,13 +73,8 @@ def pm_args(nvars) -> Tuple[Mono, ...]:
     return tuple(out)
 
 
-def _mono_pow(m: Mono, k: int) -> Mono:
-    sign = -1 if (m.sign < 0 and k % 2) else 1
-    return Mono(sign, m.spow * k, tuple(e * k for e in m.exps))
-
-
 def _strip_multiplicities(lam, mu):
-    """m_j(mu) for each j in J, the set of ``_psi``, for the horizontal strip lam/mu.
+    """m_j(mu) for each j in J, the set of psi_{lam/mu}, for the horizontal strip lam/mu.
 
     Row i of the strip covers the columns mu_i < j <= lam_i (mu_N = 0), and
     each row's columns lie left of the row above's.  So j is in J when a
@@ -94,56 +88,6 @@ def _strip_multiplicities(lam, mu):
                 out.append(mu.count(lo))
             reach = hi
     return out
-
-
-def _psi(lam, mu, tbase, cap, y):
-    """psi_{lam/mu}(t) times the scalar y.sign * s**y.spow of the slot power y.
-
-    lam/mu is a horizontal strip; the result is an (e_s, 0, 0)-keyed dict
-    truncated at ``cap``.
-    """
-    psi = {(y.spow, 0, 0): y.sign} if y.spow <= cap else {}
-    for m in _strip_multiplicities(lam, mu):
-        out = {}
-        mul_into(out, psi, {ZERO_KEY: 1, (tbase * m, 0, 0): -1}, cap)
-        psi = out
-    return psi
-
-
-def _branching(lam, args, memo, cap, tbase):
-    """P_lam(args) times the seed term, for a partition lam padded to len(args).
-
-    Polynomials map exponent tuples to (e_s, 0, 0)-keyed coefficient dicts.
-    ``memo`` maps each partition already built to its polynomial, and ()
-    to the seed, the one-term polynomial that P_() stands for.  The
-    recursion goes through the module-level name, not a closure that refers
-    to itself, so the memo is freed when the caller drops it rather than
-    left for the cycle collector.  A failed allocation empties the memo and
-    the polynomial in progress at every level before it propagates.
-    """
-    hit = memo.get(lam)
-    if hit is not None:
-        return hit
-    k = len(lam)
-    size = sum(lam)
-    acc = {}
-    try:
-        for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
-            y = _mono_pow(args[k - 1], size - sum(mu))
-            factor = _psi(lam, mu, tbase, cap, y)
-            if not factor:
-                continue
-            for exps, cd in _branching(mu, args, memo, cap, tbase).items():
-                key = tuple(a + b for a, b in zip(exps, y.exps))
-                mul_into(acc.setdefault(key, {}), cd, factor, cap)
-    except MemoryError:
-        # under a memory ceiling the handlers further up need room: without
-        # this, a process could spin at the ceiling instead of reporting it
-        memo.clear()
-        acc.clear()
-        raise
-    memo[lam] = acc
-    return acc
 
 
 class ClassTable:
@@ -377,17 +321,43 @@ def hl_full(weight, args, var_names, order, tbase=2):
     if hit is not None:
         return hit
 
-    nvars = len(var_names)
-    # the recursion is linear, so the shift by (y_1 ... y_N)^{lambda_N}
-    # enters once, as the seed term
     shift = weight[-1] if weight else 0
-    y = _mono_pow(
-        Mono(prod(m.sign for m in args), sum(m.spow for m in args),
-             tuple(sum(m.exps[i] for m in args) for i in range(nvars))),
-        shift,
-    )
-    poly = _branching(tuple(w - shift for w in weight), args,
-                      {(): {y.exps: {(y.spow, 0, 0): y.sign}}}, order, tbase)
-    result = LaurentPoly(var_names, {e: cd for e, cd in poly.items() if cd}, order)
+    row = ClassTable(order, tbase).row(tuple(w - shift for w in weight))
+    result = LaurentPoly(var_names, _monomials(row, shift, args, len(var_names), order), order)
     _CACHE[key] = result
     return result
+
+
+def _monomials(row, shift, args, nvars, order):
+    """sum_mu row[mu] m_{mu + shift}(args), as exponent tuple -> coefficient dict.
+
+    A DP over the slots: a state is the multiset of parts not yet placed, a
+    tuple sorted decreasing, with the exponents so far, and maps to its
+    coefficient.  Each slot y takes one distinct part x left, which moves
+    the exponents by x y.exps and multiplies the coefficient by
+    y.sign^x s^(y.spow x); x % 2 is the parity of a negative x too.  States
+    of every mu start at once, so equal exponents merge as soon as the
+    parts left agree.  A failed allocation empties the states before it
+    propagates.
+    """
+    states = {(tuple(p + shift for p in mu), (0,) * nvars): c for mu, c in row.items()}
+    step = {}
+    try:
+        for y in args:
+            step = {}
+            for (left, exps), coeff in states.items():
+                for i, x in enumerate(left):
+                    spow = y.spow * x
+                    if i and left[i - 1] == x or spow > order:
+                        continue
+                    key = (left[:i] + left[i + 1:], tuple(e + x * d for e, d in zip(exps, y.exps)))
+                    mul_into(step.setdefault(key, {}), coeff,
+                             {(spow, 0, 0): -1 if y.sign < 0 and x % 2 else 1}, order)
+            states = step
+    except MemoryError:
+        # under a memory ceiling the handlers further up need room: without
+        # this, a process could spin at the ceiling instead of reporting it
+        states.clear()
+        step.clear()
+        raise
+    return {exps: c for (_, exps), c in states.items() if c}

@@ -43,9 +43,9 @@ def mul_into(dst, a, b, cap):
     total degree above ``cap`` are skipped, and an entry of ``dst`` that
     cancels to zero is deleted, so ``dst`` keeps only nonzero values.  This
     is the product loop of the package's coefficient dicts: series
-    products, the torus products of ``LaurentPoly``, the branching rule of
-    ``hall_littlewood`` and the constant-term convolution all accumulate
-    through it.  The density expansion multiplies packed integers
+    products, the torus products of ``LaurentPoly``, the class table and
+    the slot DP of ``hall_littlewood`` and the constant-term convolution all
+    accumulate through it.  The density expansion multiplies packed integers
     (``pack``) instead, and so does the convolution within one orbit.
     """
     if len(a) > len(b):

@@ -14,7 +14,9 @@ normalizations (``gustafson_rhs``) are the package's earlier, one-formula-
 per-row statements; they are kept as references for the general
 ``rogers_szego_value`` and ``koornwinder_normalization``.  They
 stay in the tree permanently as ground truth.  ``degenerate_check`` holds
-``hl_full`` against the tableau and monomial oracles at t=0 and t=1.
+``hl_full`` against the tableau and monomial oracles at t=0 and t=1, and
+``hl_by_branching`` builds P monomial by monomial by the branching rule,
+the oracle of ``hl_full``'s class table and slot DP.
 ``cross_block_density`` states the U(2n) density in factored form, which the
 density expansion integrates; it is the oracle of the package's Cauchy-sum
 route for the ``cross_block`` integrand.  ``FACTORED`` does the same for the
@@ -29,14 +31,15 @@ closed forms.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import factorial, prod
 
 from hltorus.densities import DensityProduct, positive_roots, selberg_density
 from hltorus.errors import DomainError
-from hltorus.hall_littlewood import hl_full, var_arg
+from hltorus.hall_littlewood import Mono, _strip_multiplicities, hl_full, var_arg
 from hltorus.identities import t_multinomial_of
-from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing
+from hltorus.laurent import LaurentPoly
+from hltorus.series import ZERO_KEY, ParamSeries, SeriesRing, mul_into
 
 from helpers import coefficient, geometric, max_total_degree, parity_counts
 
@@ -229,6 +232,72 @@ def hl_by_point_evaluation(weight, args, point, s, tbase=2):
         for j in range(1, mult + 1):
             v *= (1 - t ** j) / (1 - t)
     return part[-1] / v
+
+
+def _mono_pow(m, k):
+    sign = -1 if (m.sign < 0 and k % 2) else 1
+    return Mono(sign, m.spow * k, tuple(e * k for e in m.exps))
+
+
+def _psi(lam, mu, tbase, cap, y):
+    """psi_{lam/mu}(t) times the scalar y.sign * s**y.spow of the slot power y.
+
+    lam/mu is a horizontal strip; the result is an (e_s, 0, 0)-keyed dict
+    truncated at ``cap``.
+    """
+    psi = {(y.spow, 0, 0): y.sign} if y.spow <= cap else {}
+    for m in _strip_multiplicities(lam, mu):
+        out = {}
+        mul_into(out, psi, {ZERO_KEY: 1, (tbase * m, 0, 0): -1}, cap)
+        psi = out
+    return psi
+
+
+def _branching(lam, args, memo, cap, tbase):
+    """P_lam(args) times the seed term, for a partition lam padded to len(args).
+
+    Polynomials map exponent tuples to (e_s, 0, 0)-keyed coefficient dicts.
+    ``memo`` maps each partition already built to its polynomial, and ()
+    to the seed, the one-term polynomial that P_() stands for.
+    """
+    hit = memo.get(lam)
+    if hit is not None:
+        return hit
+    k = len(lam)
+    size = sum(lam)
+    acc = {}
+    for mu in product(*(range(lam[i + 1], lam[i] + 1) for i in range(k - 1))):
+        y = _mono_pow(args[k - 1], size - sum(mu))
+        factor = _psi(lam, mu, tbase, cap, y)
+        if not factor:
+            continue
+        for exps, cd in _branching(mu, args, memo, cap, tbase).items():
+            key = tuple(a + b for a, b in zip(exps, y.exps))
+            mul_into(acc.setdefault(key, {}), cd, factor, cap)
+    memo[lam] = acc
+    return acc
+
+
+def hl_by_branching(weight, args, var_names, order, tbase=2):
+    """P_weight(args; t) as a LaurentPoly by the branching rule, monomial by monomial.
+
+    Macdonald, SFHP III (5.11'): P_lam(y_1..y_N) = sum_mu psi_{lam/mu}(t)
+    y_N^{|lam|-|mu|} P_mu(y_1..y_{N-1}) over the horizontal strips lam/mu,
+    memoized on mu.  A weight ending in h != 0 is shifted to end in 0, and
+    the recursion starts from (y_1 ... y_N)^h in place of P_() = 1.  The
+    oracle of ``hl_full``'s class table and slot DP, with which it shares
+    only the strips' J sets (``_strip_multiplicities``) and ``mul_into``.
+    """
+    weight, args, nvars = tuple(weight), tuple(args), len(var_names)
+    shift = weight[-1] if weight else 0
+    y = _mono_pow(
+        Mono(prod(m.sign for m in args), sum(m.spow for m in args),
+             tuple(sum(m.exps[i] for m in args) for i in range(nvars))),
+        shift,
+    )
+    poly = _branching(tuple(w - shift for w in weight), args,
+                      {(): {y.exps: {(y.spow, 0, 0): y.sign}}}, order, tbase)
+    return LaurentPoly(var_names, {e: cd for e, cd in poly.items() if cd}, order)
 
 
 def product_by_nested_loops(a, b, trunc):

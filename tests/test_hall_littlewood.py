@@ -15,6 +15,7 @@ from hltorus.hall_littlewood import (
     selberg_average,
     var_arg,
 )
+from hltorus.identities import INTEGRANDS, _Koornwinder
 from hltorus.laurent import LaurentPoly
 from hltorus.partitions import partitions_up_to
 from hltorus.series import ParamSeries, SeriesRing
@@ -22,6 +23,7 @@ from hltorus.series import ParamSeries, SeriesRing
 from helpers import coefficient, hl_q, monomial, permute_vars, poly_of, scalar, truncated
 from oracles import (
     degenerate_check,
+    hl_by_branching,
     hl_by_point_evaluation,
     monomial_sym,
     schur_by_tableaux,
@@ -190,17 +192,19 @@ S_VALUES = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5))
 
 @st.composite
 def hl_cases(draw):
-    """Up to six slots from x^{+-1} pairs, +-1 and (t z, z) pairs."""
+    """Up to six slots from x^{+-1} pairs, +-1, (t z, z) pairs and lone x^{-1}."""
     tbase = draw(st.sampled_from((2, 4)))
-    pairs = draw(st.lists(st.sampled_from(("pm", "scaled")), max_size=NV))
+    pairs = draw(st.lists(st.sampled_from(("pm", "scaled", "inv")), max_size=NV))
     signs = draw(st.sets(st.sampled_from((1, -1))))
-    assume(1 <= 2 * len(pairs) + len(signs) <= 6)
+    assume(1 <= sum(1 if kind == "inv" else 2 for kind in pairs) + len(signs) <= 6)
     args = [const_arg(NV, sign) for sign in sorted(signs)]
     for i, kind in enumerate(pairs):
         if kind == "pm":
             args += [var_arg(NV, i, 1), var_arg(NV, i, -1)]
-        else:
+        elif kind == "scaled":
             args += [Mono(1, tbase, var_arg(NV, i).exps), var_arg(NV, i)]
+        else:
+            args.append(var_arg(NV, i, -1))
     low = 0 if "scaled" in pairs else -2
     weight = draw(st.lists(st.integers(low, 3), min_size=len(args), max_size=len(args)))
     point = tuple(draw(st.permutations(POINTS))[:NV])
@@ -228,9 +232,9 @@ def test_u2n_frontier_weight_builds():
 
 
 def test_branching_leaves_no_cyclic_garbage():
-    """The memo of intermediate P_mu is freed by reference counting: with
-    the collector off, a large weight leaves no more for it than a small
-    one."""
+    """The class table and the slot DP's states are freed by reference
+    counting: with the collector off, a large weight leaves no more for it
+    than a small one."""
     def garbage_after(weight):
         hall_littlewood.clear_caches()
         gc.collect()
@@ -249,19 +253,20 @@ def test_branching_leaves_no_cyclic_garbage():
 
 
 def _by_class(lam, order, tbase):
-    """hl_full at the plain variables, its terms at sorted exponents: one per class."""
+    """P by the branching oracle at the plain variables, its terms at sorted
+    exponents: one per class."""
     n = len(lam)
-    p = hl_full(lam, tuple(var_arg(n, i) for i in range(n)),
-                tuple("x%d" % (i + 1) for i in range(n)), order, tbase)
+    p = hl_by_branching(lam, tuple(var_arg(n, i) for i in range(n)),
+                        tuple("x%d" % (i + 1) for i in range(n)), order, tbase)
     return {e: c for e, c in p.terms.items() if list(e) == sorted(e, reverse=True)}
 
 
 @pytest.mark.parametrize("tbase", [2, 4])
 def test_class_table_matches_hl_full_by_class(tbase):
-    """Each row of the class table is hl_full collected by class, at one to
-    four variables, every partition of size at most 5 and orders 0, 3 and
-    8; a table shares its rows across the weights it is asked for, and
-    every entry keeps the coefficient layout."""
+    """Each row of the class table is the branching oracle's P collected by
+    class, at one to four variables, every partition of size at most 5 and
+    orders 0, 3 and 8; a table shares its rows across the weights it is
+    asked for, and every entry keeps the coefficient layout."""
     for order in (0, 3, 8):
         table = ClassTable(order, tbase)
         for n in range(1, 5):
@@ -276,6 +281,79 @@ def test_class_table_matches_hl_full_by_class(tbase):
     row = ClassTable(6, tbase).row((3, 2, 1, 0))
     assert ClassTable(6, tbase).row((3, 2, 1, 0), 1) == {
         mu: c for mu, c in row.items() if min(mu) >= 1}
+
+
+def _differential_cases():
+    """(weight, slots, nvars, tbase) over the slot lists the identities build."""
+    kinds = sorted({(k.drop, k.consts) for k in INTEGRANDS.values()
+                    if isinstance(k, _Koornwinder)})
+    for n in range(1, 6):
+        for drop, consts in kinds:
+            nv = n - drop
+            if nv < 1:
+                continue
+            slots = pm_args(nv) + tuple(const_arg(nv, c) for c in consts)
+            k = len(slots)
+            weights = [(1,) + (0,) * (k - 2) + (-1,), (2, 1) + (0,) * (k - 2)]
+            if n <= 3:
+                weights += [lam.padded(k).parts for lam in partitions_up_to(4, k)]
+                if k >= 3:
+                    weights.append((2,) + (0,) * (k - 3) + (-1, -1))
+            yield from ((w, slots, nv, 2) for w in weights)
+    # o_plus_even at n=5
+    yield (2, 2, 1, 1) + (0,) * 6, pm_args(5), 5, 2
+    for n in range(1, 5):
+        # the plain slots and the inverted ones of a P-bar, negative parts too
+        for slots in (plain(n), tuple(var_arg(n, i, -1) for i in range(n))):
+            for lam in partitions_up_to(4, n):
+                yield lam.padded(n).parts, slots, n, 2
+            if n >= 2:
+                yield (1,) + (0,) * (n - 2) + (-1,), slots, n, 2
+                yield (2,) + (0,) * (n - 2) + (-3,), slots, n, 2
+    for tbase in (2, 4):
+        for n in range(1, 4):
+            # (t z, z) pairs
+            slots = tuple(y for i in range(n) for y in (var_arg(n, i, spow=tbase), var_arg(n, i)))
+            for lam in partitions_up_to(3, 2 * n):
+                yield lam.padded(2 * n).parts, slots, n, tbase
+
+
+def test_hl_full_matches_branching_oracle():
+    """hl_full, a class table row and a DP over the slots, equals P built
+    monomial by monomial by the branching rule on every slot list the
+    identities use, at orders 0, 3 and 8."""
+    for weight, slots, nv, tbase in _differential_cases():
+        for order in (0, 3, 8):
+            hall_littlewood.clear_caches()
+            got = hl_full(weight, slots, names(nv), order, tbase)
+            assert got == hl_by_branching(weight, slots, names(nv), order, tbase), (
+                weight, slots, order, tbase)
+    hall_littlewood.clear_caches()
+
+
+def test_build_failure_caches_nothing(monkeypatch):
+    """A MemoryError partway through a build propagates, leaves no cache
+    entry, and the next call builds the whole P."""
+    weight, slots, order = (2, 1, 1, 0, 0, -1), pm_args(3), 8
+    key = (weight, slots, names(3), order, 2)
+    real, calls = hall_littlewood.mul_into, []
+
+    def failing(*args):
+        # the class table takes the first 43 calls, the slot DP the next 614
+        calls.append(None)
+        if len(calls) == 300:
+            raise MemoryError
+        real(*args)
+
+    hall_littlewood.clear_caches()
+    monkeypatch.setattr(hall_littlewood, "mul_into", failing)
+    with pytest.raises(MemoryError):
+        hl_full(weight, slots, names(3), order)
+    assert key not in hall_littlewood._CACHE
+    monkeypatch.setattr(hall_littlewood, "mul_into", real)
+    assert hl_full(weight, slots, names(3), order) == hl_by_branching(
+        weight, slots, names(3), order)
+    hall_littlewood.clear_caches()
 
 
 def test_class_table_counts_toward_its_limit():
