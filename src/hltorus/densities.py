@@ -245,7 +245,7 @@ def _koornwinder_params(params):
     return norm
 
 
-def koornwinder_density(n, params, prefix="x", pair=None) -> DensityProduct:
+def koornwinder_density(n, params, pair=None) -> DensityProduct:
     """The symmetric q=0 Koornwinder density with parameters (a,b,c,d).
 
     Each parameter is 0, +1, -1 or a signed s-monomial (sign, s-exponent)
@@ -277,7 +277,7 @@ def koornwinder_density(n, params, prefix="x", pair=None) -> DensityProduct:
     if pair is not None and (len(half) != 2 or any(k == 0 for _, k in whole)
                              or half[0][1] + half[1][1] == 0):
         raise DomainError("pair %r cannot halve the parameters %r" % (pair, params))
-    vars = tuple("%s%d" % (prefix, i + 1) for i in range(n))
+    vars = tuple("x%d" % (i + 1) for i in range(n))
     has_plus = any(k == 0 and s == 1 for s, k in norm)
     has_minus = any(k == 0 and s == -1 for s, k in norm)
     num = []

@@ -54,10 +54,10 @@ class Mono(NamedTuple):
     exps: Tuple[int, ...]
 
 
-def var_arg(nvars, i, power=1, sign=1, spow=0) -> Mono:
+def var_arg(nvars, i, power=1, spow=0) -> Mono:
     exps = [0] * nvars
     exps[i] = power
-    return Mono(sign, spow, tuple(exps))
+    return Mono(1, spow, tuple(exps))
 
 
 def const_arg(nvars, sign) -> Mono:
@@ -139,8 +139,6 @@ class ClassTable:
             if last < floor or rest < last * (k - 1):
                 continue
             factor = self._psi(tuple(sorted(_strip_multiplicities(lam, nu))))
-            if not factor:
-                continue
             for mu, c in self.row(nu, last).items():
                 mul_into(acc.setdefault(mu + (last,), {}), c, factor, self.order)
         acc = {mu: c for mu, c in acc.items() if c}
@@ -151,24 +149,25 @@ class ClassTable:
         return acc
 
 
-def selberg_average(weight, slots, blocks, tbase, order, limit=None, lift=0):
-    """<P_weight(slots; t)> / <1> against t-Selberg densities on ``blocks``.
+def selberg_average(weight, slots, blocks, tbase, order, limit=None):
+    """s^p <P_weight(slots; t)> / <1> against t-Selberg densities on ``blocks``.
 
     ``blocks`` are ("A", first, size, tpow) tuples over consecutive
     variables, each the density prod_{i != j} (1-x_i/x_j)/(1-t x_i/x_j) in t
     = s^tpow, so <f>/<1> is a product of Hall-Littlewood inner products.
-    Each slot is s^p x_v for a variable x_v of the blocks, and the variables
-    of a block carry the same s-powers; P is in t = s^tbase.  With w =
-    weight + ``lift`` and h its last part, P_w = (prod of the slots)^h
-    sum_nu c_{w-h, nu} m_nu at the slots (``ClassTable``), and the lift's
-    x^(-lift) per slot shifts each variable back; m_nu at the slots is
-    expanded over the blocks' classes by ``_at_slots``, where each class
-    integrates to its moment (``_moment``).  A weight of nonzero size gives
-    zero, as P at the slots is homogeneous of that degree and the density of
-    degree 0.  Otherwise h <= 0, and (prod of the slots)^h has no s-power,
-    since a negative h at slots with s-powers is lifted to 0.  The tables,
-    one per t-base, each with ``limit`` entries, and the moments live for
-    this call, so the limit counts the same entries on every call.
+    Each slot is s^q x_v for a variable x_v of the blocks, and the variables
+    of a block carry the same s-powers; P is in t = s^tbase.  With h the
+    last part of the weight, P_weight = (prod of the slots)^h sum_nu
+    c_{weight-h, nu} m_nu at the slots (``ClassTable``); m_nu at the slots
+    is expanded over the blocks' classes by ``_at_slots``, where each class
+    integrates to its moment (``_moment``), and the torus part x^h of each
+    slot shifts its variable.  The s-power of (prod of the slots)^h is left
+    out: the result is s^p times the average, p = -h times the sum of the
+    slots' s-powers when h < 0, else 0, so no negative s-power is formed.
+    A weight of nonzero size gives zero, as P at the slots is homogeneous of
+    that degree and the density of degree 0; so h > 0 gives zero.  The
+    tables, one per t-base, each with ``limit`` entries, and the moments
+    live for this call, so the limit counts the same entries on every call.
     """
     if order < 0:
         raise ConfigurationError("truncation order must be nonnegative")
@@ -187,11 +186,10 @@ def selberg_average(weight, slots, blocks, tbase, order, limit=None, lift=0):
     def moment(tb, kappa):
         return _moment(table(tb), kappa, moments[tb])
 
-    w = [p + lift for p in weight]
-    h = w[-1]
+    h = weight[-1]
     total = {}
-    for nu, c in table(tbase).row(tuple(p - h for p in w)).items():
-        mul_into(total, c, _at_slots(nu, blocks, powers, h - lift, moment, fills, order), order)
+    for nu, c in table(tbase).row(tuple(p - h for p in weight)).items():
+        mul_into(total, c, _at_slots(nu, blocks, powers, h, moment, fills, order), order)
     return ParamSeries(total, order, clean=False)
 
 

@@ -139,9 +139,9 @@ def test_class_route_matches_the_expanded_density(name):
         for w in sweep_weights(name, n, m, max_weight=size):
             for order in orders:
                 inst = _Instance(n, m, w, None, order)
-                k, p = _lift(defn, inst)
-                inst = inst._replace(order=order + p)
-                got = _integral(key, inst, (), True, k)
+                k = max(0, -w.parts[-1])
+                inst = inst._replace(order=order + _lift(defn, inst))
+                got = _integral(key, inst, (), True)
                 _, slots, tbase = INTEGRANDS[key](n, m)
                 mult = lifted(w.parts, k, slots, dens.vars, inst.order, tbase)
                 want = (ct_integrate(dens, mult, inst.order), ct_integrate(dens, None, inst.order))
@@ -527,10 +527,11 @@ def test_weight_lift_matches_point_evaluation(weight):
     # P_lambda there, negative parts and all
     n = len(weight) // 2
     inst = _Instance(n, None, DominantWeight(weight), None, D)
-    k, p = _lift(REGISTRY["double_cover"], inst)
-    assert (k, p) == (-weight[-1], -weight[-1] * 2 * n)
+    k = -weight[-1]
+    p = _lift(REGISTRY["double_cover"], inst)
+    assert p == k * 2 * n
     # plain slots take a negative part as it is
-    assert _lift(REGISTRY["u2n_vanishing"], inst) == (0, 0)
+    assert _lift(REGISTRY["u2n_vanishing"], inst) == 0
     dens, slots, tbase = INTEGRANDS["double_cover"](n, None)
     # v_lambda P_{lambda+k} is a sum of products of N(N-1)/2 factors
     # (y_i - t y_j) and of slot powers of s-degree at most 2 |lambda + k|

@@ -59,3 +59,55 @@ def test_no_package_name_is_test_only():
                        if name not in loaded and name != "clear_caches"
                        and not name.startswith("__")]
     assert unused == []
+
+
+def _calls(paths):
+    """name -> list of (positional count, keyword names) over every call in
+    ``paths``, by the called ``Name`` or ``Attribute`` name; a call with
+    ``*args`` or ``**kw`` counts as passing every parameter (count None)."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (None if spread else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_no_optional_parameter_is_unused():
+    """Every defaulted parameter of a module-level function or class method
+    in src/hltorus is passed, by keyword or by position, by some call in
+    src/ or tests/; a method's calls are those by its name (by its class's
+    name for ``__init__``), which pass ``self`` implicitly."""
+    root = SRC.parent.parent
+    calls = _calls(list(root.glob("src/**/*.py")) + list(root.glob("tests/**/*.py")))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [(None, node) for node in tree.body]
+        defs += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+                 for item in node.body]
+        for owner, fn in defs:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            bound = owner is not None and not static
+            name = owner if bound and fn.name == "__init__" else fn.name
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            params = [(i - bound, p.arg) for i, p in enumerate(positional)
+                      if i >= len(positional) - len(a.defaults)]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            for index, arg in params:
+                if not any(count is None or arg in keywords
+                           or index is not None and count > index
+                           for count, keywords in calls.get(name, ())):
+                    unused.append("%s: %s(%s=)" % (path.name, fn.name, arg))
+    assert unused == []
