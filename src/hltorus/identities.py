@@ -30,11 +30,11 @@ integral, the one builder ``_build`` checks
 
 with Z_j = 1 for an unnormalized row, so nothing is divided in the
 truncated ring.  A row that takes mu multiplies P_lambda by P_mu at the
-inverted slots.  A weight that ends in -k < 0 at slots that carry
-s-powers is lifted (``_lift``): the class route integrates s^p P_lambda,
-p = k times the slots' s-powers, so the order and the closed-form side
-are raised by s^p to match.  A row's ``notes``, if set, add remarks to its
-reports.
+inverted slots, on the "lead" route alone.  A weight that ends in -k < 0
+at slots that carry s-powers is lifted (``_lift``): the class route
+integrates s^p P_lambda, p = k times the slots' s-powers, so the order and
+the closed-form side are raised by s^p to match.  A row's ``notes``, if
+set, add remarks to its reports.
 
 Each integrand's route (``_route``) follows from its density and slots.
 The t-Selberg density with P at its own variables (``orthogonality``) takes
@@ -50,13 +50,14 @@ density is formed, and Z is the blocks' Weyl factor times the prefactor.
 Every other integrand forms P and the multiplier, and ``ct_integrate``
 expands the density or, for ``CrossBlock``, takes the Cauchy sum.
 
-Two general closed forms serve eighteen rows.  The twelve orthogonal-
-component rows (o_*, ab_o*, ab_sum_*, alpha_minus_one, alpha_eq_minus_beta)
-take ``rogers_szego_value`` at their values (a, b), summed over their
-integrands with the sign of each component; the six normalization rows take
-``koornwinder_normalization`` (``hltorus.densities``) at their integrand's
-parameter quadruple and variable count.  Every t-analog in them is a
-quotient of binomials 1 - t^k, formed by ``binomial_ratio``.
+Four general closed forms, each read from the row's own data, serve
+twenty-four rows: ``rogers_szego_value`` the twelve orthogonal-component
+rows (o_*, ab_o*, ab_sum_*, alpha_minus_one, alpha_eq_minus_beta), summed
+over their integrands with each component's sign; ``koornwinder_normalization``
+(``hltorus.densities``) the six normalization rows; the C-symbol ratio
+``rhs_c_ratio`` the vanishing averages over U(n) x U(m), U(2n) and the
+double cover; and ``rhs_bridge`` the three Pfaffian bridges.  Every
+t-analog in them is a quotient of binomials 1 - t^k (``binomial_ratio``).
 """
 
 from __future__ import annotations
@@ -216,33 +217,21 @@ def _c_ratio_pair(mu: Partition, args, order):
     return binomial_ratio(c0, (), order), c_minus(mu.parts, order)
 
 
-def rhs_unm(weight: DominantWeight, n, m, order):
-    """(C0, C-) for mu = nu with l(mu) <= m, zero otherwise."""
-    mu, nu = weight.positive_part(), weight.negative_part()
-    if mu.parts != nu.parts or mu.length_nonzero() > m:
-        return _zero_pair(order)
-    return _c_ratio_pair(mu, ((1, 2 * n), (1, 2 * m)), order)
+def rhs_c_ratio(args, cap, shift, inst):
+    """(num, den) of the paper's vanishing averages: C0_mu(args; t) /
+    (t^(shift |mu|) C-_mu(t)) on a palindrome mu mu-bar with l(mu) <= the
+    size ``cap`` names (or no cap), zero otherwise (``_c_ratio_pair``).
 
-
-def rhs_u2n(weight: DominantWeight, n, order):
-    """(C0, C-) for mu = nu, zero otherwise."""
-    mu, nu = weight.positive_part(), weight.negative_part()
-    if mu.parts != nu.parts:
-        return _zero_pair(order)
-    return _c_ratio_pair(mu, ((1, 2 * n), (-1, 2 * n)), order)
-
-
-def rhs_double_cover(weight: DominantWeight, n, order):
-    """(C0, t^{|mu|} C-) for a palindrome mu mu-bar, zero otherwise.
-
-    The pair encodes the verified value t^{-|mu|} C0/C- (see
-    ``notes_double_cover``).
+    ``args`` are (sign, "n" or "m") for sign t^n, sign t^m: U(n) x U(m)
+    takes (t^n, t^m) with cap m, U(2n) (t^n, -t^n), and the double cover
+    (t^n, -t^n) with shift 1 (``notes_double_cover``).
     """
-    shape = classify_shape(weight.parts)
-    if shape.palindrome is None:
-        return _zero_pair(order)
-    num, den = _c_ratio_pair(shape.palindrome, ((1, 2 * n), (-1, 2 * n)), order)
-    return num, den * SeriesRing(order).t(shape.palindrome.weight())
+    mu = classify_shape(inst.weight.parts).palindrome
+    sizes = {"n": inst.n, "m": inst.m}
+    if mu is None or cap and mu.length_nonzero() > sizes[cap]:
+        return _zero_pair(inst.order)
+    num, den = _c_ratio_pair(mu, [(sign, 2 * sizes[size]) for sign, size in args], inst.order)
+    return num, _times(den, SeriesRing(inst.order).t(shift * mu.weight()))
 
 
 def notes_double_cover(inst):
@@ -274,34 +263,20 @@ def rhs_t2_branching(weight: DominantWeight, n, order):
     return SeriesRing(order).t(mu.weight()) * num, c_minus(mu.parts, order, base=4)
 
 
-def _bridge_den(lam: Partition, n, k, order):
-    """v_lambda(t) (1-t)^k 2^n."""
-    mults = Counter(lam.parts).values()
-    return binomial_ratio(_factorials(mults, 2) + [(1, 2)] * k, [(1, 2)] * len(lam.parts),
-                          order, 2 ** n)
+def rhs_bridge(matrix, drop, extra, inst):
+    """(extra Pf B(lambda), v_lambda(t) (1-t)^(n - drop) 2^n): the paper's
+    Pfaffian bridges v_lambda (1-t)^n 2^n I = Pf A and = Pf M+, and
+    v_lambda (1-t)^(n-1) 2^n I = (1+t) Pf M-, B = ``matrix``.
 
-
-def rhs_bridge_plus_even(lam: Partition, n, order):
-    """(Pf A, v_lambda (1-t)^n 2^n) for the plus-even term integral."""
-    return pfaffian(build_a_matrix(lam.parts, order)), _bridge_den(lam, n, n, order)
-
-
-def rhs_bridge_minus_even(lam: Partition, n, order):
-    """((1+t)(1-alpha^2) Pf M-, v_lambda (1-t)^(n-1) 2^n).
-
-    1 - alpha^2 is the scalar of the slots +1 and -1; it multiplies both sides.
+    ``extra`` lists binomials (sign, key), 1 - sign s^e_s alpha^e_a beta^e_b:
+    (1+t) for M-, and the constant slots' scalar on both sides.
     """
-    ring = SeriesRing(order)
-    pf = pfaffian(build_m_minus(lam.parts, order))
-    num = pf * (ring.one() + ring.t()) * (ring.one() - ring.alpha(2))
-    return num, _bridge_den(lam, n, n - 1, order)
-
-
-def rhs_bridge_plus_odd(lam: Partition, n, order):
-    """((1-alpha) Pf M+, v_lambda (1-t)^n 2^n); 1 - alpha is the slot +1's scalar."""
-    ring = SeriesRing(order)
-    num = pfaffian(build_m_plus(lam.parts, order)) * (ring.one() - ring.alpha())
-    return num, _bridge_den(lam, n, n, order)
+    parts, n, order = inst.weight.parts, inst.n, inst.order
+    num = pfaffian(matrix(parts, order))
+    for sign, key in extra:
+        num = num * ParamSeries({ZERO_KEY: 1, key: -sign}, order)
+    den = _factorials(Counter(parts).values(), 2) + [(1, 2)] * (n - drop)
+    return num, binomial_ratio(den, [(1, 2)] * len(parts), order, 2 ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +419,12 @@ def _integral(key, inst, values=(), normalized=False):
     inverted slots when the instance has mu) and the slot rule's linear
     factors against the density, or the bare density without a weight.
     On the "lead" route P_lambda is not formed: lambda is passed to
-    ``ct_integrate`` as its ``lead``.  On the "classes" route, whose rows
-    take a weight alone, with no mu and no values, nothing is formed or
-    expanded (``selberg_average``), and I is s^p times the integral, p the
-    lift's s-power (``_lift``).  Z is the bare integral when ``normalized``,
-    else one.
+    ``ct_integrate`` as its ``lead``, and P_mu, if any, is the multiplier;
+    mu on any other route raises ``ConfigurationError``.  On the "classes"
+    route, whose rows take a weight alone, with no mu and no values, nothing
+    is formed or expanded (``selberg_average``), and I is s^p times the
+    integral, p the lift's s-power (``_lift``).  Z is the bare integral when
+    ``normalized``, else one.
     Without a weight (the normalization_* rows) a Koornwinder integrand
     keeps the "D" block: on the "B" block the bare integral of a one-sided
     density is 2^n n!/W(t; ab) times its prefactor, which is Gustafson's
@@ -469,10 +445,10 @@ def _integral(key, inst, values=(), normalized=False):
         integral = ct_integrate(dens, None, order)
     else:
         lead = inst.weight.parts if plan.route == "lead" else None
-        mult = hl_full(inst.weight.parts, slots, dens.vars, order, tbase) if lead is None else None
-        if inst.mu is not None:
-            pmu = hl_full(inst.mu.parts, plan.inverted, dens.vars, order, tbase)
-            mult = pmu if mult is None else mult * pmu
+        if lead is None and inst.mu is not None:
+            raise ConfigurationError("only the lead route takes mu, not %r" % key)
+        weight, at = (inst.weight, slots) if lead is None else (inst.mu, plan.inverted)
+        mult = None if weight is None else hl_full(weight.parts, at, dens.vars, order, tbase)
         linear, scalar = _linear_factors(slots, values, dens.vars, order)
         integral = _times(ct_integrate(dens, mult, order, lead=lead, linear=linear), scalar)
     z = ct_integrate(dens, None, order) if normalized else one
@@ -691,18 +667,19 @@ def _rows():
         "unm_vanishing", "two-block unitary average: nonzero only for mu = nu, l(mu) <= m",
         "dominant weight mu nu-bar with n+m parts", ("two_block",), normalized=True,
         rank="n+m", allows_negative=True,
-        closed=lambda i: rhs_unm(i.weight, i.n, i.m, i.order),
+        closed=partial(rhs_c_ratio, ((1, "n"), (1, "m")), "m", 0),
     )
     yield IdentityDef(
         "u2n_vanishing", "cross-block unitary average: nonzero only for mu = nu",
         "dominant weight mu nu-bar with 2n parts", ("cross_block",), normalized=True,
-        rank="2n", allows_negative=True, closed=lambda i: rhs_u2n(i.weight, i.n, i.order),
+        rank="2n", allows_negative=True,
+        closed=partial(rhs_c_ratio, ((1, "n"), (-1, "n")), None, 0),
     )
     yield IdentityDef(
         "double_cover", "t^{1/2}-shifted slots against the t^2 Selberg density",
         "dominant weight with 2n parts; nonzero only for mu mu-bar", ("double_cover",),
         normalized=True, rank="2n", allows_negative=True,
-        closed=lambda i: rhs_double_cover(i.weight, i.n, i.order), notes=notes_double_cover,
+        closed=partial(rhs_c_ratio, ((1, "n"), (-1, "n")), None, 1), notes=notes_double_cover,
     )
     yield IdentityDef(
         "t2_branching", "t^2 polynomial against the t density: branching coefficient",
@@ -715,19 +692,19 @@ def _rows():
         "pfaffian_plus_even", "Pfaffian bridge, plus component, even rank: "
         "v_lambda (1-t)^n 2^n I = Pf A", "partition padded to 2n parts",
         ("plus_even",), (ALPHA,), rank="2n",
-        closed=lambda i: rhs_bridge_plus_even(i.weight, i.n, i.order),
+        closed=partial(rhs_bridge, build_a_matrix, 0, ()),
     )
     yield IdentityDef(
         "pfaffian_minus_even", "Pfaffian bridge, minus component, even rank: "
         "v_lambda (1-t)^(n-1) 2^n I = (1+t) Pf M-", "partition padded to 2n parts",
         ("minus_even",), (ALPHA,), rank="2n",
-        closed=lambda i: rhs_bridge_minus_even(i.weight, i.n, i.order),
+        closed=partial(rhs_bridge, build_m_minus, 1, ((-1, (2, 0, 0)), (1, (0, 2, 0)))),
     )
     yield IdentityDef(
         "pfaffian_plus_odd", "Pfaffian bridge, plus component, odd rank: "
         "v_lambda (1-t)^n 2^n I = Pf M+", "partition padded to 2n+1 parts",
         ("plus_odd",), (ALPHA,), rank="2n+1", min_n=0,
-        closed=lambda i: rhs_bridge_plus_odd(i.weight, i.n, i.order),
+        closed=partial(rhs_bridge, build_m_plus, 0, ((1, (0, 1, 0)),)),
     )
 
 
@@ -762,28 +739,20 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
     if defn.needs_mu:
         mu = _pad_weight(defn, mu if mu is not None else (), n, m)
     start = time.perf_counter()
-    achieved = order
-    try:
-        lhs, rhs, notes, p = _build(defn, _Instance(n, m, weight, mu, order))
+    status, first_disc, achieved, notes = "resource-limit", None, 0, ()
+    # past the ceiling, a partial report: descend until an order fits
+    for lower in range(order, 0, -2):
+        try:
+            lhs, rhs, found, p = _build(defn, _Instance(n, m, weight, mu, lower))
+        except ResourceLimitError as exc:
+            notes = notes or (str(exc),)
+            continue
         status, first_disc = _compare(lhs, rhs, p)
-    except ResourceLimitError as exc:
-        # partial report: descend until an order fits within the ceiling
-        status = "resource-limit"
-        first_disc = None
-        achieved = 0
-        notes = (str(exc),)
-        for lower in range(order - 2, 0, -2):
-            try:
-                lhs, rhs, inner_notes, p = _build(defn, _Instance(n, m, weight, mu, lower))
-            except ResourceLimitError:
-                continue
-            status, first_disc = _compare(lhs, rhs, p)
-            achieved = lower
-            notes = tuple(inner_notes) + (
-                "resource ceiling hit at order %d; results cover order %d"
-                % (order, lower),
-            )
-            break
+        achieved, notes = lower, tuple(found)
+        if lower < order:
+            notes += ("resource ceiling hit at order %d; results cover order %d"
+                      % (order, lower),)
+        break
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         identity=name,

@@ -20,8 +20,9 @@ integer instead (:func:`pack`, :func:`unpack`), so its products are
 integer products, and so does the orbit-by-orbit convolution of
 ``hltorus.densities``.  The one division, by a binomial 1 - c x^k with c
 of positive degree, is the exact recurrence of :func:`divide_binomial`,
-and every closed form in the binomials 1 +- s^k is the one quotient
-:func:`binomial_ratio`.
+walked chain by chain for the density's line series and the closed forms
+alike, and every closed form in the binomials 1 +- s^k is the one
+quotient :func:`binomial_ratio`.
 """
 
 from __future__ import annotations
@@ -134,29 +135,13 @@ def divide_binomial(coeffs, step, sign, cap):
     torus exponents.  The step needs positive degree, and then the quotient
     is exact by the recurrence out[k] = coeffs[k] + sign * out[k - step],
     walked up each chain k, k + step, ... from its lowest key to the cap:
-    one step per key walked.  When the step is a power of s alone, the
-    chains of each (alpha, beta) degree differ only in s-degree, and one
-    list indexed by s-degree walks all of them at once.
+    one step per key walked.  Every division of the package, the line
+    series of ``hltorus.densities`` and the t-analogs of
+    :func:`binomial_ratio`, takes this one walk.
     """
     lift = sum(step[-3:])
     if lift < 1:
         raise DomainError("a geometric factor needs positive parameter degree")
-    if len(step) == 3 and not step[1] and not step[2]:
-        rows = {}
-        for (es, ea, eb), c in coeffs.items():
-            row = rows.get((ea, eb))
-            if row is None:
-                row = rows[ea, eb] = [0] * max(cap + 1 - ea - eb, 0)
-            if es < len(row):
-                row[es] = c
-        out = {}
-        for (ea, eb), row in rows.items():
-            for j in range(lift, len(row)):
-                row[j] += sign * row[j - lift]
-            for j, c in enumerate(row):
-                if c:
-                    out[j, ea, eb] = c
-        return out
     out = {}
     walked = set()
     for k in sorted(coeffs, key=lambda k: sum(k[-3:])):

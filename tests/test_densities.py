@@ -612,6 +612,26 @@ def test_line_order_keeps_the_table(dens, monkeypatch):
     densities.clear_caches()
 
 
+@pytest.mark.parametrize("key, order", [("plus_odd", 6), ("kawanaka", 8)])
+def test_table_is_the_same_under_either_line_order(key, order, monkeypatch):
+    """On five variables, the "B" density's table in the window +-3 is the
+    same under the type-A line order as under its own, a missing entry
+    counting as zero.  The cache key does not hold the line order, so the
+    cache is emptied between the builds."""
+    dens = INTEGRANDS[key](5, None)[0]
+    window = ((-3, 3),) * len(dens.vars)
+    densities.clear_caches()
+    own = unpacked(densities._expansion(dens, order, window))
+    with monkeypatch.context() as patch:
+        patch.setattr(densities, "_line_key", lambda blocks: lambda d: (tuple(map(abs, d)), d))
+        densities.clear_caches()
+        other = unpacked(densities._expansion(dens, order, window))
+    densities.clear_caches()
+    own, other = _restrict(own, window), _restrict(other, window)
+    assert own
+    assert all(own.get(e, {}) == other.get(e, {}) for e in set(own) | set(other))
+
+
 def _line_build_routes():
     """Every expanded integrand, the "D" route of each one with a pair, and
     the factored density of each integrand on the class route."""
@@ -1103,6 +1123,29 @@ def test_b_block_matches_d_route_on_larger_cases(key, n, weight, order):
     got = ct_integrate(dens, mult, order)
     assert not got.is_zero()
     assert got == ct_integrate(whole, mult, order)
+
+
+@pytest.mark.parametrize("key, weight, order", [
+    ("kawanaka", (2, 1), 8),
+    ("symplectic", (2, 2, 1, 1), 8),
+    ("minus_even", (2, 1), 8),
+    ("plus_odd", (2, 1), 4),
+])
+def test_b_and_d_halvings_agree_at_five_variables(key, weight, order):
+    """At n = 5, past the unpruned product's reach (five variables; four
+    for minus_even, whose slots +1 and -1 take the fifth), P at the
+    integrand's slots times the linear factor of its rows integrates
+    (``linear``) to one nonzero value against the "B" density and against
+    its "D" form, whose lines and Weyl factors differ."""
+    integrand = INTEGRANDS[key]
+    dens, slots, tbase = integrand(5, None)
+    whole = integrand.whole()(5, None)[0]
+    mult = hl_full(weight + (0,) * (len(slots) - len(weight)), slots, dens.vars, order, tbase)
+    linear, _ = _linear_factors(slots, HALVED[key], dens.vars, order)
+    got = ct_integrate(dens, mult, order, linear=linear)
+    assert not got.is_zero()
+    assert got == ct_integrate(whole, mult, order, linear=linear)
+    densities.clear_caches()
 
 
 def test_b_block_guard():

@@ -18,15 +18,13 @@ from hltorus.identities import (
     _Instance,
     _lift,
     _linear_factors,
+    _plan,
     _route,
     rhs_kawanaka,
     rhs_orthogonality,
     rhs_rogers_szego,
     rhs_symplectic,
     rhs_t2_branching,
-    rhs_u2n,
-    rhs_double_cover,
-    rhs_unm,
     sweep_weights,
     verify,
 )
@@ -112,6 +110,20 @@ def test_symmetrization_route_is_read_from_the_integrand():
         "plus_even": "product", "minus_even": "product", "plus_odd": "product",
         "minus_odd": "product",
     }
+
+
+def test_mu_is_taken_on_the_lead_route_alone():
+    """Every row that takes mu routes each of its integrands to "lead" at
+    n = 1..4, and mu on any other route is refused before P is formed."""
+    rows = [defn for defn in REGISTRY.values() if defn.needs_mu]
+    assert rows
+    for defn in rows:
+        for n in range(1, 5):
+            m = n if defn.needs_m else None
+            assert {_plan(key, n, m, False).route for key in defn.integrands} == {"lead"}
+    weight = Partition((1, 0))
+    with pytest.raises(ConfigurationError, match="lead route"):
+        _integral("plus_even", _Instance(1, None, weight, weight, 4), (ALPHA,))
 
 
 # row -> (n, m, largest weight, orders) of the class-route differential test
@@ -264,11 +276,12 @@ def test_split_closed_forms():
     r = SeriesRing(D)
     assert rhs_symplectic(Partition((1, 1)), 1, D) == r.one()
     assert rhs_kawanaka(Partition(()), 2, D) == r.one()
-    num, den = rhs_unm(DominantWeight((1, -1)), 1, 1, D)
+    weight = DominantWeight((1, -1))
+    num, den = REGISTRY["unm_vanishing"].closed(_Instance(1, 1, weight, None, D))
     assert num == (r.one() - r.t()) * den  # value 1 - t at m = n = 1
-    num, den = rhs_u2n(DominantWeight((1, -1)), 1, D)
+    num, den = REGISTRY["u2n_vanishing"].closed(_Instance(1, None, weight, None, D))
     assert num == (r.one() + r.t()) * den
-    num, den = rhs_double_cover(DominantWeight((1, -1)), 1, D)
+    num, den = REGISTRY["double_cover"].closed(_Instance(1, None, weight, None, D))
     # the verified value is t^{-1}(1+t): numerator (1-t^2), denominator t(1-t)
     assert num * r.t(0) == (r.one() + r.t()) * (r.one() - r.t()) and den == r.t() * (r.one() - r.t())
     num, den = rhs_t2_branching(DominantWeight((2, 0)), 2, D)

@@ -1,10 +1,13 @@
-"""The package is pure standard library, and its public names resolve."""
+"""The package is pure standard library, its public names resolve, and its caches clear."""
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
 import hltorus
+from hltorus.identities import verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hltorus"
 
@@ -111,3 +114,40 @@ def test_no_optional_parameter_is_unused():
                            for count, keywords in calls.get(name, ())):
                     unused.append("%s: %s(%s=)" % (path.name, fn.name, arg))
     assert unused == []
+
+
+def test_clear_caches_empties_every_cache():
+    """``clear_caches`` on every module (``__main__`` aside: importing it runs
+    the CLI), then one instance per route, then clearing again, leaves every
+    module-level dict that grew at its size before the run and every
+    ``lru_cache`` empty.  The benchmark's cold passes rely on this."""
+    modules = [importlib.import_module("hltorus." + info.name)
+               for info in pkgutil.iter_modules(hltorus.__path__) if info.name != "__main__"]
+
+    def clear():
+        for module in modules:
+            getattr(module, "clear_caches", lambda: None)()
+
+    def sizes():
+        return {(module.__name__, name): len(value) for module in modules
+                for name, value in vars(module).items() if isinstance(value, dict)}
+
+    memos = {(module.__name__, name): value for module in modules
+             for name, value in vars(module).items() if hasattr(value, "cache_info")}
+    clear()
+    before = sizes()
+    for name, kwargs in (("orthogonality", dict(n=2, weight=(1,), mu=(1,))),  # lead
+                         ("o_plus_odd", dict(n=2, weight=(1,))),  # orbit
+                         ("kawanaka", dict(n=2, weight=(1, 1))),  # term by term
+                         ("normalization_iii", dict(n=2)),  # bare "D"
+                         ("u2n_vanishing", dict(n=2, weight=(1, -1))),  # Cauchy
+                         ("unm_vanishing", dict(n=2, m=1, weight=(1, -1)))):  # classes
+        assert verify(name, order=6, **kwargs).status in ("match", "vanished-as-predicted")
+    grew = {key for key, size in sizes().items() if size > before[key]}
+    assert {("hltorus.densities", "_EXPANSION_CACHE"), ("hltorus.hall_littlewood", "_CACHE"),
+            ("hltorus.identities", "_PLANS")} <= grew
+    assert any(memo.cache_info().currsize for memo in memos.values())
+    clear()
+    after = sizes()
+    assert {key: after[key] for key in grew} == {key: before[key] for key in grew}
+    assert {key for key, memo in memos.items() if memo.cache_info().currsize} == set()
