@@ -125,7 +125,7 @@ def max_terms():
     return env_ceiling("HLTORUS_MAX_TERMS") or 4000000
 
 
-def _unit_exps(n, i, power=1):
+def _unit_exps(n, i, power):
     e = [0] * n
     e[i] = power
     return tuple(e)
@@ -624,8 +624,6 @@ def _expansion(dens, order, window, spare=0):
             top = tops.get(code & omask)
             if top is None:
                 top = tops[code & omask] = _budget(decode(code, others), *obox, order)
-            if top < dmin:
-                continue
             rows = reach.get(code & tmask) or reach.setdefault(
                 code & tmask, _reach(decode(code, touched), walks, singles, order))
             for row in rows:
@@ -826,29 +824,18 @@ class SelbergBlocks:
     """t-Selberg densities on consecutive blocks of variables, never expanded.
 
     Each block ("A", first, size, tpow) carries prod_{i != j} (1-x_i/x_j)/(1-t
-    x_i/x_j) over its variables, t = s^tpow, and the product is scaled by the
-    prefactor 1/prod size!.  A block is the weight of the Hall-Littlewood
-    inner product in its variables, so P_lambda integrates against it from
-    class coefficients (``hltorus.hall_littlewood.selberg_average``), with
-    no density expanded.  The bare integral is the prefactor times the
-    blocks' Weyl factor (``bare_integral``): the positive-root half of a
-    block has constant term 1, since each of its other terms is a product of
-    positive roots.
+    x_i/x_j) / size! over its variables, t = s^tpow: the weight of the
+    Hall-Littlewood inner product in those variables.  P_lambda integrates
+    against it, normalized, from class coefficients
+    (``hltorus.hall_littlewood.selberg_average``), with no density expanded.
     """
 
-    __slots__ = ("vars", "blocks", "prefactor")
+    __slots__ = ("blocks",)
 
-    def __init__(self, blocks, tpow):
-        """``blocks`` lists one (prefix, size) pair per block of variables."""
-        names, spans = [], []
-        for prefix, size in blocks:
-            spans.append(("A", len(names), size, tpow))
-            names += ["%s%d" % (prefix, i + 1) for i in range(size)]
-        self.vars, self.blocks = tuple(names), tuple(spans)
-        self.prefactor = Fraction(1, prod(factorial(size) for _, size in blocks))
-
-    def bare_integral(self, order):
-        return _weyl_factor(self.blocks, order) * self.prefactor
+    def __init__(self, sizes, tpow):
+        """One block per entry of ``sizes``, in order."""
+        firsts = accumulate(sizes, initial=0)
+        self.blocks = tuple(("A", first, size, tpow) for first, size in zip(firsts, sizes))
 
 
 def _sort_sign(v):

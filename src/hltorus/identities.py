@@ -28,13 +28,13 @@ integral, the one builder ``_build`` checks
 
     den * sum_k I_k prod_{j != k} Z_j  ==  num * prod_j Z_j,
 
-with Z_j = 1 for an unnormalized row, so nothing is divided in the
-truncated ring.  A row that takes mu multiplies P_lambda by P_mu at the
-inverted slots, on the "lead" route alone.  A weight that ends in -k < 0
-at slots that carry s-powers is lifted (``_lift``): the class route
-integrates s^p P_lambda, p = k times the slots' s-powers, so the order and
-the closed-form side are raised by s^p to match.  A row's ``notes``, if
-set, add remarks to its reports.
+with Z_j = 1 for an unnormalized row and on the class route, whose I_k is
+already normalized, so nothing is divided in the truncated ring.  A row
+that takes mu multiplies P_lambda by P-bar_mu, on the "lead" route alone.
+A weight that ends in -k < 0 at slots that carry s-powers is lifted
+(``_lift``): the class route integrates s^p P_lambda, p = k times the
+slots' s-powers, so the order and the closed-form side are raised by s^p
+to match.  A row's ``notes``, if set, add remarks to its reports.
 
 Each integrand's route (``_route``) follows from its density and slots.
 The t-Selberg density with P at its own variables (``orthogonality``) takes
@@ -46,7 +46,7 @@ take the class route (``selberg_average`` in ``hltorus.hall_littlewood``):
 P_lambda = sum_nu c_{lambda nu} m_nu, each m_nu at the slots is expanded
 over the blocks' classes, and each class integrates to its moment
 <m_kappa>/<1>, solved from <P_nu> = 0 for nu != 0.  Neither P nor the
-density is formed, and Z is the blocks' Weyl factor times the prefactor.
+density is formed, and only a normalized row may take this route.
 Every other integrand forms P and the multiplier, and ``ct_integrate``
 expands the density or, for ``CrossBlock``, takes the Cauchy sum.
 
@@ -80,7 +80,7 @@ from .densities import (
     selberg_density,
 )
 from .errors import ConfigurationError, DomainError, ResourceLimitError
-from .hall_littlewood import Mono, const_arg, hl_full, pm_args, selberg_average, var_arg
+from .hall_littlewood import const_arg, hl_full, pm_args, selberg_average, var_arg
 from .partitions import DominantWeight, Partition, classify_shape
 from .pfaffian import build_a_matrix, build_m_minus, build_m_plus, pfaffian
 from .series import ZERO_KEY, ParamSeries, SeriesRing, binomial_ratio, mul_into
@@ -317,20 +317,16 @@ INTEGRANDS = {
     "plus_odd": _Koornwinder(K_PLUS_ODD, pair=(-1, (1, 2)), consts=(1,)),
     "minus_odd": _Koornwinder(K_MINUS_ODD, pair=(1, (-1, 2)), consts=(-1,)),
     # U(m) x U(n): a t-Selberg density on each of two blocks
-    "two_block": lambda n, m: (SelbergBlocks((("x", m), ("y", n)), 2), _plain_args(m + n), 2),
+    "two_block": lambda n, m: (SelbergBlocks((m, n), 2), _plain_args(m + n), 2),
     # integrated by the Cauchy identity, not expanded (see ``CrossBlock``)
     "cross_block": lambda n, m: (CrossBlock(n), _plain_args(2 * n), 2),
-    "t2_selberg": lambda n, m: (SelbergBlocks((("x", n),), 2), _plain_args(n), 4),
+    "t2_selberg": lambda n, m: (SelbergBlocks((n,), 2), _plain_args(n), 4),
     # the t^2 Selberg density against the slots t^{1/2} z_i and t^{-1/2} z_i,
     # rescaled by z -> sqrt(t) z to (t z_i, z_i): the constant term is
     # unchanged and no s-power is negative
-    "double_cover": lambda n, m: (SelbergBlocks((("z", n),), 4), tuple(
+    "double_cover": lambda n, m: (SelbergBlocks((n,), 4), tuple(
         y for i in range(n) for y in (var_arg(n, i, spow=2), var_arg(n, i))), 2),
 }
-
-
-def _inverted(slots):
-    return tuple(Mono(y.sign, y.spow, tuple(-e for e in y.exps)) for y in slots)
 
 
 def _linear_factors(slots, values, names, order):
@@ -388,9 +384,8 @@ def _route(dens, slots, tbase):
 
 
 # The plan of an integrand, everything ``_integral`` reads that depends on
-# (key, n, m, weightless) alone: the density, P's slots and their inverses,
-# P's t-base and its ``_route``.
-_Plan = namedtuple("_Plan", "dens slots inverted tbase route")
+# (key, n, m, weightless) alone: the density and P's slots, t-base and route.
+_Plan = namedtuple("_Plan", "dens slots tbase route")
 _PLANS = {}
 
 
@@ -407,24 +402,24 @@ def _plan(key, n, m, weightless):
         if weightless:
             integrand = integrand.whole()
         dens, slots, tbase = integrand(n, m)
-        plan = _PLANS[plan_key] = _Plan(dens, slots, _inverted(slots), tbase,
-                                        _route(dens, slots, tbase))
+        plan = _PLANS[plan_key] = _Plan(dens, slots, tbase, _route(dens, slots, tbase))
     return plan
 
 
-def _integral(key, inst, values=(), normalized=False):
+def _integral(key, inst, values, normalized=False):
     """(I, Z) for the integrand ``key`` of one instance.
 
-    I integrates P_lambda at the integrand's slots (times P_mu at the
-    inverted slots when the instance has mu) and the slot rule's linear
-    factors against the density, or the bare density without a weight.
-    On the "lead" route P_lambda is not formed: lambda is passed to
-    ``ct_integrate`` as its ``lead``, and P_mu, if any, is the multiplier;
-    mu on any other route raises ``ConfigurationError``.  On the "classes"
-    route, whose rows take a weight alone, with no mu and no values, nothing
-    is formed or expanded (``selberg_average``), and I is s^p times the
-    integral, p the lift's s-power (``_lift``).  Z is the bare integral when
-    ``normalized``, else one.
+    I integrates P_lambda at the integrand's slots (times P-bar_mu when the
+    instance has mu) and the slot rule's linear factors against the
+    density, or the bare density without a weight.  On the "lead" route
+    P_lambda is not formed: lambda is passed to ``ct_integrate`` as its
+    ``lead``, and P-bar_mu, if any, is the multiplier; mu on any other route
+    raises ``ConfigurationError``.  Z is the bare integral when
+    ``normalized``, else one.  On the "classes" route, whose rows take a
+    weight alone, with no mu and no values, nothing is formed or expanded
+    (``selberg_average``): I is s^p times the normalized average, p the
+    lift's s-power (``_lift``), and Z is one; an unnormalized row there
+    raises ``ConfigurationError``.
     Without a weight (the normalization_* rows) a Koornwinder integrand
     keeps the "D" block: on the "B" block the bare integral of a one-sided
     density is 2^n n!/W(t; ab) times its prefactor, which is Gustafson's
@@ -437,18 +432,23 @@ def _integral(key, inst, values=(), normalized=False):
     order = inst.order
     one = SeriesRing(order).one()
     if plan.route == "classes":
-        z = dens.bare_integral(order)
-        average = selberg_average(inst.weight.parts, slots, dens.blocks, tbase, order,
-                                  max_terms())
-        return z * average, z if normalized else one
+        if not normalized:
+            raise ConfigurationError("the class route gives normalized averages alone, "
+                                     "so %r must be normalized" % key)
+        return selberg_average(inst.weight.parts, slots, dens.blocks, tbase, order,
+                               max_terms()), one
     if inst.weight is None:
         integral = ct_integrate(dens, None, order)
     else:
         lead = inst.weight.parts if plan.route == "lead" else None
         if lead is None and inst.mu is not None:
             raise ConfigurationError("only the lead route takes mu, not %r" % key)
-        weight, at = (inst.weight, slots) if lead is None else (inst.mu, plan.inverted)
-        mult = None if weight is None else hl_full(weight.parts, at, dens.vars, order, tbase)
+        weight = inst.weight.parts if lead is None else None
+        if lead is not None and inst.mu is not None:
+            # P-bar_mu = P_mu(1/x) = P_(-mu_n, ..., -mu_1)(x) (Macdonald, SFHP III (2.2)):
+            # x -> 1/x reindexes prod_{i<j} (x_i - t x_j)/(x_i - x_j) by w0; v_(-w0 mu) = v_mu
+            weight = tuple(-e for e in reversed(inst.mu.parts))
+        mult = None if weight is None else hl_full(weight, slots, dens.vars, order, tbase)
         linear, scalar = _linear_factors(slots, values, dens.vars, order)
         integral = _times(ct_integrate(dens, mult, order, lead=lead, linear=linear), scalar)
     z = ct_integrate(dens, None, order) if normalized else one
@@ -769,7 +769,7 @@ def verify(name, n=None, m=None, weight=None, mu=None, order=12) -> Verification
     )
 
 
-def _compare(lhs: ParamSeries, rhs: ParamSeries, p=0):
+def _compare(lhs: ParamSeries, rhs: ParamSeries, p):
     """The status, and the first discrepancy's degree less the lift's p."""
     diff = lhs - rhs
     if diff.is_zero():

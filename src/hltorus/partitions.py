@@ -138,17 +138,13 @@ def partitions_up_to(max_total, max_len, max_part=None) -> Tuple[Partition, ...]
     """All partitions with |lambda| <= max_total and at most max_len parts."""
     if max_part is None:
         max_part = max_total
-    out = []
-
-    def rec(prefix, remaining, bound):
-        out.append(tuple(prefix))
-        if len(prefix) == max_len:
-            return
-        for p in range(min(bound, remaining), 0, -1):
-            prefix.append(p)
-            rec(prefix, remaining - p, p)
-            prefix.pop()
-
-    rec([], max_total, max_part)
+    # a stack, not a recursive closure, which would be a reference cycle
+    out, stack = [], [((), max_total, max_part)]
+    while stack:
+        prefix, remaining, bound = stack.pop()
+        out.append(prefix)
+        if len(prefix) < max_len:
+            stack += [(prefix + (p,), remaining - p, p)
+                      for p in range(1, min(bound, remaining) + 1)]
     uniq = sorted(set(out), key=lambda t: (sum(t), t))
     return tuple(Partition(t) for t in uniq)

@@ -41,29 +41,32 @@ def pfaffian(a: AntisymMatrix) -> ParamSeries:
     """Pfaffian by recursive expansion along the first active row."""
     if a.size % 2:
         raise DomainError("Pfaffian needs even size")
-    ring = SeriesRing(a.trunc)
-    memo = {}
+    return _pfaffian(a, tuple(range(a.size)), SeriesRing(a.trunc), {})
 
-    def rec(idx):
-        if not idx:
-            return ring.one()
-        hit = memo.get(idx)
-        if hit is not None:
-            return hit
-        first = idx[0]
-        rest = idx[1:]
-        total = ring.zero()
-        for pos, k in enumerate(rest):
-            e = a.entry(first, k)
-            if e.is_zero():
-                continue
-            sub = rest[:pos] + rest[pos + 1:]
-            term = e * rec(sub)
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[idx] = total
-        return total
 
-    return rec(tuple(range(a.size)))
+def _pfaffian(a, idx, ring, memo):
+    """The Pfaffian of ``a`` on the rows and columns ``idx``, memoized per idx.
+
+    A module-level function, not a recursive closure, which would be a
+    reference cycle holding the memo.
+    """
+    if not idx:
+        return ring.one()
+    hit = memo.get(idx)
+    if hit is not None:
+        return hit
+    first = idx[0]
+    rest = idx[1:]
+    total = ring.zero()
+    for pos, k in enumerate(rest):
+        e = a.entry(first, k)
+        if e.is_zero():
+            continue
+        sub = rest[:pos] + rest[pos + 1:]
+        term = e * _pfaffian(a, sub, ring, memo)
+        total = total + (term if pos % 2 == 0 else -term)
+    memo[idx] = total
+    return total
 
 
 # ---------------------------------------------------------------------------

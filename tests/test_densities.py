@@ -1303,14 +1303,12 @@ def test_negative_order_is_refused():
 
 def test_selberg_blocks_are_not_expanded():
     """t-Selberg blocks are refused by ``ct_integrate``, with or without a
-    multiplier; their bare integral is the Weyl factor times the prefactor,
-    the expansion's value on the factored density."""
+    multiplier."""
     for m, n in ((0, 2), (1, 2), (2, 2)):
         dens = INTEGRANDS["two_block"](n, m)[0]
-        for mult in (None, LaurentPoly.unit(dens.vars, D)):
+        for mult in (None, LaurentPoly.unit(two_block_density(m, n).vars, D)):
             with pytest.raises(ConfigurationError, match="class coefficients"):
                 ct_integrate(dens, mult, D)
-        assert dens.bare_integral(D) == ct_integrate(two_block_density(m, n), None, D)
 
 
 def test_term_ceiling_trips(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -316,6 +317,20 @@ def _differential_cases():
             slots = tuple(y for i in range(n) for y in (var_arg(n, i, spow=tbase), var_arg(n, i)))
             for lam in partitions_up_to(3, 2 * n):
                 yield lam.padded(2 * n).parts, slots, n, tbase
+
+
+def test_p_at_inverted_slots_is_p_of_the_reversed_negated_weight():
+    """P_mu(1/x) = P_(-mu_n, ..., -mu_1)(x), the P-bar of the lead route:
+    for every dominant weight of n <= 4 parts in -2..2, in t and t^2, at
+    orders 0, 5 and 10."""
+    for n in range(1, 5):
+        inverted = tuple(var_arg(n, i, -1) for i in range(n))
+        for mu in combinations_with_replacement(range(2, -3, -1), n):
+            for tbase in (2, 4):
+                for order in (0, 5, 10):
+                    bar = tuple(-e for e in reversed(mu))
+                    assert hl_full(mu, inverted, names(n), order, tbase) == hl_full(
+                        bar, plain(n), names(n), order, tbase), (mu, tbase, order)
 
 
 def test_hl_full_matches_branching_oracle():

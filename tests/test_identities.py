@@ -139,10 +139,10 @@ CLASS_ROUTE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CLASS_ROUTE_CASES))
 def test_class_route_matches_the_expanded_density(name):
-    """(I, Z) of each row on the class route equal ``ct_integrate`` of P,
-    formed (and lifted), against the row's density in factored form, at
-    n <= 4 and orders up to 10, with m = 0 and m = n, over weight grids
-    that hold zero cases and nonzero ones."""
+    """(I, Z) of each row on the class route are (I/Z, 1) for I and Z the
+    ``ct_integrate`` of P, formed (and lifted), and of one against the row's
+    density in factored form, at n <= 4 and orders up to 10, with m = 0 and
+    m = n, over weight grids that hold zero cases and nonzero ones."""
     defn = REGISTRY[name]
     (key,) = defn.integrands
     zeros = []
@@ -156,10 +156,26 @@ def test_class_route_matches_the_expanded_density(name):
                 got = _integral(key, inst, (), True)
                 _, slots, tbase = INTEGRANDS[key](n, m)
                 mult = lifted(w.parts, k, slots, dens.vars, inst.order, tbase)
-                want = (ct_integrate(dens, mult, inst.order), ct_integrate(dens, None, inst.order))
-                assert got == want, (n, m, w, order)
+                bare = ct_integrate(dens, None, inst.order)
+                assert got[1] == 1 and got[0] * bare == ct_integrate(dens, mult, inst.order), (
+                    n, m, w, order)
                 zeros.append(got[0].is_zero())
     assert any(zeros) and not all(zeros)
+
+
+def test_class_route_takes_normalized_rows_alone(monkeypatch):
+    """The class route gives the normalized average <P>/<1> alone: every
+    registry row routed there is normalized, and a row on ``t2_selberg``
+    that is not is refused, not given the normalized value."""
+    rows = [defn for defn in REGISTRY.values()
+            if any(_route(*INTEGRANDS[key](2, 1)) == "classes" for key in defn.integrands)]
+    assert {defn.name for defn in rows} == {"unm_vanishing", "t2_branching", "double_cover"}
+    assert all(defn.normalized for defn in rows)
+    row = dataclasses.replace(REGISTRY["t2_branching"], name="t2_bare", normalized=False)
+    assert row.integrands == ("t2_selberg",)
+    monkeypatch.setitem(REGISTRY, "t2_bare", row)
+    with pytest.raises(ConfigurationError, match="must be normalized"):
+        verify("t2_bare", n=2, weight=(1, -1), order=4)
 
 
 def test_clearing_caches_rebuilds_the_integrand_plan(monkeypatch, clear_caches):
@@ -545,11 +561,12 @@ def test_weight_lift_matches_point_evaluation(weight):
     assert p == k * 2 * n
     # plain slots take a negative part as it is
     assert _lift(REGISTRY["u2n_vanishing"], inst) == 0
-    dens, slots, tbase = INTEGRANDS["double_cover"](n, None)
+    _, slots, tbase = INTEGRANDS["double_cover"](n, None)
+    names = FACTORED["double_cover"](n, None).vars
     # v_lambda P_{lambda+k} is a sum of products of N(N-1)/2 factors
     # (y_i - t y_j) and of slot powers of s-degree at most 2 |lambda + k|
     order = tbase * len(slots) * (len(slots) - 1) // 2 + 2 * (sum(weight) + k * len(slots)) + 1
-    lifted_p = lifted(weight, k, slots, dens.vars, order, tbase)
+    lifted_p = lifted(weight, k, slots, names, order, tbase)
     point = (Fraction(2), Fraction(-3, 2))[:n]
     for s in (Fraction(1, 2), Fraction(-2, 3)):
         value = sum(v * slot_value(Mono(1, key[0], exps), point, s)

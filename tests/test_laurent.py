@@ -9,7 +9,7 @@ from hltorus.series import ParamSeries, SeriesRing
 
 from helpers import (coefficient, constant_term, max_total_degree, monomial, poly_of, poly_sum,
                      rename_vars, scalar, specialize, torus_factor)
-from oracles import product_by_nested_loops
+from oracles import FACTORED, product_by_nested_loops
 
 
 D = 8
@@ -204,9 +204,9 @@ def test_producers_keep_the_coefficient_layout():
     cases = (((3, 1), plain), ((2, 1, 0, -1), pm_args(2)), ((2, 1, 1, 0), consts + plain),
              ((2, 2, 1, 0), scaled), ((2, 2, 2, 1), scaled), ((2, 2, 2, 2), scaled))
     polys = [hl_full(w, args, V, order, tbase) for w, args in cases for tbase in (2, 4)]
-    dens, slots, _ = INTEGRANDS["double_cover"](2, None)
-    polys.append(torus_factor(_linear_factors(slots, (ALPHA, BETA), dens.vars, order)[0],
-                              dens.vars, order))
+    slots, names = INTEGRANDS["double_cover"](2, None)[1], FACTORED["double_cover"](2, None).vars
+    polys.append(torus_factor(_linear_factors(slots, (ALPHA, BETA), names, order)[0],
+                              names, order))
     dens, slots, tbase = INTEGRANDS["symplectic"](2, None)
     p = hl_full((2, 1, 0, 0), slots, dens.vars, order, tbase)
     # 1 - alpha^2 y^2 per slot: the odd powers of alpha cancel, in the slot

@@ -67,7 +67,7 @@ def test_no_package_name_is_test_only():
 def _calls(paths):
     """name -> list of (positional count, keyword names) over every call in
     ``paths``, by the called ``Name`` or ``Attribute`` name; a call with
-    ``*args`` or ``**kw`` counts as passing every parameter (count None)."""
+    ``*args`` or ``**kw`` has count None."""
     calls = {}
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -82,14 +82,17 @@ def _calls(paths):
     return calls
 
 
-def test_no_optional_parameter_is_unused():
-    """Every defaulted parameter of a module-level function or class method
-    in src/hltorus is passed, by keyword or by position, by some call in
-    src/ or tests/; a method's calls are those by its name (by its class's
-    name for ``__init__``), which pass ``self`` implicitly."""
+def _defaulted_parameters():
+    """(label, function name, passes) per defaulted parameter of a
+    module-level function or class method in src/hltorus.
+
+    ``passes`` holds, per call in src/ or tests/ by the function's name (by
+    its class's name for ``__init__``, with ``self`` passed implicitly),
+    whether the call passes the parameter, by keyword or by position, or
+    None for a call with ``*args`` or ``**kw``, which may or may not.
+    """
     root = SRC.parent.parent
     calls = _calls(list(root.glob("src/**/*.py")) + list(root.glob("tests/**/*.py")))
-    unused = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         defs = [(None, node) for node in tree.body]
@@ -109,11 +112,28 @@ def test_no_optional_parameter_is_unused():
             params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
                        if d is not None]
             for index, arg in params:
-                if not any(count is None or arg in keywords
-                           or index is not None and count > index
-                           for count, keywords in calls.get(name, ())):
-                    unused.append("%s: %s(%s=)" % (path.name, fn.name, arg))
+                passes = [None if count is None
+                          else arg in keywords or index is not None and count > index
+                          for count, keywords in calls.get(name, ())]
+                yield "%s: %s(%s=)" % (path.name, fn.name, arg), fn.name, passes
+
+
+def test_no_optional_parameter_is_unused():
+    """Every defaulted parameter (``_defaulted_parameters``) is passed by
+    some call, a call with ``*args`` or ``**kw`` counting as passing it."""
+    unused = [label for label, _, passes in _defaulted_parameters()
+              if all(p is False for p in passes)]
     assert unused == []
+
+
+def test_no_private_default_is_always_passed():
+    """No defaulted parameter of a private function or method (a ``_``
+    name, dunders aside) is passed by every call, a call with ``*args`` or
+    ``**kw`` counting as leaving it out: such a default is never read."""
+    always = [label for label, fn, passes in _defaulted_parameters()
+              if fn.startswith("_") and not fn.startswith("__")
+              and passes and all(p is True for p in passes)]
+    assert always == []
 
 
 def test_clear_caches_empties_every_cache():
